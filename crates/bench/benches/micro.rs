@@ -278,7 +278,6 @@ fn bench_batching(results: &mut BenchResults) {
     bench_function(results, "unbatched_call_x16", cycles, || iter(&mut sys));
 
     let (mut sys, a, b) = setup(IsolationMode::Full);
-    sys.set_cross_call_batching(true);
     let entry = sys.entry("b_read").unwrap();
     let buf = persistent_buf(&mut sys, a, b);
     let iter = |sys: &mut System| {
@@ -300,17 +299,19 @@ fn bench_batching(results: &mut BenchResults) {
 /// writes its buffer (implicit-window reclaim retags the page), then the
 /// callee reads it through a window (a fresh protection fault every
 /// time). Decoy windows ahead of the authorising one lengthen the linear
-/// ACL search that a cache hit skips.
+/// ACL search that a cache hit skips. The miss entry closes and reopens
+/// the window before each ping-pong, which drops the cached grant, so
+/// every fault takes the linear search; its simulated cycles cover the
+/// ping-pong only, not the close and reopen.
 fn bench_grant_cache(results: &mut BenchResults) {
     const DECOYS: usize = 16;
-    for (name, cache_on) in [
-        ("grant_cache_off_pingpong", false),
-        ("grant_cache_on_pingpong", true),
+    for (name, miss) in [
+        ("grant_cache_miss_pingpong", true),
+        ("grant_cache_hit_pingpong", false),
     ] {
         let (mut sys, a, b) = setup(IsolationMode::Full);
-        sys.set_grant_cache(cache_on);
         let entry = sys.entry("b_read").unwrap();
-        let buf = sys.run_in_cubicle(a, |sys| {
+        let (buf, wid) = sys.run_in_cubicle(a, |sys| {
             let decoy = sys.heap_alloc(4096, 4096).unwrap();
             for _ in 0..DECOYS {
                 let wid = sys.window_init();
@@ -321,37 +322,46 @@ fn bench_grant_cache(results: &mut BenchResults) {
             let wid = sys.window_init();
             sys.window_add(wid, buf, 4096).unwrap();
             sys.window_open(wid, b).unwrap();
-            buf
+            (buf, wid)
         });
-        let iter = |sys: &mut System| {
+        let revoke = |sys: &mut System| {
+            if miss {
+                sys.run_in_cubicle(a, |sys| {
+                    sys.window_close(wid, b).unwrap();
+                    sys.window_open(wid, b).unwrap();
+                });
+            }
+        };
+        let pingpong = |sys: &mut System| {
             sys.run_in_cubicle(a, |sys| {
                 sys.write(buf, &[7]).unwrap();
                 let r = sys.cross_call(entry, &[Value::buf_in(buf, 64)]).unwrap();
                 black_box(r);
             });
         };
-        iter(&mut sys); // warm: populate the cache (miss) before timing
+        pingpong(&mut sys); // warm: the first fault always misses
+        revoke(&mut sys);
+        let (h0, m0) = (sys.stats().grant_cache_hits, sys.stats().grant_cache_misses);
         let c0 = sys.now();
-        iter(&mut sys);
+        pingpong(&mut sys);
         let cycles = sys.now() - c0;
-        bench_function(results, name, cycles, || iter(&mut sys));
-        if cache_on {
-            assert!(
-                sys.stats().grant_cache_hits > 0,
-                "pingpong bench must exercise the grant cache"
-            );
-        }
+        let (h1, m1) = (sys.stats().grant_cache_hits, sys.stats().grant_cache_misses);
+        assert_eq!(
+            (h1 - h0, m1 - m0),
+            if miss { (0, 1) } else { (1, 0) },
+            "{name} must take the path it names"
+        );
+        bench_function(results, name, cycles, || {
+            revoke(&mut sys);
+            pingpong(&mut sys);
+        });
     }
 }
 
 /// The Figure 7 large-file path: a full HTTP fetch of a 1 MiB file
 /// through the 8-component CubicleOS web stack (VFS reads, LWIP segment
-/// copies, window faults — the memory-heaviest end-to-end scenario).
-///
-/// Measured twice: the legacy configuration (`_base`, every PR-7 feature
-/// off — the bit-identical golden path) and the tracked entry with
-/// cross-call batching, the window-grant cache, and the sendfile path
-/// enabled, which is how the deployment is meant to run.
+/// copies, window faults — the memory-heaviest end-to-end scenario),
+/// with cross-call batching, the window-grant cache and sendfile.
 fn bench_fig7_large_file(results: &mut BenchResults) {
     const LEN: usize = 1 << 20;
     let content: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
@@ -367,28 +377,10 @@ fn bench_fig7_large_file(results: &mut BenchResults) {
     let c0 = dep.sys.now();
     iter(&mut dep);
     let cycles = dep.sys.now() - c0;
-    bench_function(results, "fig7_http_fetch_1m_base", cycles, || {
-        iter(&mut dep)
-    });
-
-    let mut dep = boot_web(IsolationMode::Full).unwrap();
-    dep.sys.set_cross_call_batching(true);
-    dep.sys.set_grant_cache(true);
-    let slot = dep.httpd_slot;
-    dep.sys
-        .with_component_mut::<cubicle_httpd::Httpd, _>(slot, |h, _| h.set_sendfile(true))
-        .unwrap();
-    dep.put_file("/large.bin", &content).unwrap();
-    let c0 = dep.sys.now();
-    iter(&mut dep);
-    let cycles = dep.sys.now() - c0;
     bench_function(results, "fig7_http_fetch_1m", cycles, || iter(&mut dep));
     let hits = dep.sys.stats().grant_cache_hits;
     println!("fig7 grant_cache_hits={hits}");
-    assert!(
-        hits > 0,
-        "the fig-7 feature run must produce grant-cache hits"
-    );
+    assert!(hits > 0, "the fig-7 fetch must produce grant-cache hits");
 }
 
 fn bench_speedtest_statement(results: &mut BenchResults) {

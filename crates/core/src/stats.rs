@@ -59,7 +59,7 @@ pub struct SysStats {
     /// (O(1) re-check of the remembered descriptor, no linear search).
     pub grant_cache_hits: u64,
     /// Trap-and-map resolutions that fell through to the linear window
-    /// search while the grant cache was enabled.
+    /// search (no live cached grant).
     pub grant_cache_misses: u64,
     /// Grant-cache entries dropped by precise invalidation (window
     /// close/remove/destroy, ownership transfer, quarantine, restart).
@@ -207,8 +207,8 @@ impl fmt::Display for SysStats {
         if self.watchdog_trips > 0 {
             writeln!(f, "watchdog-trips: {}", self.watchdog_trips)?;
         }
-        // Quiet unless the batching / grant-cache fast paths engaged, so
-        // feature-off snapshots (golden Fig. 6) render identically.
+        // Quiet unless batching / the grant cache engaged (runs without
+        // batched calls or trap-and-map faults render no line).
         if self.batch_dispatches > 0 {
             writeln!(
                 f,

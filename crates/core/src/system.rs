@@ -222,14 +222,10 @@ pub struct System {
     /// Per-edge watchdog budget overrides, taking precedence over the
     /// default budget.
     edge_budgets: HashMap<(CubicleId, CubicleId), u64>,
-    /// Window-grant authorisation cache ([`System::set_grant_cache`]):
-    /// `None` (the default) preserves the paper's per-fault linear window
-    /// search bit-for-bit.
-    grant_cache: Option<GrantCache>,
-    /// Cross-call batching gate ([`System::set_cross_call_batching`]).
-    /// Components consult [`System::batching_enabled`] to pick between
-    /// the vectored and the legacy per-call paths.
-    batching: bool,
+    /// Window-grant authorisation cache: a repeat trap-and-map fault
+    /// re-checks the one descriptor that granted it last time instead of
+    /// linearly searching the owner's windows.
+    grant_cache: GrantCache,
     /// Restart backoff policy ([`System::set_restart_policy`]); `None`
     /// (the default) keeps `restart` unconditional.
     restart_policy: Option<RestartPolicy>,
@@ -498,8 +494,7 @@ impl System {
             recovery_log: Vec::new(),
             cycle_budget: None,
             edge_budgets: HashMap::new(),
-            grant_cache: None,
-            batching: false,
+            grant_cache: GrantCache::default(),
             restart_policy: None,
             locks: MonitorLocks::default(),
             pending_quarantine: Vec::new(),
@@ -708,8 +703,9 @@ impl System {
                     calls_out: calls_out[c.id.index()],
                     grant_hits: self
                         .grant_cache
-                        .as_ref()
-                        .and_then(|g| g.hits_by_accessor.get(&c.id).copied())
+                        .hits_by_accessor
+                        .get(&c.id)
+                        .copied()
                         .unwrap_or(0),
                     cycles_self: cycles.self_cycles,
                     cycles_total: cycles.total_cycles,
@@ -1108,17 +1104,6 @@ impl System {
     /// Machine counters.
     pub fn machine_stats(&self) -> MachineStats {
         self.machine.stats()
-    }
-
-    /// Enables or disables the simulator's software TLB (host-side
-    /// acceleration only — simulated behaviour is identical either way).
-    pub fn set_tlb_enabled(&mut self, enabled: bool) {
-        self.machine.set_tlb_enabled(enabled);
-    }
-
-    /// Whether the simulator's software TLB is enabled.
-    pub fn tlb_enabled(&self) -> bool {
-        self.machine.tlb_enabled()
     }
 
     // =====================================================================
@@ -2070,9 +2055,6 @@ impl System {
     /// The batch appears as one edge crossing in [`SysStats`]
     /// (`cross_calls`, the per-edge histogram, one span when tracing);
     /// `batch_dispatches` / `batched_calls` count the amortisation.
-    /// Components should take this path only when
-    /// [`System::batching_enabled`] says the deployment opted in — the
-    /// gate is what keeps feature-off runs bit-identical.
     ///
     /// # Errors
     ///
@@ -2412,76 +2394,73 @@ impl System {
         // on precise invalidation: every operation that can narrow the
         // remembered authority (window remove/close/close-all/destroy,
         // ownership transfer, quarantine, restart) drops the entry.
-        if self.grant_cache.is_some() {
-            let gstart = self.lock_acquire(MonitorLock::GrantCache);
-            let cache_key = (accessor, fault.addr.page());
-            self.race_note(
-                RaceObject::GrantCache,
-                false,
-                "resolve_fault:grant_cache.get",
-            );
-            let cached = self
-                .grant_cache
-                .as_ref()
-                .and_then(|c| c.map.get(&cache_key).copied());
-            let mut hit = None;
-            if let Some(entry) = cached {
-                if entry.owner == meta.owner {
-                    #[cfg(debug_assertions)]
-                    {
-                        // The invalidation rules above are what make the
-                        // skip sound; cross-check them in debug builds.
-                        let live = self.cubicles[meta.owner.index()]
-                            .windows
-                            .iter()
-                            .find(|w| w.id() == entry.via)
-                            .is_some_and(|w| {
-                                let check = w.check(fault.addr, accessor);
-                                check.covers && check.allowed
-                            });
-                        debug_assert!(
-                            live,
-                            "stale grant-cache entry survived invalidation: \
-                             {accessor} over {} via {:?} of {}",
-                            fault.addr, entry.via, meta.owner
-                        );
-                    }
-                    self.race_note(
-                        RaceObject::GrantCache,
-                        true,
-                        "resolve_fault:grant_cache.hit",
+        let gstart = self.lock_acquire(MonitorLock::GrantCache);
+        let cache_key = (accessor, fault.addr.page());
+        self.race_note(
+            RaceObject::GrantCache,
+            false,
+            "resolve_fault:grant_cache.get",
+        );
+        let mut hit = None;
+        if let Some(entry) = self.grant_cache.map.get(&cache_key).copied() {
+            if entry.owner == meta.owner {
+                #[cfg(debug_assertions)]
+                {
+                    // The invalidation rules above are what make the
+                    // skip sound; cross-check them in debug builds.
+                    let live = self.cubicles[meta.owner.index()]
+                        .windows
+                        .iter()
+                        .find(|w| w.id() == entry.via)
+                        .is_some_and(|w| {
+                            let check = w.check(fault.addr, accessor);
+                            check.covers && check.allowed
+                        });
+                    debug_assert!(
+                        live,
+                        "stale grant-cache entry survived invalidation: \
+                         {accessor} over {} via {:?} of {}",
+                        fault.addr, entry.via, meta.owner
                     );
-                    let cache = self.grant_cache.as_mut().unwrap();
-                    *cache.hits_by_accessor.entry(accessor).or_insert(0) += 1;
-                    self.stats.grant_cache_hits += 1;
-                    hit = Some(entry.via);
-                } else {
-                    // Remembered owner is obsolete (ownership transferred
-                    // under the entry): drop it and take the slow path.
-                    self.race_note(
-                        RaceObject::GrantCache,
-                        true,
-                        "resolve_fault:grant_cache.remove",
-                    );
-                    self.grant_cache.as_mut().unwrap().map.remove(&cache_key);
-                    self.stats.grant_cache_invalidations += 1;
                 }
+                self.race_note(
+                    RaceObject::GrantCache,
+                    true,
+                    "resolve_fault:grant_cache.hit",
+                );
+                *self
+                    .grant_cache
+                    .hits_by_accessor
+                    .entry(accessor)
+                    .or_insert(0) += 1;
+                self.stats.grant_cache_hits += 1;
+                hit = Some(entry.via);
+            } else {
+                // Remembered owner is obsolete (ownership transferred
+                // under the entry): drop it and take the slow path.
+                self.race_note(
+                    RaceObject::GrantCache,
+                    true,
+                    "resolve_fault:grant_cache.remove",
+                );
+                self.grant_cache.map.remove(&cache_key);
+                self.stats.grant_cache_invalidations += 1;
             }
-            self.lock_release(MonitorLock::GrantCache, gstart);
-            if let Some(via) = hit {
-                // A hit pays only the trap and the O(1) lookups already
-                // charged above: the kernel retags the page through its
-                // cached mapping without a fresh `pkey_mprotect`
-                // round-trip (the remembered grant proves the ACL still
-                // authorises the access).
-                self.machine
-                    .set_page_key_cached(fault.addr, accessor_key)
-                    .map_err(CubicleError::MachineFault)?;
-                self.record_holder(fault.addr, accessor, Some(via));
-                self.stats.faults_resolved += 1;
-                self.trace_fault(&fault, meta.owner, accessor, FaultDecision::Window(via));
-                return Ok(());
-            }
+        }
+        self.lock_release(MonitorLock::GrantCache, gstart);
+        if let Some(via) = hit {
+            // A hit pays only the trap and the O(1) lookups already
+            // charged above: the kernel retags the page through its
+            // cached mapping without a fresh `pkey_mprotect`
+            // round-trip (the remembered grant proves the ACL still
+            // authorises the access).
+            self.machine
+                .set_page_key_cached(fault.addr, accessor_key)
+                .map_err(CubicleError::MachineFault)?;
+            self.record_holder(fault.addr, accessor, Some(via));
+            self.stats.faults_resolved += 1;
+            self.trace_fault(&fault, meta.owner, accessor, FaultDecision::Window(via));
+            return Ok(());
         }
 
         // ❸ linear search of the owner's window descriptors,
@@ -2509,24 +2488,21 @@ impl System {
             self.retag(fault.addr, accessor_key)?;
             self.record_holder(fault.addr, accessor, Some(wid));
             self.stats.faults_resolved += 1;
-            if self.grant_cache.is_some() {
-                let gstart = self.lock_acquire(MonitorLock::GrantCache);
-                self.race_note(
-                    RaceObject::GrantCache,
-                    true,
-                    "resolve_fault:grant_cache.insert",
-                );
-                let cache = self.grant_cache.as_mut().unwrap();
-                cache.map.insert(
-                    (accessor, fault.addr.page()),
-                    GrantEntry {
-                        owner: meta.owner,
-                        via: wid,
-                    },
-                );
-                self.stats.grant_cache_misses += 1;
-                self.lock_release(MonitorLock::GrantCache, gstart);
-            }
+            let gstart = self.lock_acquire(MonitorLock::GrantCache);
+            self.race_note(
+                RaceObject::GrantCache,
+                true,
+                "resolve_fault:grant_cache.insert",
+            );
+            self.grant_cache.map.insert(
+                (accessor, fault.addr.page()),
+                GrantEntry {
+                    owner: meta.owner,
+                    via: wid,
+                },
+            );
+            self.stats.grant_cache_misses += 1;
+            self.lock_release(MonitorLock::GrantCache, gstart);
             self.trace_fault(&fault, meta.owner, accessor, FaultDecision::Window(wid));
             Ok(())
         } else {
@@ -2670,43 +2646,6 @@ impl System {
         self.fault_containment
     }
 
-    /// Enables or disables the window-grant cache. Off (the default) the
-    /// monitor resolves every trap-and-map fault with the paper's linear
-    /// window search, bit-for-bit. On, a repeat fault by the same
-    /// accessor over the same page re-checks only the descriptor that
-    /// authorised it last time (one `acl_probe` charge instead of a
-    /// linear search), falling back to the full search when the cached
-    /// grant no longer authorises the access. Disabling drops all cached
-    /// grants.
-    pub fn set_grant_cache(&mut self, enabled: bool) {
-        if enabled {
-            if self.grant_cache.is_none() {
-                self.grant_cache = Some(GrantCache::default());
-            }
-        } else {
-            self.grant_cache = None;
-        }
-    }
-
-    /// Is the window-grant cache enabled?
-    pub fn grant_cache_enabled(&self) -> bool {
-        self.grant_cache.is_some()
-    }
-
-    /// Enables or disables cross-call batching. This is a *gate*, not a
-    /// behaviour switch: components query [`System::batching_enabled`]
-    /// and choose between their vectored ([`System::cross_call_batch`])
-    /// and legacy per-call paths, so with the gate off (the default)
-    /// every simulated cycle is identical to the pre-batching kernel.
-    pub fn set_cross_call_batching(&mut self, enabled: bool) {
-        self.batching = enabled;
-    }
-
-    /// Is cross-call batching enabled?
-    pub fn batching_enabled(&self) -> bool {
-        self.batching
-    }
-
     /// Installs (or clears) the restart backoff policy. `None` (the
     /// default) keeps [`System::restart`] unconditional, as before.
     pub fn set_restart_policy(&mut self, policy: Option<RestartPolicy>) {
@@ -2722,22 +2661,16 @@ impl System {
     /// (quarantine, restart) — the cubicle's windows are gone and its
     /// held pages were reclaimed, so neither direction can be reused.
     fn grant_cache_purge_cubicle(&mut self, cid: CubicleId) {
-        if self.grant_cache.is_none() {
-            return;
-        }
         let start = self.lock_acquire(MonitorLock::GrantCache);
         self.race_note(
             RaceObject::GrantCache,
             true,
             "grant_cache_purge_cubicle:map.retain",
         );
-        if let Some(cache) = &mut self.grant_cache {
-            let before = cache.map.len();
-            cache
-                .map
-                .retain(|(accessor, _), e| *accessor != cid && e.owner != cid);
-            self.stats.grant_cache_invalidations += (before - cache.map.len()) as u64;
-        }
+        let map = &mut self.grant_cache.map;
+        let before = map.len();
+        map.retain(|(accessor, _), e| *accessor != cid && e.owner != cid);
+        self.stats.grant_cache_invalidations += (before - map.len()) as u64;
         self.lock_release(MonitorLock::GrantCache, start);
     }
 
@@ -2750,22 +2683,18 @@ impl System {
         wid: WindowId,
         peer: Option<CubicleId>,
     ) {
-        if self.grant_cache.is_none() {
-            return;
-        }
         let start = self.lock_acquire(MonitorLock::GrantCache);
         self.race_note(
             RaceObject::GrantCache,
             true,
             "grant_cache_invalidate_window:map.retain",
         );
-        if let Some(cache) = &mut self.grant_cache {
-            let before = cache.map.len();
-            cache.map.retain(|(accessor, _), e| {
-                !(e.owner == owner && e.via == wid && peer.is_none_or(|p| p == *accessor))
-            });
-            self.stats.grant_cache_invalidations += (before - cache.map.len()) as u64;
-        }
+        let map = &mut self.grant_cache.map;
+        let before = map.len();
+        map.retain(|(accessor, _), e| {
+            !(e.owner == owner && e.via == wid && peer.is_none_or(|p| p == *accessor))
+        });
+        self.stats.grant_cache_invalidations += (before - map.len()) as u64;
         self.lock_release(MonitorLock::GrantCache, start);
     }
 
@@ -2773,22 +2702,16 @@ impl System {
     /// transfer via [`System::grant_pages_to`] retags and re-owns them,
     /// so any remembered grant is obsolete).
     fn grant_cache_invalidate_pages(&mut self, first: PageNum, last: PageNum) {
-        if self.grant_cache.is_none() {
-            return;
-        }
         let start = self.lock_acquire(MonitorLock::GrantCache);
         self.race_note(
             RaceObject::GrantCache,
             true,
             "grant_cache_invalidate_pages:map.retain",
         );
-        if let Some(cache) = &mut self.grant_cache {
-            let before = cache.map.len();
-            cache
-                .map
-                .retain(|(_, page), _| page.0 < first.0 || page.0 > last.0);
-            self.stats.grant_cache_invalidations += (before - cache.map.len()) as u64;
-        }
+        let map = &mut self.grant_cache.map;
+        let before = map.len();
+        map.retain(|(_, page), _| page.0 < first.0 || page.0 > last.0);
+        self.stats.grant_cache_invalidations += (before - map.len()) as u64;
         self.lock_release(MonitorLock::GrantCache, start);
     }
 

@@ -8,10 +8,10 @@
 //! Figures 6/7/10 are derived from exactly these numbers, so if this
 //! test passes, the paper figures are unchanged.
 //!
-//! The snapshot was recorded from the *seed* implementation (HashMap
-//! page table, two-pass check+copy, no TLB) and is deliberately never
-//! regenerated as part of an optimisation PR. To re-bless after an
-//! *intentional* cost-model change:
+//! The snapshot records the shipped configuration, in which cross-call
+//! batching, the window-grant cache and sendfile are the only paths. A
+//! host-side optimisation never regenerates it. To re-bless after an
+//! *intentional* cost-model or configuration change:
 //!
 //! ```sh
 //! CUBICLE_BLESS=1 cargo test -p cubicle-core --test golden_fig6

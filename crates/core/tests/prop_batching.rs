@@ -124,7 +124,6 @@ fn run_unbatched(plan: &Plan) -> (Vec<i64>, System) {
 
 fn run_batched(plan: &Plan) -> (Vec<i64>, System) {
     let (mut sys, a, b) = boot();
-    sys.set_cross_call_batching(true);
     let entry = sys.entry("b_op").unwrap();
     let bufs = stage(&mut sys, a, b, plan);
     let elems: Vec<[Value; 2]> = bufs
@@ -195,7 +194,6 @@ fn one_element_batch_costs_exactly_one_cross_call() {
     let unbatched_cycles = sys_u.now() - c0;
 
     let (mut sys_b, a, _b) = boot();
-    sys_b.set_cross_call_batching(true);
     let entry = sys_b.entry("b_op").unwrap();
     let bufs = stage(&mut sys_b, a, _b, &plan);
     let c0 = sys_b.now();

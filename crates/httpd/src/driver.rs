@@ -23,6 +23,8 @@ pub struct WebDeployment {
     pub vfs: VfsProxy,
     /// `VFSCORE`'s cubicle (the RAMFS journal's custodian).
     pub vfs_cid: CubicleId,
+    /// Registry slot of `VFSCORE` (statistics).
+    pub vfs_slot: usize,
     /// The file-system backend cubicle.
     pub ramfs_cid: CubicleId,
     /// Registry slot of the file-system backend (journal wiring).
@@ -73,6 +75,7 @@ pub fn boot_web(mode: IsolationMode) -> Result<WebDeployment> {
         base,
         vfs,
         vfs_cid: vfs_loaded.cid,
+        vfs_slot: vfs_loaded.slot,
         ramfs_cid,
         ramfs_slot: ramfs_loaded.slot,
         httpd_slot: nginx_loaded.slot,

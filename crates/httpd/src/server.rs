@@ -30,9 +30,10 @@ enum ConnState {
         /// Header (and error-body) bytes not yet pushed to the socket.
         head: Vec<u8>,
         head_sent: usize,
-        /// Sendfile fast path: the file's extent pages, windowed for
-        /// `LWIP` by the backend, so body bytes go straight from file
-        /// pages into the socket — no `pread` copy through `io_buf`.
+        /// Sendfile: the file's extent pages, windowed for `LWIP` by the
+        /// backend, so body bytes go straight from file pages into the
+        /// socket — no `pread` copy through `io_buf`. `None` (an empty
+        /// file, or the backend refused the map) takes the staged copy.
         extents: Option<Vec<VAddr>>,
     },
     Draining, // response fully handed to the stack; close when flushed
@@ -51,9 +52,11 @@ pub struct Httpd {
     conns: HashMap<i64, ConnState>,
     io_buf: VAddr,
     log_buf: VAddr,
-    sendfile: bool,
     /// Requests completed (statistics).
     pub requests_served: u64,
+    /// Responses whose body went out through a sendfile window rather
+    /// than the staged `pread` copy (statistics).
+    pub sendfile_served: u64,
     /// 404s issued (statistics).
     pub not_found: u64,
 }
@@ -67,14 +70,12 @@ impl Httpd {
     fn reboot_reset(&mut self) {
         let (lwip, vfs, time, plat) = (self.lwip, self.vfs, self.time, self.plat);
         let fs_backends = std::mem::take(&mut self.fs_backends);
-        let sendfile = self.sendfile;
         *self = Httpd::default();
         self.lwip = lwip;
         self.vfs = vfs;
         self.time = time;
         self.plat = plat;
         self.fs_backends = fs_backends;
-        self.sendfile = sendfile;
     }
     /// Boot-time wiring of the OS-service proxies.
     pub fn set_wiring(&mut self, lwip: LwipProxy, vfs: VfsProxy, fs_backends: &[CubicleId]) {
@@ -90,14 +91,6 @@ impl Httpd {
     pub fn set_observability(&mut self, time: TimeProxy, plat: PlatProxy) {
         self.time = Some(time);
         self.plat = Some(plat);
-    }
-
-    /// Enables the zero-copy sendfile response path: the backend windows
-    /// each served file's extent pages to `LWIP` and the body is sent
-    /// straight from those pages, skipping the `pread` copy through the
-    /// server's I/O buffer. Off by default (legacy staged path).
-    pub fn set_sendfile(&mut self, on: bool) {
-        self.sendfile = on;
     }
 }
 
@@ -260,11 +253,10 @@ fn open_response(
 ) -> Result<i64> {
     sys.charge(900); // request parsing + routing (NGINX http module work)
     let path = parse_get_path(request);
-    let (port, sendfile, lwip) = {
+    let (port, lwip) = {
         let st = component_mut::<Httpd>(this);
         (
             st.port.clone().expect("initialised"),
-            st.sendfile,
             st.lwip.expect("initialised"),
         )
     };
@@ -280,11 +272,11 @@ fn open_response(
                     if file_fd < 0 {
                         None
                     } else {
-                        // Sendfile fast path: window the file's pages to
-                        // LWIP up front; on any backend refusal (e.g.
-                        // file too large for the extent buffer) fall
-                        // back to the staged pread path.
-                        let extents = if sendfile && stat.size > 0 {
+                        // Sendfile: window the file's pages to LWIP up
+                        // front. An empty file, or any backend refusal
+                        // (e.g. a file too large for the extent buffer),
+                        // takes the staged pread copy instead.
+                        let extents = if stat.size > 0 {
                             port.sendfile_map(sys, file_fd, lwip.cid())?.ok()
                         } else {
                             None
@@ -339,7 +331,6 @@ fn pump_response(
         let st = component_mut::<Httpd>(this);
         st.port.clone().expect("initialised")
     };
-    let batching = sys.batching_enabled();
     let mut progressed = 0i64;
     loop {
         let (head_chunk, file_fd, offset, remaining, extents) = {
@@ -364,7 +355,7 @@ fn pump_response(
             )
         };
         if !head_chunk.is_empty() {
-            if batching && remaining > 0 && file_fd >= 0 && extents.is_none() {
+            if remaining > 0 && file_fd >= 0 && extents.is_none() {
                 // Batched header+body: stage both in the io buffer and
                 // hand them to the socket under one cross-call dispatch.
                 let hn = head_chunk.len().min(IO_BUF / 2);
@@ -420,14 +411,18 @@ fn pump_response(
             continue;
         }
         if remaining == 0 {
-            // finished: FIN, access log, drain
+            // finished: release the file, FIN, access log, drain
             if extents.is_some() {
                 port.sendfile_unmap(sys, file_fd)?;
+            }
+            if file_fd >= 0 {
+                port.close(sys, file_fd)?;
             }
             let (time, plat, log_buf, served) = {
                 let st = component_mut::<Httpd>(this);
                 st.conns.insert(fd, ConnState::Draining);
                 st.requests_served += 1;
+                st.sendfile_served += u64::from(extents.is_some());
                 (st.time, st.plat, st.log_buf, st.requests_served)
             };
             if let (Some(time), Some(plat)) = (time, plat) {
@@ -452,26 +447,13 @@ fn pump_response(
                 left -= c;
             }
             let mut pushed = 0usize;
-            if batching {
-                for (r, &(_, c)) in lwip.send_batch(sys, fd, &chunks)?.iter().zip(&chunks) {
-                    if *r <= 0 {
-                        break;
-                    }
-                    pushed += *r as usize;
-                    if (*r as usize) < c {
-                        break;
-                    }
+            for (r, &(_, c)) in lwip.send_batch(sys, fd, &chunks)?.iter().zip(&chunks) {
+                if *r <= 0 {
+                    break;
                 }
-            } else {
-                for &(addr, c) in &chunks {
-                    let sent = lwip.send(sys, fd, addr, c)?;
-                    if sent <= 0 {
-                        break;
-                    }
-                    pushed += sent as usize;
-                    if (sent as usize) < c {
-                        break;
-                    }
+                pushed += *r as usize;
+                if (*r as usize) < c {
+                    break;
                 }
             }
             let st = component_mut::<Httpd>(this);
@@ -495,7 +477,8 @@ fn pump_response(
         let chunk = remaining.min(IO_BUF as u64) as usize;
         let n = port.proxy().pread(sys, file_fd, io_buf, chunk, offset)?;
         if n <= 0 {
-            // truncated file: bail out
+            // truncated file: release it and bail out
+            port.close(sys, file_fd)?;
             let st = component_mut::<Httpd>(this);
             st.conns.insert(fd, ConnState::Draining);
             lwip.close(sys, fd)?;

@@ -130,41 +130,58 @@ fn figure5_component_graph() {
 }
 
 // ---------------------------------------------------------------------------
-// PR-7 fast paths: batching, grant cache, sendfile
+// Response paths: batching, the grant cache, sendfile and the copy fallback
 // ---------------------------------------------------------------------------
 
-fn boot_fast() -> WebDeployment {
-    let mut dep = boot_web(IsolationMode::Full).unwrap();
-    dep.sys.set_cross_call_batching(true);
-    dep.sys.set_grant_cache(true);
+fn sendfile_served(dep: &mut WebDeployment) -> u64 {
     dep.sys
-        .with_component_mut::<cubicle_httpd::Httpd, _>(dep.httpd_slot, |h, _| h.set_sendfile(true))
-        .unwrap();
-    dep
+        .with_component_mut::<cubicle_httpd::Httpd, _>(dep.httpd_slot, |h, _| h.sendfile_served)
+        .unwrap()
+}
+
+fn open_fds(dep: &mut WebDeployment) -> usize {
+    dep.sys
+        .with_component_mut::<cubicle_vfs::Vfs, _>(dep.vfs_slot, |v, _| v.open_fds())
+        .unwrap()
 }
 
 #[test]
-fn fast_paths_serve_identical_bytes() {
+fn default_fetch_batches_hits_the_grant_cache_and_sends_from_file_pages() {
     let content: Vec<u8> = (0..200_000u32).map(|i| (i % 241) as u8).collect();
-    let mut base = boot_web(IsolationMode::Full).unwrap();
-    base.put_file("/f.bin", &content).unwrap();
-    let (_l, want) = base.fetch("/f.bin", fast_wire()).unwrap();
-
-    let mut fast = boot_fast();
-    fast.put_file("/f.bin", &content).unwrap();
-    let (_l, got) = fast.fetch("/f.bin", fast_wire()).unwrap();
-    assert_eq!(got.status, want.status);
-    assert_eq!(got.body, want.body, "fast paths must not change the bytes");
-    // The features actually engaged: batched dispatches and grant reuse.
-    let s = fast.sys.stats();
+    let mut dep = boot_web(IsolationMode::Full).unwrap();
+    dep.put_file("/f.bin", &content).unwrap();
+    let (_l, got) = dep.fetch("/f.bin", fast_wire()).unwrap();
+    assert_eq!(got.status, 200);
+    assert_eq!(got.body, content);
+    let s = dep.sys.stats();
     assert!(s.batch_dispatches > 0, "TX batching must engage");
     assert!(s.grant_cache_hits > 0, "the grant cache must engage");
-    fast.sys.audit().assert_clean("fast-path fetch");
+    assert_eq!(sendfile_served(&mut dep), 1, "the body left via sendfile");
+    dep.sys.audit().assert_clean("default fetch");
 }
 
 #[test]
-fn fast_paths_survive_many_requests_and_small_files() {
-    let mut dep = boot_fast();
+fn empty_and_unmappable_files_take_the_copy_fallback() {
+    // A file with more extent pages than the extent buffer holds
+    // addresses: the backend refuses the sendfile map.
+    let pages = cubicle_vfs::SENDFILE_EXTENT_BUF / 8 + 1;
+    let big: Vec<u8> = (0..pages * 4096).map(|i| (i % 251) as u8).collect();
+    let mut dep = boot_web(IsolationMode::Full).unwrap();
+    dep.put_file("/empty", b"").unwrap();
+    dep.put_file("/big.bin", &big).unwrap();
+    let (_l, r) = dep.fetch("/empty", fast_wire()).unwrap();
+    assert_eq!((r.status, r.body.len()), (200, 0));
+    let (_l, r) = dep.fetch("/big.bin", fast_wire()).unwrap();
+    assert_eq!(r.status, 200);
+    assert!(r.body == big, "the copy fallback serves identical bytes");
+    assert_eq!(served(&mut dep), 2);
+    assert_eq!(sendfile_served(&mut dep), 0, "neither body used sendfile");
+    dep.sys.audit().assert_clean("copy fallback");
+}
+
+#[test]
+fn mixed_requests_and_small_files() {
+    let mut dep = boot_web(IsolationMode::Full).unwrap();
     dep.put_file("/tiny.txt", b"x").unwrap();
     dep.put_file("/page.html", b"<p>hello</p>").unwrap();
     for _ in 0..3 {
@@ -175,14 +192,36 @@ fn fast_paths_survive_many_requests_and_small_files() {
         let (_l, r) = dep.fetch("/gone", fast_wire()).unwrap();
         assert_eq!(r.status, 404);
     }
-    dep.sys
-        .audit()
-        .assert_clean("after mixed fast-path requests");
+    dep.sys.audit().assert_clean("after mixed requests");
+}
+
+#[test]
+fn more_requests_than_descriptors_on_one_boot() {
+    // Every served file is closed when its response completes, so one
+    // boot outlives the VFS descriptor table.
+    let mut dep = boot_web(IsolationMode::Full).unwrap();
+    dep.put_file("/a", b"alpha").unwrap();
+    let baseline = open_fds(&mut dep);
+    let requests = cubicle_vfs::MAX_FDS + 8;
+    for i in 0..requests {
+        let (_l, r) = dep.fetch("/a", fast_wire()).unwrap();
+        assert_eq!(
+            (r.status, r.body.as_slice()),
+            (200, b"alpha".as_slice()),
+            "request {i}"
+        );
+    }
+    assert_eq!(served(&mut dep), requests as u64);
+    assert_eq!(
+        open_fds(&mut dep),
+        baseline,
+        "no descriptor outlives its response"
+    );
 }
 
 #[test]
 fn sendfile_map_is_revoked_when_the_file_changes() {
-    let mut dep = boot_fast();
+    let mut dep = boot_web(IsolationMode::Full).unwrap();
     let v1: Vec<u8> = vec![0xAA; 100_000];
     dep.put_file("/data.bin", &v1).unwrap();
     let (_l, r) = dep.fetch("/data.bin", fast_wire()).unwrap();

@@ -394,7 +394,7 @@ fn e_poll(sys: &mut System, this: &mut dyn Component, _args: &[Value]) -> Result
     }
 
     // ---- TX path -------------------------------------------------------
-    events += flush_tx(sys, this, &dev, frame_buf)?;
+    events += flush_tx(sys, this, &dev)?;
     Ok(Value::I64(events))
 }
 
@@ -627,13 +627,7 @@ fn send_segments_batched(
     Ok(())
 }
 
-fn flush_tx(
-    sys: &mut System,
-    this: &mut dyn Component,
-    dev: &NetdevProxy,
-    frame_buf: VAddr,
-) -> Result<i64> {
-    let batching = sys.batching_enabled();
+fn flush_tx(sys: &mut System, this: &mut dyn Component, dev: &NetdevProxy) -> Result<i64> {
     let mut sent = 0i64;
     let nsockets = {
         let st = component_mut::<Lwip>(this);
@@ -688,13 +682,9 @@ fn flush_tx(
             };
             match out {
                 Some(seg) => {
-                    if batching {
-                        // Defer: the socket's whole burst goes out under
-                        // batched dispatches after the drain loop.
-                        pending.push(seg);
-                    } else {
-                        send_segment(sys, this, dev, frame_buf, &seg)?;
-                    }
+                    // Defer: the socket's whole burst goes out under
+                    // batched dispatches after the drain loop.
+                    pending.push(seg);
                     sent += 1;
                 }
                 None => break,

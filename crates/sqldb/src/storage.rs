@@ -199,8 +199,8 @@ struct CubicleFile {
     fd: i64,
     staging: VAddr,
     /// Lazily-allocated [`VEC_SLOTS`]`× STAGING` staging area for the
-    /// batched path (only materialises when batching is enabled, so the
-    /// legacy footprint — and its simulated cycle cost — is unchanged).
+    /// batched path (only materialises on the first read larger than
+    /// [`STAGING`]).
     vec_staging: Option<VAddr>,
 }
 
@@ -218,7 +218,7 @@ impl CubicleFile {
         Ok(base)
     }
 
-    /// Multi-page fetch under cross-call batching: up to [`VEC_SLOTS`]
+    /// Multi-page fetch: up to [`VEC_SLOTS`]
     /// staging segments travel to the backend in one vectored VFS call
     /// (one crossing instead of one per [`STAGING`] chunk).
     fn pread_batched(&mut self, sys: &mut System, off: u64, buf: &mut [u8]) -> Result<usize> {
@@ -260,28 +260,22 @@ impl CubicleFile {
 
 impl StorageFile for CubicleFile {
     fn pread(&mut self, sys: &mut System, off: u64, buf: &mut [u8]) -> Result<usize> {
-        if sys.batching_enabled() && buf.len() > STAGING {
+        if buf.len() > STAGING {
             return self.pread_batched(sys, off, buf);
         }
-        let mut done = 0;
-        while done < buf.len() {
-            let chunk = (buf.len() - done).min(STAGING);
-            let n = self
-                .port
-                .pread(sys, self.fd, self.staging, chunk, off + done as u64)?;
-            if n < 0 {
-                return io_err(n);
-            }
-            if n == 0 {
-                break;
-            }
-            sys.read(self.staging, &mut buf[done..done + n as usize])?;
-            done += n as usize;
-            if (n as usize) < chunk {
-                break;
-            }
+        if buf.is_empty() {
+            return Ok(0);
         }
-        Ok(done)
+        let n = self
+            .port
+            .pread(sys, self.fd, self.staging, buf.len(), off)?;
+        if n < 0 {
+            return io_err(n);
+        }
+        if n > 0 {
+            sys.read(self.staging, &mut buf[..n as usize])?;
+        }
+        Ok(n as usize)
     }
 
     fn pwrite(&mut self, sys: &mut System, off: u64, data: &[u8]) -> Result<usize> {

@@ -182,9 +182,8 @@ impl VfsPort {
     /// `pread_vec(fd, segments)`: one vectored positioned read over
     /// caller-owned `(addr, len, file_off)` segments. The iov descriptor
     /// is staged in a heap page and published together with every data
-    /// segment under one window, so with cross-call batching enabled the
-    /// whole vector costs a single VFS crossing plus one batched backend
-    /// dispatch.
+    /// segment under one window, so the whole vector costs a single VFS
+    /// crossing plus one batched backend dispatch.
     ///
     /// # Errors
     ///

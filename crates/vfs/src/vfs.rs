@@ -92,6 +92,11 @@ impl Vfs {
         None
     }
 
+    /// Number of open file descriptors (statistics).
+    pub fn open_fds(&self) -> usize {
+        self.fds.iter().flatten().count()
+    }
+
     fn file(&self, fd: i64) -> Option<&OpenFile> {
         self.fds.get(usize::try_from(fd).ok()?)?.as_ref()
     }
@@ -362,10 +367,9 @@ fn backend_rw(
 
 /// `vfs_pread_vec` / `vfs_pwrite_vec` implementation: the iov buffer
 /// carries `len / IOV_ENTRY_SIZE` little-endian `(addr, len, off)` u64
-/// triples describing caller-owned segments. With cross-call batching
-/// enabled the whole vector is dispatched to the backend under a single
-/// trampoline crossing; otherwise each segment takes the legacy
-/// one-call-per-segment path, so results are identical either way.
+/// triples describing caller-owned segments. The whole vector is
+/// dispatched to the backend under a single trampoline crossing
+/// ([`System::cross_call_batch`]).
 /// Returns total bytes transferred (readv/writev short-count semantics:
 /// stop at the first short or failing segment, report the errno only
 /// when nothing was transferred).
@@ -402,42 +406,23 @@ fn rw_vec(
     let ops = vfs.mounts[file.mount].ops;
     let entry = if write { ops.write } else { ops.read };
 
-    if sys.batching_enabled() {
-        // One monitor crossing for the whole vector.
-        let elems: Vec<[Value; 3]> = iovs
-            .iter()
-            .map(|&(addr, len, off)| {
-                let bufval = if write {
-                    Value::buf_in(addr, len)
-                } else {
-                    Value::buf_out(addr, len)
-                };
-                [Value::I64(file.ino), bufval, Value::U64(off)]
-            })
-            .collect();
-        let refs: Vec<&[Value]> = elems.iter().map(|e| e.as_slice()).collect();
-        let vals = sys.cross_call_batch(entry, &refs)?;
-        let mut total: i64 = 0;
-        for (v, &(_, len, _)) in vals.iter().zip(&iovs) {
-            let r = v.as_i64();
-            if r < 0 {
-                if total == 0 {
-                    return Ok(Value::I64(r));
-                }
-                break;
-            }
-            total += r;
-            if r == 0 || (r as usize) < len {
-                break;
-            }
-        }
-        return Ok(Value::I64(total));
-    }
-
-    // Legacy path: one backend call per segment.
+    // One monitor crossing for the whole vector.
+    let elems: Vec<[Value; 3]> = iovs
+        .iter()
+        .map(|&(addr, len, off)| {
+            let bufval = if write {
+                Value::buf_in(addr, len)
+            } else {
+                Value::buf_out(addr, len)
+            };
+            [Value::I64(file.ino), bufval, Value::U64(off)]
+        })
+        .collect();
+    let refs: Vec<&[Value]> = elems.iter().map(|e| e.as_slice()).collect();
+    let vals = sys.cross_call_batch(entry, &refs)?;
     let mut total: i64 = 0;
-    for &(addr, len, off) in &iovs {
-        let r = backend_rw(sys, entry, file.ino, addr, len, off, write)?;
+    for (v, &(_, len, _)) in vals.iter().zip(&iovs) {
+        let r = v.as_i64();
         if r < 0 {
             if total == 0 {
                 return Ok(Value::I64(r));
