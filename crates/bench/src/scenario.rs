@@ -134,9 +134,9 @@ impl SqliteDeployment {
         let (app, vfs, ramfs) = (self.app, self.vfs, self.ramfs_cid);
         self.sys.run_in_cubicle(app, move |sys| {
             let port = VfsPort::new(sys, vfs, &[ramfs])?;
-            // speedtest1 runs in SQLite's default rollback-journal mode;
-            // pinning it keeps the Figure 6/7/10 golden numbers stable.
-            // WAL commit costs are measured by the sql_commit_* benches.
+            // speedtest1 runs in rollback mode like the paper's SQLite 3.30:
+            // the calibrated constants fit that traffic (EXPERIMENTS.md,
+            // journal mode). WAL commits are measured by sql_commit_*.
             Database::open_with_mode(
                 sys,
                 Box::new(CubicleEnv::new(port)),

@@ -95,9 +95,15 @@ impl LoadedComponent {
     }
 }
 
-#[derive(Clone)]
 struct EntryDesc {
     name: String,
+    gate: CallGate,
+}
+
+/// What the dispatch path needs to cross into an entry: copied out of
+/// its [`EntryDesc`] so the callee can borrow the `System` mutably.
+#[derive(Clone, Copy)]
+struct CallGate {
     cubicle: CubicleId,
     slot: usize,
     func: EntryFn,
@@ -526,12 +532,6 @@ impl System {
             span_capacity: capacity,
             next_span: 1,
         });
-    }
-
-    /// Disables tracing and discards the recorded state.
-    pub fn disable_tracing(&mut self) {
-        self.machine.set_event_recording(None);
-        self.tracer = None;
     }
 
     /// Is tracing currently enabled?
@@ -1585,10 +1585,12 @@ impl System {
             let id = EntryId(self.entries.len() as u32);
             self.entries.push(EntryDesc {
                 name: signed.decl.name.clone(),
-                cubicle: cid,
-                slot,
-                func,
-                stack_arg_bytes: signed.decl.stack_arg_bytes(),
+                gate: CallGate {
+                    cubicle: cid,
+                    slot,
+                    func,
+                    stack_arg_bytes: signed.decl.stack_arg_bytes(),
+                },
             });
             self.entry_names.insert(signed.decl.name.clone(), id);
             entries.insert(signed.decl.name, id);
@@ -1741,7 +1743,10 @@ impl System {
         self.entries.get(entry.index()).map(|d| d.name.as_str())
     }
 
-    /// Performs a cross-cubicle call through the entry's trampoline.
+    /// Performs a cross-cubicle call through the entry's trampoline: a
+    /// batch of one through the dispatch path of
+    /// [`System::cross_call_batch`], except that it is not counted in
+    /// `batch_dispatches` / `batched_calls`.
     ///
     /// Depending on the isolation mode this charges a plain call
     /// (Unikraft), the trampoline + PKRU switches (CubicleOS modes), or a
@@ -1754,20 +1759,79 @@ impl System {
     /// [`CubicleError::NoSuchEntry`] for an unregistered entry,
     /// [`CubicleError::ReentrantCall`] for nested A→B→A calls,
     /// [`CubicleError::Quarantined`] when the callee (or the caller
-    /// itself) has been quarantined, plus anything the callee itself
-    /// returns. With fault containment enabled
+    /// itself) has been quarantined — also when the callee was
+    /// quarantined mid-call and returned `Ok` anyway — plus anything the
+    /// callee itself returns. With fault containment enabled
     /// ([`System::set_fault_containment`]), containable callee faults do
     /// *not* surface as `Err`: the monitor unwinds them and the call
     /// returns `Ok(Value::I64(-errno))` at the first healthy boundary.
     pub fn cross_call(&mut self, entry: EntryId, args: &[Value]) -> Result<Value> {
+        let mut ret = None;
+        self.dispatch(entry, &[args], false, &mut |v| ret = Some(v))?;
+        Ok(ret.expect("a successful dispatch returns one value per element"))
+    }
+
+    /// Convenience: resolve by name and call.
+    ///
+    /// # Errors
+    ///
+    /// See [`System::entry`] and [`System::cross_call`].
+    pub fn call(&mut self, name: &str, args: &[Value]) -> Result<Value> {
+        let entry = self.entry(name)?;
+        self.cross_call(entry, args)
+    }
+
+    /// Dispatches a *batch* of invocations of `entry` under a single
+    /// trampoline crossing: one boundary tax, one trampoline, one PKRU
+    /// round-trip in and out (one vectored message under the IPC
+    /// baseline), while per-invocation work — the call itself,
+    /// stack-argument copies, everything the callee does — is still
+    /// charged per element. [`System::cross_call`] is the 1-element
+    /// batch.
+    ///
+    /// Elements execute in order and the first failing element aborts
+    /// the batch with the quarantine blast radius its unbatched call
+    /// would have had. Without fault containment that element's error is
+    /// returned unchanged; with containment the monitor unwinds it and
+    /// the returned vector ends with the faulting element's
+    /// `Value::I64(-errno)`, so callers see a short count plus the errno,
+    /// writev-style.
+    ///
+    /// The batch appears as one edge crossing in [`SysStats`]
+    /// (`cross_calls`, the per-edge histogram, one span when tracing);
+    /// `batch_dispatches` / `batched_calls` count the amortisation.
+    ///
+    /// # Errors
+    ///
+    /// See [`System::cross_call`]; an empty batch is a no-op.
+    pub fn cross_call_batch(&mut self, entry: EntryId, batch: &[&[Value]]) -> Result<Vec<Value>> {
+        let mut values = Vec::with_capacity(batch.len());
+        if !batch.is_empty() {
+            self.dispatch(entry, batch, true, &mut |v| values.push(v))?;
+        }
+        Ok(values)
+    }
+
+    /// The one dispatch path behind [`System::cross_call`] and
+    /// [`System::cross_call_batch`]: refuses quarantined endpoints,
+    /// records the edge, runs the elements and applies fault containment
+    /// to a failure, passing each value to `ret` and a contained errno as
+    /// the final one. Only `batched` dispatches count in
+    /// `batch_dispatches` / `batched_calls`.
+    fn dispatch(
+        &mut self,
+        entry: EntryId,
+        batch: &[&[Value]],
+        batched: bool,
+        ret: &mut impl FnMut(Value),
+    ) -> Result<()> {
         self.watchdog_check()?;
-        let desc = self
+        let gate = self
             .entries
             .get(entry.index())
-            .ok_or_else(|| CubicleError::NoSuchEntry(format!("{entry}")))?;
-        let (func, callee, slot, stack_bytes) =
-            (desc.func, desc.cubicle, desc.slot, desc.stack_arg_bytes);
-        let caller = self.current_cubicle();
+            .ok_or_else(|| CubicleError::NoSuchEntry(format!("{entry}")))?
+            .gate;
+        let (caller, callee) = (self.current_cubicle(), gate.cubicle);
         // The trampoline refuses to transfer control into (or out of) a
         // quarantined cubicle — before the edge is even recorded.
         if self.cubicles[callee.index()].is_quarantined() {
@@ -1776,7 +1840,12 @@ impl System {
         if caller != callee && self.cubicles[caller.index()].is_quarantined() {
             return Err(CubicleError::Quarantined { cubicle: caller });
         }
+        // One crossing: the whole dispatch is one edge sample.
         self.stats.record_edge(caller, callee);
+        if batched {
+            self.stats.batch_dispatches += 1;
+            self.stats.batched_calls += batch.len() as u64;
+        }
 
         // Trace enter/exit around the whole dispatch so every recorded
         // Enter has a matching Exit — on error paths too — and the
@@ -1802,7 +1871,7 @@ impl System {
         } else {
             None
         };
-        let result = self.cross_call_inner(func, caller, callee, slot, stack_bytes, args);
+        let status = self.run_elements(caller, gate, batch, ret);
         if let Some((t0, span)) = t0 {
             let cycles = self.machine.now() - t0;
             self.pump_machine_events();
@@ -1817,48 +1886,161 @@ impl System {
                 tracer.metrics.record_call(caller, callee, entry, cycles);
             }
         }
-        if self.fault_containment {
-            self.contain_at_boundary(caller, callee, result)
-        } else {
-            result
+        match status {
+            // Merged components call each other directly: there is no
+            // monitor boundary to convert at.
+            Err(e) if self.fault_containment && caller != callee => {
+                self.contain_at_boundary(caller, callee, e).map(ret)
+            }
+            status => status,
         }
     }
 
-    /// The unwind step of fault containment, applied at every cross-call
-    /// boundary on the way out: a containable error keeps propagating as
+    /// Runs the elements of one dispatch in order, delivering each value
+    /// to `ret`. The crossing — boundary tax, trampoline and PKRU
+    /// round-trip, or one vectored message each way under the IPC
+    /// baselines — is charged once; the call itself and stack-argument
+    /// copies are charged per element. The first failing element ends
+    /// the run, and so does an `Ok` from a callee quarantined mid-call:
+    /// a faulting component's swallowed errors are not trusted, and later
+    /// elements could not have been dispatched into it anyway.
+    ///
+    /// Always inlined: as a separate call it made every cross-call
+    /// ~25 % slower on the host.
+    #[inline(always)]
+    fn run_elements(
+        &mut self,
+        caller: CubicleId,
+        gate: CallGate,
+        batch: &[&[Value]],
+        ret: &mut impl FnMut(Value),
+    ) -> Result<()> {
+        let cost = *self.machine.cost_model();
+        let callee = gate.cubicle;
+        let mut comp = self.components[gate.slot]
+            .take()
+            .ok_or(CubicleError::ReentrantCall(callee))?;
+        // Components merged into one cubicle (Fig. 9a) call each other
+        // directly: no trampoline, no PKRU switch, no message, and the
+        // watchdog budget applies to the cubicle as a whole.
+        let merged = caller == callee;
+        let (mut stack_slot, mut deadline) = (None, None);
+        // Per-element work is not amortised away: the call itself (folded
+        // into the message under IPC) and the trampoline's copy of
+        // stack-resident arguments between the per-cubicle stacks.
+        let (mut call, mut copied) = (cost.call, 0);
+        if !merged {
+            self.machine.charge(self.boundary_tax);
+            match self.mode {
+                IsolationMode::Unikraft => {}
+                IsolationMode::Ipc(m) => {
+                    // One message each way carrying every element.
+                    call = 0;
+                    let bytes: usize = batch
+                        .iter()
+                        .flat_map(|args| args.iter())
+                        .map(|v| v.bytes_in() + v.bytes_out())
+                        .sum();
+                    self.machine.charge(m.fixed + m.per_byte * bytes as u64);
+                    self.stats.ipc_msgs += 2; // request + reply
+                    self.stats.ipc_bytes += bytes as u64;
+                }
+                _ => {
+                    copied = gate.stack_arg_bytes;
+                    self.machine.charge(cost.trampoline);
+                    if self.mode.mpk_active() {
+                        self.ensure_bound(callee);
+                        // Guard page enters the monitor domain, trampoline
+                        // then drops to the callee's permission set.
+                        self.machine.set_pkru(Pkru::allow_all());
+                        let pkru = self.pkru_for(callee);
+                        self.machine.set_pkru(pkru);
+                    }
+                }
+            }
+            self.machine.note_cross_call();
+            stack_slot = self.stack_acquire(callee);
+            deadline = self
+                .budget_for(caller, callee)
+                .map(|b| self.machine.now().saturating_add(b));
+        }
+        self.call_stack.push(Frame {
+            cubicle: callee,
+            deadline,
+            stack_slot,
+        });
+        if deadline.is_some() {
+            self.refresh_cycle_alarm();
+        }
+        let mut status = Ok(());
+        for args in batch {
+            self.machine.charge(call);
+            if copied > 0 {
+                self.machine.charge(2 * cost.mem_access(copied));
+                self.stats.stack_bytes_copied += copied as u64;
+                if self.tracer.is_some() {
+                    self.trace_push(TraceEvent::StackCopy {
+                        caller,
+                        callee,
+                        bytes: copied,
+                    });
+                }
+            }
+            match (gate.func)(self, comp.as_mut(), args) {
+                Ok(_) if !merged && self.cubicles[callee.index()].is_quarantined() => {
+                    status = Err(CubicleError::Quarantined { cubicle: callee });
+                    break;
+                }
+                Ok(v) => ret(v),
+                Err(e) => {
+                    status = Err(e);
+                    break;
+                }
+            }
+        }
+        self.call_stack.pop();
+        self.components[gate.slot] = Some(comp);
+        if merged {
+            return status;
+        }
+        self.stack_release(callee, stack_slot);
+        if self.watchdog_armed() {
+            self.refresh_cycle_alarm();
+        }
+        if self.mode.trampolines_active() {
+            self.machine.charge(cost.trampoline);
+            if self.mode.mpk_active() {
+                self.machine.set_pkru(Pkru::allow_all());
+                let pkru = self.pkru_for(self.current_cubicle());
+                self.machine.set_pkru(pkru);
+            }
+        }
+        status
+    }
+
+    /// The unwind step of fault containment, applied to a failed
+    /// dispatch on its way out: a containable error keeps propagating as
     /// `Err` through frames of quarantined cubicles, and converts to a
-    /// well-defined `Ok(Value::I64(-errno))` at the first boundary into a
-    /// healthy caller. A successful return *from* a cubicle that was
-    /// quarantined mid-call is overridden the same way — a faulting
-    /// component's swallowed errors are not trusted.
+    /// well-defined `Value::I64(-errno)` at the first boundary into a
+    /// healthy caller.
     fn contain_at_boundary(
         &mut self,
         caller: CubicleId,
         callee: CubicleId,
-        result: Result<Value>,
+        err: CubicleError,
     ) -> Result<Value> {
-        if caller == callee {
-            // Merged components call each other directly (no trampoline):
-            // there is no monitor boundary to convert at.
-            return result;
-        }
-        let callee_quarantined = self.cubicles[callee.index()].is_quarantined();
-        let (err, errno) = match &result {
-            Err(e) => match e.contained_errno() {
-                Some(errno) => (e.clone(), errno),
-                None => return result, // caller bug; propagate unchanged
-            },
-            Ok(_) if callee_quarantined => {
-                // Watchdog victims report ETIMEDOUT so callers can tell a
-                // runaway callee apart from a memory fault.
-                let errno = if self.cubicles[callee.index()].timed_out {
-                    crate::errno::Errno::Etimedout
-                } else {
-                    crate::errno::Errno::Efault
-                };
-                (CubicleError::Quarantined { cubicle: callee }, errno)
+        let errno = match err {
+            // Watchdog victims report ETIMEDOUT so callers can tell a
+            // runaway callee apart from a memory fault.
+            CubicleError::Quarantined { cubicle }
+                if cubicle == callee && self.cubicles[callee.index()].timed_out =>
+            {
+                crate::errno::Errno::Etimedout
             }
-            Ok(_) => return result,
+            _ => match err.contained_errno() {
+                Some(errno) => errno,
+                None => return Err(err), // caller bug; propagate unchanged
+            },
         };
         self.stats.unwound_frames += 1;
         if caller != CubicleId::MONITOR && self.cubicles[caller.index()].is_quarantined() {
@@ -1919,364 +2101,6 @@ impl System {
     /// Crash-recovery records (bounded), one line per replay / batch.
     pub fn recovery_log(&self) -> &[String] {
         &self.recovery_log
-    }
-
-    fn cross_call_inner(
-        &mut self,
-        func: EntryFn,
-        caller: CubicleId,
-        callee: CubicleId,
-        slot: usize,
-        stack_bytes: usize,
-        args: &[Value],
-    ) -> Result<Value> {
-        let cost = *self.machine.cost_model();
-        if caller == callee {
-            // Components merged into one cubicle (Fig. 9a) call each
-            // other directly: no trampoline, no PKRU switch, no message.
-            self.machine.charge(cost.call);
-            let mut comp = self.components[slot]
-                .take()
-                .ok_or(CubicleError::ReentrantCall(callee))?;
-            // Merged components share one cubicle; the watchdog budget
-            // applies to the cubicle as a whole, not intra-cubicle calls.
-            self.call_stack.push(Frame {
-                cubicle: callee,
-                deadline: None,
-                stack_slot: None,
-            });
-            let result = func(self, comp.as_mut(), args);
-            self.call_stack.pop();
-            self.components[slot] = Some(comp);
-            return result;
-        }
-        self.machine.charge(self.boundary_tax);
-        match self.mode {
-            IsolationMode::Unikraft => {
-                self.machine.charge(cost.call);
-            }
-            IsolationMode::Ipc(m) => {
-                let bytes: usize = args.iter().map(|v| v.bytes_in() + v.bytes_out()).sum();
-                self.machine.charge(m.fixed + m.per_byte * bytes as u64);
-                self.stats.ipc_msgs += 2; // request + reply
-                self.stats.ipc_bytes += bytes as u64;
-            }
-            _ => {
-                self.machine.charge(cost.trampoline + cost.call);
-                if stack_bytes > 0 {
-                    // The trampoline copies stack-resident arguments
-                    // between the per-cubicle stacks (read + write).
-                    self.machine.charge(2 * cost.mem_access(stack_bytes));
-                    self.stats.stack_bytes_copied += stack_bytes as u64;
-                    if self.tracer.is_some() {
-                        self.trace_push(TraceEvent::StackCopy {
-                            caller,
-                            callee,
-                            bytes: stack_bytes,
-                        });
-                    }
-                }
-                if self.mode.mpk_active() {
-                    self.ensure_bound(callee);
-                    // Guard page enters the monitor domain, trampoline
-                    // then drops to the callee's permission set.
-                    self.machine.set_pkru(Pkru::allow_all());
-                    let pkru = self.pkru_for(callee);
-                    self.machine.set_pkru(pkru);
-                }
-            }
-        }
-
-        let mut comp = self.components[slot]
-            .take()
-            .ok_or(CubicleError::ReentrantCall(callee))?;
-        self.machine.note_cross_call();
-        let stack_slot = self.stack_acquire(callee);
-        let deadline = self
-            .budget_for(caller, callee)
-            .map(|b| self.machine.now().saturating_add(b));
-        self.call_stack.push(Frame {
-            cubicle: callee,
-            deadline,
-            stack_slot,
-        });
-        if deadline.is_some() {
-            self.refresh_cycle_alarm();
-        }
-        let result = func(self, comp.as_mut(), args);
-        self.call_stack.pop();
-        self.stack_release(callee, stack_slot);
-        if self.watchdog_armed() {
-            self.refresh_cycle_alarm();
-        }
-        self.components[slot] = Some(comp);
-
-        match self.mode {
-            IsolationMode::Unikraft | IsolationMode::Ipc(_) => {}
-            _ => {
-                self.machine.charge(cost.trampoline);
-                if self.mode.mpk_active() {
-                    self.machine.set_pkru(Pkru::allow_all());
-                    let pkru = self.pkru_for(self.current_cubicle());
-                    self.machine.set_pkru(pkru);
-                }
-            }
-        }
-        result
-    }
-
-    /// Convenience: resolve by name and call.
-    ///
-    /// # Errors
-    ///
-    /// See [`System::entry`] and [`System::cross_call`].
-    pub fn call(&mut self, name: &str, args: &[Value]) -> Result<Value> {
-        let entry = self.entry(name)?;
-        self.cross_call(entry, args)
-    }
-
-    /// Dispatches a *batch* of invocations of `entry` under a single
-    /// trampoline crossing: one boundary tax, one trampoline, one PKRU
-    /// round-trip in and out (one vectored message under the IPC
-    /// baseline), while per-invocation work — the call itself,
-    /// stack-argument copies, everything the callee does — is still
-    /// charged per element. A 1-element batch costs exactly what
-    /// [`System::cross_call`] does.
-    ///
-    /// Fault attribution matches the unbatched path: elements execute in
-    /// order and the first failing element aborts the batch with the
-    /// same quarantine blast radius its unbatched call would have had.
-    /// Without fault containment that element's error is returned
-    /// unchanged; with containment the monitor unwinds it exactly like
-    /// [`System::cross_call`] and the returned vector ends with the
-    /// faulting element's `Value::I64(-errno)`, so callers see a short
-    /// count plus the errno, writev-style.
-    ///
-    /// The batch appears as one edge crossing in [`SysStats`]
-    /// (`cross_calls`, the per-edge histogram, one span when tracing);
-    /// `batch_dispatches` / `batched_calls` count the amortisation.
-    ///
-    /// # Errors
-    ///
-    /// See [`System::cross_call`]; an empty batch is a no-op.
-    pub fn cross_call_batch(&mut self, entry: EntryId, batch: &[&[Value]]) -> Result<Vec<Value>> {
-        if batch.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.watchdog_check()?;
-        let desc = self
-            .entries
-            .get(entry.index())
-            .ok_or_else(|| CubicleError::NoSuchEntry(format!("{entry}")))?;
-        let (func, callee, slot, stack_bytes) =
-            (desc.func, desc.cubicle, desc.slot, desc.stack_arg_bytes);
-        let caller = self.current_cubicle();
-        if self.cubicles[callee.index()].is_quarantined() {
-            return Err(CubicleError::Quarantined { cubicle: callee });
-        }
-        if caller != callee && self.cubicles[caller.index()].is_quarantined() {
-            return Err(CubicleError::Quarantined { cubicle: caller });
-        }
-        // One crossing: the whole batch is one edge sample and one span.
-        self.stats.record_edge(caller, callee);
-        self.stats.batch_dispatches += 1;
-        self.stats.batched_calls += batch.len() as u64;
-
-        let t0 = if self.tracer.is_some() {
-            let t0 = self.machine.now();
-            self.pump_machine_events();
-            let core = self.machine.current_core();
-            let (span, parent) = {
-                let tracer = self.tracer.as_mut().expect("checked above");
-                let span = tracer.next_span;
-                tracer.next_span += 1;
-                (span, tracer.current_span(core))
-            };
-            self.trace_push(TraceEvent::CrossCallEnter {
-                span,
-                parent,
-                caller,
-                callee,
-                entry,
-            });
-            Some((t0, span))
-        } else {
-            None
-        };
-        let (mut values, status) =
-            self.cross_call_batch_inner(func, caller, callee, slot, stack_bytes, batch);
-        if let Some((t0, span)) = t0 {
-            let cycles = self.machine.now() - t0;
-            self.pump_machine_events();
-            self.trace_push(TraceEvent::CrossCallExit {
-                span,
-                caller,
-                callee,
-                entry,
-                cycles,
-            });
-            if let Some(tracer) = &mut self.tracer {
-                tracer.metrics.record_call(caller, callee, entry, cycles);
-            }
-        }
-        match status {
-            Ok(()) => Ok(values),
-            Err(e) if self.fault_containment => {
-                // Same unwind machinery as the unbatched path; a
-                // contained errno terminates the batch writev-style.
-                match self.contain_at_boundary(caller, callee, Err(e)) {
-                    Ok(v) => {
-                        values.push(v);
-                        Ok(values)
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The dispatch half of [`System::cross_call_batch`]: charges the
-    /// crossing once, then runs the elements in order. Returns the
-    /// values accumulated before the terminal status.
-    fn cross_call_batch_inner(
-        &mut self,
-        func: EntryFn,
-        caller: CubicleId,
-        callee: CubicleId,
-        slot: usize,
-        stack_bytes: usize,
-        batch: &[&[Value]],
-    ) -> (Vec<Value>, Result<()>) {
-        let cost = *self.machine.cost_model();
-        let mut values = Vec::with_capacity(batch.len());
-        if caller == callee {
-            // Merged components: plain calls, batching buys nothing.
-            let mut comp = match self.components[slot].take() {
-                Some(c) => c,
-                None => return (values, Err(CubicleError::ReentrantCall(callee))),
-            };
-            self.call_stack.push(Frame {
-                cubicle: callee,
-                deadline: None,
-                stack_slot: None,
-            });
-            let mut status = Ok(());
-            for args in batch {
-                self.machine.charge(cost.call);
-                match func(self, comp.as_mut(), args) {
-                    Ok(v) => values.push(v),
-                    Err(e) => {
-                        status = Err(e);
-                        break;
-                    }
-                }
-            }
-            self.call_stack.pop();
-            self.components[slot] = Some(comp);
-            return (values, status);
-        }
-        self.machine.charge(self.boundary_tax);
-        match self.mode {
-            IsolationMode::Unikraft => {}
-            IsolationMode::Ipc(m) => {
-                // One vectored message each way carrying every element.
-                let bytes: usize = batch
-                    .iter()
-                    .flat_map(|args| args.iter())
-                    .map(|v| v.bytes_in() + v.bytes_out())
-                    .sum();
-                self.machine.charge(m.fixed + m.per_byte * bytes as u64);
-                self.stats.ipc_msgs += 2;
-                self.stats.ipc_bytes += bytes as u64;
-            }
-            _ => {
-                // The amortisation: trampoline + PKRU round-trip once.
-                self.machine.charge(cost.trampoline);
-                if self.mode.mpk_active() {
-                    self.ensure_bound(callee);
-                    self.machine.set_pkru(Pkru::allow_all());
-                    let pkru = self.pkru_for(callee);
-                    self.machine.set_pkru(pkru);
-                }
-            }
-        }
-
-        let mut comp = match self.components[slot].take() {
-            Some(c) => c,
-            None => return (values, Err(CubicleError::ReentrantCall(callee))),
-        };
-        self.machine.note_cross_call();
-        let stack_slot = self.stack_acquire(callee);
-        let deadline = self
-            .budget_for(caller, callee)
-            .map(|b| self.machine.now().saturating_add(b));
-        self.call_stack.push(Frame {
-            cubicle: callee,
-            deadline,
-            stack_slot,
-        });
-        if deadline.is_some() {
-            self.refresh_cycle_alarm();
-        }
-        let mut status = Ok(());
-        for args in batch {
-            // Per-element work is not amortised away.
-            match self.mode {
-                IsolationMode::Ipc(_) => {}
-                IsolationMode::Unikraft => self.machine.charge(cost.call),
-                _ => {
-                    self.machine.charge(cost.call);
-                    if stack_bytes > 0 {
-                        self.machine.charge(2 * cost.mem_access(stack_bytes));
-                        self.stats.stack_bytes_copied += stack_bytes as u64;
-                        if self.tracer.is_some() {
-                            self.trace_push(TraceEvent::StackCopy {
-                                caller,
-                                callee,
-                                bytes: stack_bytes,
-                            });
-                        }
-                    }
-                }
-            }
-            match func(self, comp.as_mut(), args) {
-                Ok(v) => {
-                    if self.cubicles[callee.index()].is_quarantined() {
-                        // Same rule as `contain_at_boundary`: a cubicle
-                        // quarantined mid-call does not get its Ok
-                        // trusted, and later elements could not have
-                        // been dispatched into it anyway.
-                        status = Err(CubicleError::Quarantined { cubicle: callee });
-                        break;
-                    }
-                    values.push(v);
-                }
-                Err(e) => {
-                    status = Err(e);
-                    break;
-                }
-            }
-        }
-        self.call_stack.pop();
-        self.stack_release(callee, stack_slot);
-        if self.watchdog_armed() {
-            self.refresh_cycle_alarm();
-        }
-        self.components[slot] = Some(comp);
-
-        match self.mode {
-            IsolationMode::Unikraft | IsolationMode::Ipc(_) => {}
-            _ => {
-                self.machine.charge(cost.trampoline);
-                if self.mode.mpk_active() {
-                    self.machine.set_pkru(Pkru::allow_all());
-                    let pkru = self.pkru_for(self.current_cubicle());
-                    self.machine.set_pkru(pkru);
-                }
-            }
-        }
-        (values, status)
     }
 
     /// Runs `f` in the execution context of `cid`, as if code inside that
@@ -2657,61 +2481,21 @@ impl System {
         self.restart_policy
     }
 
-    /// Drops every grant-cache entry whose accessor *or* owner is `cid`
-    /// (quarantine, restart) — the cubicle's windows are gone and its
-    /// held pages were reclaimed, so neither direction can be reused.
-    fn grant_cache_purge_cubicle(&mut self, cid: CubicleId) {
-        let start = self.lock_acquire(MonitorLock::GrantCache);
-        self.race_note(
-            RaceObject::GrantCache,
-            true,
-            "grant_cache_purge_cubicle:map.retain",
-        );
-        let map = &mut self.grant_cache.map;
-        let before = map.len();
-        map.retain(|(accessor, _), e| *accessor != cid && e.owner != cid);
-        self.stats.grant_cache_invalidations += (before - map.len()) as u64;
-        self.lock_release(MonitorLock::GrantCache, start);
-    }
-
-    /// Drops grant-cache entries authorised via window `wid` of `owner`,
-    /// optionally restricted to one accessor (`peer`). Called by the
-    /// narrowing window operations: remove, close, close-all, destroy.
-    fn grant_cache_invalidate_window(
+    /// Drops every grant-cache entry `keep` rejects, counting each as an
+    /// invalidation. `site` names the caller for CubicleSan: quarantine
+    /// and restart purge the cubicle's grants in both directions,
+    /// ownership transfer drops its pages, and the narrowing window
+    /// operations (remove, close, close-all, destroy) drop the window's.
+    fn grant_cache_retain(
         &mut self,
-        owner: CubicleId,
-        wid: WindowId,
-        peer: Option<CubicleId>,
+        site: &'static str,
+        keep: impl FnMut(&(CubicleId, PageNum), &mut GrantEntry) -> bool,
     ) {
         let start = self.lock_acquire(MonitorLock::GrantCache);
-        self.race_note(
-            RaceObject::GrantCache,
-            true,
-            "grant_cache_invalidate_window:map.retain",
-        );
-        let map = &mut self.grant_cache.map;
-        let before = map.len();
-        map.retain(|(accessor, _), e| {
-            !(e.owner == owner && e.via == wid && peer.is_none_or(|p| p == *accessor))
-        });
-        self.stats.grant_cache_invalidations += (before - map.len()) as u64;
-        self.lock_release(MonitorLock::GrantCache, start);
-    }
-
-    /// Drops grant-cache entries for pages in `[first, last]` (ownership
-    /// transfer via [`System::grant_pages_to`] retags and re-owns them,
-    /// so any remembered grant is obsolete).
-    fn grant_cache_invalidate_pages(&mut self, first: PageNum, last: PageNum) {
-        let start = self.lock_acquire(MonitorLock::GrantCache);
-        self.race_note(
-            RaceObject::GrantCache,
-            true,
-            "grant_cache_invalidate_pages:map.retain",
-        );
-        let map = &mut self.grant_cache.map;
-        let before = map.len();
-        map.retain(|(_, page), _| page.0 < first.0 || page.0 > last.0);
-        self.stats.grant_cache_invalidations += (before - map.len()) as u64;
+        self.race_note(RaceObject::GrantCache, true, site);
+        let before = self.grant_cache.map.len();
+        self.grant_cache.map.retain(keep);
+        self.stats.grant_cache_invalidations += (before - self.grant_cache.map.len()) as u64;
         self.lock_release(MonitorLock::GrantCache, start);
     }
 
@@ -2791,7 +2575,9 @@ impl System {
         self.trace_push(TraceEvent::Quarantine { cubicle: cid });
         // Grants into or out of the offender are void: its windows are
         // destroyed below and its held pages reclaimed.
-        self.grant_cache_purge_cubicle(cid);
+        self.grant_cache_retain("quarantine:grant_cache.retain", |&(accessor, _), e| {
+            accessor != cid && e.owner != cid
+        });
         self.cubicles[cid.index()].quarantined_at = self.machine.now();
 
         // ❶ Destroy the offender's window descriptors: nothing of its
@@ -3007,7 +2793,9 @@ impl System {
         // Belt and braces: quarantine already purged the offender's
         // grants, and none can have formed since; make sure the fresh
         // incarnation starts with no remembered authority either way.
-        self.grant_cache_purge_cubicle(cid);
+        self.grant_cache_retain("restart:grant_cache.retain", |&(accessor, _), e| {
+            accessor != cid && e.owner != cid
+        });
         let c = &mut self.cubicles[cid.index()];
         c.state = CubicleState::Active;
         c.quarantine_reason = None;
@@ -3457,7 +3245,9 @@ impl System {
         if len > 0 {
             let first = addr.page();
             let last = VAddr::new(addr.raw() + (len as u64 - 1)).page();
-            self.grant_cache_invalidate_pages(first, last);
+            self.grant_cache_retain("grant_pages_to:grant_cache.retain", |&(_, page), _| {
+                page.0 < first.0 || page.0 > last.0
+            });
         }
         Ok(())
     }
@@ -3586,7 +3376,9 @@ impl System {
             // The window narrowed: drop every grant it authorised (pages
             // outside the removed range will simply re-resolve and
             // repopulate — correctness over cleverness).
-            self.grant_cache_invalidate_window(cid, wid, None);
+            self.grant_cache_retain("window_remove:grant_cache.retain", |_, e| {
+                !(e.owner == cid && e.via == wid)
+            });
         }
         self.window_op_end(wstart);
         if result.is_ok() {
@@ -3646,7 +3438,9 @@ impl System {
             // Closing is lazy for already-retagged pages, but the
             // *authority* is gone: the peer's next fault must take the
             // full search and be denied, not ride a cached grant.
-            self.grant_cache_invalidate_window(cid, wid, Some(peer));
+            self.grant_cache_retain("window_close:grant_cache.retain", |&(accessor, _), e| {
+                !(e.owner == cid && e.via == wid && accessor == peer)
+            });
         }
         self.window_op_end(wstart);
         if result.is_ok() {
@@ -3676,7 +3470,9 @@ impl System {
             None => Err(CubicleError::NoSuchWindow(wid)),
         };
         if result.is_ok() {
-            self.grant_cache_invalidate_window(cid, wid, None);
+            self.grant_cache_retain("window_close_all:grant_cache.retain", |_, e| {
+                !(e.owner == cid && e.via == wid)
+            });
         }
         self.window_op_end(wstart);
         if result.is_ok() {
@@ -3699,7 +3495,9 @@ impl System {
             "window_destroy:windows.swap_remove",
         );
         let result = if self.cubicles[cid.index()].window_destroy(wid) {
-            self.grant_cache_invalidate_window(cid, wid, None);
+            self.grant_cache_retain("window_destroy:grant_cache.retain", |_, e| {
+                !(e.owner == cid && e.via == wid)
+            });
             Ok(())
         } else {
             Err(CubicleError::NoSuchWindow(wid))

@@ -59,6 +59,22 @@ fn victim_image(name: &str) -> ComponentImage {
             },
         )
         .export(
+            b.export("long v_quarantine_self(void)").unwrap(),
+            |sys, _this, _| {
+                // Quarantined mid-call, yet reports success.
+                sys.quarantine(sys.current_cubicle(), "self-inflicted")?;
+                Ok(Value::I64(7))
+            },
+        )
+        .export(b.export("long v_spin(void)").unwrap(), |sys, _this, _| {
+            // Overruns any cycle budget and swallows the watchdog trip.
+            let buf = sys.heap_alloc(64, 8)?;
+            (0..100_000)
+                .take_while(|_| sys.read_u64(buf).is_ok())
+                .count();
+            Ok(Value::I64(7))
+        })
+        .export(
             b.export("long v_deref(const void *p)").unwrap(),
             |sys, _this, args| {
                 sys.read_vec(args[0].as_ptr(), 8)?;
@@ -182,6 +198,37 @@ fn swallowed_fault_in_quarantined_callee_is_overridden() {
     // monitor does not trust a faulting component's own return value.
     assert_eq!(r.unwrap().as_i64(), -14);
     assert!(sys.cubicle(victim).is_quarantined());
+}
+
+#[test]
+fn quarantined_callee_ok_is_one_outcome_through_both_entry_points() {
+    for containment in [false, true] {
+        for (name, budget, errno) in [
+            ("v_quarantine_self", None, -14),
+            ("v_spin", Some(10_000), -110),
+        ] {
+            let run = |batched: bool| {
+                let (mut sys, app, victim) = setup();
+                sys.set_fault_containment(containment);
+                sys.set_cycle_budget(budget);
+                let entry = sys.entry(name).unwrap();
+                let r = sys.run_in_cubicle(app, |sys| match batched {
+                    true => sys.cross_call_batch(entry, &[&[]]).map(|v| v[0]),
+                    false => sys.cross_call(entry, &[]),
+                });
+                assert!(sys.cubicle(victim).is_quarantined(), "{name}");
+                sys.audit().assert_clean(name);
+                r.map(|v| v.as_i64()).map_err(
+                    |e| matches!(e, CubicleError::Quarantined { cubicle } if cubicle == victim),
+                )
+            };
+            let single = run(false);
+            assert_eq!(single, run(true), "{name}, containment {containment}");
+            // The callee's Ok is never trusted: Err(Quarantined), or its errno.
+            let want = containment.then_some(errno).ok_or(true);
+            assert_eq!(single, want, "{name}, containment {containment}");
+        }
+    }
 }
 
 #[test]

@@ -4,7 +4,9 @@
 //! position (the batch terminates writev-style with that errno as its
 //! final element). `System::audit()` stays clean after every step of
 //! both executions; only the *cost* differs (the batch amortises one
-//! crossing over N elements).
+//! crossing over N elements). The unbatched reference is N `cross_call`s,
+//! each a one-element dispatch through the same path, which must not
+//! count as batches.
 
 use cubicle_core::{
     impl_component, Builder, ComponentImage, CubicleError, CubicleId, IsolationMode, System, Value,
@@ -164,6 +166,8 @@ fn batched_equals_unbatched_over_seeded_workloads() {
         } else {
             assert_eq!(got.len(), plan.payload.len());
         }
+        // A plain cross_call is a one-element dispatch, not a batch.
+        assert_eq!(ref_sys.stats().batch_dispatches, 0);
         // The batch is one edge crossing regardless of element count.
         assert_eq!(bat_sys.stats().batch_dispatches, 1);
         assert_eq!(
