@@ -10,7 +10,7 @@
 use cubicle_bench::mt::{boot_and_siege, MtConfig};
 use cubicle_bench::report::results::BenchResults;
 use cubicle_bench::report::{audit_gate, banner, factor, ms};
-use cubicle_core::IsolationMode;
+use cubicle_core::{IsolationMode, SystemConfig};
 use std::time::Instant;
 
 /// Scheduler seed for the recorded curve (any seed reproduces its own
@@ -36,9 +36,13 @@ fn main() {
     );
     println!("{}", "-".repeat(79));
     for cores in [1usize, 2, 4, 8] {
-        let cfg = MtConfig::new(cores, requests, SEED);
+        let cfg = MtConfig::new(requests, SEED);
         let t0 = Instant::now();
-        let (outcome, sys) = boot_and_siege(IsolationMode::Full, &cfg).unwrap();
+        let config = SystemConfig {
+            cores,
+            ..IsolationMode::Full.into()
+        };
+        let (outcome, sys) = boot_and_siege(config, &cfg).unwrap();
         let wall_ns = t0.elapsed().as_nanos() as u64;
         assert_eq!(outcome.requests_done, requests, "every request must land");
         audit_gate(&sys, &format!("fig5 mt siege, {cores} cores"));
@@ -71,7 +75,6 @@ fn main() {
             wall_ns,
             1,
             outcome.makespan_cycles,
-            None,
         );
     }
     // CubicleSan overhead A/B: the same 4-core siege with the race
@@ -79,14 +82,21 @@ fn main() {
     // simulated cycle counts must be EQUAL — only the host wall clock
     // pays for the vector clocks and locksets.
     println!("\nCubicleSan A/B (4 cores, detection off vs on):");
-    let mut off_cfg = MtConfig::new(4, requests, SEED);
+    let cfg = MtConfig::new(requests, SEED);
+    let off_config = SystemConfig {
+        cores: 4,
+        ..IsolationMode::Full.into()
+    };
     let t0 = Instant::now();
-    let (off, sys_off) = boot_and_siege(IsolationMode::Full, &off_cfg).unwrap();
+    let (off, sys_off) = boot_and_siege(off_config, &cfg).unwrap();
     let off_wall = t0.elapsed().as_nanos() as u64;
     audit_gate(&sys_off, "fig5 mt siege, racedetect off");
-    off_cfg.race_detection = true;
+    let on_config = SystemConfig {
+        race_detection: true,
+        ..off_config
+    };
     let t0 = Instant::now();
-    let (on, sys_on) = boot_and_siege(IsolationMode::Full, &off_cfg).unwrap();
+    let (on, sys_on) = boot_and_siege(on_config, &cfg).unwrap();
     let on_wall = t0.elapsed().as_nanos() as u64;
     audit_gate(&sys_on, "fig5 mt siege, racedetect on");
     assert_eq!(
@@ -107,20 +117,8 @@ fn main() {
         on.makespan_cycles,
         factor(on_wall as f64 / off_wall.max(1) as f64),
     );
-    results.push(
-        "fig5_mt_racedetect_off",
-        off_wall,
-        1,
-        off.makespan_cycles,
-        None,
-    );
-    results.push(
-        "fig5_mt_racedetect_on",
-        on_wall,
-        1,
-        on.makespan_cycles,
-        None,
-    );
+    results.push("fig5_mt_racedetect_off", off_wall, 1, off.makespan_cycles);
+    results.push("fig5_mt_racedetect_on", on_wall, 1, on.makespan_cycles);
 
     results.save(&BenchResults::default_path()).unwrap();
     println!(

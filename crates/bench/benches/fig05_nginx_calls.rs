@@ -48,7 +48,7 @@ fn main() {
     let sys = &dep.sys;
     let (cycles, stats) = sys.since_boot();
     let mut results = BenchResults::new();
-    results.push("fig05_siege_requests", wall_ns, 1, cycles, None);
+    results.push("fig05_siege_requests", wall_ns, 1, cycles);
     results.save(&BenchResults::default_path()).unwrap();
     let name = |n: &str| sys.find_cubicle(n).unwrap();
     let edges = [

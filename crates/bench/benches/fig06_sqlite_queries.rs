@@ -53,7 +53,7 @@ fn main() {
     let wall_ns = t0.elapsed().as_nanos() as u64;
     let sim_cycles: u64 = results.iter().flatten().map(|r| r.cycles).sum();
     let mut recorded = BenchResults::new();
-    recorded.push("fig06_speedtest_4modes", wall_ns, 1, sim_cycles, None);
+    recorded.push("fig06_speedtest_4modes", wall_ns, 1, sim_cycles);
     recorded.save(&BenchResults::default_path()).unwrap();
 
     println!(

@@ -76,7 +76,7 @@ fn main() {
     let wall_ns = t0.elapsed().as_nanos() as u64;
     let sim_cycles = base.iter().chain(&cubicle).sum();
     let mut recorded = BenchResults::new();
-    recorded.push("fig07_latency_sweep", wall_ns, 1, sim_cycles, None);
+    recorded.push("fig07_latency_sweep", wall_ns, 1, sim_cycles);
     recorded.save(&BenchResults::default_path()).unwrap();
 
     println!(

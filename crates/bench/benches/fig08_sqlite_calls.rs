@@ -75,7 +75,6 @@ fn main() {
         t0.elapsed().as_nanos() as u64,
         1,
         sys.now() - c0,
-        None,
     );
     recorded.save(&BenchResults::default_path()).unwrap();
 

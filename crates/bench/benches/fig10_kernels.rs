@@ -81,7 +81,6 @@ fn main() {
         t0.elapsed().as_nanos() as u64,
         1,
         sim_cycles,
-        None,
     );
     recorded.save(&BenchResults::default_path()).unwrap();
 

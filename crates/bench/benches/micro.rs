@@ -27,30 +27,6 @@ use std::time::Instant;
 struct Dummy;
 impl_component!(Dummy);
 
-/// Wall-clock ns/iter recorded at the seed commit (`e242bd9`, before the
-/// simulator hot-path overhaul: HashMap page table, two-pass check+copy,
-/// no TLB) on the reference dev container. Entries keep these forever so
-/// `BENCH_results.json` shows before/after numbers side by side.
-const SEED_WALL_NS: &[(&str, u64)] = &[
-    ("cross_cubicle_call_with_window_fault", 310),
-    ("window_init_add_open_close_destroy", 77),
-    ("checked_4k_read", 67),
-    ("bulk_256k_write", 7_970),
-    ("bulk_256k_read", 7_915),
-    ("bulk_256k_read_vec", 13_332),
-    ("scattered_64b_reads_x256", 8_978),
-    ("fig7_http_fetch_1m", 2_505_821),
-    ("sql_point_query", 8_242),
-    ("sql_aggregate_scan", 381_130),
-];
-
-fn seed_ns(name: &str) -> Option<u64> {
-    SEED_WALL_NS
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|&(_, ns)| ns)
-}
-
 /// Runs `f` in batches until the sampling budget is exhausted and
 /// returns the minimum ns/iter plus the sample count. The batch size
 /// adapts so slow benches still collect several samples.
@@ -84,7 +60,7 @@ fn measure(mut f: impl FnMut()) -> (u64, u64) {
 fn bench_function(results: &mut BenchResults, name: &str, sim_cycles: u64, f: impl FnMut()) {
     let (best, samples) = measure(f);
     println!("{name:<44} {best:>10} ns/iter   ({samples} samples)");
-    results.push(name, best, samples, sim_cycles, seed_ns(name));
+    results.push(name, best, samples, sim_cycles);
 }
 
 fn setup(mode: IsolationMode) -> (System, CubicleId, CubicleId) {
@@ -531,9 +507,4 @@ fn main() {
     let path = BenchResults::default_path();
     results.save(&path).unwrap();
     println!("\nresults written to {}", path.display());
-    for e in results.entries() {
-        if let Some(f) = e.speedup_vs_seed() {
-            println!("  {:<44} {f:>6.2}x vs seed", e.name);
-        }
-    }
 }

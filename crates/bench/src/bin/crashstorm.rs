@@ -23,7 +23,7 @@
 //! Usage: `crashstorm [seeds] [injections-per-seed]`
 
 use cubicle_bench::inject::run_crash_campaign;
-use cubicle_core::IsolationMode;
+use cubicle_core::{IsolationMode, SystemConfig};
 use cubicle_httpd::boot_web;
 use cubicle_mpk::VAddr;
 use cubicle_net::WireModel;
@@ -47,8 +47,11 @@ fn fast_wire() -> WireModel {
 /// number of violations (0 on success).
 fn nginx_leg() -> u64 {
     println!("== nginx (fig. 5, journal recovery) leg ==");
-    let mut dep = boot_web(IsolationMode::Full).expect("boot_web");
-    dep.sys.set_fault_containment(true);
+    let mut dep = boot_web(SystemConfig {
+        fault_containment: true,
+        ..IsolationMode::Full.into()
+    })
+    .expect("boot_web");
     dep.enable_ramfs_journal(NGINX_JOURNAL_PAGES)
         .expect("enable journal");
     let body: Vec<u8> = (0..8_192u32).map(|i| (i % 253) as u8).collect();

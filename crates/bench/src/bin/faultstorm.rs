@@ -17,7 +17,7 @@
 //! Usage: `faultstorm [seeds] [injections-per-seed]`
 
 use cubicle_bench::inject::run_campaign;
-use cubicle_core::IsolationMode;
+use cubicle_core::{IsolationMode, SystemConfig};
 use cubicle_httpd::boot_web;
 use cubicle_mpk::VAddr;
 use cubicle_net::WireModel;
@@ -37,8 +37,11 @@ fn fast_wire() -> WireModel {
 /// Returns the number of uncontained faults (0 on success).
 fn nginx_leg() -> u64 {
     println!("== nginx (fig. 5) leg ==");
-    let mut dep = boot_web(IsolationMode::Full).expect("boot_web");
-    dep.sys.set_fault_containment(true);
+    let mut dep = boot_web(SystemConfig {
+        fault_containment: true,
+        ..IsolationMode::Full.into()
+    })
+    .expect("boot_web");
     let body = b"<h1>cubicles</h1>".to_vec();
     dep.put_file("/index.html", &body).expect("put_file");
     let (_, resp) = dep.fetch("/index.html", fast_wire()).expect("warm fetch");

@@ -24,7 +24,7 @@
 //! Usage: `mt [cores] [requests]`
 
 use cubicle_bench::mt::{boot_and_siege, faultstorm_leg, MtConfig};
-use cubicle_core::{IsolationMode, System};
+use cubicle_core::{IsolationMode, System, SystemConfig};
 
 /// Seed of the smoke siege (the run is a pure function of it).
 const SEED: u64 = 0xC0DE_CAFE;
@@ -40,9 +40,13 @@ fn main() {
         .unwrap_or(24);
 
     println!("== mt smoke: {cores} cores x {requests} requests, seed {SEED:#x} ==");
-    let cfg = MtConfig::new(cores, requests, SEED);
-    let (a, sys) = boot_and_siege(IsolationMode::Full, &cfg).expect("siege A");
-    let (b, _) = boot_and_siege(IsolationMode::Full, &cfg).expect("siege B");
+    let cfg = MtConfig::new(requests, SEED);
+    let config = SystemConfig {
+        cores,
+        ..IsolationMode::Full.into()
+    };
+    let (a, sys) = boot_and_siege(config, &cfg).expect("siege A");
+    let (b, _) = boot_and_siege(config, &cfg).expect("siege B");
     println!(
         "siege: {}/{} requests, makespan {} cycles, {} switches, digest {:#018x}",
         a.requests_done, requests, a.makespan_cycles, a.switches, a.digest
@@ -65,10 +69,11 @@ fn main() {
     }
 
     println!("== cubiclesan leg ({cores} cores) ==");
-    let mut san_cfg = cfg.clone();
-    san_cfg.race_detection = true;
-    let (s, san_sys) =
-        boot_and_siege(IsolationMode::Full, &san_cfg).expect("siege with CubicleSan");
+    let san_config = SystemConfig {
+        race_detection: true,
+        ..config
+    };
+    let (s, san_sys) = boot_and_siege(san_config, &cfg).expect("siege with CubicleSan");
     let san_observer_ok = s == a;
     if !san_observer_ok {
         println!(
@@ -94,9 +99,11 @@ fn main() {
     // Seeded lock elision: plant the classic bug and require CubicleSan
     // to report exactly that access pair — a silent detector must fail
     // the gate just as loudly as a false positive.
-    let mut seeded = System::new(IsolationMode::Full);
-    seeded.set_race_detection(true);
-    seeded.set_num_cores(2);
+    let mut seeded = System::new(SystemConfig {
+        cores: 2,
+        race_detection: true,
+        ..IsolationMode::Full.into()
+    });
     seeded.switch_to_core(0);
     seeded.san_probe_locked_for_test();
     seeded.switch_to_core(1);

@@ -15,7 +15,7 @@
 
 use cubicle_core::{
     impl_component, Builder, ComponentImage, CubicleError, CubicleId, Errno, IsolationMode, System,
-    Value,
+    SystemConfig, Value,
 };
 use cubicle_mpk::insn::{CodeImage, Insn};
 use cubicle_mpk::rng::Rng64;
@@ -133,8 +133,10 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// harness bug, not a containment escape.
 pub fn run_campaign(seed: u64, injections: usize) -> CampaignReport {
     let mut rng = Rng64::new(seed);
-    let mut sys = System::new(IsolationMode::Full);
-    sys.set_fault_containment(true);
+    let mut sys = System::new(SystemConfig {
+        fault_containment: true,
+        ..IsolationMode::Full.into()
+    });
     sys.enable_tracing(1 << 16);
 
     let mut ids: Vec<CubicleId> = Vec::new();
@@ -500,7 +502,10 @@ struct SqlStack {
 const STORM_JOURNAL_PAGES: usize = 64;
 
 fn boot_sql_stack() -> SqlStack {
-    let mut sys = System::new(IsolationMode::Full);
+    let mut sys = System::new(SystemConfig {
+        fault_containment: true,
+        ..IsolationMode::Full.into()
+    });
     let base = boot_base(&mut sys).expect("boot_base");
     let vfs_loaded = sys
         .load(cubicle_vfs::image(), Box::new(Vfs::default()))
@@ -526,7 +531,6 @@ fn boot_sql_stack() -> SqlStack {
         )
         .expect("load app");
     sys.mark_boot_complete();
-    sys.set_fault_containment(true);
     SqlStack {
         sys,
         app: app.cid,

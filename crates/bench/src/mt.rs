@@ -21,7 +21,7 @@
 //! and response byte, folded into [`MtOutcome::digest`] for
 //! bit-identical comparison.
 
-use cubicle_core::{CubicleError, IsolationMode, Result, System};
+use cubicle_core::{CubicleError, IsolationMode, Result, System, SystemConfig};
 use cubicle_httpd::{boot_web, HttpResponse, WebDeployment, HTTP_PORT};
 use cubicle_mpk::CoreScheduler;
 use cubicle_net::{SimClient, WireModel};
@@ -44,11 +44,12 @@ const STALL_ROUNDS: u32 = 512;
 /// the real client work is spread over those milliseconds.
 const OVERHEAD_CHUNK: u64 = 256_000;
 
-/// Configuration of one multi-core siege run.
+/// Configuration of one multi-core siege run. The core count (= the
+/// number of concurrent connections) and CubicleSan are properties of
+/// the deployment's [`System`] ([`SystemConfig::cores`],
+/// [`SystemConfig::race_detection`]).
 #[derive(Clone, Debug)]
 pub struct MtConfig {
-    /// Simulated cores (= concurrent connections).
-    pub cores: usize,
     /// Total requests, distributed round-robin over the cores.
     pub requests: usize,
     /// Scheduler seed: the full interleaving is a pure function of it.
@@ -62,19 +63,13 @@ pub struct MtConfig {
     /// Paths to request, cycled per request (must exist; see
     /// [`prepare_web_files`]).
     pub paths: Vec<String>,
-    /// Run the siege with CubicleSan enabled
-    /// ([`System::set_race_detection`]). The detector is a pure
-    /// observer, so the outcome (digest included) is bit-identical
-    /// either way; only host wall time changes. Default off.
-    pub race_detection: bool,
 }
 
 impl MtConfig {
-    /// A siege at `cores` cores with the standard file set, `requests`
-    /// requests and the default wire model.
-    pub fn new(cores: usize, requests: usize, seed: u64) -> MtConfig {
+    /// A siege of `requests` requests over the standard file set with
+    /// the default wire model.
+    pub fn new(requests: usize, seed: u64) -> MtConfig {
         MtConfig {
-            cores,
             requests,
             seed,
             wire: WireModel::default(),
@@ -83,7 +78,6 @@ impl MtConfig {
                 .iter()
                 .map(|(p, _)| (*p).to_string())
                 .collect(),
-            race_detection: false,
         }
     }
 }
@@ -170,34 +164,23 @@ fn mix(h: u64, v: u64) -> u64 {
 }
 
 /// Runs one multi-core siege against an already-booted deployment
-/// (files must be in place; see [`prepare_web_files`]). Grows the
-/// machine to `cfg.cores` cores, then loops: ask the scheduler which
-/// core goes next, switch the machine onto it, and advance that core's
+/// (files must be in place; see [`prepare_web_files`]) on every core
+/// its `System` was built with. Loops: ask the scheduler which core
+/// goes next, switch the machine onto it, and advance that core's
 /// connection by one step — start a request, or one client-pump /
 /// server-poll round.
 ///
 /// # Errors
 ///
 /// A stalled connection, a non-200 response, or any kernel error.
-///
-/// # Panics
-///
-/// Panics if `cfg.cores` is zero.
 pub fn run_siege(dep: &mut WebDeployment, cfg: &MtConfig) -> Result<MtOutcome> {
-    assert!(cfg.cores >= 1, "a siege needs at least one core");
-    // Enable-only: a caller that already armed CubicleSan on the System
-    // (e.g. the faultstorm leg, which watches across two sieges) keeps
-    // its accumulated history.
-    if cfg.race_detection && !dep.sys.race_detection_enabled() {
-        dep.sys.set_race_detection(true);
-    }
-    dep.sys.set_num_cores(cfg.cores);
-    let start: Vec<u64> = (0..cfg.cores).map(|i| dep.sys.core_cycles(i)).collect();
-    let mut sched = CoreScheduler::new(cfg.seed, cfg.cores);
-    let mut lanes: Vec<Lane> = (0..cfg.cores)
+    let cores = dep.sys.num_cores();
+    let start: Vec<u64> = (0..cores).map(|i| dep.sys.core_cycles(i)).collect();
+    let mut sched = CoreScheduler::new(cfg.seed, cores);
+    let mut lanes: Vec<Lane> = (0..cores)
         .map(|i| Lane {
             // round-robin request distribution
-            remaining: cfg.requests / cfg.cores + usize::from(i < cfg.requests % cfg.cores),
+            remaining: cfg.requests / cores + usize::from(i < cfg.requests % cores),
             inflight: None,
             done: 0,
             bytes: 0,
@@ -208,7 +191,7 @@ pub fn run_siege(dep: &mut WebDeployment, cfg: &MtConfig) -> Result<MtOutcome> {
     let mut next_path = 0usize;
 
     loop {
-        let clocks: Vec<u64> = (0..cfg.cores).map(|i| dep.sys.core_cycles(i)).collect();
+        let clocks: Vec<u64> = (0..cores).map(|i| dep.sys.core_cycles(i)).collect();
         let runnable: Vec<bool> = lanes
             .iter()
             .map(|l| l.remaining > 0 || l.inflight.is_some())
@@ -280,7 +263,7 @@ pub fn run_siege(dep: &mut WebDeployment, cfg: &MtConfig) -> Result<MtOutcome> {
         }
     }
 
-    let core_cycles: Vec<u64> = (0..cfg.cores)
+    let core_cycles: Vec<u64> = (0..cores)
         .map(|i| dep.sys.core_cycles(i) - start[i])
         .collect();
     let mut digest = 0u64;
@@ -291,7 +274,7 @@ pub fn run_siege(dep: &mut WebDeployment, cfg: &MtConfig) -> Result<MtOutcome> {
         digest = mix(digest, c);
     }
     Ok(MtOutcome {
-        cores: cfg.cores,
+        cores,
         requests_done: lanes.iter().map(|l| l.done).sum(),
         bytes: lanes.iter().map(|l| l.bytes).sum(),
         makespan_cycles: core_cycles.iter().copied().max().unwrap_or(0),
@@ -302,15 +285,18 @@ pub fn run_siege(dep: &mut WebDeployment, cfg: &MtConfig) -> Result<MtOutcome> {
     })
 }
 
-/// Boots a fresh deployment, populates the standard files and runs one
-/// siege — the one-call entry used by the benches, the determinism
-/// tests and the CI gate.
+/// Boots a fresh deployment with `config` (cores, CubicleSan, …),
+/// populates the standard files and runs one siege — the one-call entry
+/// used by the benches, the determinism tests and the CI gate.
 ///
 /// # Errors
 ///
 /// Boot or siege failures.
-pub fn boot_and_siege(mode: IsolationMode, cfg: &MtConfig) -> Result<(MtOutcome, System)> {
-    let mut dep = boot_web(mode)?;
+pub fn boot_and_siege(
+    config: impl Into<SystemConfig>,
+    cfg: &MtConfig,
+) -> Result<(MtOutcome, System)> {
+    let mut dep = boot_web(config)?;
     prepare_web_files(&mut dep)?;
     let outcome = run_siege(&mut dep, cfg)?;
     Ok((outcome, dep.sys))
@@ -320,9 +306,9 @@ pub fn boot_and_siege(mode: IsolationMode, cfg: &MtConfig) -> Result<(MtOutcome,
 /// access inside RAMFS issued from a non-zero core; the cubicle must be
 /// quarantined, the fault must not cascade, the audit (including the
 /// concurrency/lock-discipline class) must stay clean, and after a
-/// microreboot a second siege must complete. CubicleSan stays armed
-/// across the whole leg — both sieges plus the fault handling in
-/// between — and any race report, lock-order cycle or lockset violation
+/// microreboot a second siege must complete. CubicleSan is armed from
+/// construction, so it watches the whole leg — boot, both sieges and
+/// the fault handling in between — and any race report, lock-order cycle or lockset violation
 /// counts as an escape. Returns the number of uncontained faults (0 on
 /// success), printing `ESCAPE:` lines for each.
 ///
@@ -332,11 +318,15 @@ pub fn boot_and_siege(mode: IsolationMode, cfg: &MtConfig) -> Result<(MtOutcome,
 pub fn faultstorm_leg(cores: usize, seed: u64) -> u64 {
     use cubicle_mpk::VAddr;
 
-    let mut dep = boot_web(IsolationMode::Full).expect("boot_web");
-    dep.sys.set_fault_containment(true);
-    dep.sys.set_race_detection(true);
+    let mut dep = boot_web(SystemConfig {
+        cores,
+        fault_containment: true,
+        race_detection: true,
+        ..IsolationMode::Full.into()
+    })
+    .expect("boot_web");
     prepare_web_files(&mut dep).expect("prepare files");
-    let mut cfg = MtConfig::new(cores, 2 * cores, seed);
+    let mut cfg = MtConfig::new(2 * cores, seed);
     cfg.wire = WireModel {
         hop_cycles: 2_000,
         per_byte_cycles: 1,

@@ -10,14 +10,10 @@
 //!   "schema": "cubicle-bench/v1",
 //!   "entries": [
 //!     {"name": "checked_4k_read", "wall_ns": 77, "samples": 8663,
-//!      "sim_cycles": 73, "seed_wall_ns": 77}
+//!      "sim_cycles": 73}
 //!   ]
 //! }
 //! ```
-//!
-//! `seed_wall_ns` is optional: micro-benches carry the wall-clock numbers
-//! recorded at the seed commit (before the simulator hot-path overhaul)
-//! so before/after speedups are visible in the file itself.
 //!
 //! Different harnesses merge into one file: [`BenchResults::save`] loads
 //! whatever is already there and replaces entries by name.
@@ -36,17 +32,6 @@ pub struct BenchEntry {
     /// Simulated cycles per iteration (cost-model time; must not change
     /// when the host-side simulator is optimised).
     pub sim_cycles: u64,
-    /// Wall-clock ns/iter recorded at the seed commit, when known.
-    pub seed_wall_ns: Option<u64>,
-}
-
-impl BenchEntry {
-    /// Speedup of the current wall-clock over the recorded seed baseline.
-    pub fn speedup_vs_seed(&self) -> Option<f64> {
-        self.seed_wall_ns
-            .filter(|_| self.wall_ns > 0)
-            .map(|seed| seed as f64 / self.wall_ns as f64)
-    }
 }
 
 /// A set of results, merged into `BENCH_results.json` on save.
@@ -71,20 +56,12 @@ impl BenchResults {
     }
 
     /// Records one benchmark.
-    pub fn push(
-        &mut self,
-        name: &str,
-        wall_ns: u64,
-        samples: u64,
-        sim_cycles: u64,
-        seed_wall_ns: Option<u64>,
-    ) {
+    pub fn push(&mut self, name: &str, wall_ns: u64, samples: u64, sim_cycles: u64) {
         self.entries.push(BenchEntry {
             name: name.to_string(),
             wall_ns,
             samples,
             sim_cycles,
-            seed_wall_ns,
         });
     }
 
@@ -98,19 +75,12 @@ impl BenchResults {
         let mut out = String::from("{\n  \"schema\": \"cubicle-bench/v1\",\n  \"entries\": [\n");
         for (i, e) in self.entries.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"wall_ns\": {}, \"samples\": {}, \"sim_cycles\": {}",
+                "    {{\"name\": \"{}\", \"wall_ns\": {}, \"samples\": {}, \"sim_cycles\": {}}}",
                 escape(&e.name),
                 e.wall_ns,
                 e.samples,
                 e.sim_cycles,
             ));
-            if let Some(seed) = e.seed_wall_ns {
-                out.push_str(&format!(", \"seed_wall_ns\": {seed}"));
-                if let Some(f) = e.speedup_vs_seed() {
-                    out.push_str(&format!(", \"speedup_vs_seed\": {f:.2}"));
-                }
-            }
-            out.push('}');
             if i + 1 < self.entries.len() {
                 out.push(',');
             }
@@ -143,7 +113,6 @@ impl BenchResults {
                 wall_ns: num("wall_ns").ok_or("entry without \"wall_ns\"")?,
                 samples: num("samples").unwrap_or(0),
                 sim_cycles: num("sim_cycles").unwrap_or(0),
-                seed_wall_ns: num("seed_wall_ns"),
             });
         }
         Ok(out)
@@ -396,8 +365,8 @@ mod tests {
 
     fn sample() -> BenchResults {
         let mut r = BenchResults::new();
-        r.push("a", 100, 10, 1_000, Some(200));
-        r.push("b", 50, 4, 0, None);
+        r.push("a", 100, 10, 1_000);
+        r.push("b", 50, 4, 0);
         r
     }
 
@@ -409,22 +378,14 @@ mod tests {
     }
 
     #[test]
-    fn speedup_reported() {
-        let r = sample();
-        assert_eq!(r.entries()[0].speedup_vs_seed(), Some(2.0));
-        assert_eq!(r.entries()[1].speedup_vs_seed(), None);
-        assert!(r.to_json().contains("\"speedup_vs_seed\": 2.00"));
-    }
-
-    #[test]
     fn save_merges_by_name() {
         let dir = std::env::temp_dir().join(format!("bench_results_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("r.json");
         sample().save(&path).unwrap();
         let mut update = BenchResults::new();
-        update.push("b", 25, 8, 7, None);
-        update.push("c", 1, 1, 1, None);
+        update.push("b", 25, 8, 7);
+        update.push("c", 1, 1, 1);
         update.save(&path).unwrap();
         let merged = BenchResults::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
         let names: Vec<_> = merged.entries().iter().map(|e| e.name.as_str()).collect();

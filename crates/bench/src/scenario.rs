@@ -1,6 +1,8 @@
 //! Deployment builders for the SQLite experiments (Figures 6, 8, 9, 10).
 
-use cubicle_core::{impl_component, ComponentImage, CubicleId, IsolationMode, Result, System};
+use cubicle_core::{
+    impl_component, ComponentImage, CubicleId, IsolationMode, Result, System, SystemConfig,
+};
 use cubicle_mpk::insn::CodeImage;
 use cubicle_ramfs::Ramfs;
 use cubicle_sqldb::speedtest::{run_speedtest, SpeedtestConfig, TestResult};
@@ -58,8 +60,10 @@ pub fn build_sqlite(
     partitioning: Partitioning,
     boundary_tax: u64,
 ) -> Result<SqliteDeployment> {
-    let mut sys = System::new(mode);
-    sys.set_boundary_tax(boundary_tax);
+    let mut sys = System::new(SystemConfig {
+        boundary_tax,
+        ..mode.into()
+    });
 
     // On the Genode/microkernel baselines the C library's VFS plugin
     // runs *inside the application component* (that is how Genode's

@@ -8,7 +8,7 @@
 //! plain sequential `fetch` loop that never heard of the scheduler.
 
 use cubicle_bench::mt::{prepare_web_files, run_siege, MtConfig, MtOutcome, STANDARD_FILES};
-use cubicle_core::IsolationMode;
+use cubicle_core::{IsolationMode, SystemConfig};
 use cubicle_httpd::boot_web;
 use cubicle_net::WireModel;
 
@@ -19,6 +19,15 @@ fn fast_wire() -> WireModel {
         hop_cycles: 2_000,
         per_byte_cycles: 1,
         request_overhead_cycles: 50_000,
+    }
+}
+
+/// A Full-mode kernel on `cores` cores, with CubicleSan on or off.
+fn full(cores: usize, race_detection: bool) -> SystemConfig {
+    SystemConfig {
+        cores,
+        race_detection,
+        ..IsolationMode::Full.into()
     }
 }
 
@@ -33,10 +42,10 @@ struct RunRecord {
 }
 
 fn traced_siege(seed: u64, cores: usize, requests: usize) -> RunRecord {
-    let mut dep = boot_web(IsolationMode::Full).expect("boot_web");
+    let mut dep = boot_web(full(cores, false)).expect("boot_web");
     dep.sys.enable_tracing(1 << 16);
     prepare_web_files(&mut dep).expect("files");
-    let mut cfg = MtConfig::new(cores, requests, seed);
+    let mut cfg = MtConfig::new(requests, seed);
     cfg.wire = fast_wire();
     let outcome = run_siege(&mut dep, &cfg).expect("siege");
     let report = dep.sys.audit();
@@ -75,11 +84,10 @@ fn multi_core_sieges_replay_bit_identically_across_seeds() {
 fn cubiclesan_sweep_is_race_free_and_a_pure_observer() {
     for cores in [1usize, 2, 4, 8] {
         for seed in 0..16u64 {
-            let mut dep = boot_web(IsolationMode::Full).expect("boot_web");
+            let mut dep = boot_web(full(cores, true)).expect("boot_web");
             prepare_web_files(&mut dep).expect("files");
-            let mut cfg = MtConfig::new(cores, 6, seed);
+            let mut cfg = MtConfig::new(6, seed);
             cfg.wire = fast_wire();
-            cfg.race_detection = true;
             let on = run_siege(&mut dep, &cfg).expect("siege");
             assert_eq!(
                 dep.sys.race_reports(),
@@ -101,9 +109,8 @@ fn cubiclesan_sweep_is_race_free_and_a_pure_observer() {
             // Observer check once per core count: detection off must
             // produce the identical outcome, per-core clocks included.
             if seed == 0 {
-                let mut dep = boot_web(IsolationMode::Full).expect("boot_web");
+                let mut dep = boot_web(full(cores, false)).expect("boot_web");
                 prepare_web_files(&mut dep).expect("files");
-                cfg.race_detection = false;
                 let off = run_siege(&mut dep, &cfg).expect("siege");
                 assert_eq!(off, on, "{cores} cores: detector charged cycles");
             }
@@ -131,7 +138,7 @@ fn one_core_schedule_matches_the_single_hart_run() {
     let mut dep = boot_web(IsolationMode::Full).expect("boot_web");
     prepare_web_files(&mut dep).expect("files");
     let t0 = dep.sys.now();
-    let mut cfg = MtConfig::new(1, requests, 7);
+    let mut cfg = MtConfig::new(requests, 7);
     cfg.wire = fast_wire();
     let outcome = run_siege(&mut dep, &cfg).expect("siege");
     let scheduled_cycles = dep.sys.now() - t0;

@@ -37,7 +37,7 @@
 //!   with intact guards, live slots match in-flight frames, quarantined
 //!   cubicles have no pool);
 //! * **sanitizer** — when CubicleSan is enabled
-//!   ([`crate::System::set_race_detection`]), its history is clean: no
+//!   ([`crate::SystemConfig::race_detection`]), its history is clean: no
 //!   data races, no lock-order cycle, no Eraser lockset violations.
 //!   Silent (like any disabled subsystem) when detection is off.
 
@@ -171,7 +171,7 @@ impl System {
         // Under tag virtualisation the parked key is a legitimate
         // transient state for any page; without it, key 15 is an
         // ordinary per-cubicle key and gets no special treatment.
-        let parked_ok = self.key_virt.is_some();
+        let parked_ok = self.keys.virtualised;
 
         // ── pass 1: every mapped page ────────────────────────────────
         let mapped = self.machine.mapped_pages();
@@ -489,28 +489,25 @@ impl System {
         }
 
         // ── pass 7: sanitizer clean (CubicleSan) ─────────────────────
-        // Only meaningful while detection is on; a feature-off run has
-        // no detector history and this pass is silent, like any audit
-        // pass over a disabled subsystem.
-        if self.race_detection_enabled() {
-            for r in self.race_reports() {
-                findings.push(AuditFinding {
-                    class: InvariantClass::Sanitizer,
-                    detail: r.to_string(),
-                });
-            }
-            if let Some(cycle) = self.lockorder_cycle() {
-                findings.push(AuditFinding {
-                    class: InvariantClass::Sanitizer,
-                    detail: format!("lock-order cycle: {cycle}"),
-                });
-            }
-            for v in self.lockset_violations() {
-                findings.push(AuditFinding {
-                    class: InvariantClass::Sanitizer,
-                    detail: v,
-                });
-            }
+        // A run without detection has no detector history, so this pass
+        // is silent, like any audit pass over a disabled subsystem.
+        for r in self.race_reports() {
+            findings.push(AuditFinding {
+                class: InvariantClass::Sanitizer,
+                detail: r.to_string(),
+            });
+        }
+        if let Some(cycle) = self.lockorder_cycle() {
+            findings.push(AuditFinding {
+                class: InvariantClass::Sanitizer,
+                detail: format!("lock-order cycle: {cycle}"),
+            });
+        }
+        for v in self.lockset_violations() {
+            findings.push(AuditFinding {
+                class: InvariantClass::Sanitizer,
+                detail: v,
+            });
         }
 
         AuditReport {

@@ -92,7 +92,7 @@ pub struct Cubicle {
     /// Heap pages granted so far (reset on quarantine).
     pub heap_pages_granted: usize,
     /// Simulated cycle at which this cubicle was last quarantined; feeds
-    /// the restart backoff policy ([`crate::System::set_restart_policy`]).
+    /// the restart backoff policy ([`crate::SystemConfig::restart_policy`]).
     pub quarantined_at: u64,
     /// Re-entrancy stack pool (multi-core): slot 0 mirrors the primary
     /// stack, extra slots are pooled stacks for overlapping entries.

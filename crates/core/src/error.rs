@@ -63,13 +63,13 @@ pub enum CubicleError {
         cubicle: CubicleId,
     },
     /// The cycle watchdog quarantined a callee that overran its
-    /// configured cross-call cycle budget ([`crate::System::set_cycle_budget`]).
+    /// configured cross-call cycle budget ([`crate::SystemConfig::cycle_budget`]).
     CycleBudgetExceeded {
         /// The cubicle that was timed out.
         cubicle: CubicleId,
     },
     /// A restart arrived before the crash-looping cubicle's exponential
-    /// backoff delay elapsed ([`crate::System::set_restart_policy`]).
+    /// backoff delay elapsed ([`crate::SystemConfig::restart_policy`]).
     RestartBackoff {
         /// The cubicle still serving its backoff delay.
         cubicle: CubicleId,

@@ -215,7 +215,7 @@ struct ObjectState {
 }
 
 /// The CubicleSan dynamic detector. Owned by [`crate::System`] behind
-/// `set_race_detection`; all methods are host-side observers.
+/// [`crate::SystemConfig::race_detection`]; all methods are host-side observers.
 #[derive(Default)]
 pub struct RaceDetector {
     /// One vector clock per core.

@@ -7,7 +7,8 @@
 //! actually detects what it claims to.
 
 use cubicle_core::{
-    impl_component, ComponentImage, CubicleId, InvariantClass, IsolationMode, System, Value,
+    impl_component, ComponentImage, CubicleId, InvariantClass, IsolationMode, System, SystemConfig,
+    Value,
 };
 use cubicle_mpk::insn::CodeImage;
 use cubicle_mpk::{CostModel, PageFlags, ProtKey, VAddr};
@@ -19,7 +20,10 @@ impl_component!(Dummy);
 /// window over it that the peer has already read through (so a page tag
 /// legitimately sits with a non-owner).
 fn windowed_pair() -> (System, CubicleId, CubicleId, VAddr) {
-    let mut sys = System::with_cost_model(IsolationMode::Full, CostModel::free());
+    let mut sys = System::new(SystemConfig {
+        cost: CostModel::free(),
+        ..IsolationMode::Full.into()
+    });
     let owner = sys
         .load(
             ComponentImage::new("OWNER", CodeImage::plain(64)),
@@ -70,7 +74,10 @@ fn every_isolation_mode_audits_clean() {
         IsolationMode::NoAcl,
         IsolationMode::Full,
     ] {
-        let mut sys = System::with_cost_model(mode, CostModel::free());
+        let mut sys = System::new(SystemConfig {
+            cost: CostModel::free(),
+            ..mode.into()
+        });
         let a = sys
             .load(
                 ComponentImage::new("A", CodeImage::plain(64)),
@@ -101,8 +108,11 @@ fn every_isolation_mode_audits_clean() {
 fn key_virtualisation_parking_audits_clean() {
     // more cubicles than physical keys: parked pages carry PARKED_KEY
     // while their holder's virtual binding moves around
-    let mut sys = System::with_cost_model(IsolationMode::Full, CostModel::free());
-    sys.enable_key_virtualisation();
+    let mut sys = System::new(SystemConfig {
+        cost: CostModel::free(),
+        key_virtualisation: true,
+        ..IsolationMode::Full.into()
+    });
     let cids: Vec<CubicleId> = (0..20)
         .map(|i| {
             sys.load(
@@ -126,7 +136,10 @@ fn key_virtualisation_parking_audits_clean() {
 
 #[test]
 fn cross_call_scenario_audits_clean() {
-    let mut sys = System::with_cost_model(IsolationMode::Full, CostModel::free());
+    let mut sys = System::new(SystemConfig {
+        cost: CostModel::free(),
+        ..IsolationMode::Full.into()
+    });
     let builder = cubicle_core::Builder::new();
     let srv = sys.load(
         ComponentImage::new("SRV", CodeImage::plain(128)).export(

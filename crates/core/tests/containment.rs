@@ -9,7 +9,7 @@
 
 use cubicle_core::{
     component_mut, impl_component, Builder, ComponentImage, CubicleError, CubicleState,
-    InvariantClass, IsolationMode, System, TraceEvent, Value,
+    InvariantClass, IsolationMode, System, SystemConfig, TraceEvent, Value,
 };
 use cubicle_mpk::insn::CodeImage;
 use cubicle_mpk::VAddr;
@@ -99,8 +99,14 @@ fn victim_image(name: &str) -> ComponentImage {
 }
 
 fn setup() -> (System, cubicle_core::CubicleId, cubicle_core::CubicleId) {
-    let mut sys = System::new(IsolationMode::Full);
-    sys.set_fault_containment(true);
+    setup_with(SystemConfig {
+        fault_containment: true,
+        ..IsolationMode::Full.into()
+    })
+}
+
+fn setup_with(config: SystemConfig) -> (System, cubicle_core::CubicleId, cubicle_core::CubicleId) {
+    let mut sys = System::new(config);
     let app = load_plain(&mut sys, "APP");
     let victim = sys
         .load(victim_image("VICTIM"), Box::new(Victim { restarted: 0 }))
@@ -208,9 +214,11 @@ fn quarantined_callee_ok_is_one_outcome_through_both_entry_points() {
             ("v_spin", Some(10_000), -110),
         ] {
             let run = |batched: bool| {
-                let (mut sys, app, victim) = setup();
-                sys.set_fault_containment(containment);
-                sys.set_cycle_budget(budget);
+                let (mut sys, app, victim) = setup_with(SystemConfig {
+                    fault_containment: containment,
+                    cycle_budget: budget,
+                    ..IsolationMode::Full.into()
+                });
                 let entry = sys.entry(name).unwrap();
                 let r = sys.run_in_cubicle(app, |sys| match batched {
                     true => sys.cross_call_batch(entry, &[&[]]).map(|v| v[0]),

@@ -2,7 +2,7 @@
 
 use cubicle_core::{
     component_mut, impl_component, Builder, ComponentImage, CubicleError, CubicleId, IsolationMode,
-    System, Value,
+    System, SystemConfig, Value,
 };
 use cubicle_mpk::insn::{CodeImage, Insn};
 use cubicle_mpk::CostModel;
@@ -624,7 +624,10 @@ fn heap_grows_on_demand() {
 
 #[test]
 fn guard_gaps_catch_overruns() {
-    let mut sys = System::with_cost_model(IsolationMode::Full, CostModel::free());
+    let mut sys = System::new(SystemConfig {
+        cost: CostModel::free(),
+        ..IsolationMode::Full.into()
+    });
     let a = load_plain(&mut sys, "A");
     sys.run_in_cubicle(a.cid, |sys| {
         let base = sys.alloc_pages(1);

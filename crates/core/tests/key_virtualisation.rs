@@ -2,18 +2,33 @@
 //! the 16 hardware keys, with lazy rebinding through trap-and-map.
 
 use cubicle_core::{
-    impl_component, Builder, ComponentImage, CubicleError, CubicleId, IsolationMode, System, Value,
+    impl_component, Builder, ComponentImage, CubicleError, CubicleId, InvariantClass,
+    IsolationMode, System, SystemConfig, Value, PARKED_KEY,
 };
 use cubicle_mpk::insn::CodeImage;
+use cubicle_mpk::VAddr;
+use std::collections::BTreeMap;
 
 struct Dummy;
 impl_component!(Dummy);
 
+/// A Full-mode kernel with tag virtualisation fixed at construction.
+fn virtualised() -> System {
+    System::new(SystemConfig {
+        key_virtualisation: true,
+        ..IsolationMode::Full.into()
+    })
+}
+
 fn load_n(sys: &mut System, n: usize) -> Vec<CubicleId> {
+    load_named(sys, "C", n)
+}
+
+fn load_named(sys: &mut System, prefix: &str, n: usize) -> Vec<CubicleId> {
     (0..n)
         .map(|i| {
             sys.load(
-                ComponentImage::new(format!("C{i}"), CodeImage::plain(256)),
+                ComponentImage::new(format!("{prefix}{i}"), CodeImage::plain(256)),
                 Box::new(Dummy),
             )
             .unwrap()
@@ -35,8 +50,7 @@ fn without_virtualisation_16th_cubicle_fails() {
 
 #[test]
 fn with_virtualisation_32_cubicles_load_and_run() {
-    let mut sys = System::new(IsolationMode::Full);
-    sys.enable_key_virtualisation();
+    let mut sys = virtualised();
     let cids = load_n(&mut sys, 32);
     // every cubicle can run and use its own memory
     for &cid in &cids {
@@ -54,8 +68,7 @@ fn with_virtualisation_32_cubicles_load_and_run() {
 
 #[test]
 fn isolation_holds_across_rebinding() {
-    let mut sys = System::new(IsolationMode::Full);
-    sys.enable_key_virtualisation();
+    let mut sys = virtualised();
     let cids = load_n(&mut sys, 24);
     // cubicle 0 stores a secret…
     let secret = sys.run_in_cubicle(cids[0], |sys| {
@@ -86,8 +99,7 @@ fn isolation_holds_across_rebinding() {
 #[test]
 fn windows_still_work_under_virtualisation() {
     let builder = Builder::new();
-    let mut sys = System::new(IsolationMode::Full);
-    sys.enable_key_virtualisation();
+    let mut sys = virtualised();
     // a reader component plus enough filler to overflow the key pool
     let reader = sys
         .load(
@@ -122,8 +134,7 @@ fn windows_still_work_under_virtualisation() {
 
 #[test]
 fn shared_cubicles_stay_pinned() {
-    let mut sys = System::new(IsolationMode::Full);
-    sys.enable_key_virtualisation();
+    let mut sys = virtualised();
     let libc = sys
         .load(
             ComponentImage::new("LIBC", CodeImage::plain(64)).shared(),
@@ -145,8 +156,7 @@ fn shared_cubicles_stay_pinned() {
 
 #[test]
 fn evictions_are_charged() {
-    let mut sys = System::new(IsolationMode::Full);
-    sys.enable_key_virtualisation();
+    let mut sys = virtualised();
     let cids = load_n(&mut sys, 20);
     // warm every cubicle once
     for &cid in &cids {
@@ -169,4 +179,63 @@ fn evictions_are_charged() {
         sys.machine_stats().retags > retags_before,
         "evictions must pay pkey_mprotect costs"
     );
+}
+
+/// Stores a per-cubicle secret on `cid`'s heap.
+fn plant_secret(sys: &mut System, cid: CubicleId) -> VAddr {
+    sys.run_in_cubicle(cid, |sys| {
+        let p = sys.heap_alloc(16, 8).unwrap();
+        sys.write(p, format!("secret-{}", cid.index()).as_bytes())
+            .unwrap();
+        p
+    })
+}
+
+#[test]
+fn keys_stay_unique_across_quarantine_restart_and_reload() {
+    let mut sys = virtualised();
+    let mut cids = load_n(&mut sys, 20);
+    for &cid in &cids {
+        plant_secret(&mut sys, cid);
+    }
+    for &victim in &[cids[3], cids[11]] {
+        sys.quarantine(victim, "test").unwrap();
+    }
+    for &victim in &[cids[3], cids[11]] {
+        sys.restart(victim).unwrap();
+    }
+    cids.extend(load_named(&mut sys, "D", 4));
+    let secrets: Vec<VAddr> = cids.iter().map(|&c| plant_secret(&mut sys, c)).collect();
+
+    // No two live cubicles share a physical key (parked ones hold none).
+    let mut holders = BTreeMap::new();
+    for c in sys.cubicles().skip(1) {
+        if c.is_quarantined() || c.key == PARKED_KEY {
+            continue;
+        }
+        if let Some(other) = holders.insert(c.key.raw(), c.name.clone()) {
+            panic!("{other} and {} both hold {}", c.name, c.key);
+        }
+    }
+    let audit = sys.audit();
+    assert!(
+        !audit
+            .findings
+            .iter()
+            .any(|f| f.class == InvariantClass::KeyUniqueness),
+        "{audit:?}"
+    );
+    audit.assert_clean("after quarantine, restart and reload");
+
+    // A non-holder never reads a peer's heap, whichever keys moved.
+    for (i, &reader) in cids.iter().enumerate() {
+        let peer = (i + 1) % cids.len();
+        let r = sys.run_in_cubicle(reader, |sys| sys.read_vec(secrets[peer], 8));
+        assert!(r.is_err(), "{reader} read {}'s heap", cids[peer]);
+    }
+    // Owners still read their own.
+    for (&cid, &p) in cids.iter().zip(&secrets) {
+        let back = sys.run_in_cubicle(cid, |sys| sys.read_vec(p, 7).unwrap());
+        assert_eq!(back, b"secret-");
+    }
 }

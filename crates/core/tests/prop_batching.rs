@@ -9,7 +9,8 @@
 //! count as batches.
 
 use cubicle_core::{
-    impl_component, Builder, ComponentImage, CubicleError, CubicleId, IsolationMode, System, Value,
+    impl_component, Builder, ComponentImage, CubicleError, CubicleId, IsolationMode, System,
+    SystemConfig, Value,
 };
 use cubicle_mpk::insn::CodeImage;
 use cubicle_mpk::rng::Rng64;
@@ -25,8 +26,10 @@ const MAX_ELEMS: usize = 12;
 
 fn boot() -> (System, CubicleId, CubicleId) {
     let b = Builder::new();
-    let mut sys = System::new(IsolationMode::Full);
-    sys.set_fault_containment(true);
+    let mut sys = System::new(SystemConfig {
+        fault_containment: true,
+        ..IsolationMode::Full.into()
+    });
     let a = sys
         .load(
             ComponentImage::new("A", CodeImage::plain(256)).heap_pages(MAX_ELEMS + 2),

@@ -8,7 +8,8 @@
 //! never escapes the offending compartment.
 
 use cubicle_core::{
-    impl_component, Builder, ComponentImage, CubicleError, CubicleId, IsolationMode, System, Value,
+    impl_component, Builder, ComponentImage, CubicleError, CubicleId, IsolationMode, System,
+    SystemConfig, Value,
 };
 use cubicle_mpk::insn::CodeImage;
 use cubicle_mpk::rng::Rng64;
@@ -44,8 +45,10 @@ fn node_image(i: usize) -> ComponentImage {
 fn audit_stays_clean_under_random_fault_storms() {
     for case in 0..CASES {
         let mut rng = Rng64::new(0xFA17_0000 + case);
-        let mut sys = System::new(IsolationMode::Full);
-        sys.set_fault_containment(true);
+        let mut sys = System::new(SystemConfig {
+            fault_containment: true,
+            ..IsolationMode::Full.into()
+        });
 
         let mut ids: Vec<CubicleId> = Vec::new();
         let mut bufs: Vec<VAddr> = Vec::new();

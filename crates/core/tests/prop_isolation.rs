@@ -9,7 +9,8 @@
 //! [`Rng64`] so the suite builds fully offline.
 
 use cubicle_core::{
-    impl_component, ComponentImage, CubicleError, CubicleId, IsolationMode, System, WindowId,
+    impl_component, ComponentImage, CubicleError, CubicleId, IsolationMode, System, SystemConfig,
+    WindowId,
 };
 use cubicle_mpk::insn::CodeImage;
 use cubicle_mpk::rng::Rng64;
@@ -42,7 +43,10 @@ fn rand_op(rng: &mut Rng64) -> WinOp {
 fn window_acl_algebra_never_leaks() {
     for case in 0..48u64 {
         let mut rng = Rng64::new(0xAC1_0000 + case);
-        let mut sys = System::with_cost_model(IsolationMode::Full, CostModel::free());
+        let mut sys = System::new(SystemConfig {
+            cost: CostModel::free(),
+            ..IsolationMode::Full.into()
+        });
         let owner = sys
             .load(
                 ComponentImage::new("OWNER", CodeImage::plain(64)),

@@ -3,11 +3,20 @@
 //! detection on vs off, the audit's sanitizer class, and the
 //! fault-audit export block the harnesses grep.
 
-use cubicle_core::{impl_component, ComponentImage, IsolationMode, System};
+use cubicle_core::{impl_component, ComponentImage, IsolationMode, System, SystemConfig};
 use cubicle_mpk::insn::CodeImage;
 
 struct Dummy;
 impl_component!(Dummy);
+
+/// A Full-mode kernel on `cores` cores, with CubicleSan on or off.
+fn kernel(cores: usize, race_detection: bool) -> System {
+    System::new(SystemConfig {
+        cores,
+        race_detection,
+        ..IsolationMode::Full.into()
+    })
+}
 
 fn load_plain(sys: &mut System, name: &str) -> cubicle_core::LoadedComponent {
     sys.load(
@@ -20,9 +29,8 @@ fn load_plain(sys: &mut System, name: &str) -> cubicle_core::LoadedComponent {
 /// A deterministic multi-core workload that takes every monitor lock:
 /// heap traffic (Ledger), window grants (Windows), trap-and-map faults
 /// (PageMeta) and the cross-core grant-cache hits they warm
-/// (GrantCache), spread over 4 cores.
+/// (GrantCache), spread over 4 cores (`sys` must have at least 4).
 fn multicore_workload(sys: &mut System) {
-    sys.set_num_cores(4);
     let a = load_plain(sys, "A");
     let b = load_plain(sys, "B");
     let b_cid = b.cid;
@@ -47,9 +55,7 @@ fn multicore_workload(sys: &mut System) {
 
 #[test]
 fn seeded_lock_elision_reports_exactly_that_pair() {
-    let mut sys = System::new(IsolationMode::Full);
-    sys.set_race_detection(true);
-    sys.set_num_cores(2);
+    let mut sys = kernel(2, true);
 
     // The well-behaved half on core 0, the elided write on core 1 with
     // no intervening lock traffic: no happens-before edge, no common
@@ -73,8 +79,7 @@ fn seeded_lock_elision_reports_exactly_that_pair() {
 
 #[test]
 fn clean_multicore_run_is_silent() {
-    let mut sys = System::new(IsolationMode::Full);
-    sys.set_race_detection(true);
+    let mut sys = kernel(4, true);
     multicore_workload(&mut sys);
 
     assert_eq!(sys.race_reports().len(), 0, "{:?}", sys.race_reports());
@@ -91,8 +96,7 @@ fn clean_multicore_run_is_silent() {
 #[test]
 fn detection_is_a_pure_observer_cycles_bit_identical() {
     let run = |detect: bool| -> (u64, Vec<u64>) {
-        let mut sys = System::new(IsolationMode::Full);
-        sys.set_race_detection(detect);
+        let mut sys = kernel(4, detect);
         multicore_workload(&mut sys);
         (sys.now(), (0..4).map(|i| sys.core_cycles(i)).collect())
     };
@@ -104,9 +108,7 @@ fn detection_is_a_pure_observer_cycles_bit_identical() {
 
 #[test]
 fn audit_carries_the_sanitizer_class() {
-    let mut sys = System::new(IsolationMode::Full);
-    sys.set_race_detection(true);
-    sys.set_num_cores(2);
+    let mut sys = kernel(2, true);
     sys.switch_to_core(0);
     sys.san_probe_locked_for_test();
     sys.switch_to_core(1);
@@ -126,7 +128,7 @@ fn audit_carries_the_sanitizer_class() {
 fn export_block_is_gated_on_detection() {
     // Off: the export must stay byte-free of sanitizer lines, so
     // feature-off runs are identical to the pre-sanitizer kernel.
-    let mut sys = System::new(IsolationMode::Full);
+    let mut sys = kernel(4, false);
     multicore_workload(&mut sys);
     let off = sys.export_fault_audit();
     assert!(!off.contains("races:"), "off-export leaked: {off}");
@@ -134,8 +136,7 @@ fn export_block_is_gated_on_detection() {
     assert!(!off.contains("sanitizer:"));
 
     // On and clean: exactly the lines CI greps.
-    let mut sys = System::new(IsolationMode::Full);
-    sys.set_race_detection(true);
+    let mut sys = kernel(4, true);
     multicore_workload(&mut sys);
     let on = sys.export_fault_audit();
     assert!(on.contains("races: 0\n"), "{on}");
@@ -143,9 +144,7 @@ fn export_block_is_gated_on_detection() {
     assert!(on.contains("lockset-violations: 0\n"), "{on}");
 
     // On and racy: the report line appears, greppable as non-zero.
-    let mut sys = System::new(IsolationMode::Full);
-    sys.set_race_detection(true);
-    sys.set_num_cores(2);
+    let mut sys = kernel(2, true);
     sys.switch_to_core(0);
     sys.san_probe_locked_for_test();
     sys.switch_to_core(1);
@@ -156,22 +155,21 @@ fn export_block_is_gated_on_detection() {
 }
 
 #[test]
-fn disabling_detection_clears_history() {
-    let mut sys = System::new(IsolationMode::Full);
-    sys.set_race_detection(true);
-    sys.set_num_cores(2);
+fn detection_off_records_no_history() {
+    // The seeded elision on a kernel built without CubicleSan leaves
+    // nothing behind: no reports, no lock-order edges, a clean audit.
+    let mut sys = kernel(2, false);
     sys.switch_to_core(0);
     sys.san_probe_locked_for_test();
     sys.switch_to_core(1);
     sys.san_probe_elided_for_test();
-    assert_eq!(sys.race_reports().len(), 1);
-
-    sys.set_race_detection(false);
-    assert!(!sys.race_detection_enabled());
     assert!(sys.race_reports().is_empty());
     assert_eq!(sys.lockorder_edges(), 0);
+    assert_eq!(sys.stats().race_reports, 0);
+    sys.audit().assert_clean("detection off");
 
-    // Re-enabling starts from a clean slate.
-    sys.set_race_detection(true);
+    // A kernel built with it starts from a clean slate.
+    let sys = kernel(2, true);
     assert!(sys.race_reports().is_empty());
+    assert_eq!(sys.lockorder_edges(), 0);
 }

@@ -5,16 +5,18 @@
 
 use cubicle_core::{
     impl_component, Builder, ComponentImage, CubicleError, IsolationMode, RestartPolicy, System,
-    Value,
+    SystemConfig, Value,
 };
 use cubicle_mpk::insn::CodeImage;
 
 struct Dummy;
 impl_component!(Dummy);
 
-fn boot(policy: RestartPolicy) -> (System, cubicle_core::CubicleId) {
-    let mut sys = System::new(IsolationMode::Full);
-    sys.set_restart_policy(Some(policy));
+fn boot(restart_policy: Option<RestartPolicy>) -> (System, cubicle_core::CubicleId) {
+    let mut sys = System::new(SystemConfig {
+        restart_policy,
+        ..IsolationMode::Full.into()
+    });
     let b = Builder::new();
     let v = sys
         .load(
@@ -31,10 +33,10 @@ fn boot(policy: RestartPolicy) -> (System, cubicle_core::CubicleId) {
 #[test]
 fn backoff_delays_each_incarnation_exponentially() {
     const BASE: u64 = 1_000_000;
-    let (mut sys, v) = boot(RestartPolicy {
+    let (mut sys, v) = boot(Some(RestartPolicy {
         base_backoff_cycles: BASE,
         max_restarts: 8,
-    });
+    }));
 
     // Generation 0: the first restart must wait base × 2^0 cycles from
     // the quarantine timestamp (the teardown itself burns cycles, so the
@@ -79,10 +81,10 @@ fn backoff_delays_each_incarnation_exponentially() {
 
 #[test]
 fn strikes_exhausted_means_permanent_quarantine() {
-    let (mut sys, v) = boot(RestartPolicy {
+    let (mut sys, v) = boot(Some(RestartPolicy {
         base_backoff_cycles: 10,
         max_restarts: 3,
-    });
+    }));
 
     for strike in 1..=3 {
         sys.quarantine(v, "crash loop").unwrap();
@@ -112,11 +114,7 @@ fn strikes_exhausted_means_permanent_quarantine() {
 
 #[test]
 fn no_policy_means_immediate_restart() {
-    let (mut sys, v) = boot(RestartPolicy {
-        base_backoff_cycles: 1_000,
-        max_restarts: 1,
-    });
-    sys.set_restart_policy(None);
+    let (mut sys, v) = boot(None);
     for _ in 0..4 {
         sys.quarantine(v, "crash").unwrap();
         sys.restart(v).unwrap(); // no delay, no strike budget

@@ -4,7 +4,8 @@
 //! serving.
 
 use cubicle_core::{
-    impl_component, Builder, ComponentImage, CubicleError, CubicleId, IsolationMode, System, Value,
+    impl_component, Builder, ComponentImage, CubicleError, CubicleId, IsolationMode, System,
+    SystemConfig, Value,
 };
 use cubicle_mpk::insn::CodeImage;
 
@@ -12,10 +13,15 @@ struct Node;
 impl_component!(Node);
 
 /// Loads a driver, a callee that busy-loops `spin_forever` for far more
-/// cycles than any budget allows, and a healthy echo pair.
-fn setup() -> (System, CubicleId, CubicleId) {
+/// cycles than any budget allows, and a healthy echo pair, on a kernel
+/// with the given containment policy and default cycle budget.
+fn setup(fault_containment: bool, cycle_budget: Option<u64>) -> (System, CubicleId, CubicleId) {
     let b = Builder::new();
-    let mut sys = System::new(IsolationMode::Full);
+    let mut sys = System::new(SystemConfig {
+        fault_containment,
+        cycle_budget,
+        ..IsolationMode::Full.into()
+    });
     let app = sys
         .load(
             ComponentImage::new("APP", CodeImage::plain(4096)).heap_pages(32),
@@ -66,9 +72,7 @@ fn setup() -> (System, CubicleId, CubicleId) {
 
 #[test]
 fn runaway_callee_times_out_and_caller_sees_etimedout() {
-    let (mut sys, app, spinner) = setup();
-    sys.set_fault_containment(true);
-    sys.set_cycle_budget(Some(10_000));
+    let (mut sys, app, spinner) = setup(true, Some(10_000));
 
     // The runaway call is cut short: the callee is quarantined mid-call
     // and the unwind converts the trip to -ETIMEDOUT at the caller.
@@ -106,8 +110,7 @@ fn runaway_callee_times_out_and_caller_sees_etimedout() {
 
 #[test]
 fn watchdog_trip_without_containment_surfaces_typed_error() {
-    let (mut sys, app, spinner) = setup();
-    sys.set_cycle_budget(Some(10_000));
+    let (mut sys, app, spinner) = setup(false, Some(10_000));
     let r = sys.run_in_cubicle(app, |sys| sys.call("spin_forever", &[]));
     assert!(
         matches!(r, Err(CubicleError::CycleBudgetExceeded { cubicle }) if cubicle == spinner),
@@ -118,9 +121,7 @@ fn watchdog_trip_without_containment_surfaces_typed_error() {
 
 #[test]
 fn restart_recovers_a_timed_out_cubicle() {
-    let (mut sys, app, spinner) = setup();
-    sys.set_fault_containment(true);
-    sys.set_cycle_budget(Some(10_000));
+    let (mut sys, app, spinner) = setup(true, Some(10_000));
     let r = sys.run_in_cubicle(app, |sys| sys.call("spin_forever", &[]));
     assert_eq!(r.unwrap().as_i64(), -110);
 
@@ -135,11 +136,9 @@ fn restart_recovers_a_timed_out_cubicle() {
 
 #[test]
 fn edge_budget_overrides_the_global_default() {
-    let (mut sys, app, spinner) = setup();
-    sys.set_fault_containment(true);
     // Global budget generous enough for the spin loop; the specific
     // APP→SPIN edge gets a tight override.
-    sys.set_cycle_budget(Some(u64::MAX / 2));
+    let (mut sys, app, spinner) = setup(true, Some(u64::MAX / 2));
     sys.set_edge_cycle_budget(app, spinner, Some(10_000));
     let r = sys.run_in_cubicle(app, |sys| sys.call("spin_forever", &[]));
     assert_eq!(r.unwrap().as_i64(), -110, "edge override trips first");
@@ -148,9 +147,7 @@ fn edge_budget_overrides_the_global_default() {
 
 #[test]
 fn generous_budget_never_trips() {
-    let (mut sys, app, _spinner) = setup();
-    sys.set_fault_containment(true);
-    sys.set_cycle_budget(Some(u64::MAX / 2));
+    let (mut sys, app, _spinner) = setup(true, Some(u64::MAX / 2));
     let r = sys.run_in_cubicle(app, |sys| sys.call("spin_quick", &[]));
     assert_eq!(r.unwrap().as_i64(), 7);
     let r = sys.run_in_cubicle(app, |sys| sys.call("echo", &[Value::I64(9)]));
@@ -166,9 +163,8 @@ fn generous_budget_never_trips() {
 fn budget_accounting_is_cycle_exact_when_disarmed() {
     // Arming and never tripping must not change simulated cycles: the
     // watchdog polls state, it does not charge the workload.
-    let (mut plain, a1, _) = setup();
-    let (mut armed, a2, _) = setup();
-    armed.set_cycle_budget(Some(u64::MAX / 2));
+    let (mut plain, a1, _) = setup(false, None);
+    let (mut armed, a2, _) = setup(false, Some(u64::MAX / 2));
     for sys_app in [(&mut plain, a1), (&mut armed, a2)] {
         let (sys, app) = sys_app;
         let r = sys.run_in_cubicle(app, |sys| sys.call("spin_quick", &[]));

@@ -1,7 +1,7 @@
 //! Deployment boot and a siege-like load driver (paper §6.3).
 
 use crate::server::{image as nginx_image, Httpd, HttpdProxy};
-use cubicle_core::{CubicleError, CubicleId, IsolationMode, Result, System};
+use cubicle_core::{CubicleError, CubicleId, Result, System, SystemConfig};
 use cubicle_net::{boot_net, NetStack, SimClient, WireModel};
 use cubicle_ramfs::{mount_at, Ramfs};
 use cubicle_ukbase::{boot_base, BaseSystem};
@@ -37,13 +37,14 @@ pub struct WebDeployment {
 /// HTTP server port used by the deployment.
 pub const HTTP_PORT: u16 = 80;
 
-/// Boots the full web deployment in the given isolation mode.
+/// Boots the full web deployment on a kernel built with `config` — an
+/// [`cubicle_core::IsolationMode`] alone, or a full [`SystemConfig`].
 ///
 /// # Errors
 ///
 /// Loader or initialisation failures.
-pub fn boot_web(mode: IsolationMode) -> Result<WebDeployment> {
-    let mut sys = System::new(mode);
+pub fn boot_web(config: impl Into<SystemConfig>) -> Result<WebDeployment> {
+    let mut sys = System::new(config);
     let base = boot_base(&mut sys)?;
     let vfs_loaded = sys.load(cubicle_vfs::image(), Box::new(Vfs::default()))?;
     let ramfs_loaded = sys.load(cubicle_ramfs::image(), Box::new(Ramfs::default()))?;

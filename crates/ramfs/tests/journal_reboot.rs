@@ -3,7 +3,9 @@
 //! microrebooted, and every acknowledged file comes back bit-for-bit —
 //! the tree is *not* re-populated by the test.
 
-use cubicle_core::{impl_component, ComponentImage, CubicleId, Errno, IsolationMode, System};
+use cubicle_core::{
+    impl_component, ComponentImage, CubicleId, Errno, IsolationMode, System, SystemConfig,
+};
 use cubicle_mpk::insn::CodeImage;
 use cubicle_ramfs::{install_journal, mount_at, Ramfs};
 use cubicle_ukbase::{boot_base, BaseSystem};
@@ -27,7 +29,10 @@ struct Stack {
 /// journal's custodian (`journal_pages == 0` skips the journal — the
 /// pre-journal baseline).
 fn boot(journal_pages: usize) -> Stack {
-    let mut sys = System::new(IsolationMode::Full);
+    let mut sys = System::new(SystemConfig {
+        fault_containment: true,
+        ..IsolationMode::Full.into()
+    });
     let base = boot_base(&mut sys).unwrap();
     let vfs_loaded = sys
         .load(cubicle_vfs::image(), Box::new(Vfs::default()))
@@ -55,7 +60,6 @@ fn boot(journal_pages: usize) -> Stack {
         )
         .unwrap();
     sys.mark_boot_complete();
-    sys.set_fault_containment(true);
     Stack {
         sys,
         app: app.cid,

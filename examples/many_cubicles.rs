@@ -2,14 +2,16 @@
 //! 16 hardware keys.
 //!
 //! Without virtualisation the 16th isolated component fails to load
-//! (MPK has 15 usable keys beside the monitor's). With
-//! `enable_key_virtualisation`, cubicles share a pool of physical keys:
+//! (MPK has 15 usable keys beside the monitor's). Built with
+//! `SystemConfig::key_virtualisation`, cubicles share a pool of physical keys:
 //! entering a parked cubicle binds it, evicting the least-recently-used
 //! binding, whose pages are lazily faulted back in by trap-and-map.
 //!
 //! Run with: `cargo run --example many_cubicles`
 
-use cubicleos::kernel::{impl_component, ComponentImage, CubicleError, IsolationMode, System};
+use cubicleos::kernel::{
+    impl_component, ComponentImage, CubicleError, IsolationMode, System, SystemConfig,
+};
 use cubicleos::mpk::insn::CodeImage;
 use cubicleos::mpk::CoreScheduler;
 
@@ -38,8 +40,14 @@ fn main() {
     }
 
     // ---- 40 compartments with the virtualisation layer ----------------
-    let mut sys = System::new(IsolationMode::Full);
-    sys.enable_key_virtualisation();
+    // Four simulated cores: boot runs on core 0, the others come up at
+    // the first core switch of the multi-core leg below.
+    const CORES: usize = 4;
+    let mut sys = System::new(SystemConfig {
+        key_virtualisation: true,
+        cores: CORES,
+        ..IsolationMode::Full.into()
+    });
     let workers: Vec<_> = (0..40)
         .map(|i| {
             sys.load(
@@ -97,8 +105,6 @@ fn main() {
     // entries overlap and the monitor hands every overlapping call frame
     // its own pooled stack (the primary stack's busy window covers the
     // other cores' entry times).
-    const CORES: usize = 4;
-    sys.set_num_cores(CORES);
     let hot = workers[0];
     let mut sched = CoreScheduler::new(42, CORES);
     for _ in 0..32 {
