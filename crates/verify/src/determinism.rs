@@ -190,24 +190,7 @@ pub fn check_source(file: &Path, src: &str, maps: &BTreeSet<String>) -> Vec<Find
 ///
 /// Propagates I/O errors from directory walking / file reading.
 pub fn check_crate_sources(crate_dir: &Path) -> std::io::Result<(Vec<Finding>, usize)> {
-    let mut files = Vec::new();
-    let mut stack = vec![crate_dir.join("src")];
-    while let Some(dir) = stack.pop() {
-        let mut entries: Vec<_> = std::fs::read_dir(&dir)?
-            .collect::<std::io::Result<Vec<_>>>()?
-            .into_iter()
-            .map(|e| e.path())
-            .collect();
-        entries.sort();
-        for path in entries {
-            if path.is_dir() {
-                stack.push(path);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                let text = std::fs::read_to_string(&path)?;
-                files.push((path, text));
-            }
-        }
-    }
+    let files = crate::rust_sources(&crate_dir.join("src"))?;
     let mut maps = BTreeSet::new();
     for (_, text) in &files {
         collect_map_idents(text, &mut maps);

@@ -5,8 +5,9 @@
 //! cache and the heap ledger. CubicleSan checks the discipline
 //! *dynamically* (vector clocks + locksets over an actual run); this pass
 //! is the static half: every **mutation site** of one of the four
-//! structures in `crates/core/src/system.rs` must appear lexically inside
-//! a matching lock-acquire scope, within the same function.
+//! structures in the monitor module — `crates/core/src/system.rs` and
+//! every file under `crates/core/src/system/` — must appear lexically
+//! inside a matching lock-acquire scope, within the same function.
 //!
 //! The scope model is deliberately simple — a per-function counter per
 //! lock, incremented on `lock_acquire(MonitorLock::X)` (or
@@ -55,8 +56,22 @@ const HEAP_MUT: &[&str] = &["alloc", "free", "reset", "add_region"];
 /// annotates.
 const MARKER_RANGE: usize = 2;
 
-/// Checks one source file (normally `crates/core/src/system.rs`).
-/// `file` labels findings.
+/// Checks the whole monitor module under `core_src` (a crate's `src/`
+/// directory): `system.rs` and every file of its `system/` submodule
+/// directory. Returns the findings and the number of files checked.
+///
+/// # Errors
+///
+/// Propagates I/O errors from directory walking / file reading.
+pub fn check_monitor(core_src: &Path) -> std::io::Result<(Vec<Finding>, usize)> {
+    let root = core_src.join("system.rs");
+    let mut files = vec![(root.clone(), std::fs::read_to_string(&root)?)];
+    files.extend(crate::rust_sources(&core_src.join("system"))?);
+    let findings = files.iter().flat_map(|(p, t)| check_source(p, t)).collect();
+    Ok((findings, files.len()))
+}
+
+/// Checks one monitor source file. `file` labels findings.
 pub fn check_source(file: &Path, src: &str) -> Vec<Finding> {
     let all = lex(src);
     // Markers live in a side table; the scanning stream must not have

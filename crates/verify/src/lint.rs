@@ -187,29 +187,9 @@ fn check_std_path(
 ///
 /// Propagates I/O errors from directory walking / file reading.
 pub fn lint_crate_sources(crate_dir: &Path) -> std::io::Result<(Vec<Finding>, usize)> {
-    let mut findings = Vec::new();
-    let mut scanned = 0;
-    let src = crate_dir.join("src");
-    let mut stack = vec![src];
-    while let Some(dir) = stack.pop() {
-        // collect and sort for deterministic output order
-        let mut entries: Vec<_> = std::fs::read_dir(&dir)?
-            .collect::<std::io::Result<Vec<_>>>()?
-            .into_iter()
-            .map(|e| e.path())
-            .collect();
-        entries.sort();
-        for path in entries {
-            if path.is_dir() {
-                stack.push(path);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                let text = std::fs::read_to_string(&path)?;
-                findings.extend(lint_source(&path, &text));
-                scanned += 1;
-            }
-        }
-    }
-    Ok((findings, scanned))
+    let files = crate::rust_sources(&crate_dir.join("src"))?;
+    let findings = files.iter().flat_map(|(p, t)| lint_source(p, t)).collect();
+    Ok((findings, files.len()))
 }
 
 #[cfg(test)]

@@ -145,6 +145,24 @@ fn lock_discipline_fixture_fires_per_elision() {
 }
 
 #[test]
+fn lock_discipline_walks_every_monitor_file() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("fixtures")
+        .join("monitor");
+    let (findings, scanned) = discipline::check_monitor(&src).expect("fixture readable");
+    assert_eq!(scanned, 2, "root file plus one submodule file");
+    assert_eq!(findings.len(), 1, "{findings:#?}");
+    let f = &findings[0];
+    assert_eq!(f.rule, Rule::LockDiscipline);
+    assert!(f.file.ends_with("system/trap.rs"), "{f}");
+    assert!(
+        f.message.contains("record_owner") && f.message.contains("page_meta"),
+        "{f}"
+    );
+}
+
+#[test]
 fn unsorted_iter_fixture_fires_and_marker_fixture_is_clean() {
     let (bad_path, bad_text) = fixture("bad_unsorted_iter.rs");
     let mut maps = BTreeSet::new();
