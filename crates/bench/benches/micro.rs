@@ -492,6 +492,59 @@ fn bench_sql_commit(results: &mut BenchResults) {
     }
 }
 
+/// One WAL checkpoint folding a fixed set of 64 committed pages back
+/// into the db file, on the calibrated SQLite deployment cubench and
+/// Figure 6 run (`build_sqlite`: RAMFS split out, the Unikraft boundary
+/// tax on every SQLITE→VFSCORE call): eight staging vectors, each one
+/// vectored read out of the log and one vectored write into the file.
+/// The recorded `sim_cycles` cover the checkpoint only; the commit that
+/// refills the log before each wall-clock iteration is excluded.
+fn bench_sql_wal_checkpoint(results: &mut BenchResults) {
+    use cubicle_bench::scenario::{build_sqlite, Partitioning, UNIKRAFT_BOUNDARY_TAX};
+    use cubicle_sqldb::pager::{Pager, DB_PAGE};
+    use cubicle_sqldb::storage::CubicleEnv;
+    use cubicle_vfs::VfsPort;
+    const PAGES: u32 = 64;
+
+    let mut dep = build_sqlite(
+        IsolationMode::Full,
+        Partitioning::Split,
+        UNIKRAFT_BOUNDARY_TAX,
+    )
+    .unwrap();
+    let (app, vfs, ramfs) = (dep.app, dep.vfs, dep.ramfs_cid);
+    let mut pager = dep.sys.run_in_cubicle(app, |sys| {
+        let port = VfsPort::new(sys, vfs, &[ramfs]).unwrap();
+        let mut pager = Pager::open(sys, Box::new(CubicleEnv::new(port)), "/ckpt.db", 256).unwrap();
+        pager.begin(sys).unwrap();
+        for _ in 0..PAGES {
+            pager.allocate_page(sys).unwrap();
+        }
+        pager.commit(sys).unwrap();
+        assert!(pager.checkpoint(sys).unwrap());
+        pager
+    });
+    let refill = |sys: &mut System, pager: &mut Pager| {
+        pager.begin(sys).unwrap();
+        for pno in 1..=PAGES {
+            pager.write_page(sys, pno, &[pno as u8; DB_PAGE]).unwrap();
+        }
+        pager.commit(sys).unwrap();
+    };
+
+    let sys = &mut dep.sys;
+    sys.run_in_cubicle(app, |sys| refill(sys, &mut pager));
+    let c0 = sys.now();
+    sys.run_in_cubicle(app, |sys| assert!(pager.checkpoint(sys).unwrap()));
+    let cycles = sys.now() - c0;
+    bench_function(results, "sql_wal_checkpoint", cycles, || {
+        sys.run_in_cubicle(app, |sys| {
+            refill(sys, &mut pager);
+            assert!(pager.checkpoint(sys).unwrap());
+        });
+    });
+}
+
 fn main() {
     let mut results = BenchResults::new();
     bench_cross_call(&mut results);
@@ -504,6 +557,7 @@ fn main() {
     bench_fig7_large_file(&mut results);
     bench_speedtest_statement(&mut results);
     bench_sql_commit(&mut results);
+    bench_sql_wal_checkpoint(&mut results);
     let path = BenchResults::default_path();
     results.save(&path).unwrap();
     println!("\nresults written to {}", path.display());

@@ -435,6 +435,36 @@ impl StorageFile for CrashFile {
         }
     }
 
+    fn pread_vec(
+        &mut self,
+        sys: &mut System,
+        segs: &mut [(u64, &mut [u8])],
+    ) -> cubicle_sqldb::Result<()> {
+        self.inner.pread_vec(sys, segs)
+    }
+
+    /// Ticks once per segment, so trace indices count the same writes as
+    /// a scalar loop would. An unarmed vector travels whole; an armed one
+    /// lands its prefix segments plus the torn cut, then dies.
+    fn pwrite_vec(&mut self, sys: &mut System, segs: &[(u64, &[u8])]) -> cubicle_sqldb::Result<()> {
+        if self.dead() {
+            return Err(SqlError::Io(Errno::Efault.neg()));
+        }
+        for (i, &(off, data)) in segs.iter().enumerate() {
+            if let Some(cut) = self.tick(OpKind::Write { len: data.len() }) {
+                let mut landed = segs[..i].to_vec();
+                if cut > 0 {
+                    landed.push((off, &data[..cut.min(data.len())]));
+                }
+                if !landed.is_empty() {
+                    self.inner.pwrite_vec(sys, &landed)?;
+                }
+                return die(sys).map(|_| ());
+            }
+        }
+        self.inner.pwrite_vec(sys, segs)
+    }
+
     fn size(&mut self, sys: &mut System) -> cubicle_sqldb::Result<u64> {
         self.inner.size(sys)
     }

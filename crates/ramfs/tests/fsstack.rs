@@ -2,7 +2,9 @@
 //! the component graph of the paper's Figure 8, exercised through real
 //! windows and trap-and-map.
 
-use cubicle_core::{impl_component, ComponentImage, CubicleId, Errno, IsolationMode, System};
+use cubicle_core::{
+    impl_component, ComponentImage, CubicleError, CubicleId, Errno, IsolationMode, System,
+};
 use cubicle_mpk::insn::CodeImage;
 use cubicle_ramfs::{mount_at, Ramfs};
 use cubicle_ukbase::{boot_base, BaseSystem};
@@ -344,4 +346,35 @@ fn isolation_holds_across_the_stack() {
     let app = stack.app;
     let denied = stack.sys.run_in_cubicle(app, |sys| sys.read_vec(target, 8));
     assert!(denied.is_err(), "app must not read RAMFS pages");
+}
+
+#[test]
+fn refused_vectored_call_leaves_no_window_or_iov_behind() {
+    // A segment in a page the app does not own makes `window_add` fail
+    // half-way through publishing the vector; the port must still
+    // destroy the window and free the iov staging it allocated.
+    let mut stack = boot(IsolationMode::Full);
+    let ramfs_cid = stack.backends[0];
+    let foreign = stack.sys.heap_alloc_for(ramfs_cid, 4096, 4096).unwrap();
+    let app = stack.app;
+    with_port(&mut stack, |sys, port| {
+        let fd = port
+            .open(sys, "/vec", flags::O_CREAT | flags::O_RDWR)
+            .unwrap();
+        let before = (
+            sys.cubicle(app).window_count(),
+            sys.cubicle(app).heap.in_use(),
+        );
+        let err = port.pwrite_vec(sys, fd, &[(foreign, 4096, 0)]).unwrap_err();
+        assert!(matches!(err, CubicleError::NotOwner { .. }), "got {err:?}");
+        let after = (
+            sys.cubicle(app).window_count(),
+            sys.cubicle(app).heap.in_use(),
+        );
+        assert_eq!(
+            after, before,
+            "(windows, heap bytes) after a refused vector"
+        );
+        port.close(sys, fd).unwrap();
+    });
 }

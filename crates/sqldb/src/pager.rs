@@ -20,7 +20,7 @@
 //! and pay a cross-cubicle round trip per page.
 
 use crate::error::{Result, SqlError};
-use crate::storage::{StorageEnv, StorageFile};
+use crate::storage::{StorageEnv, StorageFile, VEC_STAGING};
 use crate::wal::Wal;
 use cubicle_core::{RecoveryEvent, System};
 use std::collections::{HashMap, HashSet};
@@ -370,13 +370,19 @@ impl Pager {
             self.txn_index.insert(0, off);
             self.stats.wal_frames += 1;
         } else {
+            // One write carries every frame, the commit record last.
             let last = *dirty.last().expect("non-empty");
-            for pno in dirty {
-                let db_size = if pno == last { self.page_count } else { 0 };
-                let entry = self.cache.get_mut(&pno).expect("listed above");
-                let wal = self.wal.as_mut().expect("wal mode");
-                let off = wal.append_frame(sys, pno, db_size, &entry.data)?;
-                entry.dirty = false;
+            let frames: Vec<(u32, u32, &[u8])> = dirty
+                .iter()
+                .map(|&pno| {
+                    let db_size = if pno == last { self.page_count } else { 0 };
+                    (pno, db_size, &self.cache[&pno].data[..])
+                })
+                .collect();
+            let wal = self.wal.as_mut().expect("wal mode");
+            let offs = wal.append_frames(sys, &frames)?;
+            for (pno, off) in dirty.into_iter().zip(offs) {
+                self.cache.get_mut(&pno).expect("listed above").dirty = false;
                 self.txn_index.insert(pno, off);
                 self.stats.wal_frames += 1;
             }
@@ -537,15 +543,24 @@ impl Pager {
         let mut pnos: Vec<u32> = self.committed_index.keys().copied().collect();
         pnos.sort_unstable();
         let todo = limit.unwrap_or(pnos.len()).min(pnos.len());
-        let mut data = vec![0u8; DB_PAGE];
-        for &pno in &pnos[..todo] {
-            let off = self.committed_index[&pno];
+        // Fold one staging vector at a time: one vectored read gathers
+        // the pages out of the log, one vectored write scatters them
+        // into the db file.
+        let step = VEC_STAGING / DB_PAGE;
+        let mut buf = vec![0u8; step * DB_PAGE];
+        for chunk in pnos[..todo].chunks(step) {
+            let offs: Vec<u64> = chunk.iter().map(|pno| self.committed_index[pno]).collect();
+            let data = &mut buf[..chunk.len() * DB_PAGE];
             self.wal
                 .as_mut()
                 .expect("checked above")
-                .read_page_at(sys, off, &mut data)?;
-            self.file
-                .pwrite(sys, u64::from(pno) * DB_PAGE as u64, &data)?;
+                .read_pages_at(sys, &offs, data)?;
+            let segs: Vec<(u64, &[u8])> = chunk
+                .iter()
+                .zip(data.chunks_exact(DB_PAGE))
+                .map(|(&pno, page)| (u64::from(pno) * DB_PAGE as u64, page))
+                .collect();
+            self.file.pwrite_vec(sys, &segs)?;
         }
         if todo < pnos.len() {
             return Ok(false);

@@ -11,9 +11,9 @@
 //!   window management, Table 2).
 
 use crate::error::{Result, SqlError};
-use cubicle_core::System;
+use cubicle_core::{Errno, System};
 use cubicle_mpk::VAddr;
-use cubicle_vfs::{flags, VfsPort};
+use cubicle_vfs::{flags, VfsPort, IOV_MAX};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -33,6 +33,40 @@ pub trait StorageFile {
     ///
     /// [`SqlError::Io`] with a negative errno.
     fn pwrite(&mut self, sys: &mut System, off: u64, data: &[u8]) -> Result<usize>;
+
+    /// Reads every `(file_off, buf)` segment in full, in order. The
+    /// default loops [`StorageFile::pread`]; a backend that can move a
+    /// whole vector in one call overrides it.
+    ///
+    /// # Errors
+    ///
+    /// [`SqlError::Io`] with a negative errno; `-EIO` when a segment
+    /// comes back short (past end of file).
+    fn pread_vec(&mut self, sys: &mut System, segs: &mut [(u64, &mut [u8])]) -> Result<()> {
+        for (off, buf) in segs.iter_mut() {
+            if self.pread(sys, *off, buf)? < buf.len() {
+                return short_transfer();
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes every `(file_off, data)` segment in full, in order. The
+    /// default loops [`StorageFile::pwrite`]; see
+    /// [`StorageFile::pread_vec`].
+    ///
+    /// # Errors
+    ///
+    /// [`SqlError::Io`] with a negative errno; `-EIO` when a segment is
+    /// written short.
+    fn pwrite_vec(&mut self, sys: &mut System, segs: &[(u64, &[u8])]) -> Result<()> {
+        for &(off, data) in segs {
+            if self.pwrite(sys, off, data)? < data.len() {
+                return short_transfer();
+            }
+        }
+        Ok(())
+    }
 
     /// Current file size.
     ///
@@ -187,20 +221,21 @@ impl CubicleEnv {
     }
 }
 
-/// Staging buffer size for file I/O (two DB pages).
+/// Staging buffer size for scalar file I/O (two DB pages). A transfer
+/// of at most this many bytes is one scalar `vfs_pread`/`vfs_pwrite`.
 const STAGING: usize = 8192;
 
-/// Staging slots used by the batched (vectored) read path: one backend
-/// dispatch covers up to this many [`STAGING`]-sized segments.
-const VEC_SLOTS: usize = 4;
+/// Staging area of the vectored path: one `vfs_pread_vec` /
+/// `vfs_pwrite_vec` carries at most this many bytes (eight DB pages).
+/// Streaming callers (the checkpoint fold) size their steps by it.
+pub const VEC_STAGING: usize = 4 * STAGING;
 
 struct CubicleFile {
     port: VfsPort,
     fd: i64,
     staging: VAddr,
-    /// Lazily-allocated [`VEC_SLOTS`]`× STAGING` staging area for the
-    /// batched path (only materialises on the first read larger than
-    /// [`STAGING`]).
+    /// Lazily-allocated [`VEC_STAGING`]-byte staging area for the
+    /// vectored path (materialises on the first vectored transfer).
     vec_staging: Option<VAddr>,
 }
 
@@ -208,60 +243,133 @@ fn io_err<T>(code: i64) -> Result<T> {
     Err(SqlError::Io(code))
 }
 
+fn short_transfer<T>() -> Result<T> {
+    io_err(Errno::Eio.neg())
+}
+
+/// A vectored transfer either moves every byte or is `-EIO`.
+fn all_moved(moved: usize, segs: &[(u64, usize)]) -> Result<()> {
+    if moved < segs.iter().map(|&(_, len)| len).sum() {
+        return short_transfer();
+    }
+    Ok(())
+}
+
+/// One staged piece of a vectored transfer: `len` bytes at `pos` within
+/// segment `seg`, staged at `addr` and moved to or from `file_off`.
+#[derive(Clone, Copy)]
+struct Piece {
+    seg: usize,
+    pos: usize,
+    addr: VAddr,
+    len: usize,
+    file_off: u64,
+}
+
+/// Packs `(file_off, len)` segments back to back into staging areas of
+/// [`VEC_STAGING`] bytes at `base`, one area per vector of at most
+/// [`IOV_MAX`] pieces. A segment that does not fit the rest of an area
+/// is split across two vectors.
+fn plan_vectors(base: VAddr, segs: &[(u64, usize)]) -> Vec<Vec<Piece>> {
+    let mut vectors: Vec<Vec<Piece>> = Vec::new();
+    let mut used = 0usize;
+    for (seg, &(file_off, len)) in segs.iter().enumerate() {
+        let mut pos = 0usize;
+        while pos < len {
+            if vectors
+                .last()
+                .is_none_or(|v| used == VEC_STAGING || v.len() == IOV_MAX)
+            {
+                vectors.push(Vec::new());
+                used = 0;
+            }
+            let take = (len - pos).min(VEC_STAGING - used);
+            vectors.last_mut().expect("pushed above").push(Piece {
+                seg,
+                pos,
+                addr: base + used,
+                len: take,
+                file_off: file_off + pos as u64,
+            });
+            used += take;
+            pos += take;
+        }
+    }
+    vectors
+}
+
 impl CubicleFile {
     fn vec_staging(&mut self, sys: &mut System) -> Result<VAddr> {
         if let Some(base) = self.vec_staging {
             return Ok(base);
         }
-        let base = sys.heap_alloc(VEC_SLOTS * STAGING, 4096)?;
+        let base = sys.heap_alloc(VEC_STAGING, 4096)?;
         self.vec_staging = Some(base);
         Ok(base)
     }
 
-    /// Multi-page fetch: up to [`VEC_SLOTS`]
-    /// staging segments travel to the backend in one vectored VFS call
-    /// (one crossing instead of one per [`STAGING`] chunk).
-    fn pread_batched(&mut self, sys: &mut System, off: u64, buf: &mut [u8]) -> Result<usize> {
+    /// The one vectored routine behind `pread_vec`, `pwrite_vec` and
+    /// every contiguous transfer larger than [`STAGING`]. Each vector of
+    /// [`plan_vectors`] costs one SQLITE→VFSCORE crossing and one batched
+    /// VFSCORE→RAMFS dispatch; `copy` moves one piece between the
+    /// caller's buffer and the staging area (before the call when
+    /// writing, after it when reading). Stops at the first short vector
+    /// and returns the bytes moved.
+    fn transfer_vec(
+        &mut self,
+        sys: &mut System,
+        segs: &[(u64, usize)],
+        write: bool,
+        mut copy: impl FnMut(&mut System, Piece) -> Result<()>,
+    ) -> Result<usize> {
+        if segs.iter().all(|&(_, len)| len == 0) {
+            return Ok(0);
+        }
         let base = self.vec_staging(sys)?;
-        let mut done = 0usize;
-        while done < buf.len() {
-            let round = (buf.len() - done).min(VEC_SLOTS * STAGING);
-            let mut segs: Vec<(VAddr, usize, u64)> = Vec::new();
-            let mut o = 0usize;
-            while o < round {
-                let c = (round - o).min(STAGING);
-                segs.push((base + segs.len() * STAGING, c, off + (done + o) as u64));
-                o += c;
+        let mut moved = 0usize;
+        for vector in plan_vectors(base, segs) {
+            if write {
+                for &p in &vector {
+                    copy(sys, p)?;
+                }
             }
-            let n = self.port.pread_vec(sys, self.fd, &segs)?;
+            let iov: Vec<(VAddr, usize, u64)> =
+                vector.iter().map(|p| (p.addr, p.len, p.file_off)).collect();
+            let n = if write {
+                self.port.pwrite_vec(sys, self.fd, &iov)?
+            } else {
+                self.port.pread_vec(sys, self.fd, &iov)?
+            };
             if n < 0 {
                 return io_err(n);
             }
-            if n == 0 {
-                break;
-            }
-            let mut copied = 0usize;
-            for &(addr, c, _) in &segs {
-                if copied >= n as usize {
-                    break;
+            let n = n as usize;
+            if !write {
+                let mut left = n;
+                for &p in &vector {
+                    if left == 0 {
+                        break;
+                    }
+                    let len = p.len.min(left);
+                    copy(sys, Piece { len, ..p })?;
+                    left -= len;
                 }
-                let take = (n as usize - copied).min(c);
-                sys.read(addr, &mut buf[done + copied..done + copied + take])?;
-                copied += take;
             }
-            done += n as usize;
-            if (n as usize) < round {
+            moved += n;
+            if n < vector.iter().map(|p| p.len).sum::<usize>() {
                 break;
             }
         }
-        Ok(done)
+        Ok(moved)
     }
 }
 
 impl StorageFile for CubicleFile {
     fn pread(&mut self, sys: &mut System, off: u64, buf: &mut [u8]) -> Result<usize> {
         if buf.len() > STAGING {
-            return self.pread_batched(sys, off, buf);
+            return self.transfer_vec(sys, &[(off, buf.len())], false, |sys, p| {
+                Ok(sys.read(p.addr, &mut buf[p.pos..p.pos + p.len])?)
+            });
         }
         if buf.is_empty() {
             return Ok(0);
@@ -279,19 +387,40 @@ impl StorageFile for CubicleFile {
     }
 
     fn pwrite(&mut self, sys: &mut System, off: u64, data: &[u8]) -> Result<usize> {
-        let mut done = 0;
-        while done < data.len() {
-            let chunk = (data.len() - done).min(STAGING);
-            sys.write(self.staging, &data[done..done + chunk])?;
-            let n = self
-                .port
-                .pwrite(sys, self.fd, self.staging, chunk, off + done as u64)?;
-            if n < 0 {
-                return io_err(n);
-            }
-            done += n as usize;
+        if data.len() > STAGING {
+            self.pwrite_vec(sys, &[(off, data)])?;
+            return Ok(data.len());
         }
-        Ok(done)
+        if data.is_empty() {
+            return Ok(0);
+        }
+        sys.write(self.staging, data)?;
+        let n = self
+            .port
+            .pwrite(sys, self.fd, self.staging, data.len(), off)?;
+        if n < 0 {
+            return io_err(n);
+        }
+        if (n as usize) < data.len() {
+            return short_transfer();
+        }
+        Ok(data.len())
+    }
+
+    fn pread_vec(&mut self, sys: &mut System, segs: &mut [(u64, &mut [u8])]) -> Result<()> {
+        let lens: Vec<(u64, usize)> = segs.iter().map(|(off, buf)| (*off, buf.len())).collect();
+        let moved = self.transfer_vec(sys, &lens, false, |sys, p| {
+            Ok(sys.read(p.addr, &mut segs[p.seg].1[p.pos..p.pos + p.len])?)
+        })?;
+        all_moved(moved, &lens)
+    }
+
+    fn pwrite_vec(&mut self, sys: &mut System, segs: &[(u64, &[u8])]) -> Result<()> {
+        let lens: Vec<(u64, usize)> = segs.iter().map(|&(off, data)| (off, data.len())).collect();
+        let moved = self.transfer_vec(sys, &lens, true, |sys, p| {
+            Ok(sys.write(p.addr, &segs[p.seg].1[p.pos..p.pos + p.len])?)
+        })?;
+        all_moved(moved, &lens)
     }
 
     fn size(&mut self, sys: &mut System) -> Result<u64> {
@@ -350,7 +479,7 @@ impl StorageEnv for CubicleEnv {
 
     fn unlink(&mut self, sys: &mut System, path: &str) -> Result<()> {
         let r = self.port.unlink(sys, path)?;
-        if r < 0 && r != cubicle_core::Errno::Enoent.neg() {
+        if r < 0 && r != Errno::Enoent.neg() {
             return io_err(r);
         }
         Ok(())
@@ -359,7 +488,7 @@ impl StorageEnv for CubicleEnv {
     fn exists(&mut self, sys: &mut System, path: &str) -> Result<bool> {
         match self.port.stat(sys, path)? {
             Ok(_) => Ok(true),
-            Err(e) if e == cubicle_core::Errno::Enoent.neg() => Ok(false),
+            Err(e) if e == Errno::Enoent.neg() => Ok(false),
             Err(e) => io_err(e),
         }
     }

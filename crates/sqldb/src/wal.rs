@@ -289,10 +289,8 @@ impl Wal {
         Ok(recovery)
     }
 
-    /// Appends one frame and returns the offset of its page data.
-    /// `db_size != 0` makes the frame a commit record. The frame is not
-    /// durable until [`Wal::sync`], nor part of the committed prefix
-    /// until [`Wal::mark_committed`].
+    /// Appends one frame and returns the offset of its page data: the
+    /// one-frame case of [`Wal::append_frames`].
     ///
     /// # Errors
     ///
@@ -308,22 +306,48 @@ impl Wal {
         db_size: u32,
         data: &[u8],
     ) -> Result<u64> {
-        assert_eq!(data.len(), DB_PAGE, "frames carry exactly one page");
-        let checksum = frame_checksum(self.chain, pno, db_size, data);
-        let mut frame = Vec::with_capacity(FRAME_SIZE as usize);
-        frame.extend_from_slice(&pno.to_le_bytes());
-        frame.extend_from_slice(&db_size.to_le_bytes());
-        frame.extend_from_slice(&checksum.to_le_bytes());
-        frame.extend_from_slice(data);
-        self.file.pwrite(sys, self.end, &frame)?;
-        let data_off = self.end + FRAME_HEADER as u64;
-        self.end += FRAME_SIZE;
-        self.chain = checksum;
-        Ok(data_off)
+        Ok(self.append_frames(sys, &[(pno, db_size, data)])?[0])
+    }
+
+    /// Appends `(pno, db_size, page)` frames in order with one write and
+    /// returns the offset of each frame's page data. `db_size != 0`
+    /// makes a frame a commit record; a commit passes its record last.
+    /// The frames are not durable until [`Wal::sync`], nor part of the
+    /// committed prefix until [`Wal::mark_committed`].
+    ///
+    /// # Errors
+    ///
+    /// I/O errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a page is not exactly [`DB_PAGE`] bytes.
+    pub fn append_frames(
+        &mut self,
+        sys: &mut System,
+        frames: &[(u32, u32, &[u8])],
+    ) -> Result<Vec<u64>> {
+        let mut bytes = Vec::with_capacity(frames.len() * FRAME_SIZE as usize);
+        let mut chain = self.chain;
+        for &(pno, db_size, data) in frames {
+            assert_eq!(data.len(), DB_PAGE, "frames carry exactly one page");
+            chain = frame_checksum(chain, pno, db_size, data);
+            bytes.extend_from_slice(&pno.to_le_bytes());
+            bytes.extend_from_slice(&db_size.to_le_bytes());
+            bytes.extend_from_slice(&chain.to_le_bytes());
+            bytes.extend_from_slice(data);
+        }
+        self.file.pwrite(sys, self.end, &bytes)?;
+        let data_offs = (0..frames.len() as u64)
+            .map(|i| self.end + i * FRAME_SIZE + FRAME_HEADER as u64)
+            .collect();
+        self.end += bytes.len() as u64;
+        self.chain = chain;
+        Ok(data_offs)
     }
 
     /// Reads one page image out of the log at `data_off` (an offset
-    /// previously returned by [`Wal::append_frame`] or found in a
+    /// previously returned by [`Wal::append_frames`] or found in a
     /// [`WalRecovery`] index).
     ///
     /// # Errors
@@ -332,6 +356,31 @@ impl Wal {
     pub fn read_page_at(&mut self, sys: &mut System, data_off: u64, buf: &mut [u8]) -> Result<()> {
         self.file.pread(sys, data_off, buf)?;
         Ok(())
+    }
+
+    /// Reads the page images at `data_offs` into consecutive
+    /// [`DB_PAGE`]-byte slices of `buf` with one vectored read.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors; `-EIO` when a page lies past the end of the log.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `buf` holds exactly one page per offset.
+    pub fn read_pages_at(
+        &mut self,
+        sys: &mut System,
+        data_offs: &[u64],
+        buf: &mut [u8],
+    ) -> Result<()> {
+        assert_eq!(buf.len(), data_offs.len() * DB_PAGE, "one page per offset");
+        let mut segs: Vec<(u64, &mut [u8])> = data_offs
+            .iter()
+            .copied()
+            .zip(buf.chunks_exact_mut(DB_PAGE))
+            .collect();
+        self.file.pread_vec(sys, &mut segs)
     }
 
     /// Makes everything appended so far durable.

@@ -113,15 +113,21 @@ impl VfsPort {
         f: impl FnOnce(&mut System) -> Result<T>,
     ) -> Result<T> {
         let wid: WindowId = sys.window_init();
+        let out = self.publish(sys, wid, ranges).and_then(|()| f(sys));
+        // Destroyed on every path: a window left behind by a failed
+        // `window_add` would outlive the call.
+        sys.window_destroy(wid)?;
+        out
+    }
+
+    fn publish(&self, sys: &mut System, wid: WindowId, ranges: &[(VAddr, usize)]) -> Result<()> {
         for &(buf, len) in ranges {
             sys.window_add(wid, buf, len)?;
         }
         for &cid in &self.grantees {
             sys.window_open(wid, cid)?;
         }
-        let out = f(sys);
-        sys.window_destroy(wid)?;
-        out
+        Ok(())
     }
 
     /// `open(path, flags)` → fd or `-errno`.
@@ -221,18 +227,22 @@ impl VfsPort {
     ) -> Result<i64> {
         let iov = encode_iov(segments);
         let iov_buf = sys.heap_alloc(iov.len().max(1), 8)?;
-        sys.write(iov_buf, &iov)?;
         let mut ranges: Vec<(VAddr, usize)> = vec![(iov_buf, iov.len().max(1))];
         ranges.extend(segments.iter().map(|&(a, l, _)| (a, l)));
-        let r = self.with_windows(sys, &ranges, |sys| {
-            if write {
-                self.proxy.pwrite_vec(sys, fd, iov_buf, iov.len())
-            } else {
-                self.proxy.pread_vec(sys, fd, iov_buf, iov.len())
-            }
-        })?;
-        sys.heap_free(iov_buf)?;
-        Ok(r)
+        let r = sys.write(iov_buf, &iov).and_then(|()| {
+            self.with_windows(sys, &ranges, |sys| {
+                if write {
+                    self.proxy.pwrite_vec(sys, fd, iov_buf, iov.len())
+                } else {
+                    self.proxy.pread_vec(sys, fd, iov_buf, iov.len())
+                }
+            })
+        });
+        // Freed on every path, like the window; the call's own error
+        // wins over a failed free.
+        let freed = sys.heap_free(iov_buf);
+        let r = r?;
+        freed.map(|()| r)
     }
 
     /// `sendfile_map(fd, peer)` → the file's extent page addresses, or
