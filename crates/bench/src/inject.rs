@@ -465,6 +465,38 @@ impl StorageFile for CrashFile {
         self.inner.pwrite_vec(sys, segs)
     }
 
+    fn vfs_fd(&self) -> Option<i64> {
+        self.inner.vfs_fd()
+    }
+
+    /// Ticks once per segment, like [`CrashFile::pwrite_vec`], so the
+    /// trace counts the same writes whichever transport a fold takes. An
+    /// unarmed copy travels whole; an armed one lands its prefix segments
+    /// plus a torn copy of `cut` bytes of the armed segment, then dies.
+    fn copy_from(
+        &mut self,
+        sys: &mut System,
+        src: &mut dyn StorageFile,
+        segs: &[(u64, u64, usize)],
+    ) -> cubicle_sqldb::Result<()> {
+        if self.dead() {
+            return Err(SqlError::Io(Errno::Efault.neg()));
+        }
+        for (i, &(src_off, dst_off, len)) in segs.iter().enumerate() {
+            if let Some(cut) = self.tick(OpKind::Write { len }) {
+                let mut landed = segs[..i].to_vec();
+                if cut > 0 {
+                    landed.push((src_off, dst_off, cut.min(len)));
+                }
+                if !landed.is_empty() {
+                    self.inner.copy_from(sys, src, &landed)?;
+                }
+                return die(sys).map(|_| ());
+            }
+        }
+        self.inner.copy_from(sys, src, segs)
+    }
+
     fn size(&mut self, sys: &mut System) -> cubicle_sqldb::Result<u64> {
         self.inner.size(sys)
     }

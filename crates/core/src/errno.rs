@@ -29,6 +29,8 @@ pub enum Errno {
     Efault = 14,
     /// File exists.
     Eexist = 17,
+    /// Cross-device link: the two descriptors live on different mounts.
+    Exdev = 18,
     /// Not a directory.
     Enotdir = 20,
     /// Is a directory.
@@ -81,6 +83,7 @@ impl Errno {
             13 => Errno::Eacces,
             14 => Errno::Efault,
             17 => Errno::Eexist,
+            18 => Errno::Exdev,
             20 => Errno::Enotdir,
             21 => Errno::Eisdir,
             22 => Errno::Einval,
@@ -109,6 +112,7 @@ impl fmt::Display for Errno {
             Errno::Eacces => "EACCES",
             Errno::Efault => "EFAULT",
             Errno::Eexist => "EEXIST",
+            Errno::Exdev => "EXDEV",
             Errno::Enotdir => "ENOTDIR",
             Errno::Eisdir => "EISDIR",
             Errno::Einval => "EINVAL",
@@ -144,6 +148,7 @@ mod tests {
             Errno::Eacces,
             Errno::Efault,
             Errno::Eexist,
+            Errno::Exdev,
             Errno::Enotdir,
             Errno::Eisdir,
             Errno::Einval,

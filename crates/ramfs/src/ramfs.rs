@@ -36,6 +36,15 @@ struct SendfileMap {
     peers: Vec<CubicleId>,
 }
 
+/// Where the bytes of a store come from.
+#[derive(Clone, Copy)]
+enum Bytes<'a> {
+    /// Already inside `RAMFS` (a journaled payload, a copied range).
+    Local(&'a [u8]),
+    /// The caller's buffer, reached through its window.
+    Caller(VAddr),
+}
+
 /// State of the `RAMFS` component.
 #[derive(Debug)]
 pub struct Ramfs {
@@ -169,6 +178,56 @@ impl Ramfs {
             sys.window_destroy(m.wid)?;
         }
         Ok(())
+    }
+
+    /// The store step behind `ramfs_write` and `ramfs_copy_range`: grows
+    /// `ino` to cover `[off, off + n)` (revoking any live sendfile
+    /// mapping first, since the extent set changes under it), copies the
+    /// `n` bytes of `src` into the extent pages and raises the size.
+    /// `Ok(Err(-errno))` is a domain error.
+    fn store(
+        &mut self,
+        sys: &mut System,
+        ino: i64,
+        off: u64,
+        n: usize,
+        src: Bytes<'_>,
+    ) -> Result<std::result::Result<(), i64>> {
+        let needed_pages = (off as usize + n).div_ceil(PAGE_SIZE);
+        let grows = match self.file_mut(ino) {
+            Ok((_, extents)) => extents.len() < needed_pages,
+            Err(e) => return Ok(Err(e)),
+        };
+        if grows {
+            self.drop_sendfile_map(sys, ino)?;
+        }
+        while self.file_mut(ino).expect("checked").1.len() < needed_pages {
+            let page = self.take_page(sys)?;
+            self.file_mut(ino).expect("checked").1.push(page);
+        }
+        let extents = self.file_mut(ino).expect("checked").1.clone();
+        let mut copied = 0usize;
+        while copied < n {
+            let pos = off as usize + copied;
+            let (pi, po) = (pos / PAGE_SIZE, pos % PAGE_SIZE);
+            let chunk = (PAGE_SIZE - po).min(n - copied);
+            let dst = extents[pi] + po;
+            let r = match src {
+                Bytes::Local(data) => sys.write(dst, &data[copied..copied + chunk]),
+                Bytes::Caller(buf) => cubicle_ukbase::libc::memcpy(sys, dst, buf + copied, chunk),
+            };
+            match r {
+                Ok(()) => {}
+                Err(cubicle_core::CubicleError::WindowDenied { .. }) => {
+                    return Ok(Err(Errno::Eacces.neg()))
+                }
+                Err(e) => return Err(e),
+            }
+            copied += chunk;
+        }
+        let (size, _) = self.file_mut(ino).expect("checked");
+        *size = (*size).max(off + n as u64);
+        Ok(Ok(()))
     }
 
     // ------------------------------------------------------------------
@@ -461,6 +520,14 @@ pub fn image() -> ComponentImage {
             b.export("long ramfs_unmap_extents(long ino)").unwrap(),
             e_unmap_extents,
         )
+        .export(
+            b.export(
+                "long ramfs_copy_range(long ino_in, uint64_t off_in, long ino_out, \
+                 uint64_t off_out, size_t n)",
+            )
+            .unwrap(),
+            e_copy_range,
+        )
 }
 
 /// Fills `VFSCORE`'s callback table with this backend's entries.
@@ -484,6 +551,7 @@ pub fn fs_ops(loaded: &LoadedComponent) -> Result<FsOps> {
         is_dir: loaded.entry("ramfs_is_dir")?,
         map_extents: loaded.entry("ramfs_map_extents")?,
         unmap_extents: loaded.entry("ramfs_unmap_extents")?,
+        copy_range: loaded.entry("ramfs_copy_range")?,
     })
 }
 
@@ -715,63 +783,65 @@ fn e_write(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result
             None
         }
     };
-    // Grow extents to cover [off, off+n).
-    let needed_pages = (off as usize + n).div_ceil(PAGE_SIZE);
-    {
-        let fs = component_mut::<Ramfs>(this);
-        let grows = match fs.file_mut(ino) {
-            Ok((_, extents)) => extents.len() < needed_pages,
-            Err(e) => return Ok(Value::I64(e)),
-        };
-        if grows {
-            // The extent set is about to change under any live sendfile
-            // mapping — revoke it so stale extent lists carry no authority.
-            fs.drop_sendfile_map(sys, ino)?;
-        }
-        while {
-            let fs = component_mut::<Ramfs>(this);
-            let (_, extents) = fs.file_mut(ino).expect("checked");
-            extents.len() < needed_pages
-        } {
-            let page = {
-                let fs = component_mut::<Ramfs>(this);
-                fs.take_page(sys)?
-            };
-            let fs = component_mut::<Ramfs>(this);
-            let (_, extents) = fs.file_mut(ino).expect("checked");
-            extents.push(page);
-        }
-    }
-    let extents = {
-        let fs = component_mut::<Ramfs>(this);
-        let (_, extents) = fs.file_mut(ino).expect("checked");
-        extents.clone()
+    let fs = component_mut::<Ramfs>(this);
+    let src = match &payload {
+        Some(data) => Bytes::Local(data),
+        None => Bytes::Caller(buf),
     };
-    // Copy caller's buffer → extent pages.
+    match fs.store(sys, ino, off, n, src)? {
+        Ok(()) => Ok(Value::I64(n as i64)),
+        Err(e) => Ok(Value::I64(e)),
+    }
+}
+
+/// `copy_range(ino_in, off_in, ino_out, off_out, n)` → bytes copied: the
+/// in-backend half of `copy_file_range`. The source bytes are read into
+/// a local buffer first (so a copy within one file may overlap), logged
+/// as an ordinary `Write` record, and stored through the same step as
+/// `ramfs_write`. No caller memory is touched: the bytes never leave
+/// `RAMFS`. A source shorter than `off_in + n` gives a short count.
+fn e_copy_range(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<Value> {
+    sys.charge(RAMFS_OP_COST);
+    let ino_in = args[0].as_i64();
+    let off_in = args[1].as_u64();
+    let ino_out = args[2].as_i64();
+    let off_out = args[3].as_u64();
+    let fs = component_mut::<Ramfs>(this);
+    if let Err(e) = fs.file_mut(ino_out) {
+        return Ok(Value::I64(e));
+    }
+    let (size, extents) = match fs.file_mut(ino_in) {
+        Ok((size, extents)) => (*size, extents.clone()),
+        Err(e) => return Ok(Value::I64(e)),
+    };
+    if off_in >= size {
+        return Ok(Value::I64(0)); // EOF
+    }
+    let n = args[4].as_u64().min(size - off_in) as usize;
+    let mut data = vec![0u8; n];
     let mut copied = 0usize;
     while copied < n {
-        let pos = off as usize + copied;
-        let page_idx = pos / PAGE_SIZE;
-        let page_off = pos % PAGE_SIZE;
-        let chunk = (PAGE_SIZE - page_off).min(n - copied);
-        let dst = extents[page_idx] + page_off;
-        let r = match &payload {
-            Some(data) => sys.write(dst, &data[copied..copied + chunk]),
-            None => cubicle_ukbase::libc::memcpy(sys, dst, buf + copied, chunk),
-        };
-        match r {
-            Ok(()) => {}
-            Err(cubicle_core::CubicleError::WindowDenied { .. }) => {
-                return Ok(Value::I64(Errno::Eacces.neg()))
-            }
-            Err(e) => return Err(e),
-        }
+        let pos = off_in as usize + copied;
+        let (pi, po) = (pos / PAGE_SIZE, pos % PAGE_SIZE);
+        let chunk = (PAGE_SIZE - po).min(n - copied);
+        sys.read(extents[pi] + po, &mut data[copied..copied + chunk])?;
         copied += chunk;
     }
-    let fs = component_mut::<Ramfs>(this);
-    let (size, _) = fs.file_mut(ino).expect("checked");
-    *size = (*size).max(off + n as u64);
-    Ok(Value::I64(n as i64))
+    let rec = JournalRecord::Write {
+        ino: ino_out as u32,
+        off: off_out,
+        data,
+    };
+    if fs.journal.is_some() {
+        fs.journal_append(sys, &rec)?;
+    }
+    let JournalRecord::Write { data, .. } = rec else {
+        unreachable!("built above");
+    };
+    match fs.store(sys, ino_out, off_out, n, Bytes::Local(&data))? {
+        Ok(()) => Ok(Value::I64(n as i64)),
+        Err(e) => Ok(Value::I64(e)),
+    }
 }
 
 fn e_truncate(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<Value> {

@@ -20,7 +20,7 @@
 //! and pay a cross-cubicle round trip per page.
 
 use crate::error::{Result, SqlError};
-use crate::storage::{StorageEnv, StorageFile, VEC_STAGING};
+use crate::storage::{StorageEnv, StorageFile};
 use crate::wal::Wal;
 use cubicle_core::{RecoveryEvent, System};
 use std::collections::{HashMap, HashSet};
@@ -540,28 +540,27 @@ impl Pager {
                 self.stats.syncs += 1;
             }
         }
-        let mut pnos: Vec<u32> = self.committed_index.keys().copied().collect();
+        // A committed frame past the database's size is never folded
+        // (SQLite's mxPage rule): an honest log holds none, and folding
+        // one would grow the file only for the truncate below to undo it.
+        let mut pnos: Vec<u32> = self
+            .committed_index
+            .keys()
+            .copied()
+            .filter(|&pno| pno < self.page_count)
+            .collect();
         pnos.sort_unstable();
         let todo = limit.unwrap_or(pnos.len()).min(pnos.len());
-        // Fold one staging vector at a time: one vectored read gathers
-        // the pages out of the log, one vectored write scatters them
-        // into the db file.
-        let step = VEC_STAGING / DB_PAGE;
-        let mut buf = vec![0u8; step * DB_PAGE];
-        for chunk in pnos[..todo].chunks(step) {
-            let offs: Vec<u64> = chunk.iter().map(|pno| self.committed_index[pno]).collect();
-            let data = &mut buf[..chunk.len() * DB_PAGE];
-            self.wal
-                .as_mut()
-                .expect("checked above")
-                .read_pages_at(sys, &offs, data)?;
-            let segs: Vec<(u64, &[u8])> = chunk
-                .iter()
-                .zip(data.chunks_exact(DB_PAGE))
-                .map(|(&pno, page)| (u64::from(pno) * DB_PAGE as u64, page))
-                .collect();
-            self.file.pwrite_vec(sys, &segs)?;
-        }
+        // One copy from the log into the db file, in page order.
+        let segs: Vec<(u64, u64, usize)> = pnos[..todo]
+            .iter()
+            .map(|pno| {
+                let at = u64::from(*pno) * DB_PAGE as u64;
+                (self.committed_index[pno], at, DB_PAGE)
+            })
+            .collect();
+        let wal = self.wal.as_mut().expect("checked above");
+        self.file.copy_from(sys, wal.file_mut(), &segs)?;
         if todo < pnos.len() {
             return Ok(false);
         }

@@ -68,6 +68,31 @@ pub trait StorageFile {
         Ok(())
     }
 
+    /// The descriptor this file holds in the `VFSCORE` stack, if it has
+    /// one. The default is `None`.
+    fn vfs_fd(&self) -> Option<i64> {
+        None
+    }
+
+    /// Copies every `(src_off, dst_off, len)` segment of `src` into this
+    /// file, in order. The default is the buffered fold: gather through
+    /// `src.pread_vec`, then scatter through [`StorageFile::pwrite_vec`],
+    /// [`VEC_STAGING`] bytes at a time. A backend that can copy between
+    /// its own files without the bytes leaving it overrides this.
+    ///
+    /// # Errors
+    ///
+    /// [`SqlError::Io`] with a negative errno; `-EIO` when a segment
+    /// comes back short (past the end of `src`).
+    fn copy_from(
+        &mut self,
+        sys: &mut System,
+        src: &mut dyn StorageFile,
+        segs: &[(u64, u64, usize)],
+    ) -> Result<()> {
+        buffered_copy(self, sys, src, segs)
+    }
+
     /// Current file size.
     ///
     /// # Errors
@@ -98,6 +123,44 @@ pub trait StorageFile {
     fn close(&mut self, _sys: &mut System) -> Result<()> {
         Ok(())
     }
+}
+
+/// [`StorageFile::copy_from`]'s default: one `pread_vec` out of `src` and
+/// one `pwrite_vec` into `dst` per step of at most [`VEC_STAGING`] bytes
+/// (a single larger segment is a step of its own).
+fn buffered_copy<F: StorageFile + ?Sized>(
+    dst: &mut F,
+    sys: &mut System,
+    src: &mut dyn StorageFile,
+    segs: &[(u64, u64, usize)],
+) -> Result<()> {
+    let mut rest = segs;
+    while !rest.is_empty() {
+        let mut take = 1;
+        let mut bytes = rest[0].2;
+        while take < rest.len() && bytes + rest[take].2 <= VEC_STAGING {
+            bytes += rest[take].2;
+            take += 1;
+        }
+        let (step, tail) = rest.split_at(take);
+        rest = tail;
+        let mut buf = vec![0u8; bytes];
+        let mut reads: Vec<(u64, &mut [u8])> = Vec::with_capacity(step.len());
+        let mut free = buf.as_mut_slice();
+        for &(src_off, _, len) in step {
+            let (piece, after) = free.split_at_mut(len);
+            reads.push((src_off, piece));
+            free = after;
+        }
+        src.pread_vec(sys, &mut reads)?;
+        let writes: Vec<(u64, &[u8])> = step
+            .iter()
+            .zip(reads)
+            .map(|(&(_, dst_off, _), (_, piece))| (dst_off, &*piece))
+            .collect();
+        dst.pwrite_vec(sys, &writes)?;
+    }
+    Ok(())
 }
 
 /// A file namespace (open / unlink / exists).
@@ -227,7 +290,7 @@ const STAGING: usize = 8192;
 
 /// Staging area of the vectored path: one `vfs_pread_vec` /
 /// `vfs_pwrite_vec` carries at most this many bytes (eight DB pages).
-/// Streaming callers (the checkpoint fold) size their steps by it.
+/// The buffered [`StorageFile::copy_from`] sizes its steps by it.
 pub const VEC_STAGING: usize = 4 * STAGING;
 
 struct CubicleFile {
@@ -421,6 +484,38 @@ impl StorageFile for CubicleFile {
             Ok(sys.write(p.addr, &segs[p.seg].1[p.pos..p.pos + p.len])?)
         })?;
         all_moved(moved, &lens)
+    }
+
+    fn vfs_fd(&self) -> Option<i64> {
+        (self.fd >= 0).then_some(self.fd)
+    }
+
+    /// One `vfs_copy_range` per [`IOV_MAX`] segments when `src` is open in
+    /// the same VFS stack: the bytes stay inside the file-system backend
+    /// and only the iov crosses. Any other source takes the buffered fold.
+    fn copy_from(
+        &mut self,
+        sys: &mut System,
+        src: &mut dyn StorageFile,
+        segs: &[(u64, u64, usize)],
+    ) -> Result<()> {
+        let Some(fd_in) = src.vfs_fd() else {
+            return buffered_copy(self, sys, src, segs);
+        };
+        for chunk in segs.chunks(IOV_MAX) {
+            let iov: Vec<(u64, usize, u64)> = chunk
+                .iter()
+                .map(|&(src_off, dst_off, len)| (src_off, len, dst_off))
+                .collect();
+            let n = self.port.copy_range(sys, fd_in, self.fd, &iov)?;
+            if n < 0 {
+                return io_err(n);
+            }
+            if (n as usize) < chunk.iter().map(|&(_, _, len)| len).sum() {
+                return short_transfer();
+            }
+        }
+        Ok(())
     }
 
     fn size(&mut self, sys: &mut System) -> Result<u64> {

@@ -358,29 +358,10 @@ impl Wal {
         Ok(())
     }
 
-    /// Reads the page images at `data_offs` into consecutive
-    /// [`DB_PAGE`]-byte slices of `buf` with one vectored read.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors; `-EIO` when a page lies past the end of the log.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `buf` holds exactly one page per offset.
-    pub fn read_pages_at(
-        &mut self,
-        sys: &mut System,
-        data_offs: &[u64],
-        buf: &mut [u8],
-    ) -> Result<()> {
-        assert_eq!(buf.len(), data_offs.len() * DB_PAGE, "one page per offset");
-        let mut segs: Vec<(u64, &mut [u8])> = data_offs
-            .iter()
-            .copied()
-            .zip(buf.chunks_exact_mut(DB_PAGE))
-            .collect();
-        self.file.pread_vec(sys, &mut segs)
+    /// The log's file, as the source of a checkpoint's
+    /// [`StorageFile::copy_from`].
+    pub fn file_mut(&mut self) -> &mut dyn StorageFile {
+        self.file.as_mut()
     }
 
     /// Makes everything appended so far durable.

@@ -1,9 +1,11 @@
-//! The vectored WAL path against a model: a checkpoint folds its pages,
-//! and a commit appends its frames, through `StorageFile::pread_vec` /
-//! `pwrite_vec` (one VFS crossing per staging vector on the cubicle
-//! stack). The same seeded sequence runs on the in-process [`HostEnv`]
-//! (the scalar default implementations) and on the isolated SQLITE →
-//! VFSCORE → RAMFS stack; the two must agree byte for byte.
+//! The vectored WAL path against a model: a commit appends its frames
+//! through `StorageFile::pwrite_vec` (one VFS crossing per staging vector
+//! on the cubicle stack), and a checkpoint folds its pages through
+//! `StorageFile::copy_from` (one `vfs_copy_range` per 64 pages, the bytes
+//! never leaving RAMFS). The same seeded sequence runs on the in-process
+//! [`HostEnv`] (the buffered default implementations) and on the
+//! isolated SQLITE → VFSCORE → RAMFS stack; the two must agree byte for
+//! byte.
 
 use cubicle_core::{impl_component, ComponentImage, CubicleId, IsolationMode, System, TraceEvent};
 use cubicle_mpk::insn::CodeImage;
@@ -11,7 +13,7 @@ use cubicle_mpk::rng::Rng64;
 use cubicle_ramfs::{mount_at, Ramfs};
 use cubicle_sqldb::pager::{Pager, DB_PAGE};
 use cubicle_sqldb::storage::{CubicleEnv, HostEnv, StorageEnv};
-use cubicle_sqldb::wal::wal_path;
+use cubicle_sqldb::wal::{wal_path, Wal};
 use cubicle_sqldb::{Database, SqlValue};
 use cubicle_ukbase::boot_base;
 use cubicle_vfs::{Vfs, VfsPort, VfsProxy};
@@ -345,22 +347,23 @@ fn count(calls: &HashMap<String, u64>, name: &str) -> u64 {
 }
 
 #[test]
-fn checkpoint_of_n_pages_makes_one_vectored_write_per_eight() {
+fn checkpoint_of_n_pages_makes_one_copy_range_per_sixty_four() {
     let mut side = Side::cubicle();
     side.sys.enable_tracing(1 << 20);
+    let (app, vfs) = (side.app.unwrap(), side.vfs.unwrap());
     let env = side.env();
     let mut pager = side.run(|sys| Pager::open(sys, env, DB, 256).unwrap());
     let mut rng = Rng64::new(8);
     side.run(|sys| {
         pager.begin(sys).unwrap();
-        for _ in 0..70 {
+        for _ in 0..140 {
             let pno = pager.allocate_page(sys).unwrap();
             pager.write_page(sys, pno, &page_image(&mut rng)).unwrap();
         }
         pager.commit(sys).unwrap();
         assert!(pager.checkpoint(sys).unwrap());
     });
-    for n in [1u32, 7, 8, 9, 16, 17, 61] {
+    for n in [1u32, 7, 8, 9, 63, 64, 65, 129] {
         side.run(|sys| {
             pager.begin(sys).unwrap();
             for pno in pages(2, n) {
@@ -368,21 +371,108 @@ fn checkpoint_of_n_pages_makes_one_vectored_write_per_eight() {
             }
             pager.commit(sys).unwrap();
         });
+        let mark = side.sys.trace().unwrap().records().last().unwrap().seq + 1;
         let (done, calls) = vfs_calls(&mut side, |sys| pager.checkpoint(sys).unwrap());
         assert!(done);
         assert_eq!(
-            count(&calls, "vfs_pwrite_vec"),
-            u64::from(n.div_ceil(8)),
+            count(&calls, "vfs_copy_range"),
+            u64::from(n.div_ceil(64)),
             "{n} pages: {calls:?}"
         );
-        assert_eq!(count(&calls, "vfs_pwrite"), 0, "{n} pages: {calls:?}");
-        assert_eq!(
-            count(&calls, "vfs_pread_vec"),
-            u64::from(n.div_ceil(8)),
-            "{n} pages: {calls:?}"
-        );
-        assert_eq!(count(&calls, "vfs_pread"), 0, "{n} pages: {calls:?}");
+        for data_call in ["vfs_pread", "vfs_pwrite", "vfs_pread_vec", "vfs_pwrite_vec"] {
+            assert_eq!(count(&calls, data_call), 0, "{n} pages: {calls:?}");
+        }
+
+        // The page bytes stay inside RAMFS: no fault lands on a SQLITE
+        // data page. Only the iov each `vfs_copy_range` stages may fault
+        // (VFSCORE reading it, SQLITE taking the page back to stage the
+        // next one), and RAMFS never touches SQLITE memory.
+        let records: Vec<_> = side
+            .sys
+            .trace()
+            .unwrap()
+            .records()
+            .filter(|r| r.seq >= mark)
+            .map(|r| r.event)
+            .collect();
+        let iov_pages: Vec<u64> = records
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::HeapAlloc {
+                    cubicle,
+                    addr,
+                    bytes,
+                } if cubicle == app => {
+                    Some(addr.raw() / 4096..=(addr.raw() + bytes as u64 - 1) / 4096)
+                }
+                _ => None,
+            })
+            .flatten()
+            .collect();
+        let mut faults = 0;
+        for e in &records {
+            if let TraceEvent::FaultResolved {
+                addr,
+                owner,
+                accessor,
+                ..
+            }
+            | TraceEvent::FaultDenied {
+                addr,
+                owner,
+                accessor,
+                ..
+            } = *e
+            {
+                if owner != app {
+                    continue;
+                }
+                faults += 1;
+                assert!(accessor == vfs || accessor == app, "{n} pages: {e:?}");
+                assert!(
+                    iov_pages.contains(&(addr.raw() / 4096)),
+                    "{n} pages: fault off the iov page: {e:?}"
+                );
+            }
+        }
+        assert!(faults > 0, "{n} pages: VFSCORE reads the staged iov");
     }
+}
+
+/// A committed frame past the database's size, as an honest log never
+/// holds one, costs the next checkpoint nothing and leaves the db file at
+/// `page_count` pages (SQLite's mxPage rule).
+#[test]
+fn checkpoint_skips_committed_frames_past_the_database_size() {
+    const FAR: u32 = 1 << 16;
+    let mut side = Side::cubicle();
+    let env = side.env();
+    side.run(|sys| {
+        let mut pager = Pager::open(sys, env, DB, 256).unwrap();
+        pager.begin(sys).unwrap();
+        let pno = pager.allocate_page(sys).unwrap();
+        pager.write_page(sys, pno, &[7u8; DB_PAGE]).unwrap();
+        pager.commit(sys).unwrap();
+        assert!(pager.checkpoint(sys).unwrap());
+        assert_eq!(pager.page_count(), 2);
+    });
+    let mut env = side.env();
+    side.run(|sys| {
+        let (mut wal, _) = Wal::open(sys, env.as_mut(), DB).unwrap();
+        wal.append_frame(sys, FAR, 2, &[9u8; DB_PAGE]).unwrap();
+        wal.sync(sys).unwrap();
+        wal.close(sys).unwrap();
+    });
+    let env = side.env();
+    let mut pager = side.run(|sys| Pager::open(sys, env, DB, 256).unwrap());
+    let start = side.sys.now();
+    side.run(|sys| assert!(pager.checkpoint(sys).unwrap()));
+    let cycles = side.sys.now() - start;
+    assert!(cycles < 1_000_000, "checkpoint took {cycles} cycles");
+    let db = side.slurp(DB);
+    assert_eq!(db.len(), 2 * DB_PAGE);
+    assert!(db[DB_PAGE..].iter().all(|&b| b == 7), "page 1 intact");
+    side.run(|sys| assert_eq!(pager.read_page(sys, 1).unwrap(), vec![7u8; DB_PAGE]));
 }
 
 #[test]

@@ -100,6 +100,11 @@ pub struct FsOps {
     /// `long unmap_extents(long ino)` → 0. Drops one reference taken by
     /// `map_extents`; the backend destroys the window at zero.
     pub unmap_extents: EntryId,
+    /// `long copy_range(long ino_in, uint64_t off_in, long ino_out,
+    /// uint64_t off_out, size_t n)` → bytes copied, short at the source's
+    /// end of file. The bytes move inside the backend, never through a
+    /// caller buffer (`copy_file_range`).
+    pub copy_range: EntryId,
 }
 
 #[cfg(test)]

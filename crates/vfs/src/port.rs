@@ -14,7 +14,7 @@
 //! traffic for the data path only.
 
 use crate::ops::FileStat;
-use crate::vfs::{encode_iov, VfsProxy};
+use crate::vfs::{encode_iov, encode_triples, VfsProxy};
 use cubicle_core::{CubicleId, Result, System, WindowId};
 use cubicle_mpk::VAddr;
 
@@ -112,22 +112,7 @@ impl VfsPort {
         ranges: &[(VAddr, usize)],
         f: impl FnOnce(&mut System) -> Result<T>,
     ) -> Result<T> {
-        let wid: WindowId = sys.window_init();
-        let out = self.publish(sys, wid, ranges).and_then(|()| f(sys));
-        // Destroyed on every path: a window left behind by a failed
-        // `window_add` would outlive the call.
-        sys.window_destroy(wid)?;
-        out
-    }
-
-    fn publish(&self, sys: &mut System, wid: WindowId, ranges: &[(VAddr, usize)]) -> Result<()> {
-        for &(buf, len) in ranges {
-            sys.window_add(wid, buf, len)?;
-        }
-        for &cid in &self.grantees {
-            sys.window_open(wid, cid)?;
-        }
-        Ok(())
+        with_windows_for(sys, ranges, &self.grantees, f)
     }
 
     /// `open(path, flags)` → fd or `-errno`.
@@ -225,24 +210,44 @@ impl VfsPort {
         segments: &[(VAddr, usize, u64)],
         write: bool,
     ) -> Result<i64> {
+        let data: Vec<(VAddr, usize)> = segments.iter().map(|&(a, l, _)| (a, l)).collect();
         let iov = encode_iov(segments);
-        let iov_buf = sys.heap_alloc(iov.len().max(1), 8)?;
-        let mut ranges: Vec<(VAddr, usize)> = vec![(iov_buf, iov.len().max(1))];
-        ranges.extend(segments.iter().map(|&(a, l, _)| (a, l)));
-        let r = sys.write(iov_buf, &iov).and_then(|()| {
-            self.with_windows(sys, &ranges, |sys| {
-                if write {
-                    self.proxy.pwrite_vec(sys, fd, iov_buf, iov.len())
-                } else {
-                    self.proxy.pread_vec(sys, fd, iov_buf, iov.len())
-                }
-            })
-        });
-        // Freed on every path, like the window; the call's own error
-        // wins over a failed free.
-        let freed = sys.heap_free(iov_buf);
-        let r = r?;
-        freed.map(|()| r)
+        with_staged_iov(sys, &iov, &data, &self.grantees, |sys, iov_buf| {
+            if write {
+                self.proxy.pwrite_vec(sys, fd, iov_buf, iov.len())
+            } else {
+                self.proxy.pread_vec(sys, fd, iov_buf, iov.len())
+            }
+        })
+    }
+
+    /// `copy_range(fd_in, fd_out, segments)`: copies `(off_in, len,
+    /// off_out)` segments of `fd_in` into `fd_out` inside the file-system
+    /// backend (`copy_file_range`). Only the staged iov crosses, in a
+    /// window opened for `VFSCORE` alone: the backend never touches this
+    /// cubicle's memory, so the vector costs one VFS crossing plus one
+    /// batched backend dispatch and moves no file bytes between cubicles.
+    ///
+    /// # Errors
+    ///
+    /// Kernel errors from the cross-cubicle call.
+    pub fn copy_range(
+        &self,
+        sys: &mut System,
+        fd_in: i64,
+        fd_out: i64,
+        segments: &[(u64, usize, u64)],
+    ) -> Result<i64> {
+        let iov = encode_triples(
+            segments
+                .iter()
+                .map(|&(off_in, len, off_out)| [off_in, len as u64, off_out]),
+        );
+        let vfs = [self.proxy.cid()];
+        with_staged_iov(sys, &iov, &[], &vfs, |sys, iov_buf| {
+            self.proxy
+                .copy_range(sys, fd_in, fd_out, iov_buf, iov.len())
+        })
     }
 
     /// `sendfile_map(fd, peer)` → the file's extent page addresses, or
@@ -431,4 +436,58 @@ impl VfsPort {
         sys.heap_free(buf)?;
         Ok(out)
     }
+}
+
+/// [`VfsPort::with_windows`] opened for `peers` only.
+fn with_windows_for<T>(
+    sys: &mut System,
+    ranges: &[(VAddr, usize)],
+    peers: &[CubicleId],
+    f: impl FnOnce(&mut System) -> Result<T>,
+) -> Result<T> {
+    let wid: WindowId = sys.window_init();
+    let out = publish(sys, wid, ranges, peers).and_then(|()| f(sys));
+    // Destroyed on every path: a window left behind by a failed
+    // `window_add` would outlive the call.
+    sys.window_destroy(wid)?;
+    out
+}
+
+fn publish(
+    sys: &mut System,
+    wid: WindowId,
+    ranges: &[(VAddr, usize)],
+    peers: &[CubicleId],
+) -> Result<()> {
+    for &(buf, len) in ranges {
+        sys.window_add(wid, buf, len)?;
+    }
+    for &cid in peers {
+        sys.window_open(wid, cid)?;
+    }
+    Ok(())
+}
+
+/// Stages a vectored call's `iov` in a heap allocation, publishes it
+/// together with the `data` ranges under one window opened for `peers`,
+/// and runs `f` with the staged address. Window and allocation are both
+/// released on every path.
+fn with_staged_iov(
+    sys: &mut System,
+    iov: &[u8],
+    data: &[(VAddr, usize)],
+    peers: &[CubicleId],
+    f: impl FnOnce(&mut System, VAddr) -> Result<i64>,
+) -> Result<i64> {
+    let iov_buf = sys.heap_alloc(iov.len().max(1), 8)?;
+    let mut ranges: Vec<(VAddr, usize)> = vec![(iov_buf, iov.len().max(1))];
+    ranges.extend_from_slice(data);
+    let r = sys
+        .write(iov_buf, iov)
+        .and_then(|()| with_windows_for(sys, &ranges, peers, |sys| f(sys, iov_buf)));
+    // Freed on every path, like the window; the call's own error wins
+    // over a failed free.
+    let freed = sys.heap_free(iov_buf);
+    let r = r?;
+    freed.map(|()| r)
 }

@@ -23,11 +23,22 @@ pub const IOV_MAX: usize = 64;
 /// vectored entry points expect (caller stages this into memory it has
 /// windowed for `VFSCORE`).
 pub fn encode_iov(segments: &[(VAddr, usize, u64)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(segments.len() * IOV_ENTRY_SIZE);
-    for &(addr, len, off) in segments {
-        out.extend_from_slice(&addr.raw().to_le_bytes());
-        out.extend_from_slice(&(len as u64).to_le_bytes());
-        out.extend_from_slice(&off.to_le_bytes());
+    encode_triples(
+        segments
+            .iter()
+            .map(|&(addr, len, off)| [addr.raw(), len as u64, off]),
+    )
+}
+
+/// Packs u64 triples into the [`IOV_ENTRY_SIZE`]-byte wire layout every
+/// vectored entry point reads (`vfs_copy_range` carries `(off_in, len,
+/// off_out)`).
+pub(crate) fn encode_triples(triples: impl ExactSizeIterator<Item = [u64; 3]>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(triples.len() * IOV_ENTRY_SIZE);
+    for triple in triples {
+        for word in triple {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
     }
     out
 }
@@ -203,6 +214,11 @@ pub fn image() -> ComponentImage {
             b.export("long vfs_sendfile_unmap(int fd)").unwrap(),
             e_sendfile_unmap,
         )
+        .export(
+            b.export("long vfs_copy_range(int fd_in, int fd_out, const void *iov, size_t len)")
+                .unwrap(),
+            e_copy_range,
+        )
 }
 
 /// Cycles of VFS-internal work per operation (path walk, fd table).
@@ -365,14 +381,55 @@ fn backend_rw(
     Ok(total)
 }
 
+/// Reads a vectored call's iov: `len / IOV_ENTRY_SIZE` little-endian
+/// u64 triples, at most [`IOV_MAX`] of them. `Ok(Err(-errno))` for a bad
+/// length or an iov the caller did not window.
+fn read_iov(sys: &mut System, iov: &Value) -> Result<std::result::Result<Vec<[u64; 3]>, i64>> {
+    let (iov_addr, iov_len) = iov.as_buf();
+    if iov_len == 0 || iov_len % IOV_ENTRY_SIZE != 0 || iov_len / IOV_ENTRY_SIZE > IOV_MAX {
+        return Ok(Err(Errno::Einval.neg()));
+    }
+    let raw = match sys.read_vec(iov_addr, iov_len) {
+        Ok(b) => b,
+        Err(cubicle_core::CubicleError::WindowDenied { .. }) => {
+            return Ok(Err(Errno::Eacces.neg()))
+        }
+        Err(e) => return Err(e),
+    };
+    Ok(Ok(raw
+        .chunks_exact(IOV_ENTRY_SIZE)
+        .map(|c| {
+            std::array::from_fn(|i| {
+                u64::from_le_bytes(c[i * 8..i * 8 + 8].try_into().expect("24-byte chunk"))
+            })
+        })
+        .collect()))
+}
+
+/// readv/writev short-count semantics over a batch's per-segment results:
+/// the bytes moved up to and including the first short or failing
+/// segment, or that segment's errno when nothing moved at all. (Every
+/// segment of the batch has run; the count only stops reporting.)
+fn vec_total(vals: &[Value], lens: impl IntoIterator<Item = u64>) -> i64 {
+    let mut total: i64 = 0;
+    for (v, len) in vals.iter().zip(lens) {
+        let r = v.as_i64();
+        if r < 0 {
+            return if total == 0 { r } else { total };
+        }
+        total += r;
+        if r == 0 || (r as u64) < len {
+            break;
+        }
+    }
+    total
+}
+
 /// `vfs_pread_vec` / `vfs_pwrite_vec` implementation: the iov buffer
-/// carries `len / IOV_ENTRY_SIZE` little-endian `(addr, len, off)` u64
-/// triples describing caller-owned segments. The whole vector is
-/// dispatched to the backend under a single trampoline crossing
-/// ([`System::cross_call_batch`]).
-/// Returns total bytes transferred (readv/writev short-count semantics:
-/// stop at the first short or failing segment, report the errno only
-/// when nothing was transferred).
+/// carries `(addr, len, off)` triples ([`read_iov`]) describing
+/// caller-owned segments. The whole vector is dispatched to the backend
+/// under a single trampoline crossing ([`System::cross_call_batch`]) and
+/// returns the bytes transferred ([`vec_total`]).
 fn rw_vec(
     sys: &mut System,
     this: &mut dyn Component,
@@ -381,24 +438,10 @@ fn rw_vec(
 ) -> Result<Value> {
     sys.charge(VFS_OP_COST);
     let fd = args[0].as_i64();
-    let (iov_addr, iov_len) = args[1].as_buf();
-    if iov_len == 0 || iov_len % IOV_ENTRY_SIZE != 0 || iov_len / IOV_ENTRY_SIZE > IOV_MAX {
-        return Ok(Value::I64(Errno::Einval.neg()));
-    }
-    let raw = match sys.read_vec(iov_addr, iov_len) {
-        Ok(b) => b,
-        Err(cubicle_core::CubicleError::WindowDenied { .. }) => {
-            return Ok(Value::I64(Errno::Eacces.neg()))
-        }
-        Err(e) => return Err(e),
+    let iovs = match read_iov(sys, &args[1])? {
+        Ok(iovs) => iovs,
+        Err(e) => return Ok(Value::I64(e)),
     };
-    let mut iovs = Vec::with_capacity(iov_len / IOV_ENTRY_SIZE);
-    for c in raw.chunks_exact(IOV_ENTRY_SIZE) {
-        let addr = u64::from_le_bytes(c[0..8].try_into().expect("24-byte chunk"));
-        let len = u64::from_le_bytes(c[8..16].try_into().expect("24-byte chunk"));
-        let off = u64::from_le_bytes(c[16..24].try_into().expect("24-byte chunk"));
-        iovs.push((VAddr::new(addr), len as usize, off));
-    }
     let vfs = component_mut::<Vfs>(this);
     let Some(file) = vfs.file(fd).copied() else {
         return Ok(Value::I64(Errno::Ebadf.neg()));
@@ -409,7 +452,8 @@ fn rw_vec(
     // One monitor crossing for the whole vector.
     let elems: Vec<[Value; 3]> = iovs
         .iter()
-        .map(|&(addr, len, off)| {
+        .map(|&[addr, len, off]| {
+            let (addr, len) = (VAddr::new(addr), len as usize);
             let bufval = if write {
                 Value::buf_in(addr, len)
             } else {
@@ -420,21 +464,46 @@ fn rw_vec(
         .collect();
     let refs: Vec<&[Value]> = elems.iter().map(|e| e.as_slice()).collect();
     let vals = sys.cross_call_batch(entry, &refs)?;
-    let mut total: i64 = 0;
-    for (v, &(_, len, _)) in vals.iter().zip(&iovs) {
-        let r = v.as_i64();
-        if r < 0 {
-            if total == 0 {
-                return Ok(Value::I64(r));
-            }
-            break;
-        }
-        total += r;
-        if r == 0 || (r as usize) < len {
-            break;
-        }
+    Ok(Value::I64(vec_total(&vals, iovs.iter().map(|t| t[1]))))
+}
+
+/// `vfs_copy_range(fd_in, fd_out, iov, len)`: `copy_file_range` over
+/// `(off_in, len, off_out)` triples ([`read_iov`]). Both descriptors must
+/// be open on one mount; the whole vector reaches the backend in one
+/// batched dispatch. No caller bytes move, so there is no IPC packet
+/// split as in [`backend_rw`]. Returns the bytes copied ([`vec_total`]).
+fn e_copy_range(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<Value> {
+    sys.charge(VFS_OP_COST);
+    let iovs = match read_iov(sys, &args[2])? {
+        Ok(iovs) => iovs,
+        Err(e) => return Ok(Value::I64(e)),
+    };
+    let vfs = component_mut::<Vfs>(this);
+    let (Some(src), Some(dst)) = (
+        vfs.file(args[0].as_i64()).copied(),
+        vfs.file(args[1].as_i64()).copied(),
+    ) else {
+        return Ok(Value::I64(Errno::Ebadf.neg()));
+    };
+    if src.mount != dst.mount {
+        return Ok(Value::I64(Errno::Exdev.neg()));
     }
-    Ok(Value::I64(total))
+    let ops = vfs.mounts[src.mount].ops;
+    let elems: Vec<[Value; 5]> = iovs
+        .iter()
+        .map(|&[off_in, len, off_out]| {
+            [
+                Value::I64(src.ino),
+                Value::U64(off_in),
+                Value::I64(dst.ino),
+                Value::U64(off_out),
+                Value::U64(len),
+            ]
+        })
+        .collect();
+    let refs: Vec<&[Value]> = elems.iter().map(|e| e.as_slice()).collect();
+    let vals = sys.cross_call_batch(ops.copy_range, &refs)?;
+    Ok(Value::I64(vec_total(&vals, iovs.iter().map(|t| t[1]))))
 }
 
 fn e_pread_vec(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<Value> {
@@ -700,6 +769,7 @@ pub struct VfsProxy {
     readdir: EntryId,
     sendfile_map: EntryId,
     sendfile_unmap: EntryId,
+    copy_range: EntryId,
 }
 
 macro_rules! proxy_call {
@@ -736,6 +806,7 @@ impl VfsProxy {
             readdir: loaded.entry("vfs_readdir")?,
             sendfile_map: loaded.entry("vfs_sendfile_map")?,
             sendfile_unmap: loaded.entry("vfs_sendfile_unmap")?,
+            copy_range: loaded.entry("vfs_copy_range")?,
         })
     }
 
@@ -848,6 +919,33 @@ impl VfsProxy {
             sys,
             pwrite_vec,
             Value::I64(fd),
+            Value::buf_in(iov, iov_len)
+        )
+    }
+
+    /// `copy_range(fd_in, fd_out, iov, iov_len)` — `iov` points to
+    /// caller-owned memory holding `(off_in, len, off_out)` little-endian
+    /// u64 triples ([`crate::VfsPort::copy_range`] stages them). Returns
+    /// total bytes copied, with the short-count semantics of
+    /// [`VfsProxy::pread_vec`].
+    ///
+    /// # Errors
+    ///
+    /// Kernel errors from the cross-cubicle call.
+    pub fn copy_range(
+        &self,
+        sys: &mut System,
+        fd_in: i64,
+        fd_out: i64,
+        iov: VAddr,
+        iov_len: usize,
+    ) -> Result<i64> {
+        proxy_call!(
+            self,
+            sys,
+            copy_range,
+            Value::I64(fd_in),
+            Value::I64(fd_out),
             Value::buf_in(iov, iov_len)
         )
     }
