@@ -81,8 +81,8 @@ fn main() {
     audit_gate(sys, "fig05 NGINX siege");
 
     if let Some(dir) = obs {
-        assert_spans_partition(&mut dep.sys, "fig05");
-        for p in dump_observability(&mut dep.sys, &dir, "fig05").unwrap() {
+        assert_spans_partition(&dep.sys, "fig05");
+        for p in dump_observability(&dep.sys, &dir, "fig05").unwrap() {
             println!("wrote {}", p.display());
         }
     }

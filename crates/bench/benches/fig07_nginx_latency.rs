@@ -55,8 +55,8 @@ fn series(mode: IsolationMode) -> Vec<u64> {
     }
     audit_gate(&dep.sys, &format!("fig07 {mode:?}"));
     if let Some(dir) = obs {
-        assert_spans_partition(&mut dep.sys, "fig07");
-        for p in dump_observability(&mut dep.sys, &dir, "fig07").unwrap() {
+        assert_spans_partition(&dep.sys, "fig07");
+        for p in dump_observability(&dep.sys, &dir, "fig07").unwrap() {
             println!("wrote {}", p.display());
         }
     }

@@ -109,8 +109,8 @@ fn main() {
     audit_gate(&sys, "fig08 SQLite split");
 
     if let Some(dir) = obs {
-        assert_spans_partition(&mut sys, "fig08");
-        for p in dump_observability(&mut sys, &dir, "fig08").unwrap() {
+        assert_spans_partition(&sys, "fig08");
+        for p in dump_observability(&sys, &dir, "fig08").unwrap() {
             println!("wrote {}", p.display());
         }
     }

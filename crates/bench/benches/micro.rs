@@ -406,14 +406,13 @@ fn bench_speedtest_statement(results: &mut BenchResults) {
     });
 }
 
-/// Commit-path A/B: the PR-1 rollback journal against the WAL at group
-/// sizes 1/8/32, over the real cubicle stack (SQL → VFSCORE → RAMFS),
-/// where every page write and sync is a cross-cubicle call with a
-/// simulated cost. One iteration commits 8 single-row transactions and
-/// flushes; the recorded `sim_cycles` cover only that burst (the
-/// bounded-state cleanup between iterations is excluded), exposing the
-/// sync coalescing: group 8 pays one WAL sync where group 1 pays eight
-/// and the rollback journal pays journal + db write-back per txn.
+/// Commit-path A/B: the rollback journal against the WAL, over the real
+/// cubicle stack (SQL → VFSCORE → RAMFS), where every page write and
+/// sync is a cross-cubicle call with a simulated cost. One iteration
+/// commits 8 single-row transactions; the recorded `sim_cycles` cover
+/// only that burst (the bounded-state cleanup between iterations is
+/// excluded). The WAL pays one log append and one sync per commit; the
+/// rollback journal pays journal sync + db write-back + db sync per txn.
 fn bench_sql_commit(results: &mut BenchResults) {
     use cubicle_ramfs::{mount_at, Ramfs};
     use cubicle_sqldb::storage::CubicleEnv;
@@ -421,13 +420,11 @@ fn bench_sql_commit(results: &mut BenchResults) {
     use cubicle_ukbase::boot_base;
     use cubicle_vfs::{Vfs, VfsPort, VfsProxy};
 
-    let variants: [(&str, JournalMode, u32); 4] = [
-        ("sql_commit_rollback_journal", JournalMode::Rollback, 1),
-        ("sql_commit_wal_group1", JournalMode::Wal, 1),
-        ("sql_commit_wal_group8", JournalMode::Wal, 8),
-        ("sql_commit_wal_group32", JournalMode::Wal, 32),
+    let variants: [(&str, JournalMode); 2] = [
+        ("sql_commit_rollback_journal", JournalMode::Rollback),
+        ("sql_commit_wal_group1", JournalMode::Wal),
     ];
-    for (name, mode, group) in variants {
+    for (name, mode) in variants {
         let mut sys = System::new(IsolationMode::Full);
         let base = boot_base(&mut sys).unwrap();
         let vfs_loaded = sys
@@ -461,7 +458,6 @@ fn bench_sql_commit(results: &mut BenchResults) {
             db.execute(sys, "CREATE TABLE t(v INTEGER)").unwrap();
             db
         });
-        db.set_group_commit(group);
 
         let burst = |sys: &mut System, db: &mut Database| {
             for _ in 0..8 {
@@ -469,13 +465,11 @@ fn bench_sql_commit(results: &mut BenchResults) {
                 db.execute(sys, "INSERT INTO t VALUES (42)").unwrap();
                 db.execute(sys, "COMMIT").unwrap();
             }
-            db.flush(sys).unwrap();
         };
         // Keeps the data set and the WAL bounded across wall-clock
         // iterations (checkpoint is a no-op under the rollback journal).
         let cleanup = |sys: &mut System, db: &mut Database| {
             db.execute(sys, "DELETE FROM t").unwrap();
-            db.flush(sys).unwrap();
             db.query(sys, "PRAGMA wal_checkpoint").unwrap();
         };
 

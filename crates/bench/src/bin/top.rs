@@ -87,7 +87,7 @@ fn main() {
         .nth(3)
         .map_or_else(|| PathBuf::from("target/top"), PathBuf::from);
 
-    let mut sys = match scenario.as_str() {
+    let sys = match scenario.as_str() {
         "nginx" => run_nginx(work as usize),
         "sqlite" => run_sqlite(work as u32),
         _ => usage(),
@@ -95,13 +95,13 @@ fn main() {
 
     // Gates first: attribution must partition the window and the run
     // must leave the kernel invariant-clean, or this exits non-zero.
-    let window = assert_spans_partition(&mut sys, "cubicle-top");
+    let window = assert_spans_partition(&sys, "cubicle-top");
     audit_gate(&sys, &format!("cubicle-top {scenario}"));
 
     println!();
     println!("cubicle-top — {scenario}, {window} attributed cycles");
     println!("{}", "-".repeat(110));
-    print!("{}", top_table(&mut sys));
+    print!("{}", top_table(&sys));
 
     let profiler = sys.span_profiler().expect("tracing enabled");
     println!(
@@ -110,7 +110,7 @@ fn main() {
         profiler.spans_dropped(),
         sys.trace().expect("tracing enabled").dropped(),
     );
-    match dump_observability(&mut sys, &out_dir, &format!("top_{scenario}")) {
+    match dump_observability(&sys, &out_dir, &format!("top_{scenario}")) {
         Ok(paths) => {
             for p in paths {
                 println!("wrote {}", p.display());

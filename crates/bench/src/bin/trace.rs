@@ -8,12 +8,13 @@
 //! ```
 //!
 //! Defaults: scale 5, `target/traces`. Exits non-zero if the exporter
-//! counters disagree with the kernel's own statistics, so CI can use it
-//! as a smoke test.
+//! counters disagree with the kernel's own statistics, or — when the
+//! ring dropped nothing — its `Retag` / `WrPkru` records disagree with
+//! the machine's counters, so CI can use it as a smoke test.
 
 use cubicle_bench::report::{audit_gate, dump_observability, metrics_summary};
 use cubicle_bench::scenario::{build_sqlite, Partitioning, UNIKRAFT_BOUNDARY_TAX};
-use cubicle_core::IsolationMode;
+use cubicle_core::{IsolationMode, TraceEvent};
 use cubicle_sqldb::speedtest::SpeedtestConfig;
 use std::path::PathBuf;
 
@@ -45,6 +46,7 @@ fn main() {
         UNIKRAFT_BOUNDARY_TAX,
     )
     .unwrap();
+    let machine0 = dep.sys.machine_stats();
     dep.sys.enable_tracing(TRACE_CAPACITY);
     let mut db = dep.open_db(64).unwrap();
     let t0 = dep.sys.now();
@@ -61,8 +63,28 @@ fn main() {
     );
     audit_gate(&dep.sys, "trace SQLite split");
 
+    // The monitor records every retag and PKRU write it issues, so a
+    // ring that dropped nothing holds exactly the machine's counts.
+    let trace = dep.sys.trace().expect("tracing enabled");
+    if trace.dropped() == 0 {
+        let machine = dep.sys.machine_stats();
+        let count = |pick: fn(&TraceEvent) -> bool| {
+            trace.records().filter(|r| pick(&r.event)).count() as u64
+        };
+        assert_eq!(
+            count(|e| matches!(e, TraceEvent::Retag { .. })),
+            machine.retags - machine0.retags,
+            "Retag records must equal MachineStats::retags since enable_tracing"
+        );
+        assert_eq!(
+            count(|e| matches!(e, TraceEvent::WrPkru { .. })),
+            machine.wrpkru - machine0.wrpkru,
+            "WrPkru records must equal MachineStats::wrpkru since enable_tracing"
+        );
+    }
+
     let stem = format!("sqlite_split_scale{scale}");
-    let paths = match dump_observability(&mut dep.sys, &out_dir, &stem) {
+    let paths = match dump_observability(&dep.sys, &out_dir, &stem) {
         Ok(paths) => paths,
         Err(e) => {
             eprintln!("error: cannot write to {}: {e}", out_dir.display());
@@ -72,7 +94,6 @@ fn main() {
 
     println!("speedtest1 scale {scale}: {cycles} cycles, {cross_calls} cross-calls");
     println!("{}", metrics_summary(&dep.sys));
-    let trace = dep.sys.trace().expect("tracing enabled");
     println!(
         "trace ring: {} records held / {} recorded / {} dropped",
         trace.len(),

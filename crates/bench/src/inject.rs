@@ -619,8 +619,6 @@ fn open_storm_db(stack: &mut SqlStack, plan: &SharedPlan) -> cubicle_sqldb::Resu
 /// One storm's transaction mix, drawn from the seed.
 #[derive(Clone, Debug)]
 struct StormWorkload {
-    /// Group-commit size.
-    group: u32,
     /// Rows per transaction, in execution order.
     txns: Vec<u32>,
     /// `PRAGMA wal_checkpoint` runs after this (1-based) transaction.
@@ -630,7 +628,6 @@ struct StormWorkload {
 fn draw_workload(rng: &mut Rng64) -> StormWorkload {
     let n = rng.range_usize(4, 7);
     StormWorkload {
-        group: *rng.pick(&[1u32, 4, 8]),
         txns: (0..n).map(|_| rng.range_u64(1, 4) as u32).collect(),
         ckpt_after: rng.range_usize(2, 4),
     }
@@ -640,15 +637,13 @@ fn draw_workload(rng: &mut Rng64) -> StormWorkload {
 /// order, so both sets are prefixes and two high-water marks suffice.
 #[derive(Clone, Copy, Debug, Default)]
 struct StormOutcome {
-    /// Highest txn whose COMMIT returned Ok.
+    /// Highest txn whose COMMIT returned Ok — and so was synced: every
+    /// WAL commit is durable before it is acknowledged.
     acked_high: usize,
-    /// Highest txn covered by a durable WAL sync (group flushed or
-    /// checkpointed) at some point the app could observe.
-    durable_high: usize,
     /// Highest txn that at least issued its BEGIN.
     attempted: usize,
-    /// The schema setup's commit was covered by a sync.
-    setup_durable: bool,
+    /// The schema setup's commit was acknowledged.
+    setup_acked: bool,
     /// A database call failed (the injected crash, in the armed run).
     crashed: bool,
 }
@@ -662,13 +657,10 @@ fn run_storm_workload(
     let mut out = StormOutcome::default();
     let w = w.clone();
     let crashed = sys.run_in_cubicle(app, |sys| {
-        db.set_group_commit(w.group);
         if db.execute(sys, "CREATE TABLE t(v INTEGER)").is_err() {
             return true;
         }
-        if db.pager_mut().pending_commits() == 0 {
-            out.setup_durable = true;
-        }
+        out.setup_acked = true;
         for (i, rows) in w.txns.iter().enumerate() {
             let i = i + 1;
             out.attempted = i;
@@ -685,20 +677,10 @@ fn run_storm_workload(
                 return true;
             }
             out.acked_high = i;
-            if db.pager_mut().pending_commits() == 0 {
-                out.setup_durable = true;
-                out.durable_high = i;
-            }
             if i == w.ckpt_after && db.execute(sys, "PRAGMA wal_checkpoint").is_err() {
                 return true;
             }
         }
-        // Final flush: the observe run ends with everything durable.
-        if db.flush(sys).is_err() {
-            return true;
-        }
-        out.setup_durable = true;
-        out.durable_high = out.acked_high;
         false
     });
     out.crashed = crashed;
@@ -807,10 +789,10 @@ impl CrashReport {
 /// Verifies the durability contract against the recovered database.
 ///
 /// Rules (transactions run strictly in order, WAL replay is a prefix):
-/// 1. every durable (synced) transaction is present in full;
+/// 1. every acknowledged transaction is present in full;
 /// 2. the present set is a gap-free prefix `1..=m` with
-///    `durable_high <= m <= attempted` — acknowledged-but-unsynced tail
-///    commits may be lost, but only from the end;
+///    `acked_high <= m <= attempted` — only the one transaction whose
+///    COMMIT the crash interrupted may be either present or lost;
 /// 3. no transaction is ever partially present (torn);
 /// 4. `PRAGMA integrity_check` reports ok.
 fn verify_recovery(
@@ -825,10 +807,10 @@ fn verify_recovery(
         let rows = match db.query(sys, "SELECT v FROM t ORDER BY v") {
             Ok(rows) => rows,
             Err(e) => {
-                if seen.setup_durable || seen.durable_high > 0 {
-                    return Err(format!("durable schema lost: {e}"));
+                if seen.setup_acked {
+                    return Err(format!("acknowledged schema lost: {e}"));
                 }
-                return Ok(0); // nothing was durable; an empty db is legal
+                return Ok(0); // nothing was acknowledged; an empty db is legal
             }
         };
         let present: Vec<i64> = rows
@@ -862,10 +844,10 @@ fn verify_recovery(
                 ));
             }
         }
-        if high < seen.durable_high {
+        if high < seen.acked_high {
             return Err(format!(
-                "durable txns lost: synced through {}, recovered through {high}",
-                seen.durable_high
+                "acknowledged txns lost: acked through {}, recovered through {high}",
+                seen.acked_high
             ));
         }
         if high > seen.attempted {
@@ -1031,11 +1013,9 @@ pub fn run_crash_campaign(seed: u64, injections: usize) -> CrashReport {
         digest = fnv1a(
             digest,
             format!(
-                "{step}:{point:?}:{target:?}:g{}:{:?}:a{}:d{}:t{}:r{recovered_high}:q{}:w{}:j{}",
-                w.group,
+                "{step}:{point:?}:{target:?}:{:?}:a{}:t{}:r{recovered_high}:q{}:w{}:j{}",
                 w.txns,
                 seen.acked_high,
-                seen.durable_high,
                 seen.attempted,
                 stats.quarantines,
                 stats.wal_replays,

@@ -105,11 +105,7 @@ pub fn metrics_summary(sys: &System) -> String {
 /// # Errors
 ///
 /// I/O errors creating `dir` or writing the files.
-pub fn dump_observability(
-    sys: &mut System,
-    dir: &Path,
-    stem: &str,
-) -> std::io::Result<Vec<PathBuf>> {
+pub fn dump_observability(sys: &System, dir: &Path, stem: &str) -> std::io::Result<Vec<PathBuf>> {
     std::fs::create_dir_all(dir)?;
     let mut written = Vec::new();
     let dump = |suffix: &str, body: String| -> std::io::Result<PathBuf> {
@@ -146,7 +142,7 @@ pub fn obs_dir() -> Option<PathBuf> {
 ///
 /// When tracing is disabled or the self-cycle sum disagrees with the
 /// window.
-pub fn assert_spans_partition(sys: &mut System, label: &str) -> u64 {
+pub fn assert_spans_partition(sys: &System, label: &str) -> u64 {
     let window = sys
         .span_attribution_window()
         .unwrap_or_else(|| panic!("{label}: span check needs tracing enabled"));
@@ -165,7 +161,7 @@ pub fn assert_spans_partition(sys: &mut System, label: &str) -> u64 {
 /// Renders the live per-cubicle resource ledger as a `top`-style table,
 /// sorted by exclusive cycles (hottest first). Cycle columns are zero
 /// when tracing is off; the resource columns are always live.
-pub fn top_table(sys: &mut System) -> String {
+pub fn top_table(sys: &System) -> String {
     let window = sys.span_attribution_window().unwrap_or(0);
     let mut rows = sys.ledger();
     rows.sort_by(|a, b| {

@@ -81,9 +81,6 @@ pub struct SysStats {
     /// RAMFS inode-journal replays performed by `on_restart` after a
     /// microreboot.
     pub ramfs_journal_replays: u64,
-    /// Group-commit syncs that coalesced two or more transactions into
-    /// one durable write.
-    pub group_commit_batches: u64,
 }
 
 impl SysStats {
@@ -160,7 +157,6 @@ impl SysStats {
             wal_torn_tails_discarded: self.wal_torn_tails_discarded
                 - earlier.wal_torn_tails_discarded,
             ramfs_journal_replays: self.ramfs_journal_replays - earlier.ramfs_journal_replays,
-            group_commit_batches: self.group_commit_batches - earlier.group_commit_batches,
         }
     }
 
@@ -239,9 +235,6 @@ impl fmt::Display for SysStats {
                 self.wal_torn_tails_discarded,
                 self.ramfs_journal_replays
             )?;
-        }
-        if self.group_commit_batches > 0 {
-            writeln!(f, "group-commit-batches: {}", self.group_commit_batches)?;
         }
         // Quiet when CubicleSan is off (lockorder_edges is nonzero on any
         // detection-on run that nests locks, so the sanitizer line shows

@@ -140,8 +140,8 @@ pub struct System {
     /// Human-readable quarantine/unwind/restart records (bounded, kept
     /// outside the tracer like `loader_audit`).
     containment_log: Vec<String>,
-    /// Human-readable crash-recovery records (WAL replays, RAMFS journal
-    /// replays, group-commit batches; bounded like `containment_log`).
+    /// Human-readable crash-recovery records (WAL replays and RAMFS
+    /// journal replays; bounded like `containment_log`).
     recovery_log: Vec<String>,
     /// Default cross-call cycle budget enforced by the watchdog
     /// ([`SystemConfig::cycle_budget`]).

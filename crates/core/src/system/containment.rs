@@ -4,6 +4,7 @@
 
 use super::keys::PARKED_KEY;
 use super::locks::MonitorLock;
+use super::observe::PageOp;
 use super::System;
 use crate::error::{CubicleError, Result};
 use crate::ids::CubicleId;
@@ -33,9 +34,6 @@ pub enum RecoveryEvent {
     /// A RAMFS inode-journal replay restored `records` journal records
     /// inside a microrebooted cubicle's `on_restart` hook.
     RamfsJournalReplay { records: u64 },
-    /// A group-commit sync made `commits` transactions durable with a
-    /// single write barrier (recorded only when `commits >= 2`).
-    GroupCommitBatch { commits: u64 },
 }
 
 /// Exponential-backoff policy for [`System::restart`]: a cubicle on its
@@ -212,17 +210,13 @@ impl System {
                 self.stats.ramfs_journal_replays += 1;
                 format!("recovery: ramfs journal replay restored {records} record(s)")
             }
-            RecoveryEvent::GroupCommitBatch { commits } => {
-                self.stats.group_commit_batches += 1;
-                format!("recovery: group commit coalesced {commits} txn(s) into one sync")
-            }
         };
         if self.recovery_log.len() < RECOVERY_LOG_CAP {
             self.recovery_log.push(line);
         }
     }
 
-    /// Crash-recovery records (bounded), one line per replay / batch.
+    /// Crash-recovery records (bounded), one line per replay.
     pub fn recovery_log(&self) -> &[String] {
         &self.recovery_log
     }
@@ -341,8 +335,7 @@ impl System {
             let owner = self.page_meta[&page].owner;
             let owner_key = self.cubicles[owner.index()].key;
             if self.mode.mpk_active() {
-                self.machine
-                    .set_page_key(page.base(), owner_key)
+                self.page_op(page.base(), PageOp::Retag(owner_key))
                     .expect("held page is mapped");
             } else {
                 self.machine
@@ -363,10 +356,7 @@ impl System {
         owned.sort_unstable();
         let pages_reclaimed = owned.len();
         for page in owned {
-            // The machine emits `MachineEvent::Unmap`, which the event
-            // pump turns into `TraceEvent::PageReclaim`.
-            self.machine
-                .reclaim_page(page.base())
+            self.page_op(page.base(), PageOp::Reclaim)
                 .expect("owned page is mapped");
             self.page_meta.remove(&page);
             self.reclaimed.insert(page, cid);

@@ -173,7 +173,6 @@ impl System {
         // histogram sample count always equals `SysStats::cross_calls`.
         let t0 = if self.tracer.is_some() {
             let t0 = self.machine.now();
-            self.pump_machine_events();
             let core = self.machine.current_core();
             let (span, parent) = {
                 let tracer = self.tracer.as_mut().expect("checked above");
@@ -195,7 +194,6 @@ impl System {
         let status = self.run_elements(caller, gate, batch, ret);
         if let Some((t0, span)) = t0 {
             let cycles = self.machine.now() - t0;
-            self.pump_machine_events();
             self.trace_push(TraceEvent::CrossCallExit {
                 span,
                 caller,
@@ -203,9 +201,6 @@ impl System {
                 entry,
                 cycles,
             });
-            if let Some(tracer) = &mut self.tracer {
-                tracer.metrics.record_call(caller, callee, entry, cycles);
-            }
         }
         match status {
             // Merged components call each other directly: there is no
@@ -273,9 +268,9 @@ impl System {
                         self.ensure_bound(callee);
                         // Guard page enters the monitor domain, trampoline
                         // then drops to the callee's permission set.
-                        self.machine.set_pkru(Pkru::allow_all());
+                        self.wrpkru(Pkru::allow_all());
                         let pkru = self.pkru_for(callee);
-                        self.machine.set_pkru(pkru);
+                        self.wrpkru(pkru);
                     }
                 }
             }
@@ -331,9 +326,9 @@ impl System {
         if self.mode.trampolines_active() {
             self.machine.charge(cost.trampoline);
             if self.mode.mpk_active() {
-                self.machine.set_pkru(Pkru::allow_all());
+                self.wrpkru(Pkru::allow_all());
                 let pkru = self.pkru_for(self.current_cubicle());
-                self.machine.set_pkru(pkru);
+                self.wrpkru(pkru);
             }
         }
         status

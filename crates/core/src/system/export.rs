@@ -72,8 +72,7 @@ impl System {
     /// simulated cycles, reported in the format's microsecond field.
     ///
     /// Returns `"{}"`-style empty JSON when tracing is disabled.
-    pub fn export_chrome_trace(&mut self) -> String {
-        self.pump_machine_events();
+    pub fn export_chrome_trace(&self) -> String {
         let num_cores = self.machine.num_cores();
         let Some(tracer) = &self.tracer else {
             return "{\"traceEvents\":[]}".to_string();
@@ -331,8 +330,7 @@ impl System {
     /// Exports all counters and histograms in the Prometheus text
     /// exposition format. Works with tracing disabled too (counters
     /// only; histograms need the tracer).
-    pub fn export_prometheus(&mut self) -> String {
-        self.pump_machine_events();
+    pub fn export_prometheus(&self) -> String {
         let rows = self.ledger();
         let mut out = String::new();
         let counter = |name: &str, help: &str, v: u64, out: &mut String| {
@@ -485,12 +483,6 @@ impl System {
             "cubicle_ramfs_journal_replays_total",
             "RAMFS inode-journal replays after microreboots.",
             s.ramfs_journal_replays,
-            &mut out,
-        );
-        counter(
-            "cubicle_group_commit_batches_total",
-            "Group-commit syncs covering two or more transactions.",
-            s.group_commit_batches,
             &mut out,
         );
         let m = self.machine.stats();

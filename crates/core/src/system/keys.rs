@@ -2,6 +2,7 @@
 //! microreboot and quarantine, plus tag virtualisation's lazy binding
 //! (paper §8).
 
+use super::observe::PageOp;
 use super::System;
 use crate::error::{CubicleError, Result};
 use crate::ids::CubicleId;
@@ -144,8 +145,7 @@ impl System {
             // trap-and-map will lazily fault them back in for whoever is
             // authorised (each retag at pkey_mprotect cost)
             for page in self.machine.pages_with_key(phys) {
-                self.machine
-                    .set_page_key(page.base(), PARKED_KEY)
+                self.page_op(page.base(), PageOp::Retag(PARKED_KEY))
                     .expect("page exists");
             }
         }

@@ -138,9 +138,8 @@ impl System {
     /// monitor's serialisation order is the order in which cores issue
     /// their operations.
     ///
-    /// Pending machine events are pumped first so trace records keep the
-    /// core that actually produced them. The first switch brings the
-    /// other configured cores up with the current clock and PKRU.
+    /// The first switch brings the other configured cores up with the
+    /// current clock and PKRU.
     ///
     /// # Panics
     ///
@@ -150,7 +149,6 @@ impl System {
             self.call_stack.is_empty(),
             "cannot switch cores while a cross-call chain is in flight"
         );
-        self.pump_machine_events();
         self.machine.set_num_cores(self.cores);
         self.machine.switch_to_core(i);
         if let Some(race) = &mut self.race {

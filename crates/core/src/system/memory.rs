@@ -2,6 +2,7 @@
 //! monitor's memory services (heap, stack, page grants; paper §4).
 
 use super::locks::MonitorLock;
+use super::observe::PageOp;
 use super::System;
 use crate::cubicle::RegionType;
 use crate::error::{CubicleError, Result};
@@ -359,7 +360,8 @@ impl System {
                 m.holder = to;
                 m.via = None;
                 if self.mode.mpk_active() {
-                    self.machine.set_page_key(page.base(), key).expect("mapped");
+                    self.page_op(page.base(), PageOp::Retag(key))
+                        .expect("mapped");
                 } else {
                     self.machine
                         .set_page_key_at_load(page.base(), key)

@@ -1,5 +1,7 @@
 //! Observability: the event tracer, span profiler, resource ledger and
-//! flamegraph. Strictly an observer — recording never charges simulated
+//! flamegraph, plus the two helpers through which the monitor issues
+//! retags, reclaims and PKRU writes so each lands in the trace ring as
+//! it happens. Strictly an observer — recording never charges simulated
 //! cycles.
 
 use super::keys::PARKED_KEY;
@@ -9,8 +11,20 @@ use crate::ledger::LedgerRow;
 use crate::metrics::Metrics;
 use crate::span::{CycleAttribution, SpanFrame, SpanProfiler, SpanRecord};
 use crate::trace::{FaultAudit, TraceBuffer, TraceEvent};
-use cubicle_mpk::MachineEvent;
+use cubicle_mpk::{Fault, Pkru, ProtKey, VAddr};
 use std::collections::{HashMap, VecDeque};
+
+/// How [`System::page_op`] changes a mapped page.
+#[derive(Clone, Copy)]
+pub(super) enum PageOp {
+    /// Retag to a key at `pkey_mprotect` cost.
+    Retag(ProtKey),
+    /// Retag through the grant cache's pre-armed descriptor, free of the
+    /// `pkey_mprotect` charge.
+    RetagCached(ProtKey),
+    /// Unmap at `pkey_mprotect` cost (quarantine teardown).
+    Reclaim,
+}
 
 /// Observability state, present only while tracing is enabled
 /// ([`System::enable_tracing`]). Strictly an observer: recording never
@@ -34,14 +48,25 @@ pub(super) struct Tracer {
 }
 
 impl Tracer {
-    /// Appends an event to the ring and feeds it to `core`'s span
-    /// profiler — the single door every recorded event passes through,
-    /// so the span trees always agree with the event stream.
+    /// Appends an event to the ring, feeds it to `core`'s span profiler
+    /// and, for a cross-call exit, to the latency histograms — the single
+    /// door every recorded event passes through, so the span trees and
+    /// histograms always agree with the event stream.
     pub(super) fn record(&mut self, at: u64, core: usize, event: TraceEvent) {
         while self.spans.len() <= core {
             self.spans.push(SpanProfiler::new(at, self.span_capacity));
         }
         self.spans[core].on_event(at, &event);
+        if let TraceEvent::CrossCallExit {
+            caller,
+            callee,
+            entry,
+            cycles,
+            ..
+        } = event
+        {
+            self.metrics.record_call(caller, callee, entry, cycles);
+        }
         self.buf.push_on(at, core as u32, event);
     }
 
@@ -71,15 +96,14 @@ impl Tracer {
 
 impl System {
     /// Enables event tracing with a ring buffer of `capacity` records
-    /// (oldest overwritten when full). Also enables machine-level event
-    /// recording so retags and PKRU writes appear in the trace.
+    /// (oldest overwritten when full, and counted in
+    /// [`TraceBuffer::dropped`]).
     ///
     /// Tracing is an observer: it never charges simulated cycles, so
     /// cycle counts are bit-identical with tracing on or off. Re-enabling
     /// resets any previous trace.
     pub fn enable_tracing(&mut self, capacity: usize) {
         let capacity = capacity.max(1);
-        self.machine.set_event_recording(Some(capacity));
         self.tracer = Some(Tracer {
             buf: TraceBuffer::new(capacity),
             metrics: Metrics::default(),
@@ -97,10 +121,8 @@ impl System {
         self.tracer.is_some()
     }
 
-    /// The event trace, when tracing is enabled. Pending machine events
-    /// are pumped in first so the view is complete.
-    pub fn trace(&mut self) -> Option<&TraceBuffer> {
-        self.pump_machine_events();
+    /// The event trace, when tracing is enabled.
+    pub fn trace(&self) -> Option<&TraceBuffer> {
         self.tracer.as_ref().map(|t| &t.buf)
     }
 
@@ -115,27 +137,24 @@ impl System {
         self.tracer.iter().flat_map(|t| t.audit.iter())
     }
 
-    /// Core 0's causal span profiler, when tracing is enabled. Pending
-    /// machine events are pumped in first so the span tree is complete.
+    /// Core 0's causal span profiler, when tracing is enabled.
     /// On a single-core run this is *the* profiler; on a multi-core run
     /// use [`System::core_span_profiler`] for the other cores.
-    pub fn span_profiler(&mut self) -> Option<&SpanProfiler> {
+    pub fn span_profiler(&self) -> Option<&SpanProfiler> {
         self.core_span_profiler(0)
     }
 
     /// The span profiler of one simulated core, when tracing is enabled
     /// and that core has recorded at least one event (core 0's profiler
     /// always exists).
-    pub fn core_span_profiler(&mut self, core: usize) -> Option<&SpanProfiler> {
-        self.pump_machine_events();
+    pub fn core_span_profiler(&self, core: usize) -> Option<&SpanProfiler> {
         self.tracer.as_ref().and_then(|t| t.spans.get(core))
     }
 
     /// Completed spans retained by the profilers, grouped by core in
     /// core order (oldest first within a core); empty when tracing is
     /// disabled.
-    pub fn spans(&mut self) -> Vec<SpanRecord> {
-        self.pump_machine_events();
+    pub fn spans(&self) -> Vec<SpanRecord> {
         self.tracer
             .as_ref()
             .map(|t| t.spans.iter().flat_map(|p| p.spans().copied()).collect())
@@ -145,8 +164,7 @@ impl System {
     /// Per-cubicle self/total cycle attribution summed across every
     /// core's span profiler, sorted by cubicle id; empty when tracing is
     /// disabled.
-    pub fn span_cubicle_attribution(&mut self) -> Vec<(CubicleId, CycleAttribution)> {
-        self.pump_machine_events();
+    pub fn span_cubicle_attribution(&self) -> Vec<(CubicleId, CycleAttribution)> {
         let Some(t) = &self.tracer else {
             return Vec::new();
         };
@@ -167,8 +185,7 @@ impl System {
     /// Per-entry-point self/total cycle attribution summed across every
     /// core's span profiler, sorted by entry id; empty when tracing is
     /// disabled.
-    pub fn span_entry_attribution(&mut self) -> Vec<(EntryId, CycleAttribution)> {
-        self.pump_machine_events();
+    pub fn span_entry_attribution(&self) -> Vec<(EntryId, CycleAttribution)> {
         let Some(t) = &self.tracer else {
             return Vec::new();
         };
@@ -190,8 +207,7 @@ impl System {
     /// cycles between the tracing epoch and the last span boundary. The
     /// per-cubicle self cycles of [`System::span_cubicle_attribution`]
     /// sum to exactly this value. `None` when tracing is disabled.
-    pub fn span_attribution_window(&mut self) -> Option<u64> {
-        self.pump_machine_events();
+    pub fn span_attribution_window(&self) -> Option<u64> {
         self.tracer
             .as_ref()
             .map(|t| t.spans.iter().map(SpanProfiler::attributed_window).sum())
@@ -204,8 +220,7 @@ impl System {
     /// from the span profiler (zero when tracing is disabled). This is
     /// the data behind `cubicle-top` and the per-cubicle Prometheus
     /// series.
-    pub fn ledger(&mut self) -> Vec<LedgerRow> {
-        self.pump_machine_events();
+    pub fn ledger(&self) -> Vec<LedgerRow> {
         let n = self.cubicles.len();
         let mut owned = vec![0usize; n];
         let mut foreign = vec![0usize; n];
@@ -271,8 +286,7 @@ impl System {
     /// format — one `ROOT;CALLEE:entry;... self_cycles` line per unique
     /// path, directly consumable by `flamegraph.pl` or inferno. Empty
     /// when tracing is disabled (or no call completed yet).
-    pub fn export_flamegraph(&mut self) -> String {
-        self.pump_machine_events();
+    pub fn export_flamegraph(&self) -> String {
         let Some(tracer) = &self.tracer else {
             return String::new();
         };
@@ -315,47 +329,50 @@ impl System {
             .map_or("MONITOR", |c| c.name.as_str())
     }
 
-    /// Moves machine-level events (retags, PKRU writes) that accumulated
-    /// since the last pump into the trace buffer. Called automatically
-    /// before every kernel-level event is appended, keeping the combined
-    /// stream ordered by cycle stamp.
+    /// Appends an event stamped with the current cycle count and core
+    /// (no-op when tracing is disabled).
     #[inline]
-    pub(super) fn pump_machine_events(&mut self) {
-        if self.tracer.is_none() {
-            return;
-        }
-        let core = self.machine.current_core();
-        let Some(tracer) = &mut self.tracer else {
-            return;
-        };
-        for ev in self.machine.drain_events() {
-            match ev {
-                MachineEvent::Retag { at, addr, from, to } => {
-                    tracer.record(at, core, TraceEvent::Retag { addr, from, to });
-                }
-                MachineEvent::WrPkru { at, pkru } => {
-                    tracer.record(at, core, TraceEvent::WrPkru { pkru });
-                }
-                MachineEvent::Unmap { at, addr, key } => {
-                    tracer.record(at, core, TraceEvent::PageReclaim { addr, key });
-                }
-            }
+    pub(super) fn trace_push(&mut self, event: TraceEvent) {
+        if let Some(tracer) = &mut self.tracer {
+            tracer.record(self.machine.now(), self.machine.current_core(), event);
         }
     }
 
-    /// Appends a kernel-level event stamped with the current cycle count
-    /// and core (no-op when tracing is disabled).
+    /// Issues `op` on the page containing `addr` and records it as a
+    /// [`TraceEvent::Retag`] or [`TraceEvent::PageReclaim`], stamped after
+    /// the charge. Every retag and reclaim the machine counts in
+    /// `MachineStats` goes through here, so a ring that dropped nothing
+    /// holds one record per counted operation.
     #[inline]
-    pub(super) fn trace_push(&mut self, event: TraceEvent) {
-        if self.tracer.is_none() {
-            return;
-        }
-        self.pump_machine_events();
-        let at = self.machine.now();
-        let core = self.machine.current_core();
-        if let Some(tracer) = &mut self.tracer {
-            tracer.record(at, core, event);
-        }
+    pub(super) fn page_op(&mut self, addr: VAddr, op: PageOp) -> Result<(), Fault> {
+        let page = addr.page().base();
+        let event = match op {
+            PageOp::Retag(to) => TraceEvent::Retag {
+                addr: page,
+                from: self.machine.set_page_key(addr, to)?,
+                to,
+            },
+            PageOp::RetagCached(to) => TraceEvent::Retag {
+                addr: page,
+                from: self.machine.set_page_key_cached(addr, to)?,
+                to,
+            },
+            PageOp::Reclaim => TraceEvent::PageReclaim {
+                addr: page,
+                key: self.machine.reclaim_page(addr)?,
+            },
+        };
+        self.trace_push(event);
+        Ok(())
+    }
+
+    /// Writes the PKRU register (`wrpkru`) and records it as a
+    /// [`TraceEvent::WrPkru`], stamped after the charge. Every counted
+    /// `wrpkru` goes through here.
+    #[inline]
+    pub(super) fn wrpkru(&mut self, pkru: Pkru) {
+        self.machine.set_pkru(pkru);
+        self.trace_push(TraceEvent::WrPkru { pkru });
     }
 
     /// Appends a fault-audit record (no-op when tracing is disabled).

@@ -2,6 +2,7 @@
 //! metadata and window ACLs, with the window-grant cache.
 
 use super::locks::MonitorLock;
+use super::observe::PageOp;
 use super::System;
 use crate::error::{CubicleError, Result};
 use crate::ids::{CubicleId, WindowId};
@@ -157,8 +158,7 @@ impl System {
             // cached mapping without a fresh `pkey_mprotect`
             // round-trip (the remembered grant proves the ACL still
             // authorises the access).
-            self.machine
-                .set_page_key_cached(fault.addr, accessor_key)
+            self.page_op(fault.addr, PageOp::RetagCached(accessor_key))
                 .map_err(CubicleError::MachineFault)?;
             self.record_holder(fault.addr, accessor, Some(via));
             self.stats.faults_resolved += 1;
@@ -305,8 +305,7 @@ impl System {
     }
 
     fn retag(&mut self, addr: VAddr, key: ProtKey) -> Result<()> {
-        self.machine
-            .set_page_key(addr, key)
+        self.page_op(addr, PageOp::Retag(key))
             .map_err(CubicleError::MachineFault)
     }
 

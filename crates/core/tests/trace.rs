@@ -558,3 +558,54 @@ fn prometheus_histograms_round_trip() {
         }
     }
 }
+
+/// Quarantines a `B` that owns 64 heap pages under a ring of `capacity`
+/// records: the teardown reclaims every page in one monitor operation.
+fn quarantine_with_ring(capacity: usize) -> System {
+    let mut sys = System::new(IsolationMode::Full);
+    let b = sys
+        .load(
+            ComponentImage::new("B", CodeImage::plain(4096)).heap_pages(64),
+            Box::new(Dummy),
+        )
+        .unwrap();
+    sys.enable_tracing(capacity);
+    sys.quarantine(b.cid, "test").unwrap();
+    sys
+}
+
+#[test]
+fn saturated_ring_counts_every_reclaim() {
+    let full = quarantine_with_ring(1 << 16);
+    let recorded = full.trace().unwrap().total_recorded();
+    assert_eq!(full.trace().unwrap().dropped(), 0);
+    assert!(recorded > 64, "one PageReclaim per heap page: {recorded}");
+
+    let sys = quarantine_with_ring(8);
+    // The audit export is the first view taken: it must already see
+    // every event the teardown issued.
+    let audit = sys.export_fault_audit();
+    let trace = sys.trace().unwrap();
+    assert_eq!(trace.total_recorded(), recorded);
+    assert_eq!(trace.dropped(), recorded - 8);
+    let line = format!("dropped: {} trace event(s)", recorded - 8);
+    assert!(audit.contains(&line), "missing `{line}` in:\n{audit}");
+}
+
+#[test]
+fn ring_holds_one_record_per_counted_retag_and_wrpkru() {
+    let (mut sys, a, b) = setup(IsolationMode::Full);
+    let before = sys.machine_stats();
+    sys.enable_tracing(1 << 16);
+    run_scenario(&mut sys, a, b, 10);
+    let after = sys.machine_stats();
+    let trace = sys.trace().unwrap();
+    assert_eq!(trace.dropped(), 0);
+    let count =
+        |pick: fn(&TraceEvent) -> bool| trace.records().filter(|r| pick(&r.event)).count() as u64;
+    let retags = count(|e| matches!(e, TraceEvent::Retag { .. }));
+    let wrpkru = count(|e| matches!(e, TraceEvent::WrPkru { .. }));
+    assert!(retags > 0 && wrpkru > 0);
+    assert_eq!(retags, after.retags - before.retags);
+    assert_eq!(wrpkru, after.wrpkru - before.wrpkru);
+}

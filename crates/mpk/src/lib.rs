@@ -60,7 +60,7 @@ pub mod sched;
 pub use addr::{pages_covering, PageNum, VAddr, PAGE_SIZE};
 pub use cost::CostModel;
 pub use fault::{AccessKind, Fault, FaultKind};
-pub use machine::{CoreStats, Machine, MachineEvent, MachineStats};
+pub use machine::{CoreStats, Machine, MachineStats};
 pub use page::{PageEntry, PageFlags};
 pub use pkru::{KeyRights, Pkru, ProtKey, NUM_KEYS};
 pub use sched::CoreScheduler;

@@ -35,42 +35,6 @@ use crate::cost::CostModel;
 use crate::fault::{AccessKind, Fault, FaultKind};
 use crate::page::{PageEntry, PageFlags};
 use crate::pkru::{Pkru, ProtKey};
-use std::collections::VecDeque;
-
-/// A machine-level event, recorded (when enabled) with the cycle count at
-/// which it happened. Drained by observability layers above the machine
-/// ([`Machine::drain_events`]); the machine itself never interprets them.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MachineEvent {
-    /// A page changed protection key (`pkey_mprotect`).
-    Retag {
-        /// Cycle count when the retag completed.
-        at: u64,
-        /// Base address of the retagged page.
-        addr: VAddr,
-        /// Key before the retag.
-        from: ProtKey,
-        /// Key after the retag.
-        to: ProtKey,
-    },
-    /// The PKRU register was written (`wrpkru`).
-    WrPkru {
-        /// Cycle count when the write completed.
-        at: u64,
-        /// The value written.
-        pkru: Pkru,
-    },
-    /// A page was reclaimed (unmapped) via [`Machine::reclaim_page`] —
-    /// the quarantine path tearing down a cubicle's address space.
-    Unmap {
-        /// Cycle count when the unmap completed.
-        at: u64,
-        /// Base address of the reclaimed page.
-        addr: VAddr,
-        /// The key the page carried when reclaimed.
-        key: ProtKey,
-    },
-}
 
 /// Event counters maintained by the machine.
 ///
@@ -320,9 +284,6 @@ pub struct Machine {
     /// read and write access is disabled \[for a key\], execution is too".
     /// Enabled by default, as CubicleOS assumes it for CFI.
     exec_obeys_pkru: bool,
-    /// Bounded event ring, `None` when recording is off (the default).
-    /// Recording never charges simulated cycles.
-    events: Option<EventRing>,
     /// Direct-mapped software TLB (host-side acceleration only).
     tlb: Box<[TlbEntry]>,
     /// Current TLB generation; bumping it invalidates every entry at once.
@@ -355,13 +316,6 @@ impl Default for Machine {
     }
 }
 
-#[derive(Debug)]
-struct EventRing {
-    buf: VecDeque<MachineEvent>,
-    capacity: usize,
-    dropped: u64,
-}
-
 impl Machine {
     /// Creates a machine with the calibrated [`CostModel::paper`] costs.
     pub fn new() -> Machine {
@@ -377,7 +331,6 @@ impl Machine {
             cost,
             stats: MachineStats::default(),
             exec_obeys_pkru: true,
-            events: None,
             tlb: vec![TlbEntry::INVALID; TLB_ENTRIES].into_boxed_slice(),
             tlb_gen: 1,
             tlb_enabled: true,
@@ -540,43 +493,6 @@ impl Machine {
     #[inline]
     pub fn cycle_alarm_expired(&self) -> bool {
         self.alarm.is_some_and(|at| self.cycles >= at)
-    }
-
-    /// Enables (`Some(capacity)`) or disables (`None`) the machine event
-    /// ring. When the ring is full the oldest event is overwritten and
-    /// [`Machine::events_dropped`] grows. Recording is free of simulated
-    /// cycles either way.
-    pub fn set_event_recording(&mut self, capacity: Option<usize>) {
-        self.events = capacity.map(|capacity| EventRing {
-            buf: VecDeque::with_capacity(capacity.min(4096)),
-            capacity: capacity.max(1),
-            dropped: 0,
-        });
-    }
-
-    /// Removes and returns all recorded events, oldest first. Empty when
-    /// recording is off.
-    pub fn drain_events(&mut self) -> Vec<MachineEvent> {
-        match &mut self.events {
-            Some(ring) => ring.buf.drain(..).collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Events overwritten because the ring was full (since recording was
-    /// last enabled).
-    pub fn events_dropped(&self) -> u64 {
-        self.events.as_ref().map_or(0, |r| r.dropped)
-    }
-
-    fn record_event(&mut self, event: MachineEvent) {
-        if let Some(ring) = &mut self.events {
-            if ring.buf.len() >= ring.capacity {
-                ring.buf.pop_front();
-                ring.dropped += 1;
-            }
-            ring.buf.push_back(event);
-        }
     }
 
     /// Returns the active cost model.
@@ -814,8 +730,8 @@ impl Machine {
     }
 
     /// Reclaims (unmaps) a mapped page at full `pkey_mprotect` cost,
-    /// counting it in [`MachineStats::unmaps`] and recording a
-    /// [`MachineEvent::Unmap`]. The monitor's quarantine path uses this
+    /// counting it in [`MachineStats::unmaps`], and returns the key it
+    /// carried. The monitor's quarantine path uses this
     /// to tear down a faulting cubicle's address space; unlike the free
     /// loader-side [`Machine::unmap_page`], reclamation is part of the
     /// simulated machine's observable behaviour.
@@ -841,13 +757,6 @@ impl Machine {
         }
         self.cycles += self.cost.pkey_mprotect;
         self.stats.unmaps += 1;
-        if self.events.is_some() {
-            self.record_event(MachineEvent::Unmap {
-                at: self.cycles,
-                addr: page.base(),
-                key,
-            });
-        }
         Ok(key)
     }
 
@@ -888,71 +797,47 @@ impl Machine {
     }
 
     /// Re-assigns the protection key of a mapped page, charging the
-    /// `pkey_mprotect` cost. This is the retag operation at the heart of
-    /// trap-and-map: the frame contents are untouched (zero-copy).
+    /// `pkey_mprotect` cost, and returns the key it carried before. This
+    /// is the retag operation at the heart of trap-and-map: the frame
+    /// contents are untouched (zero-copy).
     ///
     /// # Errors
     ///
     /// Returns a [`Fault`] with [`FaultKind::NotPresent`] if the page is
     /// not mapped.
-    pub fn set_page_key(&mut self, addr: VAddr, key: ProtKey) -> Result<(), Fault> {
-        let page = addr.page();
-        match self.table.entry_mut(page) {
-            Some(entry) => {
-                let from = entry.key;
-                entry.key = key;
-                self.tlb_evict(page);
-                self.cycles += self.cost.pkey_mprotect;
-                self.stats.retags += 1;
-                if self.events.is_some() {
-                    self.record_event(MachineEvent::Retag {
-                        at: self.cycles,
-                        addr: page.base(),
-                        from,
-                        to: key,
-                    });
-                }
-                Ok(())
-            }
-            None => Err(Fault {
-                addr,
-                access: AccessKind::Write,
-                kind: FaultKind::NotPresent,
-            }),
-        }
+    pub fn set_page_key(&mut self, addr: VAddr, key: ProtKey) -> Result<ProtKey, Fault> {
+        self.retag(addr, key, self.cost.pkey_mprotect)
     }
 
     /// Re-assigns the protection key of a mapped page *without* charging
-    /// the `pkey_mprotect` kernel round trip. This is the grant-cache hit
-    /// path of trap-and-map: the monitor has already validated this
-    /// (accessor, page) pair, so the retag goes through a pre-armed
-    /// kernel descriptor whose permission walk is skipped — only the
-    /// trap and the metadata lookup (charged by the caller) remain. The
-    /// retag is still architecturally real: it counts in
-    /// [`MachineStats::retags`], records a [`MachineEvent::Retag`] and
-    /// shoots down the page's TLB entries on every core.
+    /// the `pkey_mprotect` kernel round trip, and returns the key it
+    /// carried before. This is the grant-cache hit path of trap-and-map:
+    /// the monitor has already validated this (accessor, page) pair, so
+    /// the retag goes through a pre-armed kernel descriptor whose
+    /// permission walk is skipped — only the trap and the metadata lookup
+    /// (charged by the caller) remain. The retag is still architecturally
+    /// real: it counts in [`MachineStats::retags`] and shoots down the
+    /// page's TLB entries on every core.
     ///
     /// # Errors
     ///
     /// Returns a [`Fault`] with [`FaultKind::NotPresent`] if the page is
     /// not mapped.
-    pub fn set_page_key_cached(&mut self, addr: VAddr, key: ProtKey) -> Result<(), Fault> {
+    pub fn set_page_key_cached(&mut self, addr: VAddr, key: ProtKey) -> Result<ProtKey, Fault> {
+        self.retag(addr, key, 0)
+    }
+
+    /// The counted retag behind [`Machine::set_page_key`] and
+    /// [`Machine::set_page_key_cached`], charging `cycles`.
+    fn retag(&mut self, addr: VAddr, key: ProtKey, cycles: u64) -> Result<ProtKey, Fault> {
         let page = addr.page();
         match self.table.entry_mut(page) {
             Some(entry) => {
-                let from = entry.key;
-                entry.key = key;
+                let from = std::mem::replace(&mut entry.key, key);
                 self.tlb_evict(page);
+                self.cycles += cycles;
                 self.stats.retags += 1;
-                if self.events.is_some() {
-                    self.record_event(MachineEvent::Retag {
-                        at: self.cycles,
-                        addr: page.base(),
-                        from,
-                        to: key,
-                    });
-                }
-                Ok(())
+                Ok(from)
             }
             None => Err(Fault {
                 addr,
@@ -1019,12 +904,6 @@ impl Machine {
         self.cycles += self.cost.wrpkru;
         self.stats.wrpkru += 1;
         self.cur_stats.wrpkru += 1;
-        if self.events.is_some() {
-            self.record_event(MachineEvent::WrPkru {
-                at: self.cycles,
-                pkru,
-            });
-        }
     }
 
     /// Writes the PKRU register without charging cycles (boot-time setup).
@@ -1771,63 +1650,6 @@ mod tests {
             (m.now(), m.stats().faults, m.stats().bytes_read)
         };
         assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn event_ring_records_retags_and_wrpkru() {
-        let mut m = Machine::new();
-        let a = rw_page(&mut m, 0x1000, 1);
-        m.set_event_recording(Some(16));
-        m.set_pkru(Pkru::allow_all());
-        m.set_page_key(a, ProtKey::new(5).unwrap()).unwrap();
-        let events = m.drain_events();
-        assert_eq!(events.len(), 2);
-        assert!(matches!(events[0], MachineEvent::WrPkru { .. }));
-        match events[1] {
-            MachineEvent::Retag { addr, from, to, at } => {
-                assert_eq!(addr, a);
-                assert_eq!(from, ProtKey::new(1).unwrap());
-                assert_eq!(to, ProtKey::new(5).unwrap());
-                assert_eq!(at, m.now());
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
-        assert!(m.drain_events().is_empty(), "drain empties the ring");
-    }
-
-    #[test]
-    fn event_ring_overwrites_oldest_when_full() {
-        let mut m = Machine::new();
-        m.set_event_recording(Some(3));
-        for _ in 0..5 {
-            m.set_pkru(Pkru::allow_all());
-        }
-        assert_eq!(m.events_dropped(), 2);
-        assert_eq!(m.drain_events().len(), 3);
-    }
-
-    #[test]
-    fn event_recording_is_cycle_free() {
-        let mut untraced = Machine::new();
-        let mut traced = Machine::new();
-        traced.set_event_recording(Some(64));
-        for m in [&mut untraced, &mut traced] {
-            let a = rw_page(m, 0x1000, 1);
-            m.set_pkru(Pkru::allow_all());
-            m.write(a, b"data").unwrap();
-            m.set_page_key(a, ProtKey::new(2).unwrap()).unwrap();
-        }
-        assert_eq!(untraced.now(), traced.now());
-    }
-
-    #[test]
-    fn recording_off_records_nothing() {
-        let mut m = Machine::new();
-        let a = rw_page(&mut m, 0x1000, 1);
-        m.set_pkru(Pkru::allow_all());
-        m.set_page_key(a, ProtKey::new(2).unwrap()).unwrap();
-        assert!(m.drain_events().is_empty());
-        assert_eq!(m.events_dropped(), 0);
     }
 
     #[test]

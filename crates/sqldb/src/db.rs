@@ -141,21 +141,6 @@ impl Database {
         self.pager.stats
     }
 
-    /// Sets the group-commit size: how many committed transactions may
-    /// share one durable WAL sync (see [`Pager::set_group_commit`]).
-    pub fn set_group_commit(&mut self, n: u32) {
-        self.pager.set_group_commit(n);
-    }
-
-    /// Makes all pending group commits durable now.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors.
-    pub fn flush(&mut self, sys: &mut System) -> Result<()> {
-        self.pager.flush(sys)
-    }
-
     /// Folds the WAL back into the database file (no-op outside WAL
     /// mode). Returns `true` when the log was fully checkpointed.
     ///

@@ -98,10 +98,6 @@ pub struct Pager {
     txn_index: HashMap<u32, u64>,
     /// WAL-mode transaction open?
     wal_txn: bool,
-    /// Transactions coalesced per durable sync (1 = sync every commit).
-    group_size: u32,
-    /// Commits appended since the last sync.
-    pending_commits: u32,
     /// Event counters.
     pub stats: PagerStats,
 }
@@ -173,8 +169,6 @@ impl Pager {
             committed_index: HashMap::new(),
             txn_index: HashMap::new(),
             wal_txn: false,
-            group_size: 1,
-            pending_commits: 0,
             stats: PagerStats::default(),
         };
         if size == 0 {
@@ -246,44 +240,13 @@ impl Pager {
     }
 
     // ------------------------------------------------------------------
-    // Group commit / WAL introspection
+    // WAL introspection
     // ------------------------------------------------------------------
 
-    /// Sets the group-commit size: how many committed transactions may
-    /// share one durable sync (1, the default, syncs every commit).
-    /// Larger groups trade the tail of the log on a crash for fewer
-    /// write barriers. No-op in rollback mode.
-    pub fn set_group_commit(&mut self, n: u32) {
-        self.group_size = n.max(1);
-    }
-
-    /// Commits appended to the WAL but not yet covered by a sync.
-    pub fn pending_commits(&self) -> u32 {
-        self.pending_commits
-    }
-
-    /// Makes all pending group commits durable now.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors.
-    pub fn flush(&mut self, sys: &mut System) -> Result<()> {
-        if self.pending_commits > 0 {
-            self.wal_sync_commits(sys)?;
-        }
-        Ok(())
-    }
-
     /// End offset of the last fully appended WAL frame (0 in rollback
-    /// mode). Together with [`Pager::wal_synced_end`] this brackets the
-    /// byte range a crash may tear.
+    /// mode).
     pub fn wal_end(&self) -> u64 {
         self.wal.as_ref().map_or(0, Wal::end)
-    }
-
-    /// End offset of the WAL's durable prefix (0 in rollback mode).
-    pub fn wal_synced_end(&self) -> u64 {
-        self.wal.as_ref().map_or(0, Wal::synced_end)
     }
 
     /// End offset of the WAL's committed prefix (0 in rollback mode).
@@ -331,8 +294,8 @@ impl Pager {
     /// Commits the open transaction.
     ///
     /// WAL mode: append every dirty page as a frame, the last one a
-    /// commit record, then sync only once `group_size` commits have
-    /// accumulated. Rollback mode: journal sync → dirty page write-back
+    /// commit record, then sync, so an acknowledged commit is durable.
+    /// Rollback mode: journal sync → dirty page write-back
     /// → db sync → journal delete.
     ///
     /// # Errors
@@ -394,27 +357,8 @@ impl Pager {
         }
         self.wal.as_mut().expect("wal mode").mark_committed();
         self.stats.commits += 1;
-        self.pending_commits += 1;
-        if self.pending_commits >= self.group_size {
-            self.wal_sync_commits(sys)?;
-        }
-        Ok(())
-    }
-
-    /// Syncs the WAL, making every pending commit durable at once.
-    fn wal_sync_commits(&mut self, sys: &mut System) -> Result<()> {
-        let batch = self.pending_commits;
-        let wal = self.wal.as_mut().expect("wal mode");
-        if wal.synced_end() < wal.end() {
-            wal.sync(sys)?;
-            self.stats.syncs += 1;
-        }
-        self.pending_commits = 0;
-        if batch >= 2 {
-            sys.record_recovery(RecoveryEvent::GroupCommitBatch {
-                commits: u64::from(batch),
-            });
-        }
+        self.wal.as_mut().expect("wal mode").sync(sys)?;
+        self.stats.syncs += 1;
         Ok(())
     }
 
@@ -532,7 +476,6 @@ impl Pager {
         // Recovery-ordering invariant: the log must be durable before
         // the db file is overwritten — otherwise a crash mid-fold could
         // leave the file half-new with only an unsynced log to replay.
-        self.flush(sys)?;
         {
             let wal = self.wal.as_mut().expect("checked above");
             if wal.synced_end() < wal.committed_end() {
@@ -859,7 +802,6 @@ fn recover(
 mod tests {
     use super::*;
     use crate::storage::HostEnv;
-    use crate::wal::wal_path;
     use cubicle_core::{IsolationMode, System};
 
     fn sys() -> System {
@@ -1051,67 +993,6 @@ mod tests {
         let mut p = Pager::open(&mut sys, Box::new(env.clone()), "/s.db", 8).unwrap();
         assert_eq!(p.page_count(), 2, "uncommitted allocations discarded");
         assert_eq!(p.read_page(&mut sys, 1).unwrap()[0], 7);
-    }
-
-    #[test]
-    fn group_commit_coalesces_syncs() {
-        let mut sys = sys();
-        let env = HostEnv::new();
-        let mut p = open(&mut sys, &env);
-        p.set_group_commit(8);
-        for i in 0..8u8 {
-            p.begin(&mut sys).unwrap();
-            let pno = p.allocate_page(&mut sys).unwrap();
-            let mut data = vec![0u8; DB_PAGE];
-            data[0] = i;
-            p.write_page(&mut sys, pno, &data).unwrap();
-            p.commit(&mut sys).unwrap();
-            if i < 7 {
-                assert_eq!(p.pending_commits(), u32::from(i) + 1);
-            }
-        }
-        assert_eq!(p.stats.syncs, 1, "eight commits, one durable sync");
-        assert_eq!(p.pending_commits(), 0);
-        assert_eq!(sys.stats().group_commit_batches, 1);
-    }
-
-    #[test]
-    fn unsynced_group_commits_lost_on_torn_tail() {
-        let mut sys = sys();
-        let env = HostEnv::new();
-        let synced_end;
-        {
-            let mut p = open(&mut sys, &env);
-            p.set_group_commit(4);
-            // txn 1: committed AND synced
-            p.begin(&mut sys).unwrap();
-            let a = p.allocate_page(&mut sys).unwrap();
-            let mut data = vec![0u8; DB_PAGE];
-            data[0] = 1;
-            p.write_page(&mut sys, a, &data).unwrap();
-            p.commit(&mut sys).unwrap();
-            p.flush(&mut sys).unwrap();
-            synced_end = p.wal_synced_end();
-            // txn 2: committed but pending in the group window
-            p.begin(&mut sys).unwrap();
-            data[0] = 2;
-            p.write_page(&mut sys, a, &data).unwrap();
-            p.commit(&mut sys).unwrap();
-            assert!(p.wal_end() > synced_end);
-            assert_eq!(p.pending_commits(), 1);
-        }
-        // The crash loses everything past the last sync.
-        {
-            let mut env = env.clone();
-            let mut f = env.open(&mut sys, &wal_path("/test.db")).unwrap();
-            f.truncate(&mut sys, synced_end).unwrap();
-        }
-        let mut p = open(&mut sys, &env);
-        assert_eq!(
-            p.read_page(&mut sys, 1).unwrap()[0],
-            1,
-            "synced txn survives, unsynced group tail is gone"
-        );
     }
 
     #[test]
