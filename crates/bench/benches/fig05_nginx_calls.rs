@@ -5,7 +5,7 @@ use cubicle_bench::report::results::BenchResults;
 use cubicle_bench::report::{
     assert_spans_partition, audit_gate, banner, dump_observability, obs_dir,
 };
-use cubicle_core::IsolationMode;
+use cubicle_core::{IsolationMode, SystemConfig};
 use cubicle_httpd::boot_web;
 use cubicle_mpk::rng::Rng64;
 use cubicle_net::WireModel;
@@ -21,7 +21,13 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(50);
 
-    let mut dep = boot_web(IsolationMode::Full).unwrap();
+    // The figure measures the paper's mechanism: per-page trap-and-map on
+    // every shared buffer, no pair keys.
+    let mut dep = boot_web(SystemConfig {
+        pair_keys: false,
+        ..IsolationMode::Full.into()
+    })
+    .unwrap();
     let obs = obs_dir();
     if obs.is_some() {
         dep.sys.enable_tracing(1 << 20);

@@ -5,7 +5,7 @@ use cubicle_bench::report::results::BenchResults;
 use cubicle_bench::report::{
     assert_spans_partition, audit_gate, banner, dump_observability, factor, obs_dir,
 };
-use cubicle_core::IsolationMode;
+use cubicle_core::{IsolationMode, SystemConfig};
 use cubicle_httpd::boot_web;
 use cubicle_net::WireModel;
 use cubicle_ukbase::time::cycles_to_ms;
@@ -29,7 +29,13 @@ const SIZES: [(&str, usize); 15] = [
 ];
 
 fn series(mode: IsolationMode) -> Vec<u64> {
-    let mut dep = boot_web(mode).unwrap();
+    // The figure measures the paper's mechanism: per-page trap-and-map on
+    // every shared buffer, no pair keys.
+    let mut dep = boot_web(SystemConfig {
+        pair_keys: false,
+        ..mode.into()
+    })
+    .unwrap();
     // Profile the CubicleOS run only: the baseline has no cross-calls
     // worth a flamegraph.
     let obs = if matches!(mode, IsolationMode::Full) {

@@ -16,7 +16,9 @@
 //!   at all (the loader flips code pages to execute-only after copy-in);
 //! * **causal tag consistency** (§5.6) — every page's MPK key matches the
 //!   holder recorded by the monitor (owner, or the peer trap-and-map last
-//!   admitted), or the parked key under tag virtualisation; a non-owner
+//!   admitted), the parked key under tag virtualisation, or the pair key
+//!   of a live window share that covers the page and whose pair includes
+//!   the holder (DESIGN §6l); a non-owner
 //!   holder must be justified by a window grant; machine page table and
 //!   monitor page metadata cover exactly the same pages;
 //! * **window ranges** — every range published in a window descriptor
@@ -26,10 +28,11 @@
 //!   its region;
 //! * **key uniqueness** — no two cubicles hold the same MPK key (parked
 //!   cubicles excepted under tag virtualisation; quarantined cubicles
-//!   excepted always, their key is the parked sentinel);
+//!   excepted always, their key is the parked sentinel), no cubicle
+//!   holds a live pair key, and no two pairs share one;
 //! * **quarantine** — a quarantined cubicle is fully torn down: it owns
-//!   and holds no pages, publishes no windows, carries the parked key
-//!   and has no stack;
+//!   and holds no pages, publishes no windows, is one of no pair share,
+//!   carries the parked key and has no stack;
 //! * **concurrency** — the monitor's lock discipline held: every lock's
 //!   recorded critical sections are pairwise non-overlapping in simulated
 //!   time, and each cubicle's re-entrancy stack pool is consistent (slot 0
@@ -201,7 +204,10 @@ impl System {
                 });
             }
             let holder = &self.cubicles[meta.holder.index()];
-            if entry.key != holder.key && !(parked_ok && entry.key == PARKED_KEY) {
+            if entry.key != holder.key
+                && !(parked_ok && entry.key == PARKED_KEY)
+                && self.shared_home_key(meta.owner, meta.holder, page) != Some(entry.key)
+            {
                 findings.push(AuditFinding {
                     class: InvariantClass::TagConsistency,
                     detail: format!(
@@ -326,6 +332,43 @@ impl System {
                 }
             }
         }
+        // Pair keys come from the same pool: one key per pair, and none
+        // doubling as a cubicle's own.
+        let shares = &self.keys.shares;
+        let pair = |s: &crate::system::PairShare| {
+            format!(
+                "{}+{}",
+                self.cubicles[s.owner.index()].name,
+                self.cubicles[s.peer.index()].name
+            )
+        };
+        for (i, s) in shares.iter().enumerate() {
+            if let Some(c) = self
+                .cubicles
+                .iter()
+                .find(|c| c.key == s.key && !c.is_quarantined())
+            {
+                findings.push(AuditFinding {
+                    class: InvariantClass::KeyUniqueness,
+                    detail: format!("{} holds {}, the pair key of {}", c.name, s.key, pair(s)),
+                });
+            }
+            if let Some(t) = shares[..i]
+                .iter()
+                .find(|t| (t.key == s.key) != (t.has(s.owner) && t.has(s.peer)))
+            {
+                findings.push(AuditFinding {
+                    class: InvariantClass::KeyUniqueness,
+                    detail: format!(
+                        "pairs {} ({}) and {} ({}) do not hold one key per pair",
+                        pair(t),
+                        t.key,
+                        pair(s),
+                        s.key
+                    ),
+                });
+            }
+        }
 
         // ── pass 5: quarantine teardown ──────────────────────────────
         for c in self.cubicles.iter().filter(|c| c.is_quarantined()) {
@@ -345,6 +388,18 @@ impl System {
                 findings.push(AuditFinding {
                     class: InvariantClass::Quarantine,
                     detail: format!("quarantined {} still holds {held} foreign page(s)", c.name),
+                });
+            }
+            if let Some(s) = self.keys.shares.iter().find(|s| s.has(c.id)) {
+                findings.push(AuditFinding {
+                    class: InvariantClass::Quarantine,
+                    detail: format!(
+                        "quarantined {} still shares {} of {} under pair key {}",
+                        c.name,
+                        s.wid,
+                        self.cubicles[s.owner.index()].name,
+                        s.key
+                    ),
                 });
             }
             if !c.windows.is_empty() {

@@ -32,6 +32,7 @@ mod trap;
 mod windows;
 
 pub use containment::{RecoveryEvent, RestartPolicy};
+pub(crate) use keys::PairShare;
 pub use keys::PARKED_KEY;
 pub use loader::LoadedComponent;
 pub use locks::{MonitorLock, MonitorLockStats};
@@ -167,6 +168,9 @@ pub struct System {
     /// ledger → page_meta order (heap growth maps fresh pages while
     /// holding the ledger) — a deadlock cycle CubicleSan would flag.
     pending_quarantine: Vec<(CubicleId, String)>,
+    /// Shared windows get pair keys ([`SystemConfig::pair_keys`], only
+    /// in [`IsolationMode::Full`]).
+    pair_keys: bool,
     /// CubicleSan ([`SystemConfig::race_detection`]): vector-clock
     /// happens-before race detector + Eraser locksets + lock-order graph
     /// over the monitor's shared metadata. `None` skips every hook; the
@@ -178,7 +182,8 @@ pub struct System {
 /// Everything about a [`System`] that is fixed when it is built, like
 /// the image the paper's trusted builder seals before boot: isolation
 /// mode, cost model, containment and restart policy, watchdog budget,
-/// platform tax, key virtualisation, CubicleSan and the core count.
+/// platform tax, key virtualisation, CubicleSan, the core count and
+/// pair keys.
 ///
 /// `System::new(mode)` takes the defaults for everything but the mode;
 /// other configurations use struct update syntax:
@@ -242,6 +247,14 @@ pub struct SystemConfig {
     /// (default 1). Boot runs on core 0; the others come up at the first
     /// [`System::switch_to_core`] with that moment's clock and PKRU.
     pub cores: usize,
+    /// Pair keys for windows shared with one peer
+    /// ([`System::window_share`]). On (the default) in
+    /// [`IsolationMode::Full`] with a non-virtualised key pool, the
+    /// window's pages carry a pinned key k(owner, peer) that both
+    /// members' PKRU sets enable, so neither traps on them. Off,
+    /// `window_share` is `window_open` and every touch takes the paper's
+    /// per-page trap-and-map; the paper-figure harnesses pin that.
+    pub pair_keys: bool,
 }
 
 impl Default for SystemConfig {
@@ -256,6 +269,7 @@ impl Default for SystemConfig {
             key_virtualisation: false,
             race_detection: false,
             cores: 1,
+            pair_keys: true,
         }
     }
 }
@@ -326,6 +340,7 @@ impl System {
             restart_policy: config.restart_policy,
             locks: MonitorLocks::default(),
             pending_quarantine: Vec::new(),
+            pair_keys: config.pair_keys && config.mode == IsolationMode::Full,
             race: config.race_detection.then(|| Box::new(RaceDetector::new())),
         }
     }

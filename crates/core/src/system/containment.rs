@@ -263,10 +263,11 @@ impl System {
         self.quarantine_inner(cid, reason);
     }
 
-    /// Quarantines `cid`: destroys its windows, reclaims its pages
-    /// (tombstoned so dangling references yield typed errors), retags
-    /// pages it held of other owners back to them, parks its MPK key
-    /// into the reuse pool and rejects future cross-calls with
+    /// Quarantines `cid`: destroys its windows, ends its pair shares,
+    /// reclaims its pages (tombstoned so dangling references yield typed
+    /// errors), retags pages it held of other owners back to them, parks
+    /// its MPK key and any pair key it held into the reuse pool and
+    /// rejects future cross-calls with
     /// [`CubicleError::Quarantined`]. [`System::audit`] is clean
     /// immediately afterwards. Reversed by [`System::restart`].
     ///
@@ -310,11 +311,15 @@ impl System {
 
         // ❶ Destroy the offender's window descriptors: nothing of its
         // (soon reclaimed) memory stays published. A fault on another
-        // core may be searching this array (P → W nesting).
+        // core may be searching this array (P → W nesting). Every pair
+        // share the offender is one of ends with them, and the pages
+        // still carrying a pair key go back to their owner's key.
         let wstart = self.lock_acquire(MonitorLock::Windows);
         self.race_note(RaceObject::Windows, true, "quarantine:windows.take");
+        let unpair = self.unshare_locked(|s| s.has(cid));
         let windows = std::mem::take(&mut self.cubicles[cid.index()].windows);
         self.lock_release(MonitorLock::Windows, wstart);
+        self.unpair(unpair);
 
         // ❷ + ❸ mutate the page-metadata map (holder retags, removals,
         // tombstones) — one critical section covers the whole teardown.

@@ -362,9 +362,11 @@ impl System {
         out
     }
 
-    /// The PKRU permission set a cubicle executes with: its own key plus
+    /// The PKRU permission set a cubicle executes with: its own key,
     /// every shared cubicle's key (shared static data "is shared among
-    /// all cubicles", paper §3). The monitor gets everything.
+    /// all cubicles", paper §3) and the pair key of every live window
+    /// share it is one of ([`System::window_share`]). The monitor gets
+    /// everything.
     pub fn pkru_for(&self, cid: CubicleId) -> Pkru {
         if cid == CubicleId::MONITOR {
             return Pkru::allow_all();
@@ -373,6 +375,11 @@ impl System {
         for c in &self.cubicles {
             if c.shared {
                 pkru = pkru.allowing(c.key);
+            }
+        }
+        for s in &self.keys.shares {
+            if s.has(cid) {
+                pkru = pkru.allowing(s.key);
             }
         }
         pkru

@@ -190,6 +190,7 @@ impl System {
                     owner,
                     accessor,
                     kind,
+                    ..
                 } => instant(
                     r,
                     "fault_resolved",
@@ -747,12 +748,6 @@ impl System {
             &mut out,
         );
         counter(
-            "cubicle_fault_audit_dropped_total",
-            "Fault-audit records evicted (ring full).",
-            tracer.audit_dropped,
-            &mut out,
-        );
-        counter(
             "cubicle_spans_completed_total",
             "Cross-call spans closed by the profiler.",
             tracer.spans_completed(),
@@ -806,8 +801,9 @@ impl System {
     /// Renders the loader + trap-and-map audit logs as human-readable
     /// text: one line per refused image, then one line per fault, saying
     /// who touched whose page and which window descriptor (or rule)
-    /// decided. Fault lines are present only while tracing is enabled;
-    /// loader rejections are always kept.
+    /// decided. Fault lines are rendered from the fault records the trace
+    /// ring holds, so they exist only while tracing is enabled; loader
+    /// rejections are always kept.
     pub fn export_fault_audit(&self) -> String {
         let mut out = String::new();
         for line in &self.loader_audit {
@@ -829,6 +825,7 @@ impl System {
             let verdict = match a.decision {
                 FaultDecision::OwnerReclaim => "RESOLVED (owner reclaim)".to_string(),
                 FaultDecision::AclsDisabled => "RESOLVED (ACLs disabled)".to_string(),
+                FaultDecision::PkruRefresh => "RESOLVED (pair key, PKRU refreshed)".to_string(),
                 FaultDecision::Window(wid) => format!("RESOLVED (via {wid})"),
                 FaultDecision::Denied => "DENIED (no open window)".to_string(),
             };
@@ -840,12 +837,10 @@ impl System {
         // A saturated ring must be visible: otherwise a clean-looking
         // audit could silently be missing its oldest records.
         if let Some(tracer) = &self.tracer {
-            if tracer.buf.dropped() > 0 || tracer.audit_dropped > 0 {
+            if tracer.buf.dropped() > 0 {
                 out.push_str(&format!(
-                    "dropped: {} trace event(s) overwritten, {} fault-audit record(s) \
-                     evicted (ring full)\n",
+                    "dropped: {} trace event(s) overwritten (ring full)\n",
                     tracer.buf.dropped(),
-                    tracer.audit_dropped,
                 ));
             }
         }

@@ -10,9 +10,9 @@ use crate::ids::{CubicleId, EntryId};
 use crate::ledger::LedgerRow;
 use crate::metrics::Metrics;
 use crate::span::{CycleAttribution, SpanFrame, SpanProfiler, SpanRecord};
-use crate::trace::{FaultAudit, TraceBuffer, TraceEvent};
+use crate::trace::{FaultAudit, TraceBuffer, TraceEvent, TraceRecord};
 use cubicle_mpk::{Fault, Pkru, ProtKey, VAddr};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// How [`System::page_op`] changes a mapped page.
 #[derive(Clone, Copy)]
@@ -32,9 +32,6 @@ pub(super) enum PageOp {
 pub(super) struct Tracer {
     pub(super) buf: TraceBuffer,
     pub(super) metrics: Metrics,
-    pub(super) audit: VecDeque<FaultAudit>,
-    pub(super) audit_capacity: usize,
-    pub(super) audit_dropped: u64,
     /// Causal span profilers, one per simulated core (index = core id),
     /// grown lazily as cores first record events. Each profiler sees
     /// only its own core's events, so per-core span trees stay causally
@@ -107,9 +104,6 @@ impl System {
         self.tracer = Some(Tracer {
             buf: TraceBuffer::new(capacity),
             metrics: Metrics::default(),
-            audit: VecDeque::new(),
-            audit_capacity: capacity,
-            audit_dropped: 0,
             spans: vec![SpanProfiler::new(self.machine.now(), capacity)],
             span_capacity: capacity,
             next_span: 1,
@@ -131,10 +125,13 @@ impl System {
         self.tracer.as_ref().map(|t| &t.metrics)
     }
 
-    /// The trap-and-map audit log (bounded like the trace buffer),
-    /// oldest first. Empty when tracing is disabled.
-    pub fn fault_audit(&self) -> impl Iterator<Item = &FaultAudit> {
-        self.tracer.iter().flat_map(|t| t.audit.iter())
+    /// The trap-and-map audit log, oldest first: the fault records the
+    /// trace ring still holds. Empty when tracing is disabled.
+    pub fn fault_audit(&self) -> impl Iterator<Item = FaultAudit> + '_ {
+        self.trace()
+            .into_iter()
+            .flat_map(TraceBuffer::records)
+            .filter_map(TraceRecord::fault_audit)
     }
 
     /// Core 0's causal span profiler, when tracing is enabled.
@@ -373,17 +370,5 @@ impl System {
     pub(super) fn wrpkru(&mut self, pkru: Pkru) {
         self.machine.set_pkru(pkru);
         self.trace_push(TraceEvent::WrPkru { pkru });
-    }
-
-    /// Appends a fault-audit record (no-op when tracing is disabled).
-    #[inline]
-    pub(super) fn audit_push(&mut self, audit: FaultAudit) {
-        if let Some(tracer) = &mut self.tracer {
-            if tracer.audit.len() >= tracer.audit_capacity {
-                tracer.audit.pop_front();
-                tracer.audit_dropped += 1;
-            }
-            tracer.audit.push_back(audit);
-        }
     }
 }

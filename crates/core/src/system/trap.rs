@@ -1,5 +1,6 @@
 //! Trap-and-map (paper §5.3, Fig. 4): fault resolution against page
-//! metadata and window ACLs, with the window-grant cache.
+//! metadata and window ACLs, with the window-grant cache. A page under
+//! a live pair share resolves to the pair's key (DESIGN §6l).
 
 use super::locks::MonitorLock;
 use super::observe::PageOp;
@@ -7,7 +8,7 @@ use super::System;
 use crate::error::{CubicleError, Result};
 use crate::ids::{CubicleId, WindowId};
 use crate::race::RaceObject;
-use crate::trace::{FaultAudit, FaultDecision, TraceEvent};
+use crate::trace::{FaultDecision, TraceEvent};
 use cubicle_mpk::{Fault, FaultKind, PageNum, ProtKey, VAddr};
 use std::collections::HashMap;
 
@@ -71,12 +72,33 @@ impl System {
             // grants — not even through still-open peer windows.
             return Err(CubicleError::Quarantined { cubicle: accessor });
         }
+        // The page's home key for this accessor: the pair key while a
+        // live share of the owner's covers the page and the accessor is
+        // one of the pair (DESIGN §6l), else the accessor's own key.
         let accessor_key = self.cubicles[accessor.index()].key;
+        let home = self
+            .home_key(meta.owner, accessor, fault.addr.page())
+            .unwrap_or(accessor_key);
+        if home != accessor_key
+            && self
+                .machine
+                .page_entry(fault.addr)
+                .is_some_and(|e| e.key == home)
+        {
+            // The page already carries the pair key: this core's PKRU
+            // was loaded before the share. Rewriting it is the whole
+            // resolution — a retag would change nothing.
+            let pkru = self.pkru_for(accessor);
+            self.wrpkru(pkru);
+            self.stats.faults_resolved += 1;
+            self.trace_fault(&fault, meta.owner, accessor, FaultDecision::PkruRefresh);
+            return Ok(());
+        }
 
         // Implicit window 0: the owner always reclaims its own pages
         // (lazily retagged back — causal tag consistency, §5.6).
         if meta.owner == accessor {
-            self.retag(fault.addr, accessor_key)?;
+            self.retag(fault.addr, home)?;
             self.record_holder(fault.addr, accessor, None);
             self.stats.faults_resolved += 1;
             self.trace_fault(&fault, meta.owner, accessor, FaultDecision::OwnerReclaim);
@@ -85,7 +107,7 @@ impl System {
 
         // Ablation mode "w/o ACLs": windows are open for any access.
         if !self.mode.acls_active() {
-            self.retag(fault.addr, accessor_key)?;
+            self.retag(fault.addr, home)?;
             self.record_holder(fault.addr, accessor, None);
             self.stats.faults_resolved += 1;
             self.trace_fault(&fault, meta.owner, accessor, FaultDecision::AclsDisabled);
@@ -158,7 +180,7 @@ impl System {
             // cached mapping without a fresh `pkey_mprotect`
             // round-trip (the remembered grant proves the ACL still
             // authorises the access).
-            self.page_op(fault.addr, PageOp::RetagCached(accessor_key))
+            self.page_op(fault.addr, PageOp::RetagCached(home))
                 .map_err(CubicleError::MachineFault)?;
             self.record_holder(fault.addr, accessor, Some(via));
             self.stats.faults_resolved += 1;
@@ -187,8 +209,9 @@ impl System {
         self.machine.charge(cost.acl_probe * probes);
         self.lock_release(MonitorLock::Windows, wstart);
         if let Some(wid) = decided_by {
-            // ❺ assign the accessor's MPK tag to the page (zero-copy)
-            self.retag(fault.addr, accessor_key)?;
+            // ❺ assign the accessor's MPK tag — or its pair key with the
+            // owner — to the page (zero-copy)
+            self.retag(fault.addr, home)?;
             self.record_holder(fault.addr, accessor, Some(wid));
             self.stats.faults_resolved += 1;
             let gstart = self.lock_acquire(MonitorLock::GrantCache);
@@ -267,8 +290,9 @@ impl System {
         CubicleError::MachineFault(fault)
     }
 
-    /// Records the outcome of a trap-and-map resolution in the trace and
-    /// the fault audit log (no-op when tracing is disabled).
+    /// Records the outcome of a trap-and-map resolution in the trace —
+    /// the one record the fault audit is rendered from (no-op when
+    /// tracing is disabled).
     fn trace_fault(
         &mut self,
         fault: &Fault,
@@ -291,17 +315,34 @@ impl System {
                 owner,
                 accessor,
                 kind: fault.access,
+                decision,
             },
         };
         self.trace_push(event);
-        self.audit_push(FaultAudit {
-            at: self.machine.now(),
-            addr: fault.addr,
-            owner,
-            accessor,
-            access: fault.access,
-            decision,
-        });
+    }
+
+    /// The pair key `accessor` shares `page` under with its `owner`, if
+    /// any ([`System::shared_home_key`], read under the windows lock —
+    /// taken only when the two have a live share at all).
+    fn home_key(
+        &mut self,
+        owner: CubicleId,
+        accessor: CubicleId,
+        page: PageNum,
+    ) -> Option<ProtKey> {
+        if !self
+            .keys
+            .shares
+            .iter()
+            .any(|s| s.owner == owner && s.has(accessor))
+        {
+            return None;
+        }
+        let wstart = self.lock_acquire(MonitorLock::Windows);
+        self.race_note(RaceObject::Windows, false, "resolve_fault:windows.shares");
+        let key = self.shared_home_key(owner, accessor, page);
+        self.lock_release(MonitorLock::Windows, wstart);
+        key
     }
 
     fn retag(&mut self, addr: VAddr, key: ProtKey) -> Result<()> {

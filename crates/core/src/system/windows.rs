@@ -1,12 +1,22 @@
-//! The window API (paper Table 1).
+//! The window API (paper Table 1), plus `window_share`: a window its
+//! owner shares with one peer under a pair key (DESIGN §6l).
 
+use super::keys::PairShare;
 use super::locks::MonitorLock;
+use super::observe::PageOp;
 use super::System;
 use crate::error::{CubicleError, Result};
 use crate::ids::{CubicleId, WindowId};
 use crate::race::RaceObject;
 use crate::trace::{TraceEvent, WindowOpKind};
-use cubicle_mpk::{pages_covering, VAddr};
+use cubicle_mpk::{pages_covering, PageNum, ProtKey, VAddr};
+
+/// The pages of one ended pair share that may still carry its key.
+pub(super) struct Unpair {
+    owner: CubicleId,
+    key: ProtKey,
+    pages: Vec<PageNum>,
+}
 
 impl System {
     /// Opens a window-management critical section: counts the op,
@@ -113,6 +123,18 @@ impl System {
             true,
             "window_remove:window_mut.remove_range",
         );
+        // A shared window's removed range leaves the share at once.
+        let unpair: Vec<Unpair> = self
+            .keys
+            .shares
+            .iter()
+            .filter(|s| s.owner == cid && s.wid == wid)
+            .map(|s| Unpair {
+                owner: cid,
+                key: s.key,
+                pages: self.window_pages(cid, wid, Some(ptr)),
+            })
+            .collect();
         let result = match self.cubicles[cid.index()].window_mut(wid) {
             None => Err(CubicleError::NoSuchWindow(wid)),
             Some(w) => {
@@ -135,6 +157,7 @@ impl System {
         }
         self.window_op_end(wstart);
         if result.is_ok() {
+            self.unpair(unpair);
             self.trace_window_op(WindowOpKind::Remove, wid, None);
         }
         result
@@ -146,6 +169,45 @@ impl System {
     ///
     /// [`CubicleError::NoSuchWindow`].
     pub fn window_open(&mut self, wid: WindowId, peer: CubicleId) -> Result<()> {
+        self.open_window(wid, peer, false)
+    }
+
+    /// Opens a persistent window for `peer`, the one cubicle its owner
+    /// shares it with, under a pair key (DESIGN §6l).
+    ///
+    /// Does everything [`System::window_open`] does. In
+    /// [`IsolationMode::Full`](crate::IsolationMode::Full) it also pins a
+    /// key k(owner, peer) from the key pool — the pair's live one, if
+    /// another of their windows holds it — enables it in both members'
+    /// PKRU sets and eagerly retags the window's pages to it, one
+    /// `pkey_mprotect` per page. Neither member traps on those pages
+    /// again; a third cubicle admitted by another window still goes
+    /// through trap-and-map, and the pair's next touch after it takes
+    /// the pair key back.
+    ///
+    /// With [`SystemConfig::pair_keys`](crate::SystemConfig::pair_keys)
+    /// off, a virtualised or empty key pool, or a peer that is the owner,
+    /// the monitor or a shared cubicle, it is exactly `window_open`.
+    ///
+    /// Unsharing is eager — the owner never traps on a pair-keyed page,
+    /// so it would never take it back lazily: `window_close` or
+    /// `window_close_all` for the peer and `window_destroy` end the
+    /// share, `window_remove` takes the removed range out of it, and all
+    /// retag the pages still carrying the pair key to the owner's key at
+    /// once. Quarantine of either member ends its shares the same way,
+    /// and an ownership transfer retags the transferred pages. The end of
+    /// the pair's last share returns the key to the pool.
+    ///
+    /// # Errors
+    ///
+    /// [`CubicleError::NoSuchWindow`].
+    pub fn window_share(&mut self, wid: WindowId, peer: CubicleId) -> Result<()> {
+        self.open_window(wid, peer, true)
+    }
+
+    /// The one path behind [`System::window_open`] and
+    /// [`System::window_share`]; `share` asks for the pair key.
+    fn open_window(&mut self, wid: WindowId, peer: CubicleId, share: bool) -> Result<()> {
         let wstart = self.window_op_begin();
         let cid = self.current_cubicle();
         self.race_note(RaceObject::Windows, true, "window_open:window_mut.open_for");
@@ -156,18 +218,145 @@ impl System {
             }
             None => Err(CubicleError::NoSuchWindow(wid)),
         };
+        let paired = match result {
+            Ok(()) if share && self.pair_keys_between(cid, peer) => self
+                .keys
+                .share(cid, peer, wid)
+                .map(|key| (key, self.window_pages(cid, wid, None))),
+            _ => None,
+        };
         self.window_op_end(wstart);
+        let op = match paired {
+            Some((key, pages)) => {
+                self.retag_owned(cid, &pages, None, key);
+                WindowOpKind::Share
+            }
+            None => WindowOpKind::Open,
+        };
         if result.is_ok() {
-            self.trace_window_op(WindowOpKind::Open, wid, Some(peer));
+            self.trace_window_op(op, wid, Some(peer));
         }
         result
+    }
+
+    /// Can `owner` and `peer` hold a pair key? Pair keys are on, and both
+    /// are distinct, live, isolated cubicles (a shared cubicle's key is
+    /// already in every PKRU set).
+    fn pair_keys_between(&self, owner: CubicleId, peer: CubicleId) -> bool {
+        self.pair_keys
+            && owner != peer
+            && owner != CubicleId::MONITOR
+            && peer != CubicleId::MONITOR
+            && peer.index() < self.cubicles.len()
+            && [owner, peer].iter().all(|c| {
+                let c = &self.cubicles[c.index()];
+                !c.shared && !c.is_quarantined()
+            })
+    }
+
+    /// The pair key `a` and `b` share windows under, while they do (see
+    /// [`System::window_share`]).
+    pub fn pair_key(&self, a: CubicleId, b: CubicleId) -> Option<ProtKey> {
+        self.keys.pair_key(a, b)
+    }
+
+    /// The pair key a page of `owner` carries for `member`: `Some` while
+    /// `member` is one of a live share's pair and a range of the shared
+    /// window covers `page`. Reads window descriptors; the fault path
+    /// holds the windows lock around it.
+    pub(crate) fn shared_home_key(
+        &self,
+        owner: CubicleId,
+        member: CubicleId,
+        page: PageNum,
+    ) -> Option<ProtKey> {
+        self.keys
+            .shares
+            .iter()
+            .find(|s| {
+                s.owner == owner
+                    && s.has(member)
+                    && self.cubicles[owner.index()]
+                        .window(s.wid)
+                        .is_some_and(|w| w.ranges().iter().any(|r| r.covers_page(page)))
+            })
+            .map(|s| s.key)
+    }
+
+    /// The distinct pages window `wid` of `owner` covers — only its
+    /// ranges starting at `start`, when given.
+    fn window_pages(&self, owner: CubicleId, wid: WindowId, start: Option<VAddr>) -> Vec<PageNum> {
+        let mut pages: Vec<PageNum> = self.cubicles[owner.index()]
+            .window(wid)
+            .into_iter()
+            .flat_map(|w| w.ranges())
+            .filter(|r| start.is_none_or(|p| r.start == p))
+            .flat_map(|r| pages_covering(r.start, r.len))
+            .collect();
+        pages.sort_unstable();
+        pages.dedup();
+        pages
+    }
+
+    /// Ends the pair shares `ends` selects, with the windows lock held
+    /// and before their windows change. Returns the pages to hand back
+    /// to their owners once the lock is released ([`System::unpair`]).
+    pub(super) fn unshare_locked(&mut self, ends: impl Fn(&PairShare) -> bool) -> Vec<Unpair> {
+        self.keys
+            .unshare(ends)
+            .into_iter()
+            .map(|s| Unpair {
+                owner: s.owner,
+                key: s.key,
+                pages: self.window_pages(s.owner, s.wid, None),
+            })
+            .collect()
+    }
+
+    /// Retags the pages of ended shares that still carry the pair key
+    /// back to their owner's key, eagerly: the owner never traps on a
+    /// pair-keyed page, so it would never take one back lazily.
+    pub(super) fn unpair(&mut self, ended: Vec<Unpair>) {
+        for u in ended {
+            let owner_key = self.cubicles[u.owner.index()].key;
+            self.retag_owned(u.owner, &u.pages, Some(u.key), owner_key);
+        }
+    }
+
+    /// Retags `owner`'s pages among `pages` to `to` — only those carrying
+    /// `from`, when given — with the owner as their holder, then reloads
+    /// the running cubicle's PKRU so its pair keys are current. Each
+    /// retag pays `pkey_mprotect`; the PKRU reload rides on the window
+    /// operation's already charged `wrpkru` pair.
+    fn retag_owned(
+        &mut self,
+        owner: CubicleId,
+        pages: &[PageNum],
+        from: Option<ProtKey>,
+        to: ProtKey,
+    ) {
+        let pstart = self.lock_acquire(MonitorLock::PageMeta);
+        self.race_note(RaceObject::PageMeta, false, "retag_owned:page_meta.get");
+        for &page in pages {
+            let key = self.machine.page_entry(page.base()).map(|e| e.key);
+            let owned = self.page_meta.get(&page).is_some_and(|m| m.owner == owner);
+            if owned && key != Some(to) && from.is_none_or(|k| key == Some(k)) {
+                self.page_op(page.base(), PageOp::Retag(to))
+                    .expect("owned page is mapped");
+                self.record_holder(page.base(), owner, None);
+            }
+        }
+        self.lock_release(MonitorLock::PageMeta, pstart);
+        let pkru = self.pkru_for(self.current_cubicle());
+        self.machine.set_pkru_at_load(pkru);
     }
 
     /// `cubicle_window_close`: disallows `peer`.
     ///
     /// Closing is *lazy*: pages already retagged to the peer stay
     /// readable by it until another authorised cubicle touches them —
-    /// the paper's causal tag consistency (§5.6).
+    /// the paper's causal tag consistency (§5.6). Closing a shared
+    /// window for its peer is eager (see [`System::window_share`]).
     ///
     /// # Errors
     ///
@@ -187,6 +376,7 @@ impl System {
             }
             None => Err(CubicleError::NoSuchWindow(wid)),
         };
+        let unpair = self.unshare_locked(|s| s.owner == cid && s.wid == wid && s.peer == peer);
         if result.is_ok() {
             // Closing is lazy for already-retagged pages, but the
             // *authority* is gone: the peer's next fault must take the
@@ -196,6 +386,7 @@ impl System {
             });
         }
         self.window_op_end(wstart);
+        self.unpair(unpair);
         if result.is_ok() {
             self.trace_window_op(WindowOpKind::Close, wid, Some(peer));
         }
@@ -222,12 +413,14 @@ impl System {
             }
             None => Err(CubicleError::NoSuchWindow(wid)),
         };
+        let unpair = self.unshare_locked(|s| s.owner == cid && s.wid == wid);
         if result.is_ok() {
             self.grant_cache_retain("window_close_all:grant_cache.retain", |_, e| {
                 !(e.owner == cid && e.via == wid)
             });
         }
         self.window_op_end(wstart);
+        self.unpair(unpair);
         if result.is_ok() {
             self.trace_window_op(WindowOpKind::CloseAll, wid, None);
         }
@@ -247,6 +440,7 @@ impl System {
             true,
             "window_destroy:windows.swap_remove",
         );
+        let unpair = self.unshare_locked(|s| s.owner == cid && s.wid == wid);
         let result = if self.cubicles[cid.index()].window_destroy(wid) {
             self.grant_cache_retain("window_destroy:grant_cache.retain", |_, e| {
                 !(e.owner == cid && e.via == wid)
@@ -256,6 +450,7 @@ impl System {
             Err(CubicleError::NoSuchWindow(wid))
         };
         self.window_op_end(wstart);
+        self.unpair(unpair);
         if result.is_ok() {
             self.trace_window_op(WindowOpKind::Destroy, wid, None);
         }

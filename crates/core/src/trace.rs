@@ -28,6 +28,9 @@ pub enum WindowOpKind {
     Remove,
     /// `cubicle_window_open`.
     Open,
+    /// `System::window_share` that gave the pair a key (one that fell
+    /// back to a plain open records [`WindowOpKind::Open`]).
+    Share,
     /// `cubicle_window_close`.
     Close,
     /// `cubicle_window_close_all`.
@@ -44,6 +47,7 @@ impl WindowOpKind {
             WindowOpKind::Add => "add",
             WindowOpKind::Remove => "remove",
             WindowOpKind::Open => "open",
+            WindowOpKind::Share => "share",
             WindowOpKind::Close => "close",
             WindowOpKind::CloseAll => "close_all",
             WindowOpKind::Destroy => "destroy",
@@ -51,7 +55,8 @@ impl WindowOpKind {
     }
 }
 
-/// What decided a trap-and-map outcome (kept in the fault audit log).
+/// What decided a trap-and-map outcome (carried by
+/// [`TraceEvent::FaultResolved`], rendered by the fault audit).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FaultDecision {
     /// The accessor owns the page: implicit window 0, always readmitted
@@ -59,6 +64,10 @@ pub enum FaultDecision {
     OwnerReclaim,
     /// Ablation mode without ACLs: every window counts as open.
     AclsDisabled,
+    /// The page already carried the pair key the accessor shares with
+    /// its owner: the faulting core's PKRU predated the share, so the
+    /// monitor rewrote the PKRU and retagged nothing.
+    PkruRefresh,
     /// This window descriptor of the owner covered the page and its ACL
     /// admitted the accessor.
     Window(WindowId),
@@ -67,7 +76,9 @@ pub enum FaultDecision {
 }
 
 /// One audited trap-and-map resolution: who touched whose page, and
-/// which descriptor (if any) authorised it.
+/// which descriptor (if any) authorised it — a view of one
+/// [`TraceEvent::FaultResolved`] or [`TraceEvent::FaultDenied`] record
+/// ([`TraceRecord::fault_audit`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FaultAudit {
     /// Simulated cycle count at resolution time.
@@ -122,7 +133,8 @@ pub enum TraceEvent {
         /// Simulated cycles between enter and exit, callee work included.
         cycles: u64,
     },
-    /// Trap-and-map admitted an access and retagged the page.
+    /// Trap-and-map admitted an access and retagged the page (or, for
+    /// [`FaultDecision::PkruRefresh`], rewrote the PKRU).
     FaultResolved {
         /// The faulting address.
         addr: VAddr,
@@ -132,6 +144,8 @@ pub enum TraceEvent {
         accessor: CubicleId,
         /// Read, write or execute.
         kind: AccessKind,
+        /// What admitted the access (never [`FaultDecision::Denied`]).
+        decision: FaultDecision,
     },
     /// Trap-and-map refused an access (no open window).
     FaultDenied {
@@ -237,6 +251,37 @@ pub struct TraceRecord {
     pub core: u32,
     /// The event itself.
     pub event: TraceEvent,
+}
+
+impl TraceRecord {
+    /// The fault-audit view of a [`TraceEvent::FaultResolved`] or
+    /// [`TraceEvent::FaultDenied`] record; `None` for any other event.
+    pub fn fault_audit(&self) -> Option<FaultAudit> {
+        let (addr, owner, accessor, access, decision) = match self.event {
+            TraceEvent::FaultResolved {
+                addr,
+                owner,
+                accessor,
+                kind,
+                decision,
+            } => (addr, owner, accessor, kind, decision),
+            TraceEvent::FaultDenied {
+                addr,
+                owner,
+                accessor,
+                kind,
+            } => (addr, owner, accessor, kind, FaultDecision::Denied),
+            _ => return None,
+        };
+        Some(FaultAudit {
+            at: self.at,
+            addr,
+            owner,
+            accessor,
+            access,
+            decision,
+        })
+    }
 }
 
 /// Bounded ring of [`TraceRecord`]s: when full, the oldest record is

@@ -8,7 +8,7 @@
 //! point in time".
 
 use crate::ids::{CubicleId, WindowId};
-use cubicle_mpk::VAddr;
+use cubicle_mpk::{PageNum, VAddr};
 
 /// One contiguous memory range published in a window.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -23,6 +23,11 @@ impl WindowRange {
     /// Returns `true` if `addr` falls inside this range.
     pub fn contains(&self, addr: VAddr) -> bool {
         addr >= self.start && addr.raw() < self.start.raw() + self.len as u64
+    }
+
+    /// Returns `true` if any byte of this range lies on `page`.
+    pub fn covers_page(&self, page: PageNum) -> bool {
+        self.len > 0 && self.start.page() <= page && page <= (self.start + (self.len - 1)).page()
     }
 }
 
@@ -156,6 +161,13 @@ mod tests {
         assert!(r.contains(VAddr::new(0x10ff)));
         assert!(!r.contains(VAddr::new(0x1100)));
         assert!(!r.contains(VAddr::new(0xfff)));
+        assert!(r.covers_page(PageNum(1)));
+        assert!(!r.covers_page(PageNum(0)) && !r.covers_page(PageNum(2)));
+        let empty = WindowRange {
+            start: VAddr::new(0x1000),
+            len: 0,
+        };
+        assert!(!empty.covers_page(PageNum(1)));
     }
 
     #[test]

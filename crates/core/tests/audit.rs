@@ -290,6 +290,86 @@ fn key_uniqueness_fires_on_duplicate_assignment() {
     );
 }
 
+/// An owner + peer pair sharing a window over one owner page under a
+/// pair key, a second owner page outside the window, and a third
+/// cubicle.
+fn shared_pair() -> (System, [CubicleId; 3], VAddr, VAddr) {
+    let (mut sys, owner, peer, _) = windowed_pair();
+    let third = sys
+        .load(
+            ComponentImage::new("THIRD", CodeImage::plain(64)),
+            Box::new(Dummy),
+        )
+        .unwrap()
+        .cid;
+    let (shared, private) = sys.run_in_cubicle(owner, |sys| {
+        let shared = sys.heap_alloc(4096, 4096).unwrap();
+        let private = sys.heap_alloc(4096, 4096).unwrap();
+        sys.write(private, b"mine").unwrap();
+        let wid = sys.window_init();
+        sys.window_add(wid, shared, 4096).unwrap();
+        sys.window_share(wid, peer).unwrap();
+        (shared, private)
+    });
+    sys.run_in_cubicle(peer, |sys| sys.write(shared, b"frame").unwrap());
+    sys.audit().assert_clean("pair-keyed share");
+    (sys, [owner, peer, third], shared, private)
+}
+
+#[test]
+fn tag_consistency_fires_on_a_pair_key_outside_its_share() {
+    let (mut sys, [owner, peer, _], _, private) = shared_pair();
+    let key = sys.pair_key(owner, peer).unwrap();
+    // the owner's page outside the shared window, retagged behind the
+    // monitor's back: both members could now reach it without a trap
+    sys.corrupt_machine_for_test()
+        .set_page_key(private, key)
+        .unwrap();
+    let report = sys.audit();
+    let finding = report
+        .of_class(InvariantClass::TagConsistency)
+        .next()
+        .expect("a pair key off its share must fire tag-consistency");
+    assert!(finding.detail.contains(&key.to_string()), "{finding}");
+    // so does a third cubicle's page carrying it
+    let (mut sys, [owner, peer, third], _, _) = shared_pair();
+    let theirs = sys.run_in_cubicle(third, |sys| sys.heap_alloc(4096, 4096).unwrap());
+    let key = sys.pair_key(owner, peer).unwrap();
+    sys.corrupt_machine_for_test()
+        .set_page_key(theirs, key)
+        .unwrap();
+    assert!(classes(&sys).contains(&InvariantClass::TagConsistency));
+}
+
+#[test]
+fn key_uniqueness_fires_on_a_cubicle_holding_a_pair_key() {
+    let (mut sys, [owner, peer, third], _, _) = shared_pair();
+    let key = sys.pair_key(owner, peer).unwrap();
+    sys.corrupt_cubicle_key_for_test(third, key);
+    let report = sys.audit();
+    let finding = report
+        .of_class(InvariantClass::KeyUniqueness)
+        .next()
+        .expect("a cubicle on a pair key must fire key-uniqueness");
+    assert!(
+        finding.detail.contains("THIRD") && finding.detail.contains("pair key"),
+        "{finding}"
+    );
+}
+
+#[test]
+fn quarantine_fires_on_a_member_of_a_live_share() {
+    let (mut sys, [_, peer, _], _, _) = shared_pair();
+    sys.corrupt_quarantine_for_test(peer);
+    let report = sys.audit();
+    assert!(
+        report
+            .of_class(InvariantClass::Quarantine)
+            .any(|f| f.detail.contains("still shares")),
+        "{report}"
+    );
+}
+
 #[test]
 fn corrupted_reports_render_with_class_tags() {
     let (mut sys, _, _, buf) = windowed_pair();

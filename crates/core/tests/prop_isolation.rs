@@ -3,7 +3,9 @@
 //! The central safety property of CubicleOS: **no sequence of window
 //! operations ever lets a cubicle read memory whose owner has not
 //! currently opened a covering window for it** — and conversely, an
-//! open window always admits the grantee.
+//! open window always admits the grantee. The window may also be shared
+//! with one peer under a pair key (`System::window_share`); the model
+//! then follows the pair key's eager revocation.
 //!
 //! Formerly proptest-based; rewritten over the in-tree deterministic
 //! [`Rng64`] so the suite builds fully offline.
@@ -23,6 +25,7 @@ impl_component!(Dummy);
 #[derive(Clone, Copy, Debug)]
 enum WinOp {
     Open(usize),  // open for peer i
+    Share(usize), // share with peer i (an open, if shared with another)
     Close(usize), // close for peer i
     CloseAll,
     OwnerTouch,      // owner reclaims the page
@@ -30,13 +33,23 @@ enum WinOp {
 }
 
 fn rand_op(rng: &mut Rng64) -> WinOp {
-    match rng.range_usize(0, 5) {
+    match rng.range_usize(0, 6) {
         0 => WinOp::Open(rng.range_usize(0, 3)),
-        1 => WinOp::Close(rng.range_usize(0, 3)),
-        2 => WinOp::CloseAll,
-        3 => WinOp::OwnerTouch,
+        1 => WinOp::Share(rng.range_usize(0, 3)),
+        2 => WinOp::Close(rng.range_usize(0, 3)),
+        3 => WinOp::CloseAll,
+        4 => WinOp::OwnerTouch,
         _ => WinOp::PeerRead(rng.range_usize(0, 3)),
     }
+}
+
+/// The key the model says the page carries.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Tag {
+    Owner,
+    Peer(usize),
+    /// The pair key of the live share.
+    Pair,
 }
 
 #[test]
@@ -72,10 +85,12 @@ fn window_acl_algebra_never_leaks() {
             (buf, wid)
         });
 
-        // model state: which peers the window is open for, and — for the
-        // causal-consistency rule — who currently "holds" the page tag.
+        // model state: which peers the window is open for, which one it
+        // is shared with, and — for the causal-consistency rule — which
+        // key the page carries.
         let mut open = [false; 3];
-        let mut holder: Option<usize> = None; // None = owner holds it
+        let mut shared: Option<usize> = None;
+        let mut tag = Tag::Owner;
 
         for step in 0..rng.range_usize(1, 60) {
             match rand_op(&mut rng) {
@@ -83,44 +98,93 @@ fn window_acl_algebra_never_leaks() {
                     sys.run_in_cubicle(owner, |sys| sys.window_open(wid, peers[i]).unwrap());
                     open[i] = true;
                 }
+                WinOp::Share(i) if shared.is_none_or(|j| j == i) => {
+                    sys.run_in_cubicle(owner, |sys| sys.window_share(wid, peers[i]).unwrap());
+                    open[i] = true;
+                    if shared.is_none() {
+                        // the share retags the page to the pair key
+                        shared = Some(i);
+                        tag = Tag::Pair;
+                    }
+                }
+                WinOp::Share(i) => {
+                    // one share per window in this model
+                    sys.run_in_cubicle(owner, |sys| sys.window_open(wid, peers[i]).unwrap());
+                    open[i] = true;
+                }
                 WinOp::Close(i) => {
                     sys.run_in_cubicle(owner, |sys| sys.window_close(wid, peers[i]).unwrap());
                     open[i] = false;
+                    if shared == Some(i) {
+                        // eager revocation: the page goes home at once
+                        shared = None;
+                        if tag == Tag::Pair {
+                            tag = Tag::Owner;
+                        }
+                    }
                 }
                 WinOp::CloseAll => {
                     sys.run_in_cubicle(owner, |sys| sys.window_close_all(wid).unwrap());
                     open = [false; 3];
+                    shared = None;
+                    if tag == Tag::Pair {
+                        tag = Tag::Owner;
+                    }
                 }
                 WinOp::OwnerTouch => {
                     sys.run_in_cubicle(owner, |sys| sys.read_vec(buf, 4).unwrap());
-                    holder = None;
+                    // no fault on the pair key; a reclaim otherwise,
+                    // to the pair key while the share lives
+                    if tag != Tag::Pair {
+                        tag = if shared.is_some() {
+                            Tag::Pair
+                        } else {
+                            Tag::Owner
+                        };
+                    }
                 }
                 WinOp::PeerRead(i) => {
                     let res = sys.run_in_cubicle(peers[i], |sys| sys.read_vec(buf, 4));
                     // expected: allowed iff the window is open for the
-                    // peer, or the peer already holds the page tag
-                    // (causal consistency after a lazy close).
-                    let expect_ok = open[i] || holder == Some(i);
+                    // peer, or the page carries a key the peer holds —
+                    // its own (causal consistency after a lazy close) or
+                    // its pair key with the owner.
+                    let holds = tag == Tag::Peer(i) || (tag == Tag::Pair && shared == Some(i));
+                    let expect_ok = open[i] || holds;
                     match res {
                         Ok(_) => {
                             assert!(
                                 expect_ok,
                                 "case {case}: peer {i} read owner memory while closed \
-                                 (holder {holder:?})"
+                                 (tag {tag:?})"
                             );
-                            holder = Some(i);
+                            if !holds {
+                                tag = if shared == Some(i) {
+                                    Tag::Pair
+                                } else {
+                                    Tag::Peer(i)
+                                };
+                            }
                         }
                         Err(CubicleError::WindowDenied { .. }) => {
                             assert!(
                                 !expect_ok,
                                 "case {case}: peer {i} denied although window open \
-                                 (holder {holder:?})"
+                                 (tag {tag:?})"
                             );
                         }
                         Err(e) => panic!("case {case}: unexpected error: {e}"),
                     }
                 }
             }
+            // the model's key is the machine's
+            let key = sys.machine().page_entry(buf).unwrap().key;
+            let expect = match tag {
+                Tag::Owner => sys.cubicle(owner).key,
+                Tag::Peer(i) => sys.cubicle(peers[i]).key,
+                Tag::Pair => sys.pair_key(owner, peers[shared.unwrap()]).unwrap(),
+            };
+            assert_eq!(key, expect, "case {case}, step {step}: tag {tag:?}");
             // global invariants must hold after *every* step, whatever
             // the interleaving of opens, closes, reclaims and reads
             sys.audit()

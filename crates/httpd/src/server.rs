@@ -124,14 +124,15 @@ fn e_init(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<
     }
     sys.window_open(wid, lwip.cid())?;
 
-    // access-log staging buffer, windowed for PLAT
+    // access-log staging buffer, shared with PLAT alone under the
+    // pair's key: neither side traps on it again
     let log_buf = sys.heap_alloc(4096, 4096)?;
     {
         let st = component_mut::<Httpd>(this);
         if let Some(plat) = st.plat {
             let wid = sys.window_init();
             sys.window_add(wid, log_buf, 4096)?;
-            sys.window_open(wid, plat.cid())?;
+            sys.window_share(wid, plat.cid())?;
         }
     }
 

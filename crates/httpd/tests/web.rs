@@ -1,6 +1,6 @@
 //! End-to-end HTTP tests over the full 8-partition deployment.
 
-use cubicle_core::IsolationMode;
+use cubicle_core::{IsolationMode, SystemConfig};
 use cubicle_httpd::{boot_web, WebDeployment};
 use cubicle_net::WireModel;
 
@@ -146,18 +146,65 @@ fn open_fds(dep: &mut WebDeployment) -> usize {
 }
 
 #[test]
-fn default_fetch_batches_hits_the_grant_cache_and_sends_from_file_pages() {
+fn default_fetch_batches_and_sends_from_file_pages() {
     let content: Vec<u8> = (0..200_000u32).map(|i| (i % 241) as u8).collect();
     let mut dep = boot_web(IsolationMode::Full).unwrap();
     dep.put_file("/f.bin", &content).unwrap();
     let (_l, got) = dep.fetch("/f.bin", fast_wire()).unwrap();
     assert_eq!(got.status, 200);
     assert_eq!(got.body, content);
-    let s = dep.sys.stats();
-    assert!(s.batch_dispatches > 0, "TX batching must engage");
-    assert!(s.grant_cache_hits > 0, "the grant cache must engage");
+    assert!(
+        dep.sys.stats().batch_dispatches > 0,
+        "TX batching must engage"
+    );
     assert_eq!(sendfile_served(&mut dep), 1, "the body left via sendfile");
     dep.sys.audit().assert_clean("default fetch");
+}
+
+/// Boots `config`, fetches a 200 KB file twice and counts the faults on
+/// `LWIP`-owned pages during the second fetch.
+fn repeat_fetch_lwip_faults(config: SystemConfig) -> (WebDeployment, usize) {
+    let content: Vec<u8> = (0..200_000u32).map(|i| (i % 241) as u8).collect();
+    let mut dep = boot_web(config).unwrap();
+    dep.put_file("/f.bin", &content).unwrap();
+    dep.fetch("/f.bin", fast_wire()).unwrap();
+    dep.sys.enable_tracing(1 << 20);
+    let (_l, got) = dep.fetch("/f.bin", fast_wire()).unwrap();
+    assert_eq!(got.body, content);
+    assert_eq!(
+        dep.sys.trace().unwrap().dropped(),
+        0,
+        "ring holds the fetch"
+    );
+    let lwip = dep.sys.find_cubicle("LWIP").unwrap();
+    let faults = dep.sys.fault_audit().filter(|a| a.owner == lwip).count();
+    dep.sys.audit().assert_clean("repeat fetch");
+    (dep, faults)
+}
+
+#[test]
+fn trap_and_map_fetch_hits_the_grant_cache() {
+    // The paper's mechanism, as the figures pin it: every reuse of an
+    // LWIP buffer NETDEV touched is a trap-and-map, answered from the
+    // grant cache after the first.
+    let pinned = SystemConfig {
+        pair_keys: false,
+        ..IsolationMode::Full.into()
+    };
+    let (dep, faults) = repeat_fetch_lwip_faults(pinned);
+    assert!(faults > 0, "the LWIP↔NETDEV buffers ping-pong");
+    assert!(
+        dep.sys.stats().grant_cache_hits > 0,
+        "the grant cache must engage"
+    );
+}
+
+#[test]
+fn repeat_fetch_takes_no_fault_on_lwip_pages() {
+    // As shipped, LWIP's NETDEV buffers carry the pair's key: once the
+    // boot's first fetch has run, neither side traps on them.
+    let (_dep, faults) = repeat_fetch_lwip_faults(IsolationMode::Full.into());
+    assert_eq!(faults, 0);
 }
 
 #[test]

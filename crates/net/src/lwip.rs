@@ -198,12 +198,13 @@ fn e_init(sys: &mut System, this: &mut dyn Component, _args: &[Value]) -> Result
             None => return Ok(Value::I64(Errno::Einval.neg())),
         }
     };
-    // Allocate the frame staging page and open a long-lived window on it
-    // for the device (driver ↔ device shared descriptor memory).
+    // Allocate the frame staging page and share a long-lived window on
+    // it with the device (driver ↔ device shared descriptor memory),
+    // under the pair's key: neither side traps on it again.
     let buf = sys.alloc_pages(1);
     let wid = sys.window_init();
     sys.window_add(wid, buf, 4096)?;
-    sys.window_open(wid, dev_cid)?;
+    sys.window_share(wid, dev_cid)?;
     component_mut::<Lwip>(this).frame_buf = buf;
     Ok(Value::I64(0))
 }
@@ -418,7 +419,7 @@ fn send_segment(
             let page = alloc.palloc(sys, 1)?;
             let wid = sys.window_init();
             sys.window_add(wid, page, 4096)?;
-            sys.window_open(wid, dev.cid())?;
+            sys.window_share(wid, dev.cid())?;
             if !old.is_null() {
                 // retire the old pbuf's window *before* the page goes
                 // back to ALLOC: its descriptor must not keep covering
@@ -588,7 +589,7 @@ fn ensure_batch_ring(
     };
     let wid = sys.window_init();
     sys.window_add(wid, base, TX_BATCH * 4096)?;
-    sys.window_open(wid, dev.cid())?;
+    sys.window_share(wid, dev.cid())?;
     let st = component_mut::<Lwip>(this);
     st.tx_batch_buf = base;
     st.tx_batch_wid = Some(wid);
