@@ -50,7 +50,7 @@ pub struct LedgerRow {
     /// Cross-calls out of this cubicle (it as caller).
     pub calls_out: u64,
     /// Trap-and-map faults by this cubicle answered from the window-grant
-    /// cache (0 when the cache is disabled).
+    /// cache (0 in modes without ACL checks, which never consult it).
     pub grant_hits: u64,
     /// Exclusive cycles the span profiler attributes to the cubicle
     /// (0 when tracing is disabled).

@@ -11,7 +11,9 @@
 //!   private MPK key; any stray access faults ([`System::load`]);
 //! * **windows** — temporal isolation: user-managed ACLs over a cubicle's
 //!   own memory ranges, letting peers access function-call arguments
-//!   zero-copy ([`System::window_init`] and friends — paper Table 1);
+//!   zero-copy ([`System::window_init`] and friends — paper Table 1;
+//!   components share buffers through [`System::share`] and the scoped
+//!   [`System::with_shared`], which issue those calls for them);
 //! * **cross-cubicle calls** — CFI-enforcing trampolines generated by the
 //!   trusted [`Builder`] and dispatched by [`System::cross_call`].
 //!

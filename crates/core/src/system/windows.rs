@@ -1,5 +1,8 @@
 //! The window API (paper Table 1), plus `window_share`: a window its
-//! owner shares with one peer under a pair key (DESIGN §6l).
+//! owner shares with one peer under a pair key (DESIGN §6l); and the
+//! shared-buffer seam components use instead of hand-rolling window
+//! lifecycles (DESIGN §6m): [`System::share`], [`System::share_paired`],
+//! [`System::reshare`] and the scoped [`System::with_shared`].
 
 use super::keys::PairShare;
 use super::locks::MonitorLock;
@@ -455,5 +458,87 @@ impl System {
             self.trace_window_op(WindowOpKind::Destroy, wid, None);
         }
         result
+    }
+
+    /// Shares `ranges` of the current cubicle's memory with `peers` in a
+    /// new persistent window: one `window_init`, a `window_add` per range,
+    /// then a `window_open` per peer — the Table 1 calls, charged as such.
+    /// The window descriptor stays the only record of the share; its
+    /// owner ends it with [`System::window_destroy`].
+    ///
+    /// # Errors
+    ///
+    /// [`CubicleError::NotOwner`] when a range is not the caller's. The
+    /// half-built window is destroyed before the error returns.
+    pub fn share(&mut self, ranges: &[(VAddr, usize)], peers: &[CubicleId]) -> Result<WindowId> {
+        self.build_window(ranges, peers, false)
+    }
+
+    /// [`System::share`] with one peer under the pair's key: its open is
+    /// a [`System::window_share`]. The monitor never infers this from a
+    /// one-peer share; the owner asks for it.
+    ///
+    /// # Errors
+    ///
+    /// As [`System::share`].
+    pub fn share_paired(&mut self, ranges: &[(VAddr, usize)], peer: CubicleId) -> Result<WindowId> {
+        self.build_window(ranges, &[peer], true)
+    }
+
+    /// Admits `peer` to the current cubicle's window `wid` with one
+    /// `window_open`, unless the descriptor already admits it — then it
+    /// issues no window operation.
+    ///
+    /// # Errors
+    ///
+    /// [`CubicleError::NoSuchWindow`].
+    pub fn reshare(&mut self, wid: WindowId, peer: CubicleId) -> Result<()> {
+        match self.cubicles[self.current_cubicle().index()].window(wid) {
+            Some(w) if w.is_open_for(peer) => Ok(()),
+            _ => self.window_open(wid, peer),
+        }
+    }
+
+    /// The scoped form of [`System::share`] — paper Figure 1c's per-call
+    /// window: shares `ranges` with `peers`, runs `f`, and destroys the
+    /// window on every path.
+    ///
+    /// # Errors
+    ///
+    /// Whatever sharing or `f` returns; a failed destroy wins over `f`'s
+    /// result.
+    pub fn with_shared<T>(
+        &mut self,
+        ranges: &[(VAddr, usize)],
+        peers: &[CubicleId],
+        f: impl FnOnce(&mut System) -> Result<T>,
+    ) -> Result<T> {
+        let wid = self.share(ranges, peers)?;
+        let out = f(self);
+        self.window_destroy(wid).and(out)
+    }
+
+    /// The one path behind [`System::share`] and
+    /// [`System::share_paired`]: adds every range, then opens the window
+    /// for every peer.
+    fn build_window(
+        &mut self,
+        ranges: &[(VAddr, usize)],
+        peers: &[CubicleId],
+        paired: bool,
+    ) -> Result<WindowId> {
+        let wid = self.window_init();
+        let built = ranges
+            .iter()
+            .try_for_each(|&(ptr, len)| self.window_add(wid, ptr, len))
+            .and_then(|()| {
+                peers
+                    .iter()
+                    .try_for_each(|&p| self.open_window(wid, p, paired))
+            });
+        match built {
+            Ok(()) => Ok(wid),
+            Err(e) => self.window_destroy(wid).and(Err(e)),
+        }
     }
 }

@@ -117,23 +117,14 @@ fn e_init(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<
     // One long-lived I/O buffer, windowed for the whole data path:
     // RAMFS fills it (via VFSCORE pread) and LWIP drains it.
     let io_buf = sys.heap_alloc(IO_BUF, 4096)?;
-    let wid = sys.window_init();
-    sys.window_add(wid, io_buf, IO_BUF)?;
-    for cid in vfs_port.grantees().to_vec() {
-        sys.window_open(wid, cid)?;
-    }
-    sys.window_open(wid, lwip.cid())?;
+    let peers = [vfs_port.grantees(), &[lwip.cid()]].concat();
+    sys.share(&[(io_buf, IO_BUF)], &peers)?;
 
     // access-log staging buffer, shared with PLAT alone under the
     // pair's key: neither side traps on it again
     let log_buf = sys.heap_alloc(4096, 4096)?;
-    {
-        let st = component_mut::<Httpd>(this);
-        if let Some(plat) = st.plat {
-            let wid = sys.window_init();
-            sys.window_add(wid, log_buf, 4096)?;
-            sys.window_share(wid, plat.cid())?;
-        }
+    if let Some(plat) = component_mut::<Httpd>(this).plat {
+        sys.share_paired(&[(log_buf, 4096)], plat.cid())?;
     }
 
     let fd = lwip.socket(sys)?;

@@ -48,6 +48,19 @@ fn missing_file_is_404() {
 }
 
 #[test]
+fn overlong_path_is_refused_and_serving_continues() {
+    let mut dep = boot_web(IsolationMode::Full).unwrap();
+    dep.put_file("/ok.html", b"still serving").unwrap();
+    // Longer than the port's path page and VFSCORE's path limit.
+    let long = format!("/{}", "a".repeat(5_000));
+    let (_lat, resp) = dep.fetch(&long, fast_wire()).unwrap();
+    assert_ne!(resp.status, 200);
+    let (_lat, resp) = dep.fetch("/ok.html", fast_wire()).unwrap();
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.body, b"still serving");
+}
+
+#[test]
 fn sequential_requests_reuse_the_stack() {
     let mut dep = boot_web(IsolationMode::Full).unwrap();
     for i in 0..5 {

@@ -95,8 +95,6 @@ pub struct Lwip {
     /// flushes: each batched frame gets its own slot because every write
     /// precedes the single dispatch.
     tx_batch_buf: VAddr,
-    /// Long-lived window publishing the batch ring to `NETDEV`.
-    tx_batch_wid: Option<WindowId>,
     segments_since_refill: u64,
     /// Segments processed (statistics).
     pub segments_rx: u64,
@@ -202,9 +200,7 @@ fn e_init(sys: &mut System, this: &mut dyn Component, _args: &[Value]) -> Result
     // it with the device (driver ↔ device shared descriptor memory),
     // under the pair's key: neither side traps on it again.
     let buf = sys.alloc_pages(1);
-    let wid = sys.window_init();
-    sys.window_add(wid, buf, 4096)?;
-    sys.window_share(wid, dev_cid)?;
+    sys.share_paired(&[(buf, 4096)], dev_cid)?;
     component_mut::<Lwip>(this).frame_buf = buf;
     Ok(Value::I64(0))
 }
@@ -417,9 +413,7 @@ fn send_segment(
         if needs_refill {
             let (alloc, old, old_wid) = (st.alloc.expect("checked"), st.tx_buf, st.tx_wid);
             let page = alloc.palloc(sys, 1)?;
-            let wid = sys.window_init();
-            sys.window_add(wid, page, 4096)?;
-            sys.window_share(wid, dev.cid())?;
+            let wid = sys.share_paired(&[(page, 4096)], dev.cid())?;
             if !old.is_null() {
                 // retire the old pbuf's window *before* the page goes
                 // back to ALLOC: its descriptor must not keep covering
@@ -587,12 +581,8 @@ fn ensure_batch_ring(
         Some(a) => a.palloc(sys, TX_BATCH)?,
         None => sys.alloc_pages(TX_BATCH),
     };
-    let wid = sys.window_init();
-    sys.window_add(wid, base, TX_BATCH * 4096)?;
-    sys.window_share(wid, dev.cid())?;
-    let st = component_mut::<Lwip>(this);
-    st.tx_batch_buf = base;
-    st.tx_batch_wid = Some(wid);
+    sys.share_paired(&[(base, TX_BATCH * 4096)], dev.cid())?;
+    component_mut::<Lwip>(this).tx_batch_buf = base;
     Ok(base)
 }
 

@@ -28,12 +28,12 @@ enum Inode {
 }
 
 /// A live sendfile mapping: one window covering every extent page of an
-/// inode, shared (refcounted) across concurrent mappers.
+/// inode, shared (refcounted) across concurrent mappers. The window
+/// descriptor records which peers it admits.
 #[derive(Debug)]
 struct SendfileMap {
     wid: WindowId,
     refs: u64,
-    peers: Vec<CubicleId>,
 }
 
 /// Where the bytes of a store come from.
@@ -454,9 +454,7 @@ pub fn install_journal(
 ) -> Result<VAddr> {
     let base = sys.run_in_cubicle(custodian, |sys| -> Result<VAddr> {
         let base = sys.alloc_pages(pages);
-        let wid = sys.window_init();
-        sys.window_add(wid, base, pages * PAGE_SIZE)?;
-        sys.window_open(wid, ramfs_cid)?;
+        sys.share(&[(base, pages * PAGE_SIZE)], &[ramfs_cid])?;
         // The custodian formats its own pages directly.
         Journal::new(base, pages).format(sys)?;
         Ok(base)
@@ -985,41 +983,22 @@ fn e_map_extents(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> 
         }
     }
     if !extents.is_empty() {
-        let existing = {
-            let fs = component_mut::<Ramfs>(this);
-            fs.sendfile_maps
-                .get(&ino)
-                .map(|m| (m.wid, m.peers.contains(&peer)))
-        };
-        match existing {
-            Some((wid, has_peer)) => {
-                if !has_peer {
-                    sys.window_open(wid, peer)?;
-                }
-                let fs = component_mut::<Ramfs>(this);
-                let m = fs.sendfile_maps.get_mut(&ino).expect("probed above");
-                if !has_peer {
-                    m.peers.push(peer);
-                }
-                m.refs += 1;
-            }
+        let existing = component_mut::<Ramfs>(this)
+            .sendfile_maps
+            .get(&ino)
+            .map(|m| m.wid);
+        let wid = match existing {
+            Some(wid) => sys.reshare(wid, peer).map(|()| wid)?,
             None => {
-                let wid = sys.window_init();
-                for page in &extents {
-                    sys.window_add(wid, *page, PAGE_SIZE)?;
-                }
-                sys.window_open(wid, peer)?;
-                let fs = component_mut::<Ramfs>(this);
-                fs.sendfile_maps.insert(
-                    ino,
-                    SendfileMap {
-                        wid,
-                        refs: 1,
-                        peers: vec![peer],
-                    },
-                );
+                let ranges: Vec<_> = extents.iter().map(|&page| (page, PAGE_SIZE)).collect();
+                sys.share(&ranges, &[peer])?
             }
-        }
+        };
+        let fs = component_mut::<Ramfs>(this);
+        fs.sendfile_maps
+            .entry(ino)
+            .or_insert(SendfileMap { wid, refs: 0 })
+            .refs += 1;
     }
     Ok(Value::I64(extents.len() as i64))
 }
@@ -1037,9 +1016,7 @@ fn e_unmap_extents(sys: &mut System, this: &mut dyn Component, args: &[Value]) -
     };
     m.refs -= 1;
     if m.refs == 0 {
-        let wid = m.wid;
-        fs.sendfile_maps.remove(&ino);
-        sys.window_destroy(wid)?;
+        fs.drop_sendfile_map(sys, ino)?;
     }
     Ok(Value::I64(0))
 }

@@ -378,3 +378,46 @@ fn refused_vectored_call_leaves_no_window_or_iov_behind() {
         port.close(sys, fd).unwrap();
     });
 }
+
+#[test]
+fn failed_port_calls_free_their_scratch_heap() {
+    let mut stack = boot(IsolationMode::Full);
+    let (app, vfs) = (stack.app, stack.vfs.cid());
+    with_port(&mut stack, |sys, port| {
+        let fd = port
+            .open(sys, "/f", flags::O_CREAT | flags::O_RDWR)
+            .unwrap();
+        port.write_all(sys, fd, b"bytes").unwrap();
+        sys.quarantine(vfs, "test: VFSCORE gone").unwrap();
+        let heap_used = |sys: &System| {
+            let row = sys.ledger().into_iter().find(|r| r.cubicle == app);
+            row.expect("APP has a ledger row").heap_used
+        };
+        let before = heap_used(sys);
+        assert!(port.stat(sys, "/f").is_err());
+        assert_eq!(heap_used(sys), before, "stat");
+        assert!(port.fstat(sys, fd).is_err());
+        assert_eq!(heap_used(sys), before, "fstat");
+        assert!(port.read_vec(sys, fd, 100).is_err());
+        assert_eq!(heap_used(sys), before, "read_vec");
+        assert!(port.readdir(sys, fd, 0).is_err());
+        assert_eq!(heap_used(sys), before, "readdir");
+        assert!(port.sendfile_map(sys, fd, app).is_err());
+        assert_eq!(heap_used(sys), before, "sendfile_map");
+        assert!(port.write_all(sys, fd, b"more").is_err());
+        assert_eq!(heap_used(sys), before, "write_all");
+    });
+}
+
+#[test]
+fn overlong_paths_are_einval() {
+    let mut stack = boot(IsolationMode::Full);
+    with_port(&mut stack, |sys, port| {
+        let long = format!("/{}", "p".repeat(4_096));
+        let einval = Errno::Einval.neg();
+        assert_eq!(port.open(sys, &long, flags::O_CREAT).unwrap(), einval);
+        assert_eq!(port.mkdir(sys, &long).unwrap(), einval);
+        assert_eq!(port.unlink(sys, &long).unwrap(), einval);
+        assert_eq!(port.stat(sys, &long).unwrap(), Err(einval));
+    });
+}

@@ -4,10 +4,10 @@
 //! around its OS calls — "developers simply need to manage CubicleOS'
 //! windows to grant memory accesses across cubicles" (paper §1; the
 //! SQLite port is 620 SLOC, NGINX 390). [`VfsPort`] packages that
-//! discipline: every call that passes a buffer publishes it in a window,
-//! opens the window for `VFSCORE` *and* the file-system backend (the
-//! owner must open for all cubicles of a nested call ahead of time,
-//! §5.6), performs the cross-cubicle call, and closes the window again.
+//! discipline: every call that passes a buffer shares it, for the call
+//! only, with `VFSCORE` *and* the file-system backend (the owner must
+//! open for all cubicles of a nested call ahead of time, §5.6) through
+//! the monitor's scoped [`System::with_shared`].
 //!
 //! Path strings travel through a dedicated, long-lived path page with a
 //! persistent window — a common optimisation that keeps per-call window
@@ -15,7 +15,7 @@
 
 use crate::ops::FileStat;
 use crate::vfs::{encode_iov, encode_triples, VfsProxy};
-use cubicle_core::{CubicleId, Result, System, WindowId};
+use cubicle_core::{CubicleId, Errno, Result, System};
 use cubicle_mpk::VAddr;
 
 /// Bytes of the extent-address buffer [`VfsPort::sendfile_map`] stages:
@@ -48,12 +48,7 @@ impl VfsPort {
         grantees.extend_from_slice(backends);
         let path_cap = 4096;
         let path_buf = sys.heap_alloc(path_cap, 4096)?;
-        // Persistent window for the path page.
-        let wid = sys.window_init();
-        sys.window_add(wid, path_buf, path_cap)?;
-        for &cid in &grantees {
-            sys.window_open(wid, cid)?;
-        }
+        sys.share(&[(path_buf, path_cap)], &grantees)?;
         Ok(VfsPort {
             proxy,
             grantees,
@@ -72,17 +67,18 @@ impl VfsPort {
         &self.grantees
     }
 
-    fn put_path(&self, sys: &mut System, path: &str) -> Result<usize> {
-        assert!(
-            path.len() <= self.path_cap,
-            "path longer than the path page"
-        );
+    /// Copies `path` into the path page → its length, or `Err(-EINVAL)`
+    /// when it does not fit: VFSCORE's own limit on a path argument.
+    fn put_path(&self, sys: &mut System, path: &str) -> Result<std::result::Result<usize, i64>> {
+        if path.len() > self.path_cap {
+            return Ok(Err(Errno::Einval.neg()));
+        }
         sys.write(self.path_buf, path.as_bytes())?;
-        Ok(path.len())
+        Ok(Ok(path.len()))
     }
 
-    /// Opens a transient window over `[buf, buf+len)` for all grantees,
-    /// runs `f`, then closes it — the paper's Figure 1c pattern.
+    /// Shares `[buf, buf+len)` with all grantees for the duration of `f`
+    /// — the paper's Figure 1c pattern.
     ///
     /// # Errors
     ///
@@ -95,24 +91,7 @@ impl VfsPort {
         len: usize,
         f: impl FnOnce(&mut System) -> Result<T>,
     ) -> Result<T> {
-        self.with_windows(sys, &[(buf, len)], f)
-    }
-
-    /// [`VfsPort::with_buffer_window`] over several discontiguous ranges
-    /// under one window descriptor — the shape vectored calls need (the
-    /// iov staging page plus every data segment).
-    ///
-    /// # Errors
-    ///
-    /// Window errors (e.g. a range is not owned by the current cubicle),
-    /// and whatever `f` returns.
-    pub fn with_windows<T>(
-        &self,
-        sys: &mut System,
-        ranges: &[(VAddr, usize)],
-        f: impl FnOnce(&mut System) -> Result<T>,
-    ) -> Result<T> {
-        with_windows_for(sys, ranges, &self.grantees, f)
+        sys.with_shared(&[(buf, len)], &self.grantees, f)
     }
 
     /// `open(path, flags)` → fd or `-errno`.
@@ -121,8 +100,10 @@ impl VfsPort {
     ///
     /// Kernel errors from the cross-cubicle call.
     pub fn open(&self, sys: &mut System, path: &str, flags: i64) -> Result<i64> {
-        let len = self.put_path(sys, path)?;
-        self.proxy.open(sys, self.path_buf, len, flags)
+        match self.put_path(sys, path)? {
+            Ok(len) => self.proxy.open(sys, self.path_buf, len, flags),
+            Err(e) => Ok(e),
+        }
     }
 
     /// `close(fd)`.
@@ -212,13 +193,15 @@ impl VfsPort {
     ) -> Result<i64> {
         let data: Vec<(VAddr, usize)> = segments.iter().map(|&(a, l, _)| (a, l)).collect();
         let iov = encode_iov(segments);
-        with_staged_iov(sys, &iov, &data, &self.grantees, |sys, iov_buf| {
+        let call = |sys: &mut System, iov_buf| {
             if write {
                 self.proxy.pwrite_vec(sys, fd, iov_buf, iov.len())
             } else {
                 self.proxy.pread_vec(sys, fd, iov_buf, iov.len())
             }
-        })
+        };
+        let len = iov.len().max(1);
+        scratch_call(sys, len, Some(&iov), &data, &self.grantees, call, raw)
     }
 
     /// `copy_range(fd_in, fd_out, segments)`: copies `(off_in, len,
@@ -244,10 +227,11 @@ impl VfsPort {
                 .map(|&(off_in, len, off_out)| [off_in, len as u64, off_out]),
         );
         let vfs = [self.proxy.cid()];
-        with_staged_iov(sys, &iov, &[], &vfs, |sys, iov_buf| {
+        let call = |sys: &mut System, iov_buf| {
             self.proxy
                 .copy_range(sys, fd_in, fd_out, iov_buf, iov.len())
-        })
+        };
+        scratch_call(sys, iov.len().max(1), Some(&iov), &[], &vfs, call, raw)
     }
 
     /// `sendfile_map(fd, peer)` → the file's extent page addresses, or
@@ -263,22 +247,20 @@ impl VfsPort {
         fd: i64,
         peer: CubicleId,
     ) -> Result<std::result::Result<Vec<VAddr>, i64>> {
-        let out = sys.heap_alloc(SENDFILE_EXTENT_BUF, 8)?;
-        let r = self.with_buffer_window(sys, out, SENDFILE_EXTENT_BUF, |sys| {
+        let call = |sys: &mut System, out| {
             self.proxy
                 .sendfile_map(sys, fd, peer, out, SENDFILE_EXTENT_BUF)
-        })?;
-        let decoded = if r >= 0 {
+        };
+        self.scratch(sys, SENDFILE_EXTENT_BUF, call, |sys, out, r| {
+            if r < 0 {
+                return Ok(Err(r));
+            }
             let bytes = sys.read_vec(out, r as usize * 8)?;
-            Ok(bytes
+            Ok(Ok(bytes
                 .chunks_exact(8)
                 .map(|c| VAddr::new(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
-                .collect())
-        } else {
-            Err(r)
-        };
-        sys.heap_free(out)?;
-        Ok(decoded)
+                .collect()))
+        })
     }
 
     /// `sendfile_unmap(fd)`: releases one [`VfsPort::sendfile_map`]
@@ -315,8 +297,10 @@ impl VfsPort {
     ///
     /// Kernel errors from the cross-cubicle call.
     pub fn unlink(&self, sys: &mut System, path: &str) -> Result<i64> {
-        let len = self.put_path(sys, path)?;
-        self.proxy.unlink(sys, self.path_buf, len)
+        match self.put_path(sys, path)? {
+            Ok(len) => self.proxy.unlink(sys, self.path_buf, len),
+            Err(e) => Ok(e),
+        }
     }
 
     /// `mkdir(path)`.
@@ -325,8 +309,10 @@ impl VfsPort {
     ///
     /// Kernel errors from the cross-cubicle call.
     pub fn mkdir(&self, sys: &mut System, path: &str) -> Result<i64> {
-        let len = self.put_path(sys, path)?;
-        self.proxy.mkdir(sys, self.path_buf, len)
+        match self.put_path(sys, path)? {
+            Ok(len) => self.proxy.mkdir(sys, self.path_buf, len),
+            Err(e) => Ok(e),
+        }
     }
 
     /// `stat(path)` decoded into [`FileStat`]; `Ok(Err(-errno))` on a
@@ -336,19 +322,12 @@ impl VfsPort {
     ///
     /// Kernel errors from the cross-cubicle call.
     pub fn stat(&self, sys: &mut System, path: &str) -> Result<std::result::Result<FileStat, i64>> {
-        let len = self.put_path(sys, path)?;
-        let out = sys.heap_alloc(FileStat::WIRE_SIZE, 8)?;
-        let r = self.with_buffer_window(sys, out, FileStat::WIRE_SIZE, |sys| {
-            self.proxy.stat(sys, self.path_buf, len, out)
-        })?;
-        let decoded = if r == 0 {
-            let bytes = sys.read_vec(out, FileStat::WIRE_SIZE)?;
-            Ok(FileStat::decode(&bytes.try_into().expect("16 bytes")))
-        } else {
-            Err(r)
+        let len = match self.put_path(sys, path)? {
+            Ok(len) => len,
+            Err(e) => return Ok(Err(e)),
         };
-        sys.heap_free(out)?;
-        Ok(decoded)
+        let call = |sys: &mut System, out| self.proxy.stat(sys, self.path_buf, len, out);
+        self.scratch(sys, FileStat::WIRE_SIZE, call, decode_stat)
     }
 
     /// `fstat(fd)` decoded into [`FileStat`].
@@ -357,18 +336,8 @@ impl VfsPort {
     ///
     /// Kernel errors from the cross-cubicle call.
     pub fn fstat(&self, sys: &mut System, fd: i64) -> Result<std::result::Result<FileStat, i64>> {
-        let out = sys.heap_alloc(FileStat::WIRE_SIZE, 8)?;
-        let r = self.with_buffer_window(sys, out, FileStat::WIRE_SIZE, |sys| {
-            self.proxy.fstat(sys, fd, out)
-        })?;
-        let decoded = if r == 0 {
-            let bytes = sys.read_vec(out, FileStat::WIRE_SIZE)?;
-            Ok(FileStat::decode(&bytes.try_into().expect("16 bytes")))
-        } else {
-            Err(r)
-        };
-        sys.heap_free(out)?;
-        Ok(decoded)
+        let call = |sys: &mut System, out| self.proxy.fstat(sys, fd, out);
+        self.scratch(sys, FileStat::WIRE_SIZE, call, decode_stat)
     }
 
     /// `ftruncate(fd, len)`.
@@ -392,18 +361,14 @@ impl VfsPort {
         index: i64,
     ) -> Result<std::result::Result<String, i64>> {
         let cap = 256;
-        let buf = sys.heap_alloc(cap, 8)?;
-        let r = self.with_buffer_window(sys, buf, cap, |sys| {
-            self.proxy.readdir(sys, fd, buf, cap, index)
-        })?;
-        let out = if r >= 0 {
+        let call = |sys: &mut System, buf| self.proxy.readdir(sys, fd, buf, cap, index);
+        self.scratch(sys, cap, call, |sys, buf, r| {
+            if r < 0 {
+                return Ok(Err(r));
+            }
             let bytes = sys.read_vec(buf, r as usize)?;
-            Ok(String::from_utf8_lossy(&bytes).into_owned())
-        } else {
-            Err(r)
-        };
-        sys.heap_free(buf)?;
-        Ok(out)
+            Ok(Ok(String::from_utf8_lossy(&bytes).into_owned()))
+        })
     }
 
     /// Convenience: writes an entire byte slice through a staging buffer
@@ -413,11 +378,8 @@ impl VfsPort {
     ///
     /// Kernel errors from the cross-cubicle call.
     pub fn write_all(&self, sys: &mut System, fd: i64, data: &[u8]) -> Result<i64> {
-        let buf = sys.heap_alloc(data.len().max(1), 8)?;
-        sys.write(buf, data)?;
-        let r = self.write(sys, fd, buf, data.len())?;
-        sys.heap_free(buf)?;
-        Ok(r)
+        let call = |sys: &mut System, buf| self.proxy.write(sys, fd, buf, data.len());
+        scratch_call(sys, data.len(), Some(data), &[], &self.grantees, call, raw)
     }
 
     /// Convenience: reads up to `n` bytes into a vector.
@@ -426,68 +388,66 @@ impl VfsPort {
     ///
     /// Kernel errors from the cross-cubicle call.
     pub fn read_vec(&self, sys: &mut System, fd: i64, n: usize) -> Result<Vec<u8>> {
-        let buf = sys.heap_alloc(n.max(1), 8)?;
-        let r = self.read(sys, fd, buf, n)?;
-        let out = if r > 0 {
-            sys.read_vec(buf, r as usize)?
-        } else {
-            Vec::new()
-        };
-        sys.heap_free(buf)?;
-        Ok(out)
+        let call = |sys: &mut System, buf| self.proxy.read(sys, fd, buf, n);
+        self.scratch(sys, n, call, |sys, buf, r| {
+            if r > 0 {
+                sys.read_vec(buf, r as usize)
+            } else {
+                Ok(Vec::new())
+            }
+        })
+    }
+
+    /// [`scratch_call`] for a reply alone: nothing staged, the scratch
+    /// shared with every grantee.
+    fn scratch<T>(
+        &self,
+        sys: &mut System,
+        len: usize,
+        call: impl FnOnce(&mut System, VAddr) -> Result<i64>,
+        output: impl FnOnce(&mut System, VAddr, i64) -> Result<T>,
+    ) -> Result<T> {
+        scratch_call(sys, len, None, &[], &self.grantees, call, output)
     }
 }
 
-/// [`VfsPort::with_windows`] opened for `peers` only.
-fn with_windows_for<T>(
-    sys: &mut System,
-    ranges: &[(VAddr, usize)],
-    peers: &[CubicleId],
-    f: impl FnOnce(&mut System) -> Result<T>,
-) -> Result<T> {
-    let wid: WindowId = sys.window_init();
-    let out = publish(sys, wid, ranges, peers).and_then(|()| f(sys));
-    // Destroyed on every path: a window left behind by a failed
-    // `window_add` would outlive the call.
-    sys.window_destroy(wid)?;
-    out
+/// The `output` of a call whose reply is its return value alone.
+fn raw(_: &mut System, _: VAddr, r: i64) -> Result<i64> {
+    Ok(r)
 }
 
-fn publish(
-    sys: &mut System,
-    wid: WindowId,
-    ranges: &[(VAddr, usize)],
-    peers: &[CubicleId],
-) -> Result<()> {
-    for &(buf, len) in ranges {
-        sys.window_add(wid, buf, len)?;
+/// Decodes a `stat`/`fstat` reply staged at `out`.
+fn decode_stat(sys: &mut System, out: VAddr, r: i64) -> Result<std::result::Result<FileStat, i64>> {
+    if r != 0 {
+        return Ok(Err(r));
     }
-    for &cid in peers {
-        sys.window_open(wid, cid)?;
-    }
-    Ok(())
+    let bytes = sys.read_vec(out, FileStat::WIRE_SIZE)?;
+    Ok(Ok(FileStat::decode(&bytes.try_into().expect("16 bytes"))))
 }
 
-/// Stages a vectored call's `iov` in a heap allocation, publishes it
-/// together with the `data` ranges under one window opened for `peers`,
-/// and runs `f` with the staged address. Window and allocation are both
-/// released on every path.
-fn with_staged_iov(
+/// One call through `len` bytes of fresh scratch heap (at least one is
+/// allocated). `input`, when given, is staged in it; the scratch and the
+/// `data` ranges are shared with `peers` around `call` (the monitor's
+/// scoped [`System::with_shared`]); `output` reads the reply back once
+/// the window is gone. The scratch is freed on every path, and the
+/// call's own error wins over a failed free.
+fn scratch_call<T>(
     sys: &mut System,
-    iov: &[u8],
+    len: usize,
+    input: Option<&[u8]>,
     data: &[(VAddr, usize)],
     peers: &[CubicleId],
-    f: impl FnOnce(&mut System, VAddr) -> Result<i64>,
-) -> Result<i64> {
-    let iov_buf = sys.heap_alloc(iov.len().max(1), 8)?;
-    let mut ranges: Vec<(VAddr, usize)> = vec![(iov_buf, iov.len().max(1))];
+    call: impl FnOnce(&mut System, VAddr) -> Result<i64>,
+    output: impl FnOnce(&mut System, VAddr, i64) -> Result<T>,
+) -> Result<T> {
+    let buf = sys.heap_alloc(len.max(1), 8)?;
+    let mut ranges = vec![(buf, len)];
     ranges.extend_from_slice(data);
-    let r = sys
-        .write(iov_buf, iov)
-        .and_then(|()| with_windows_for(sys, &ranges, peers, |sys| f(sys, iov_buf)));
-    // Freed on every path, like the window; the call's own error wins
-    // over a failed free.
-    let freed = sys.heap_free(iov_buf);
+    let r = input
+        .map_or(Ok(()), |bytes| sys.write(buf, bytes))
+        .and_then(|()| sys.with_shared(&ranges, peers, |sys| call(sys, buf)))
+        .and_then(|r| output(sys, buf, r));
+    let freed = sys.heap_free(buf);
     let r = r?;
     freed.map(|()| r)
 }
