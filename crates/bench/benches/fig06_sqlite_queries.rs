@@ -6,19 +6,20 @@
 
 use cubicle_bench::report::results::BenchResults;
 use cubicle_bench::report::{audit_gate, banner, bar, factor};
-use cubicle_bench::scenario::{build_sqlite, Partitioning, UNIKRAFT_BOUNDARY_TAX};
+use cubicle_bench::scenario::{build_sqlite, per_call_port, Partitioning, UNIKRAFT_BOUNDARY_TAX};
 use cubicle_core::IsolationMode;
 use cubicle_sqldb::speedtest::{query_group, QueryGroup, SpeedtestConfig, TestResult};
 use cubicle_ukbase::time::cycles_to_ms;
 
 fn run(mode: IsolationMode, cfg: &SpeedtestConfig) -> Vec<TestResult> {
     // The Unikraft baseline is the monolithic image (no partitioning);
-    // the CubicleOS configurations run the full 7-cubicle split.
+    // the CubicleOS configurations run the full 7-cubicle split, over
+    // the paper's per-call file port.
     let partitioning = match mode {
         IsolationMode::Unikraft => Partitioning::Merged,
         _ => Partitioning::Split,
     };
-    let mut dep = build_sqlite(mode, partitioning, UNIKRAFT_BOUNDARY_TAX).unwrap();
+    let mut dep = build_sqlite(per_call_port(mode), partitioning, UNIKRAFT_BOUNDARY_TAX).unwrap();
     let mut db = dep
         .open_db(cubicle_sqldb::pager::DEFAULT_CACHE_PAGES)
         .unwrap();

@@ -7,6 +7,7 @@ use cubicle_bench::report::results::BenchResults;
 use cubicle_bench::report::{
     assert_spans_partition, audit_gate, banner, dump_observability, obs_dir,
 };
+use cubicle_bench::scenario::per_call_port;
 use cubicle_core::{impl_component, ComponentImage, IsolationMode, System};
 use cubicle_mpk::insn::CodeImage;
 use cubicle_ramfs::{mount_at, Ramfs};
@@ -34,7 +35,8 @@ fn main() {
     };
     eprintln!("running speedtest1 at scale {scale}…");
 
-    let mut sys = System::new(IsolationMode::Full);
+    // The paper's per-call file port: every file call opens its windows.
+    let mut sys = System::new(per_call_port(IsolationMode::Full));
     let obs = obs_dir();
     if obs.is_some() {
         // Fig. 8 counts include boot, so tracing starts before it too.

@@ -13,6 +13,7 @@
 //! simulator hot path is tracked across PRs.
 
 use cubicle_bench::report::results::BenchResults;
+use cubicle_bench::scenario::per_call_port;
 use cubicle_core::{
     impl_component, Builder, ComponentImage, CubicleId, IsolationMode, System, SystemConfig, Value,
 };
@@ -436,6 +437,9 @@ fn bench_speedtest_statement(results: &mut BenchResults) {
 /// only that burst (the bounded-state cleanup between iterations is
 /// excluded). The WAL pays one log append and one sync per commit; the
 /// rollback journal pays journal sync + db write-back + db sync per txn.
+/// The first two entries pin the paper's per-call file port; the
+/// `_pair_keys` entries are the same bursts as the stack ships, with the
+/// files' staging pages shared under pair keys.
 fn bench_sql_commit(results: &mut BenchResults) {
     use cubicle_ramfs::{mount_at, Ramfs};
     use cubicle_sqldb::storage::CubicleEnv;
@@ -443,12 +447,24 @@ fn bench_sql_commit(results: &mut BenchResults) {
     use cubicle_ukbase::boot_base;
     use cubicle_vfs::{Vfs, VfsPort, VfsProxy};
 
-    let variants: [(&str, JournalMode); 2] = [
-        ("sql_commit_rollback_journal", JournalMode::Rollback),
-        ("sql_commit_wal_group1", JournalMode::Wal),
+    let per_call = per_call_port(IsolationMode::Full);
+    let shipped = SystemConfig::from(IsolationMode::Full);
+    let variants = [
+        (
+            "sql_commit_rollback_journal",
+            JournalMode::Rollback,
+            per_call,
+        ),
+        ("sql_commit_wal_group1", JournalMode::Wal, per_call),
+        (
+            "sql_commit_rollback_journal_pair_keys",
+            JournalMode::Rollback,
+            shipped,
+        ),
+        ("sql_commit_wal_pair_keys", JournalMode::Wal, shipped),
     ];
-    for (name, mode) in variants {
-        let mut sys = System::new(IsolationMode::Full);
+    for (name, mode, config) in variants {
+        let mut sys = System::new(config);
         let base = boot_base(&mut sys).unwrap();
         let vfs_loaded = sys
             .load(cubicle_vfs::image(), Box::new(Vfs::default()))
@@ -512,8 +528,9 @@ fn bench_sql_commit(results: &mut BenchResults) {
 /// One WAL checkpoint folding a fixed set of 64 committed pages back
 /// into the db file, on the calibrated SQLite deployment cubench and
 /// Figure 6 run (`build_sqlite`: RAMFS split out, the Unikraft boundary
-/// tax on every SQLITE→VFSCORE call): eight staging vectors, each one
-/// vectored read out of the log and one vectored write into the file.
+/// tax on every SQLITE→VFSCORE call) over the paper's per-call file
+/// port: eight staging vectors, each one vectored read out of the log and
+/// one vectored write into the file.
 /// The recorded `sim_cycles` cover the checkpoint only; the commit that
 /// refills the log before each wall-clock iteration is excluded.
 fn bench_sql_wal_checkpoint(results: &mut BenchResults) {
@@ -524,7 +541,7 @@ fn bench_sql_wal_checkpoint(results: &mut BenchResults) {
     const PAGES: u32 = 64;
 
     let mut dep = build_sqlite(
-        IsolationMode::Full,
+        per_call_port(IsolationMode::Full),
         Partitioning::Split,
         UNIKRAFT_BOUNDARY_TAX,
     )

@@ -46,7 +46,8 @@ pub struct SqliteDeployment {
     pub core_cid: CubicleId,
 }
 
-/// Builds the SQLite deployment.
+/// Builds the SQLite deployment under `config` (an [`IsolationMode`]
+/// alone takes the defaults, pair keys on).
 ///
 /// `boundary_tax` models the user-level library OS platform overhead
 /// (0 for the native-Linux and Genode baselines,
@@ -56,13 +57,15 @@ pub struct SqliteDeployment {
 ///
 /// Loader errors.
 pub fn build_sqlite(
-    mode: IsolationMode,
+    config: impl Into<SystemConfig>,
     partitioning: Partitioning,
     boundary_tax: u64,
 ) -> Result<SqliteDeployment> {
+    let config = config.into();
+    let mode = config.mode;
     let mut sys = System::new(SystemConfig {
         boundary_tax,
-        ..mode.into()
+        ..config
     });
 
     // On the Genode/microkernel baselines the C library's VFS plugin
@@ -170,7 +173,19 @@ impl SqliteDeployment {
     }
 }
 
-/// Convenience: build, run, and report total cycles for one configuration.
+/// The paper's per-call SQLite port in `mode`: pair keys off, so every
+/// file call shares its buffers for the call only (Figure 1c). The
+/// figure harnesses pin it, as `boot_web`'s callers do for Figures 5
+/// and 7.
+pub fn per_call_port(mode: IsolationMode) -> SystemConfig {
+    SystemConfig {
+        pair_keys: false,
+        ..mode.into()
+    }
+}
+
+/// Convenience: build, run, and report total cycles for one
+/// configuration of Figure 10, on the paper's [`per_call_port`].
 ///
 /// # Errors
 ///
@@ -181,7 +196,7 @@ pub fn speedtest_total_cycles(
     boundary_tax: u64,
     cfg: &SpeedtestConfig,
 ) -> Result<(u64, Vec<TestResult>)> {
-    let mut dep = build_sqlite(mode, partitioning, boundary_tax)?;
+    let mut dep = build_sqlite(per_call_port(mode), partitioning, boundary_tax)?;
     let mut db = dep.open_db(cubicle_sqldb::pager::DEFAULT_CACHE_PAGES)?;
     let results = dep.run_speedtest(&mut db, cfg)?;
     let kernel = match mode {

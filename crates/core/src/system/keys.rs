@@ -169,6 +169,11 @@ impl KeyPool {
         Some(key)
     }
 
+    /// Could `n` more pairs each pin a key of their own now?
+    pub(super) fn can_pin(&self, n: usize) -> bool {
+        !self.virtualised && self.bindings.iter().filter(|(_, b)| b.is_none()).count() >= n
+    }
+
     /// Ends every share `ends` selects and returns them; a pair whose
     /// last share ended gives its key back to the pool.
     pub(super) fn unshare(&mut self, ends: impl Fn(&PairShare) -> bool) -> Vec<PairShare> {

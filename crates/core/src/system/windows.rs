@@ -12,7 +12,7 @@ use crate::error::{CubicleError, Result};
 use crate::ids::{CubicleId, WindowId};
 use crate::race::RaceObject;
 use crate::trace::{TraceEvent, WindowOpKind};
-use cubicle_mpk::{pages_covering, PageNum, ProtKey, VAddr};
+use cubicle_mpk::{pages_covering, PageNum, ProtKey, VAddr, PAGE_SIZE};
 
 /// The pages of one ended pair share that may still carry its key.
 pub(super) struct Unpair {
@@ -478,11 +478,43 @@ impl System {
     /// a [`System::window_share`]. The monitor never infers this from a
     /// one-peer share; the owner asks for it.
     ///
+    /// A pair key exposes whole pages for the life of the share, not for
+    /// one call, so every range must be page-aligned and a whole number
+    /// of pages: a neighbour on a partly shared page would be exposed
+    /// along with it.
+    ///
     /// # Errors
     ///
-    /// As [`System::share`].
+    /// [`CubicleError::InvalidArgument`], before any window operation,
+    /// for a range that is not whole pages; otherwise as
+    /// [`System::share`].
     pub fn share_paired(&mut self, ranges: &[(VAddr, usize)], peer: CubicleId) -> Result<WindowId> {
+        let page = PAGE_SIZE as u64;
+        if ranges
+            .iter()
+            .any(|&(ptr, len)| len == 0 || !ptr.is_aligned(page) || len % PAGE_SIZE != 0)
+        {
+            return Err(CubicleError::InvalidArgument(
+                "share_paired: ranges must be whole pages",
+            ));
+        }
         self.build_window(ranges, &[peer], true)
+    }
+
+    /// Would [`System::share_paired`] from the current cubicle to each of
+    /// `peers` be given a pair key now? A caller with a per-call fallback
+    /// asks before it shares; the query issues no window operation and
+    /// charges nothing.
+    pub fn pair_keys_available(&self, peers: &[CubicleId]) -> bool {
+        let owner = self.current_cubicle();
+        let mut fresh: Vec<CubicleId> = peers
+            .iter()
+            .copied()
+            .filter(|&p| self.keys.pair_key(owner, p).is_none())
+            .collect();
+        fresh.sort_unstable();
+        fresh.dedup();
+        peers.iter().all(|&p| self.pair_keys_between(owner, p)) && self.keys.can_pin(fresh.len())
     }
 
     /// Admits `peer` to the current cubicle's window `wid` with one

@@ -17,7 +17,7 @@
 //! CUBICLE_BLESS=1 cargo test -p cubicle-core --test golden_fig6
 //! ```
 
-use cubicle_bench::scenario::{build_sqlite, Partitioning, UNIKRAFT_BOUNDARY_TAX};
+use cubicle_bench::scenario::{build_sqlite, per_call_port, Partitioning, UNIKRAFT_BOUNDARY_TAX};
 use cubicle_core::IsolationMode;
 use cubicle_sqldb::speedtest::SpeedtestConfig;
 
@@ -33,14 +33,15 @@ fn golden_path() -> &'static str {
 }
 
 /// Runs the Fig 6 SQLite-split scenario (full CubicleOS isolation, the
-/// 4-component partitioning) and renders every simulated observable.
+/// 4-component partitioning, the paper's per-call file port) and renders
+/// every simulated observable.
 fn render() -> String {
     let cfg = SpeedtestConfig {
         scale: SCALE,
         ..Default::default()
     };
     let mut dep = build_sqlite(
-        IsolationMode::Full,
+        per_call_port(IsolationMode::Full),
         Partitioning::Split,
         UNIKRAFT_BOUNDARY_TAX,
     )

@@ -168,3 +168,31 @@ fn the_seam_charges_what_the_open_coded_table1_sequence_does() {
     assert_eq!(seam, table1);
     assert!(seam.1 > 0 && seam.0 > 0);
 }
+
+#[test]
+fn paired_shares_take_whole_pages_only() {
+    let (mut sys, [a, b, _]) = boot();
+    let buf = alloc(&mut sys, a, 3 * 4096);
+    let before = (sys.stats().window_ops, windows(&sys, a));
+    for (what, range) in [
+        ("unaligned start", (buf + 8, 4096)),
+        ("part of a page", (buf, 100)),
+        ("a page and a bit", (buf, 4096 + 1)),
+        ("empty", (buf, 0)),
+    ] {
+        let r = sys.run_in_cubicle(a, |sys| sys.share_paired(&[(buf, 4096), range], b));
+        assert!(
+            matches!(r, Err(CubicleError::InvalidArgument(_))),
+            "{what}: {r:?}"
+        );
+        assert_eq!(
+            (sys.stats().window_ops, windows(&sys, a)),
+            before,
+            "{what}: refused before any window op"
+        );
+    }
+    assert_eq!(sys.pair_key(a, b), None);
+    sys.run_in_cubicle(a, |sys| sys.share_paired(&[(buf, 2 * 4096)], b))
+        .expect("whole pages are shared");
+    assert!(sys.pair_key(a, b).is_some());
+}

@@ -6,13 +6,21 @@
 //! * [`HostEnv`] — plain in-process byte vectors; used by engine unit
 //!   tests that do not exercise isolation.
 //! * [`CubicleEnv`] — the real thing: every operation is a cross-cubicle
-//!   call into `VFSCORE`/`RAMFS` through a [`VfsPort`], with per-call
-//!   window management. This is the paper's "SQLite port" (620 SLOC of
-//!   window management, Table 2).
+//!   call into `VFSCORE`/`RAMFS` through a [`VfsPort`]. This is the
+//!   paper's "SQLite port" (620 SLOC of window management, Table 2).
+//!
+//! An open file shares its staging areas for its whole life, each with
+//! the one cubicle that touches it, under that pair's key (DESIGN §6n):
+//! the scalar and vectored staging with the backend, which reads and
+//! writes the bytes, and one iov/reply page with `VFSCORE`. A
+//! steady-state call then opens no window and takes no fault. When the
+//! monitor grants no pair key (a mode other than `Full`, pair keys off,
+//! a virtualised or exhausted key pool) the file shares each buffer for
+//! the call only, the paper's Figure 1c port.
 
 use crate::error::{Result, SqlError};
-use cubicle_core::{Errno, System};
-use cubicle_mpk::VAddr;
+use cubicle_core::{CubicleId, Errno, System, WindowId};
+use cubicle_mpk::{VAddr, PAGE_SIZE};
 use cubicle_vfs::{flags, VfsPort, IOV_MAX};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -294,12 +302,21 @@ const STAGING: usize = 8192;
 pub const VEC_STAGING: usize = 4 * STAGING;
 
 struct CubicleFile {
+    /// The env's port, or a [`VfsPort::preshared`] one over `iov_page`
+    /// once the file is paired.
     port: VfsPort,
     fd: i64,
     staging: VAddr,
     /// Lazily-allocated [`VEC_STAGING`]-byte staging area for the
     /// vectored path (materialises on the first vectored transfer).
     vec_staging: Option<VAddr>,
+    /// The backend the staging areas are shared with under a pair key;
+    /// `None` shares them per call.
+    paired: Option<CubicleId>,
+    /// The page iovs and replies are staged in, shared with `VFSCORE`.
+    iov_page: Option<VAddr>,
+    /// The paired windows, destroyed at close.
+    shares: Vec<WindowId>,
 }
 
 fn io_err<T>(code: i64) -> Result<T> {
@@ -368,7 +385,51 @@ impl CubicleFile {
         }
         let base = sys.heap_alloc(VEC_STAGING, 4096)?;
         self.vec_staging = Some(base);
+        if let Some(backend) = self.paired {
+            self.shares
+                .push(sys.share_paired(&[(base, VEC_STAGING)], backend)?);
+        }
         Ok(base)
+    }
+
+    /// Shares the staging area with the backend and a fresh iov page
+    /// with `VFSCORE`, each for the file's life under the pair's key —
+    /// only when the port has one backend and the monitor grants both
+    /// keys. Otherwise the file keeps sharing per call.
+    fn pair(&mut self, sys: &mut System) -> Result<()> {
+        let &[vfs, backend] = self.port.grantees() else {
+            return Ok(());
+        };
+        if !sys.pair_keys_available(&[vfs, backend]) {
+            return Ok(());
+        }
+        self.shares
+            .push(sys.share_paired(&[(self.staging, STAGING)], backend)?);
+        let page = sys.heap_alloc(PAGE_SIZE, PAGE_SIZE)?;
+        self.iov_page = Some(page);
+        self.shares
+            .push(sys.share_paired(&[(page, PAGE_SIZE)], vfs)?);
+        self.port = self.port.preshared(page);
+        self.paired = Some(backend);
+        Ok(())
+    }
+
+    /// Ends the file's shares, then frees its staging areas, every one
+    /// of them whatever fails; the first error wins.
+    fn release(&mut self, sys: &mut System) -> Result<()> {
+        let mut out = Ok(());
+        for wid in self.shares.drain(..) {
+            out = out.and(sys.window_destroy(wid));
+        }
+        let bufs = [
+            Some(self.staging),
+            self.vec_staging.take(),
+            self.iov_page.take(),
+        ];
+        for buf in bufs.into_iter().flatten() {
+            out = out.and(sys.heap_free(buf));
+        }
+        Ok(out?)
     }
 
     /// The one vectored routine behind `pread_vec`, `pwrite_vec` and
@@ -541,17 +602,19 @@ impl StorageFile for CubicleFile {
         Ok(())
     }
 
+    /// Closes the descriptor, then releases the staging areas on every
+    /// path; the close's own error wins.
     fn close(&mut self, sys: &mut System) -> Result<()> {
-        if self.fd >= 0 {
-            let r = self.port.close(sys, self.fd)?;
-            self.fd = -1;
-            sys.heap_free(self.staging)?;
-            if let Some(base) = self.vec_staging.take() {
-                sys.heap_free(base)?;
-            }
-            if r < 0 {
-                return io_err(r);
-            }
+        if self.fd < 0 {
+            return Ok(());
+        }
+        let r = self.port.close(sys, self.fd);
+        self.fd = -1;
+        let released = self.release(sys);
+        let r = r?;
+        released?;
+        if r < 0 {
+            return io_err(r);
         }
         Ok(())
     }
@@ -564,12 +627,21 @@ impl StorageEnv for CubicleEnv {
             return io_err(fd);
         }
         let staging = sys.heap_alloc(STAGING, 4096)?;
-        Ok(Box::new(CubicleFile {
+        let mut file = CubicleFile {
             port: self.port.clone(),
             fd,
             staging,
             vec_staging: None,
-        }))
+            paired: None,
+            iov_page: None,
+            shares: Vec::new(),
+        };
+        if let Err(e) = file.pair(sys) {
+            // The pairing's error wins over the cleanup's.
+            let _ = file.close(sys);
+            return Err(e);
+        }
+        Ok(Box::new(file))
     }
 
     fn unlink(&mut self, sys: &mut System, path: &str) -> Result<()> {

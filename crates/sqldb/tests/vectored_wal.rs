@@ -5,9 +5,13 @@
 //! never leaving RAMFS). The same seeded sequence runs on the in-process
 //! [`HostEnv`] (the buffered default implementations) and on the
 //! isolated SQLITE → VFSCORE → RAMFS stack; the two must agree byte for
-//! byte.
+//! byte, whether the stack's files share their staging under pair keys
+//! (as shipped) or per call (every configuration without a pair key).
 
-use cubicle_core::{impl_component, ComponentImage, CubicleId, IsolationMode, System, TraceEvent};
+use cubicle_core::{
+    impl_component, ComponentImage, CubicleError, CubicleId, IsolationMode, System, SystemConfig,
+    TraceEvent,
+};
 use cubicle_mpk::insn::CodeImage;
 use cubicle_mpk::rng::Rng64;
 use cubicle_ramfs::{mount_at, Ramfs};
@@ -44,9 +48,15 @@ impl Side {
         }
     }
 
-    /// The paper's Figure 8 deployment under full isolation.
+    /// The paper's Figure 8 deployment under full isolation, as shipped.
     fn cubicle() -> Side {
-        let mut sys = System::new(IsolationMode::Full);
+        Side::cubicle_with(IsolationMode::Full.into(), false)
+    }
+
+    /// The Figure 8 deployment under `config`; with `exhaust`, cubicles
+    /// that do nothing take every key left in the pool before boot ends.
+    fn cubicle_with(config: SystemConfig, exhaust: bool) -> Side {
+        let mut sys = System::new(config);
         let base = boot_base(&mut sys).unwrap();
         let vfs_loaded = sys
             .load(cubicle_vfs::image(), Box::new(Vfs::default()))
@@ -63,6 +73,16 @@ impl Side {
                 Box::new(SqliteApp),
             )
             .unwrap();
+        if exhaust {
+            for i in 0.. {
+                let pad = ComponentImage::new(format!("PAD{i}"), CodeImage::plain(4096));
+                match sys.load(pad, Box::new(SqliteApp)) {
+                    Ok(_) => {}
+                    Err(CubicleError::OutOfKeys) => break,
+                    Err(e) => panic!("loading a pad: {e}"),
+                }
+            }
+        }
         sys.mark_boot_complete();
         let proxy = VfsProxy::resolve(&vfs_loaded).unwrap();
         let ramfs = ramfs_loaded.cid;
@@ -118,7 +138,12 @@ enum Op {
 /// Runs `ops` on both sides and on a page model, comparing the WAL
 /// before each checkpoint and the db file plus every page after it.
 fn run_script(ops: &[Op], seed: u64) {
-    let mut sides = [Side::host(), Side::cubicle()];
+    run_script_on(Side::cubicle(), ops, seed);
+}
+
+/// [`run_script`] with `cubicle` as the isolated side.
+fn run_script_on(cubicle: Side, ops: &[Op], seed: u64) {
+    let mut sides = [Side::host(), cubicle];
     let mut pagers: Vec<Pager> = sides
         .iter_mut()
         .map(|side| {
@@ -189,7 +214,12 @@ fn pages(first: u32, n: u32) -> Vec<u32> {
 
 #[test]
 fn checkpoint_and_commit_agree_with_the_host_model() {
-    let ops = vec![
+    run_script(&checkpoint_script(), 0x5EED_0017);
+}
+
+/// Commits and checkpoints of 1 to 84 pages, limited and not.
+fn checkpoint_script() -> Vec<Op> {
+    vec![
         // A commit of 70 fresh pages (8+ dirty: several staging vectors),
         // folded by a checkpoint of 71 distinct pages (header included).
         Op::Txn(pages(1, 70)),
@@ -213,8 +243,74 @@ fn checkpoint_and_commit_agree_with_the_host_model() {
         Op::Txn(pages(1, 84)),
         Op::Checkpoint(Some(0)),
         Op::Checkpoint(None),
-    ];
-    run_script(&ops, 0x5EED_0017);
+    ]
+}
+
+/// Without a pair key — pair keys off, a virtualised key pool, or no
+/// free key left — every file call shares its buffers for the call only,
+/// and the stack's bytes still match the host's.
+#[test]
+fn files_without_a_pair_key_share_per_call_and_agree_with_the_host_model() {
+    let no_pair_keys = SystemConfig {
+        pair_keys: false,
+        ..IsolationMode::Full.into()
+    };
+    let virtualised = SystemConfig {
+        key_virtualisation: true,
+        ..IsolationMode::Full.into()
+    };
+    for (what, mut side) in [
+        ("pair keys off", Side::cubicle_with(no_pair_keys, false)),
+        ("virtualised pool", Side::cubicle_with(virtualised, false)),
+        (
+            "exhausted pool",
+            Side::cubicle_with(IsolationMode::Full.into(), true),
+        ),
+    ] {
+        let (app, vfs) = (side.app.unwrap(), side.vfs.unwrap());
+        let env = side.env();
+        let mut pager = side.run(|sys| Pager::open(sys, env, "/probe.db", 256).unwrap());
+        let ops = side.sys.stats().window_ops;
+        side.run(|sys| {
+            pager.begin(sys).unwrap();
+            pager.allocate_page(sys).unwrap();
+            pager.commit(sys).unwrap();
+        });
+        assert!(
+            side.sys.stats().window_ops > ops,
+            "{what}: a commit opens windows"
+        );
+        assert_eq!(side.sys.pair_key(app, vfs), None, "{what}");
+        run_script_on(side, &checkpoint_script(), 0x5EED_0017);
+    }
+}
+
+/// A close that fails in the kernel still ends the file's shares and
+/// frees both staging areas: SQLITE's heap and windows are back where
+/// they were before the open.
+#[test]
+fn a_failed_close_releases_the_files_staging_and_shares() {
+    let mut side = Side::cubicle();
+    let (app, vfs) = (side.app.unwrap(), side.vfs.unwrap());
+    let held = |sys: &System| {
+        let row = sys.ledger().into_iter().find(|r| r.cubicle == app);
+        let row = row.expect("SQLITE has a ledger row");
+        (row.heap_used, row.windows)
+    };
+    let before = held(&side.sys);
+    let mut env = side.env();
+    side.run(|sys| {
+        let mut f = env.open(sys, "/closing").unwrap();
+        // Both staging areas and the iov page are live.
+        f.pwrite_vec(sys, &[(0, &[7u8; 3 * DB_PAGE])]).unwrap();
+        f.pwrite(sys, 0, &[1u8; 64]).unwrap();
+        assert_eq!(f.size(sys).unwrap(), 3 * DB_PAGE as u64);
+        assert_eq!(held(sys).1, before.1 + 3, "three paired windows");
+        sys.quarantine(vfs, "test: VFSCORE gone").unwrap();
+        assert!(f.close(sys).is_err(), "the kernel refuses the close");
+    });
+    assert_eq!(held(&side.sys), before, "(heap_used, windows) of SQLITE");
+    side.sys.audit().assert_clean("after a failed close");
 }
 
 #[test]
@@ -348,7 +444,28 @@ fn count(calls: &HashMap<String, u64>, name: &str) -> u64 {
 
 #[test]
 fn checkpoint_of_n_pages_makes_one_copy_range_per_sixty_four() {
-    let mut side = Side::cubicle();
+    // As shipped, the iov page is shared with VFSCORE under a pair key: a
+    // checkpoint takes no fault on a SQLITE page at all.
+    checkpoint_crossings(IsolationMode::Full.into(), |n, faults| {
+        assert_eq!(faults, 0, "{n} pages: no fault on a SQLITE page");
+    });
+    // The paper's per-call port: the staged iov ping-pongs.
+    let per_call = SystemConfig {
+        pair_keys: false,
+        ..IsolationMode::Full.into()
+    };
+    checkpoint_crossings(per_call, |n, faults| {
+        assert!(faults > 0, "{n} pages: VFSCORE reads the staged iov");
+    });
+}
+
+/// Checkpoints of 1 to 129 pages on the stack under `config`: one
+/// `vfs_copy_range` per 64 pages and no data call. Every fault on a
+/// SQLITE page lands on a page SQLITE allocated during the checkpoint —
+/// the iov each `vfs_copy_range` stages — with VFSCORE or SQLITE as the
+/// accessor; `check` judges their count for `n` pages.
+fn checkpoint_crossings(config: SystemConfig, check: impl Fn(u32, usize)) {
+    let mut side = Side::cubicle_with(config, false);
     side.sys.enable_tracing(1 << 20);
     let (app, vfs) = (side.app.unwrap(), side.vfs.unwrap());
     let env = side.env();
@@ -435,7 +552,7 @@ fn checkpoint_of_n_pages_makes_one_copy_range_per_sixty_four() {
                 );
             }
         }
-        assert!(faults > 0, "{n} pages: VFSCORE reads the staged iov");
+        check(n, faults);
     }
 }
 

@@ -4,10 +4,14 @@
 //! around its OS calls — "developers simply need to manage CubicleOS'
 //! windows to grant memory accesses across cubicles" (paper §1; the
 //! SQLite port is 620 SLOC, NGINX 390). [`VfsPort`] packages that
-//! discipline: every call that passes a buffer shares it, for the call
-//! only, with `VFSCORE` *and* the file-system backend (the owner must
-//! open for all cubicles of a nested call ahead of time, §5.6) through
-//! the monitor's scoped [`System::with_shared`].
+//! discipline. A port from [`VfsPort::new`] shares every buffer a call
+//! passes for that call only, with `VFSCORE` *and* the file-system
+//! backend (the owner must open for all cubicles of a nested call ahead
+//! of time, §5.6), through the monitor's scoped [`System::with_shared`].
+//! A port from [`VfsPort::preshared`] opens no window at all: its caller
+//! keeps its buffers shared for good, each with the one cubicle that
+//! touches it, and the port stages iovs and replies in a page shared
+//! with `VFSCORE`.
 //!
 //! Path strings travel through a dedicated, long-lived path page with a
 //! persistent window — a common optimisation that keeps per-call window
@@ -16,7 +20,7 @@
 use crate::ops::FileStat;
 use crate::vfs::{encode_iov, encode_triples, VfsProxy};
 use cubicle_core::{CubicleId, Errno, Result, System};
-use cubicle_mpk::VAddr;
+use cubicle_mpk::{VAddr, PAGE_SIZE};
 
 /// Bytes of the extent-address buffer [`VfsPort::sendfile_map`] stages:
 /// room for 1024 extents (a 4 MiB file at 4 KiB pages). Larger files get
@@ -30,6 +34,9 @@ pub struct VfsPort {
     grantees: Vec<CubicleId>,
     path_buf: VAddr,
     path_cap: usize,
+    /// The page iovs and replies are staged in, shared with `VFSCORE`
+    /// for good; `None` stages them in per-call scratch.
+    preshared: Option<VAddr>,
 }
 
 impl VfsPort {
@@ -54,7 +61,22 @@ impl VfsPort {
             grantees,
             path_buf,
             path_cap,
+            preshared: None,
         })
+    }
+
+    /// This port for a caller that keeps its buffers shared for good:
+    /// every data buffer it passes is already shared with the backend,
+    /// and `page` (one whole page of its own) with `VFSCORE`. The data
+    /// calls open no window, and iovs and `stat` replies of at most a
+    /// page are staged in `page`. Scratch the backend touches
+    /// (`readdir`, `sendfile_map`, `write_all`, `read_vec`) and larger
+    /// iovs still go through per-call windows.
+    pub fn preshared(&self, page: VAddr) -> VfsPort {
+        VfsPort {
+            preshared: Some(page),
+            ..self.clone()
+        }
     }
 
     /// The underlying typed proxy.
@@ -78,7 +100,8 @@ impl VfsPort {
     }
 
     /// Shares `[buf, buf+len)` with all grantees for the duration of `f`
-    /// — the paper's Figure 1c pattern.
+    /// — the paper's Figure 1c pattern. A [`VfsPort::preshared`] port
+    /// runs `f` alone: the caller already shares `buf`.
     ///
     /// # Errors
     ///
@@ -91,6 +114,9 @@ impl VfsPort {
         len: usize,
         f: impl FnOnce(&mut System) -> Result<T>,
     ) -> Result<T> {
+        if self.preshared.is_some() {
+            return f(sys);
+        }
         sys.with_shared(&[(buf, len)], &self.grantees, f)
     }
 
@@ -201,7 +227,7 @@ impl VfsPort {
             }
         };
         let len = iov.len().max(1);
-        scratch_call(sys, len, Some(&iov), &data, &self.grantees, call, raw)
+        self.vfs_scratch(sys, len, Some(&iov), &data, &self.grantees, call, raw)
     }
 
     /// `copy_range(fd_in, fd_out, segments)`: copies `(off_in, len,
@@ -231,7 +257,7 @@ impl VfsPort {
             self.proxy
                 .copy_range(sys, fd_in, fd_out, iov_buf, iov.len())
         };
-        scratch_call(sys, iov.len().max(1), Some(&iov), &[], &vfs, call, raw)
+        self.vfs_scratch(sys, iov.len().max(1), Some(&iov), &[], &vfs, call, raw)
     }
 
     /// `sendfile_map(fd, peer)` → the file's extent page addresses, or
@@ -327,7 +353,8 @@ impl VfsPort {
             Err(e) => return Ok(Err(e)),
         };
         let call = |sys: &mut System, out| self.proxy.stat(sys, self.path_buf, len, out);
-        self.scratch(sys, FileStat::WIRE_SIZE, call, decode_stat)
+        let reply = FileStat::WIRE_SIZE;
+        self.vfs_scratch(sys, reply, None, &[], &self.grantees, call, decode_stat)
     }
 
     /// `fstat(fd)` decoded into [`FileStat`].
@@ -337,7 +364,8 @@ impl VfsPort {
     /// Kernel errors from the cross-cubicle call.
     pub fn fstat(&self, sys: &mut System, fd: i64) -> Result<std::result::Result<FileStat, i64>> {
         let call = |sys: &mut System, out| self.proxy.fstat(sys, fd, out);
-        self.scratch(sys, FileStat::WIRE_SIZE, call, decode_stat)
+        let reply = FileStat::WIRE_SIZE;
+        self.vfs_scratch(sys, reply, None, &[], &self.grantees, call, decode_stat)
     }
 
     /// `ftruncate(fd, len)`.
@@ -408,6 +436,33 @@ impl VfsPort {
         output: impl FnOnce(&mut System, VAddr, i64) -> Result<T>,
     ) -> Result<T> {
         scratch_call(sys, len, None, &[], &self.grantees, call, output)
+    }
+
+    /// [`scratch_call`] for scratch that `VFSCORE` alone touches: an iov
+    /// it reads or a reply it writes. A [`VfsPort::preshared`] port
+    /// stages it in its shared page instead, when it fits, and opens no
+    /// window: the caller already shares `data`.
+    #[allow(clippy::too_many_arguments)]
+    fn vfs_scratch<T>(
+        &self,
+        sys: &mut System,
+        len: usize,
+        input: Option<&[u8]>,
+        data: &[(VAddr, usize)],
+        peers: &[CubicleId],
+        call: impl FnOnce(&mut System, VAddr) -> Result<i64>,
+        output: impl FnOnce(&mut System, VAddr, i64) -> Result<T>,
+    ) -> Result<T> {
+        match self.preshared {
+            Some(page) if len <= PAGE_SIZE => {
+                if let Some(bytes) = input {
+                    sys.write(page, bytes)?;
+                }
+                let r = call(sys, page)?;
+                output(sys, page, r)
+            }
+            _ => scratch_call(sys, len, input, data, peers, call, output),
+        }
     }
 }
 

@@ -2,12 +2,14 @@
 //!
 //! Boots the full component stack (ALLOC/TIME/PLAT/LIBC + VFSCORE +
 //! RAMFS + the SQL engine as the application cubicle), runs a small
-//! workload in each isolation mode, and prints the overhead ladder that
-//! Figure 6 measures.
+//! workload in each isolation mode over the paper's per-call file port,
+//! and prints the overhead ladder that Figure 6 measures. A last row runs
+//! full isolation as shipped, with each file's staging pages shared under
+//! pair keys.
 //!
 //! Run with: `cargo run --release --example sqlite_on_cubicles`
 
-use cubicleos::kernel::{impl_component, ComponentImage, IsolationMode, System};
+use cubicleos::kernel::{impl_component, ComponentImage, IsolationMode, System, SystemConfig};
 use cubicleos::mpk::insn::CodeImage;
 use cubicleos::ramfs::{mount_at, Ramfs};
 use cubicleos::sqldb::storage::CubicleEnv;
@@ -18,8 +20,8 @@ use cubicleos::vfs::{Vfs, VfsPort, VfsProxy};
 struct SqliteApp;
 impl_component!(SqliteApp);
 
-fn run_mode(mode: IsolationMode) -> Result<u64, Box<dyn std::error::Error>> {
-    let mut sys = System::new(mode);
+fn run_mode(label: &str, config: SystemConfig) -> Result<u64, Box<dyn std::error::Error>> {
+    let mut sys = System::new(config);
     let base = boot_base(&mut sys)?;
     let vfs = sys.load(cubicleos::vfs::image(), Box::new(Vfs::default()))?;
     let ramfs = sys.load(cubicleos::ramfs::image(), Box::new(Ramfs::default()))?;
@@ -78,7 +80,7 @@ fn run_mode(mode: IsolationMode) -> Result<u64, Box<dyn std::error::Error>> {
     let vfs_cid = sys.find_cubicle("VFSCORE").unwrap();
     println!(
         "{:<22} {:>12} cycles | SQLITE→VFSCORE calls: {:>6} | faults resolved: {:>6}",
-        mode.label(),
+        label,
         cycles,
         stats.edge(app.cid, vfs_cid),
         stats.faults_resolved,
@@ -88,13 +90,22 @@ fn run_mode(mode: IsolationMode) -> Result<u64, Box<dyn std::error::Error>> {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("SQLite on the Figure 8 component graph, per isolation mode:\n");
-    let base = run_mode(IsolationMode::Unikraft)?;
-    for mode in [
+    let per_call = |mode: IsolationMode| SystemConfig {
+        pair_keys: false,
+        ..mode.into()
+    };
+    let unikraft = IsolationMode::Unikraft;
+    let base = run_mode(unikraft.label(), per_call(unikraft))?;
+    let rows = [
         IsolationMode::NoMpk,
         IsolationMode::NoAcl,
         IsolationMode::Full,
-    ] {
-        let c = run_mode(mode)?;
+    ]
+    .map(|mode| (mode.label(), per_call(mode)))
+    .into_iter()
+    .chain([("Full, pair-keyed", IsolationMode::Full.into())]);
+    for (label, config) in rows {
+        let c = run_mode(label, config)?;
         println!(
             "{:<22}   → {:.2}x the Unikraft baseline",
             "",
