@@ -10,11 +10,14 @@
 //! Defaults: scale 5, `target/traces`. Exits non-zero if the exporter
 //! counters disagree with the kernel's own statistics, or — when the
 //! ring dropped nothing — its `Retag` / `WrPkru` records disagree with
-//! the machine's counters, so CI can use it as a smoke test.
+//! the machine's counters or the fold of its records through
+//! `SysStats::apply` differs from the kernel counters' change since
+//! tracing began (then it prints `event views: agree`), so CI can use
+//! it as a smoke test.
 
 use cubicle_bench::report::{audit_gate, dump_observability, metrics_summary};
 use cubicle_bench::scenario::{build_sqlite, Partitioning, UNIKRAFT_BOUNDARY_TAX};
-use cubicle_core::{IsolationMode, TraceEvent};
+use cubicle_core::{IsolationMode, SysStats, TraceEvent};
 use cubicle_sqldb::speedtest::SpeedtestConfig;
 use std::path::PathBuf;
 
@@ -47,6 +50,7 @@ fn main() {
     )
     .unwrap();
     let machine0 = dep.sys.machine_stats();
+    let stats0 = dep.sys.stats().clone();
     dep.sys.enable_tracing(TRACE_CAPACITY);
     let mut db = dep.open_db(64).unwrap();
     let t0 = dep.sys.now();
@@ -81,6 +85,15 @@ fn main() {
             machine.wrpkru - machine0.wrpkru,
             "WrPkru records must equal MachineStats::wrpkru since enable_tracing"
         );
+        // Every counter changes through a recorded event, so the ring
+        // alone rebuilds them.
+        let mut folded = SysStats::default();
+        trace.records().for_each(|r| folded.apply(&r.event));
+        assert_eq!(
+            folded,
+            dep.sys.stats().since(&stats0),
+            "the ring's fold must equal the SysStats change since enable_tracing"
+        );
     }
 
     let stem = format!("sqlite_split_scale{scale}");
@@ -100,6 +113,9 @@ fn main() {
         trace.total_recorded(),
         trace.dropped()
     );
+    if trace.dropped() == 0 {
+        println!("event views: agree");
+    }
     for p in paths {
         println!("wrote {}", p.display());
     }

@@ -108,9 +108,12 @@ pub use race::{AccessInfo, LocksetViolation, RaceDetector, RaceObject, RaceRepor
 pub use span::{CycleAttribution, SpanFrame, SpanProfiler, SpanRecord};
 pub use stats::SysStats;
 pub use system::{
-    LoadedComponent, MonitorLock, MonitorLockStats, PageMeta, RecoveryEvent, RestartPolicy,
-    Snapshot, System, SystemConfig, PARKED_KEY,
+    LoadedComponent, MonitorLock, MonitorLockStats, PageMeta, RestartPolicy, Snapshot, System,
+    SystemConfig, PARKED_KEY,
 };
-pub use trace::{FaultAudit, FaultDecision, TraceBuffer, TraceEvent, TraceRecord, WindowOpKind};
+pub use trace::{
+    FaultAudit, FaultDecision, GrantLookup, Incident, RecoveryEvent, TraceBuffer, TraceEvent,
+    TraceRecord, WindowOpKind,
+};
 pub use value::{BufDir, Value};
 pub use window::{Window, WindowCheck, WindowRange};

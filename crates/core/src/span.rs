@@ -239,6 +239,7 @@ impl SpanProfiler {
             TraceEvent::CrossCallExit { span, .. } => self.on_exit(at, span),
             TraceEvent::WindowOp {
                 op: crate::trace::WindowOpKind::Open,
+                ok: true,
                 ..
             } => {
                 if let Some(top) = self.open.last_mut() {
@@ -412,6 +413,7 @@ mod tests {
                 caller,
                 callee,
                 entry,
+                batch: 0,
             },
         );
     }

@@ -31,7 +31,7 @@ mod observe;
 mod trap;
 mod windows;
 
-pub use containment::{RecoveryEvent, RestartPolicy};
+pub use containment::RestartPolicy;
 pub(crate) use keys::PairShare;
 pub use keys::PARKED_KEY;
 pub use loader::LoadedComponent;
@@ -44,6 +44,7 @@ use crate::ids::{CubicleId, EntryId, WindowId};
 use crate::mode::IsolationMode;
 use crate::race::RaceDetector;
 use crate::stats::SysStats;
+use crate::trace::Incident;
 use cubicle_mpk::{CostModel, Machine, MachineStats, PageNum, Pkru, ProtKey, VAddr};
 use dispatch::EntryDesc;
 use keys::KeyPool;
@@ -51,7 +52,7 @@ use loader::ReloadInfo;
 use locks::MonitorLocks;
 use observe::Tracer;
 use std::collections::HashMap;
-use trap::GrantCache;
+use trap::GrantEntry;
 
 /// Per-page metadata kept by the monitor (paper §5.3: "CubicleOS keeps a
 /// page metadata map that identifies the window descriptor array
@@ -120,10 +121,9 @@ pub struct System {
     /// [`System::switch_to_core`]; boot runs on core 0 alone.
     cores: usize,
     tracer: Option<Tracer>,
-    /// Human-readable records of images the loader refused, one line per
-    /// rejection (bounded; kept outside the tracer so rejections are
-    /// never silently lost when tracing is off).
-    loader_audit: Vec<String>,
+    /// The bounded incident log ([`System::incidents`]), kept outside
+    /// the tracer so incidents are never lost when tracing is off.
+    incidents: Vec<Incident>,
     /// Recycled read buffers for [`System::with_read`]: value marshalling
     /// and component handlers borrow one instead of allocating a fresh
     /// `Vec` per cross-cubicle argument. Host-side only — never affects
@@ -138,22 +138,17 @@ pub struct System {
     reclaimed: HashMap<PageNum, CubicleId>,
     /// Per-slot reload images for microreboot (parallel to `components`).
     reloads: Vec<ReloadInfo>,
-    /// Human-readable quarantine/unwind/restart records (bounded, kept
-    /// outside the tracer like `loader_audit`).
-    containment_log: Vec<String>,
-    /// Human-readable crash-recovery records (WAL replays and RAMFS
-    /// journal replays; bounded like `containment_log`).
-    recovery_log: Vec<String>,
     /// Default cross-call cycle budget enforced by the watchdog
     /// ([`SystemConfig::cycle_budget`]).
     cycle_budget: Option<u64>,
     /// Per-edge watchdog budget overrides, taking precedence over the
     /// default budget.
     edge_budgets: HashMap<(CubicleId, CubicleId), u64>,
-    /// Window-grant authorisation cache: a repeat trap-and-map fault
-    /// re-checks the one descriptor that granted it last time instead of
-    /// linearly searching the owner's windows.
-    grant_cache: GrantCache,
+    /// Window-grant authorisation cache, (accessor, faulting page) → the
+    /// grant that authorised it last: a repeat trap-and-map fault
+    /// re-checks that one descriptor instead of linearly searching the
+    /// owner's windows.
+    grant_cache: HashMap<(CubicleId, PageNum), GrantEntry>,
     /// Restart backoff policy ([`SystemConfig::restart_policy`]).
     restart_policy: Option<RestartPolicy>,
     /// Simulated-time locks serialising the monitor's shared metadata
@@ -327,16 +322,14 @@ impl System {
             keys: KeyPool::new(config.key_virtualisation),
             cores: config.cores,
             tracer: None,
-            loader_audit: Vec::new(),
+            incidents: Vec::new(),
             scratch_pool: Vec::new(),
             fault_containment: config.fault_containment,
             reclaimed: HashMap::new(),
             reloads: Vec::new(),
-            containment_log: Vec::new(),
-            recovery_log: Vec::new(),
             cycle_budget: config.cycle_budget,
             edge_budgets: HashMap::new(),
-            grant_cache: GrantCache::default(),
+            grant_cache: HashMap::new(),
             restart_policy: config.restart_policy,
             locks: MonitorLocks::default(),
             pending_quarantine: Vec::new(),

@@ -1,6 +1,6 @@
 //! Fault containment: the cross-call watchdog, quarantine, the unwind
 //! to an errno at the first healthy boundary, microreboot and the
-//! crash-recovery log.
+//! crash-recovery milestones.
 
 use super::keys::PARKED_KEY;
 use super::locks::MonitorLock;
@@ -9,32 +9,9 @@ use super::System;
 use crate::error::{CubicleError, Result};
 use crate::ids::CubicleId;
 use crate::race::RaceObject;
-use crate::trace::TraceEvent;
+use crate::trace::{Incident, RecoveryEvent, TraceEvent};
 use crate::value::Value;
 use cubicle_mpk::{PageNum, VAddr};
-
-/// Maximum lines kept in the containment log (same rationale as
-/// [`LOADER_AUDIT_CAP`]).
-const CONTAINMENT_LOG_CAP: usize = 64;
-
-/// Maximum lines kept in the recovery log (same rationale as
-/// [`LOADER_AUDIT_CAP`]).
-const RECOVERY_LOG_CAP: usize = 64;
-
-/// A crash-recovery milestone reported to the monitor by a durable
-/// subsystem (see [`System::record_recovery`]). Feeds the recovery
-/// counters in [`SysStats`], the Prometheus export, and the
-/// human-readable recovery block of [`System::export_fault_audit`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RecoveryEvent {
-    /// A write-ahead-log replay ran on database open: `frames` committed
-    /// frames were recovered; `torn` says whether a torn / uncommitted
-    /// tail was discarded.
-    WalReplay { frames: u64, torn: bool },
-    /// A RAMFS inode-journal replay restored `records` journal records
-    /// inside a microrebooted cubicle's `on_restart` hook.
-    RamfsJournalReplay { records: u64 },
-}
 
 /// Exponential-backoff policy for [`System::restart`]: a cubicle on its
 /// `g`-th incarnation must wait `base_backoff_cycles << g` simulated
@@ -120,13 +97,12 @@ impl System {
             return Ok(());
         };
         let cubicle = self.call_stack[idx].cubicle;
-        let budget = self.call_stack[idx]
+        let overrun = self.call_stack[idx]
             .deadline
             .map_or(0, |d| now.saturating_sub(d));
-        let overrun = budget;
         self.call_stack[idx].deadline = None;
         self.refresh_cycle_alarm();
-        self.stats.watchdog_trips += 1;
+        self.record(TraceEvent::WatchdogTrip { cubicle, overrun });
         self.quarantine_for(
             cubicle,
             format!(
@@ -164,74 +140,33 @@ impl System {
                 None => return Err(err), // caller bug; propagate unchanged
             },
         };
-        self.stats.unwound_frames += 1;
         if caller != CubicleId::MONITOR && self.cubicles[caller.index()].is_quarantined() {
             // Still inside the offender's call chain: keep unwinding.
+            self.record(TraceEvent::FrameUnwound { callee, caller });
             return Err(err);
         }
-        self.stats.contained_faults += 1;
-        let neg = errno.neg();
-        self.containment_push(format!(
-            "containment: unwound `{err}` to {} as {errno}",
-            self.cubicles[caller.index()].name
-        ));
-        self.trace_push(TraceEvent::FaultContained {
+        let caller_name = self.cubicles[caller.index()].name.clone();
+        self.record(Incident::Contained {
             callee,
             caller,
-            errno: neg,
+            caller_name,
+            error: err,
+            errno,
         });
-        Ok(Value::I64(neg))
+        Ok(Value::I64(errno.neg()))
     }
 
-    /// Appends a line to the bounded containment log.
-    fn containment_push(&mut self, line: String) {
-        if self.containment_log.len() < CONTAINMENT_LOG_CAP {
-            self.containment_log.push(line);
-        }
-    }
-
-    /// Records a crash-recovery milestone: bumps the matching
-    /// [`SysStats`] counters and appends a line to the bounded recovery
-    /// log rendered by [`System::export_fault_audit`].
+    /// Records a crash-recovery milestone reported by a durable
+    /// subsystem: it counts in [`SysStats`](crate::SysStats) and keeps a
+    /// line in the recovery block of [`System::export_fault_audit`].
     pub fn record_recovery(&mut self, event: RecoveryEvent) {
-        let line = match event {
-            RecoveryEvent::WalReplay { frames, torn } => {
-                self.stats.wal_replays += 1;
-                self.stats.wal_frames_recovered += frames;
-                if torn {
-                    self.stats.wal_torn_tails_discarded += 1;
-                }
-                format!(
-                    "recovery: wal replay applied {frames} frame(s){}",
-                    if torn { ", torn tail discarded" } else { "" }
-                )
-            }
-            RecoveryEvent::RamfsJournalReplay { records } => {
-                self.stats.ramfs_journal_replays += 1;
-                format!("recovery: ramfs journal replay restored {records} record(s)")
-            }
-        };
-        if self.recovery_log.len() < RECOVERY_LOG_CAP {
-            self.recovery_log.push(line);
-        }
-    }
-
-    /// Crash-recovery records (bounded), one line per replay.
-    pub fn recovery_log(&self) -> &[String] {
-        &self.recovery_log
+        self.record(Incident::Recovery(event));
     }
 
     /// Is the fault containment policy ([`SystemConfig::fault_containment`])
     /// on?
     pub fn fault_containment(&self) -> bool {
         self.fault_containment
-    }
-
-    /// The bounded containment log: one line per quarantine, unwind
-    /// conversion and microreboot (kept even with tracing off, capped at
-    /// 64 entries like the loader audit).
-    pub fn containment_log(&self) -> &[String] {
-        &self.containment_log
     }
 
     /// Caps the total heap pages the monitor will grant `cid` (`None`
@@ -300,12 +235,15 @@ impl System {
 
     fn quarantine_inner(&mut self, cid: CubicleId, reason: String) {
         use crate::cubicle::CubicleState;
-        self.stats.quarantines += 1;
-        self.trace_push(TraceEvent::Quarantine { cubicle: cid });
         // Grants into or out of the offender are void: its windows are
         // destroyed below and its held pages reclaimed.
-        self.grant_cache_retain("quarantine:grant_cache.retain", |&(accessor, _), e| {
-            accessor != cid && e.owner != cid
+        let grants_dropped = self
+            .grant_cache_retain("quarantine:grant_cache.retain", |&(accessor, _), e| {
+                accessor != cid && e.owner != cid
+            });
+        self.record(TraceEvent::Quarantine {
+            cubicle: cid,
+            grants_dropped,
         });
         self.cubicles[cid.index()].quarantined_at = self.machine.now();
 
@@ -390,11 +328,13 @@ impl System {
         c.quarantine_reason = Some(reason.clone());
         let name = c.name.clone();
         self.lock_release(MonitorLock::Ledger, lstart);
-        self.containment_push(format!(
-            "containment: quarantined {name} ({cid}): {reason} \
-             [{pages_reclaimed} page(s) reclaimed, {} window(s) destroyed]",
-            windows.len(),
-        ));
+        self.record(Incident::Quarantined {
+            cubicle: cid,
+            name,
+            reason,
+            pages_reclaimed,
+            windows_destroyed: windows.len(),
+        });
     }
 
     /// Microreboots a quarantined cubicle: re-runs the trusted loader's
@@ -434,11 +374,11 @@ impl System {
             let c = &self.cubicles[cid.index()];
             if c.generation >= policy.max_restarts {
                 let name = c.name.clone();
-                self.containment_push(format!(
-                    "containment: restart of {name} ({cid}) refused permanently \
-                     after {} strikes",
-                    policy.max_restarts
-                ));
+                self.record(Incident::RestartRefused {
+                    cubicle: cid,
+                    name,
+                    strikes: policy.max_restarts,
+                });
                 return Err(CubicleError::PermanentlyQuarantined { cubicle: cid });
             }
             let delay = policy
@@ -483,9 +423,10 @@ impl System {
         // Belt and braces: quarantine already purged the offender's
         // grants, and none can have formed since; make sure the fresh
         // incarnation starts with no remembered authority either way.
-        self.grant_cache_retain("restart:grant_cache.retain", |&(accessor, _), e| {
-            accessor != cid && e.owner != cid
-        });
+        let grants_dropped = self
+            .grant_cache_retain("restart:grant_cache.retain", |&(accessor, _), e| {
+                accessor != cid && e.owner != cid
+            });
         let c = &mut self.cubicles[cid.index()];
         c.state = CubicleState::Active;
         c.quarantine_reason = None;
@@ -504,14 +445,12 @@ impl System {
             self.run_in_cubicle(cid, |sys| comp.on_restart(sys));
             self.components[slot] = Some(comp);
         }
-        self.stats.restarts += 1;
-        self.trace_push(TraceEvent::Restart {
+        self.record(Incident::Restarted {
             cubicle: cid,
+            name,
             generation,
+            grants_dropped,
         });
-        self.containment_push(format!(
-            "containment: restarted {name} ({cid}), generation {generation}"
-        ));
         Ok(())
     }
 }

@@ -161,47 +161,27 @@ impl System {
         if caller != callee && self.cubicles[caller.index()].is_quarantined() {
             return Err(CubicleError::Quarantined { cubicle: caller });
         }
-        // One crossing: the whole dispatch is one edge sample.
-        self.stats.record_edge(caller, callee);
-        if batched {
-            self.stats.batch_dispatches += 1;
-            self.stats.batched_calls += batch.len() as u64;
-        }
-
-        // Trace enter/exit around the whole dispatch so every recorded
-        // Enter has a matching Exit — on error paths too — and the
-        // histogram sample count always equals `SysStats::cross_calls`.
-        let t0 = if self.tracer.is_some() {
-            let t0 = self.machine.now();
-            let core = self.machine.current_core();
-            let (span, parent) = {
-                let tracer = self.tracer.as_mut().expect("checked above");
-                let span = tracer.next_span;
-                tracer.next_span += 1;
-                (span, tracer.current_span(core))
-            };
-            self.trace_push(TraceEvent::CrossCallEnter {
-                span,
-                parent,
-                caller,
-                callee,
-                entry,
-            });
-            Some((t0, span))
-        } else {
-            None
-        };
+        // One crossing: the whole dispatch is one edge sample, entered
+        // and exited on every path, errors included, so the histogram
+        // sample count always equals `SysStats::cross_calls`.
+        let (span, parent) = self.open_span();
+        let t0 = self.machine.now();
+        self.record(TraceEvent::CrossCallEnter {
+            span,
+            parent,
+            caller,
+            callee,
+            entry,
+            batch: if batched { batch.len() as u32 } else { 0 },
+        });
         let status = self.run_elements(caller, gate, batch, ret);
-        if let Some((t0, span)) = t0 {
-            let cycles = self.machine.now() - t0;
-            self.trace_push(TraceEvent::CrossCallExit {
-                span,
-                caller,
-                callee,
-                entry,
-                cycles,
-            });
-        }
+        self.record(TraceEvent::CrossCallExit {
+            span,
+            caller,
+            callee,
+            entry,
+            cycles: self.machine.now() - t0,
+        });
         match status {
             // Merged components call each other directly: there is no
             // monitor boundary to convert at.
@@ -258,8 +238,11 @@ impl System {
                         .map(|v| v.bytes_in() + v.bytes_out())
                         .sum();
                     self.machine.charge(m.fixed + m.per_byte * bytes as u64);
-                    self.stats.ipc_msgs += 2; // request + reply
-                    self.stats.ipc_bytes += bytes as u64;
+                    self.record(TraceEvent::IpcRoundTrip {
+                        caller,
+                        callee,
+                        bytes,
+                    });
                 }
                 _ => {
                     copied = gate.stack_arg_bytes;
@@ -293,14 +276,11 @@ impl System {
             self.machine.charge(call);
             if copied > 0 {
                 self.machine.charge(2 * cost.mem_access(copied));
-                self.stats.stack_bytes_copied += copied as u64;
-                if self.tracer.is_some() {
-                    self.trace_push(TraceEvent::StackCopy {
-                        caller,
-                        callee,
-                        bytes: copied,
-                    });
-                }
+                self.record(TraceEvent::StackCopy {
+                    caller,
+                    callee,
+                    bytes: copied,
+                });
             }
             match (gate.func)(self, comp.as_mut(), args) {
                 Ok(_) if !merged && self.cubicles[callee.index()].is_quarantined() => {

@@ -135,6 +135,7 @@ impl System {
                     caller,
                     callee,
                     entry,
+                    ..
                 } => {
                     let name = self
                         .entries
@@ -207,6 +208,7 @@ impl System {
                     owner,
                     accessor,
                     kind,
+                    ..
                 } => instant(
                     r,
                     "fault_denied",
@@ -234,9 +236,11 @@ impl System {
                     0,
                     &format!("\"pkru\":\"{:#010x}\"", pkru.raw()),
                 ),
-                TraceEvent::WindowOp { op, wid, peer } => instant(
+                TraceEvent::WindowOp {
+                    op, wid, peer, ok, ..
+                } => instant(
                     r,
-                    &format!("window_{}", op.as_str()),
+                    &format!("window_{}{}", op.as_str(), if ok { "" } else { "_failed" }),
                     "window",
                     0,
                     &match peer {
@@ -283,7 +287,7 @@ impl System {
                 // Quarantine opens a span on the cubicle's track; the
                 // matching Restart closes it, so the quarantined period
                 // shows as one solid block in Perfetto.
-                TraceEvent::Quarantine { cubicle } => format!(
+                TraceEvent::Quarantine { cubicle, .. } => format!(
                     "{{\"ph\":\"B\",\"name\":\"quarantined\",\"cat\":\"containment\",\
                      \"pid\":{},\"tid\":{},\"ts\":{}}}",
                     r.core,
@@ -293,6 +297,7 @@ impl System {
                 TraceEvent::Restart {
                     cubicle,
                     generation,
+                    ..
                 } => format!(
                     "{{\"ph\":\"E\",\"pid\":{},\"tid\":{},\"ts\":{},\
                      \"args\":{{\"generation\":{generation}}}}}",
@@ -321,6 +326,15 @@ impl System {
                     0,
                     &format!("\"addr\":\"{addr}\",\"key\":\"{key}\""),
                 ),
+                // The rare monitor incidents and the IPC baseline's
+                // messages: an instant named after the variant, carrying
+                // its fields as text.
+                other => {
+                    let text = format!("{other:?}");
+                    let name = text.split([' ', '(']).next().unwrap_or_default();
+                    let args = format!("\"event\":\"{}\"", json_escape(&text));
+                    instant(r, name, "monitor", 0, &args)
+                }
             };
             push(line, &mut out);
         }
@@ -798,25 +812,19 @@ impl System {
         out
     }
 
-    /// Renders the loader + trap-and-map audit logs as human-readable
-    /// text: one line per refused image, then one line per fault, saying
-    /// who touched whose page and which window descriptor (or rule)
-    /// decided. Fault lines are rendered from the fault records the trace
-    /// ring holds, so they exist only while tracing is enabled; loader
-    /// rejections are always kept.
+    /// Renders the incident log and the trap-and-map audit as
+    /// human-readable text: one line per refused image, then per
+    /// quarantine, unwind and restart, then per crash recovery, then one
+    /// line per fault, saying who touched whose page and which window
+    /// descriptor (or rule) decided. Fault lines are rendered from the
+    /// fault records the trace ring holds, so they exist only while
+    /// tracing is enabled; incidents are always kept.
     pub fn export_fault_audit(&self) -> String {
         let mut out = String::new();
-        for line in &self.loader_audit {
-            out.push_str(line);
-            out.push('\n');
-        }
-        for line in &self.containment_log {
-            out.push_str(line);
-            out.push('\n');
-        }
-        for line in &self.recovery_log {
-            out.push_str(line);
-            out.push('\n');
+        for block in 0..3 {
+            for incident in self.incidents.iter().filter(|i| i.block() == block) {
+                out.push_str(&format!("{incident}\n"));
+            }
         }
         for a in self.fault_audit() {
             let accessor = &self.cubicles[a.accessor.index()].name;

@@ -10,12 +10,9 @@ use crate::cubicle::{Cubicle, RegionType};
 use crate::error::{CubicleError, Result};
 use crate::ids::{CubicleId, EntryId};
 use crate::race::RaceObject;
+use crate::trace::Incident;
 use cubicle_mpk::{PageFlags, ProtKey, VAddr, PAGE_SIZE};
 use std::collections::HashMap;
-
-/// Maximum rejection records kept by the loader audit log (a kernel must
-/// not grow unbounded state when fed a stream of hostile images).
-const LOADER_AUDIT_CAP: usize = 64;
 
 /// Handle returned by the loader.
 #[derive(Clone, Debug)]
@@ -114,20 +111,18 @@ impl System {
     ) -> Result<LoadedComponent> {
         // Rule: refuse code containing instructions that would undermine
         // the isolation mechanisms. The early-exit scan decides the
-        // verdict; the exhaustive scan feeds the audit log so operators
-        // see *every* occurrence, not just the first.
+        // verdict; the exhaustive scan feeds the incident log so
+        // operators see *every* occurrence, not just the first.
         if let Some(bad) = image.code.scan_forbidden() {
             let hits = image.code.scan_all();
-            self.stats.loads_rejected += 1;
-            self.stats.forbidden_insns += hits.len() as u64;
-            if self.loader_audit.len() < LOADER_AUDIT_CAP {
-                let (off, first) = hits.first().copied().expect("fast path found one");
-                self.loader_audit.push(format!(
-                    "loader: image `{}` rejected: {} forbidden occurrence(s), first `{first}` at +{off:#x}",
-                    image.name,
-                    hits.len(),
-                ));
-            }
+            let (offset, first) = hits.first().copied().expect("fast path found one");
+            self.record(Incident::LoadRejected {
+                cubicle: cid,
+                image: image.name,
+                forbidden: hits.len(),
+                first,
+                offset,
+            });
             // roll back an empty cubicle created by `load`
             return Err(CubicleError::ForbiddenInstruction(bad));
         }
@@ -279,13 +274,5 @@ impl System {
         }
         self.lock_release(MonitorLock::PageMeta, start);
         base
-    }
-
-    /// Rejection records from the loader: one line per refused image,
-    /// with the total occurrence count and first offset from the
-    /// exhaustive [`cubicle_mpk::insn::CodeImage::scan_all`] scan.
-    /// Recorded even when tracing is off (capped at 64 entries).
-    pub fn loader_audit(&self) -> &[String] {
-        &self.loader_audit
     }
 }

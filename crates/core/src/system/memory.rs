@@ -212,13 +212,11 @@ impl System {
     fn heap_alloc_locked(&mut self, cid: CubicleId, size: usize, align: usize) -> Result<VAddr> {
         self.race_note(RaceObject::Ledger, true, "heap_alloc_locked:heap.alloc");
         if let Some(addr) = self.cubicles[cid.index()].heap.alloc(size, align) {
-            if self.tracer.is_some() {
-                self.trace_push(TraceEvent::HeapAlloc {
-                    cubicle: cid,
-                    addr,
-                    bytes: size,
-                });
-            }
+            self.record(TraceEvent::HeapAlloc {
+                cubicle: cid,
+                addr,
+                bytes: size,
+            });
             return Ok(addr);
         }
         // Grow: grant enough pages for the request (plus slack), unless
@@ -238,13 +236,11 @@ impl System {
             .heap
             .alloc(size, align)
             .ok_or(CubicleError::OutOfMemory(cid))?;
-        if self.tracer.is_some() {
-            self.trace_push(TraceEvent::HeapAlloc {
-                cubicle: cid,
-                addr,
-                bytes: size,
-            });
-        }
+        self.record(TraceEvent::HeapAlloc {
+            cubicle: cid,
+            addr,
+            bytes: size,
+        });
         Ok(addr)
     }
 
@@ -265,9 +261,7 @@ impl System {
             .map_err(|_| CubicleError::InvalidArgument("heap_free: not a live allocation"));
         self.lock_release(MonitorLock::Ledger, start);
         freed?;
-        if self.tracer.is_some() {
-            self.trace_push(TraceEvent::HeapFree { cubicle: cid, addr });
-        }
+        self.record(TraceEvent::HeapFree { cubicle: cid, addr });
         Ok(())
     }
 
@@ -376,9 +370,18 @@ impl System {
         if len > 0 {
             let first = addr.page();
             let last = VAddr::new(addr.raw() + (len as u64 - 1)).page();
-            self.grant_cache_retain("grant_pages_to:grant_cache.retain", |&(_, page), _| {
-                page.0 < first.0 || page.0 > last.0
-            });
+            let grants_dropped = self
+                .grant_cache_retain("grant_pages_to:grant_cache.retain", |&(_, page), _| {
+                    page.0 < first.0 || page.0 > last.0
+                });
+            if grants_dropped > 0 {
+                self.record(TraceEvent::OwnershipTransfer {
+                    addr,
+                    len,
+                    to,
+                    grants_dropped,
+                });
+            }
         }
         Ok(())
     }

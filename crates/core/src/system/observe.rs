@@ -1,8 +1,8 @@
-//! Observability: the event tracer, span profiler, resource ledger and
-//! flamegraph, plus the two helpers through which the monitor issues
-//! retags, reclaims and PKRU writes so each lands in the trace ring as
-//! it happens. Strictly an observer — recording never charges simulated
-//! cycles.
+//! Observability: the monitor's one event door ([`System::record`]),
+//! the event tracer, span profiler, resource ledger and flamegraph, plus
+//! the two helpers through which the monitor issues retags, reclaims and
+//! PKRU writes so each is recorded as it happens. Strictly an observer —
+//! recording never charges simulated cycles.
 
 use super::keys::PARKED_KEY;
 use super::System;
@@ -10,9 +10,33 @@ use crate::ids::{CubicleId, EntryId};
 use crate::ledger::LedgerRow;
 use crate::metrics::Metrics;
 use crate::span::{CycleAttribution, SpanFrame, SpanProfiler, SpanRecord};
-use crate::trace::{FaultAudit, TraceBuffer, TraceEvent, TraceRecord};
+use crate::trace::{FaultAudit, Incident, TraceBuffer, TraceEvent, TraceRecord};
 use cubicle_mpk::{Fault, Pkru, ProtKey, VAddr};
 use std::collections::HashMap;
+
+/// Incidents the log keeps per audit block (loader, containment,
+/// recovery): a kernel must not grow unbounded state when fed a stream
+/// of hostile images or faults.
+const INCIDENT_CAP: usize = 64;
+
+/// What [`System::record`] takes: a trace event, or an incident for the
+/// incident log, which brings the trace event of its counters along.
+pub(super) enum Event {
+    Trace(TraceEvent),
+    Incident(Incident),
+}
+
+impl From<TraceEvent> for Event {
+    fn from(e: TraceEvent) -> Event {
+        Event::Trace(e)
+    }
+}
+
+impl From<Incident> for Event {
+    fn from(i: Incident) -> Event {
+        Event::Incident(i)
+    }
+}
 
 /// How [`System::page_op`] changes a mapped page.
 #[derive(Clone, Copy)]
@@ -266,8 +290,8 @@ impl System {
                     calls_in: calls_in[c.id.index()],
                     calls_out: calls_out[c.id.index()],
                     grant_hits: self
-                        .grant_cache
-                        .hits_by_accessor
+                        .stats
+                        .grant_hits_by_accessor
                         .get(&c.id)
                         .copied()
                         .unwrap_or(0),
@@ -326,12 +350,51 @@ impl System {
             .map_or("MONITOR", |c| c.name.as_str())
     }
 
-    /// Appends an event stamped with the current cycle count and core
-    /// (no-op when tracing is disabled).
+    /// The monitor's one event door. Folds the event into the counters
+    /// ([`SysStats::apply`](crate::SysStats::apply), their only writer
+    /// but CubicleSan's) and, while tracing, hands it to the tracer
+    /// stamped with the current cycle count and core; an incident also
+    /// lands in the bounded incident log. Always inlined, like
+    /// [`SysStats::apply`](crate::SysStats::apply): the dispatch path
+    /// records six or more events per crossing.
+    #[inline(always)]
+    pub(super) fn record(&mut self, event: impl Into<Event>) {
+        let (trace, incident) = match event.into() {
+            Event::Trace(e) => (Some(e), None),
+            Event::Incident(i) => (i.trace(), Some(i)),
+        };
+        if let Some(e) = trace {
+            self.stats.apply(&e);
+            if let Some(tracer) = &mut self.tracer {
+                tracer.record(self.machine.now(), self.machine.current_core(), e);
+            }
+        }
+        if let Some(i) = incident {
+            let kept = self.incidents.iter().filter(|k| k.block() == i.block());
+            if kept.count() < INCIDENT_CAP {
+                self.incidents.push(i);
+            }
+        }
+    }
+
+    /// The incident log, oldest first: rejected images, quarantines,
+    /// unwinds, restarts and crash recoveries, each rendered by its
+    /// `Display`. Kept with tracing off, up to 64 per audit block.
+    pub fn incidents(&self) -> &[Incident] {
+        &self.incidents
+    }
+
+    /// A fresh span id and the innermost open span on the current core,
+    /// for a cross-call about to enter; `(0, 0)` while tracing is off.
     #[inline]
-    pub(super) fn trace_push(&mut self, event: TraceEvent) {
-        if let Some(tracer) = &mut self.tracer {
-            tracer.record(self.machine.now(), self.machine.current_core(), event);
+    pub(super) fn open_span(&mut self) -> (u64, u64) {
+        let core = self.machine.current_core();
+        match &mut self.tracer {
+            Some(tracer) => {
+                tracer.next_span += 1;
+                (tracer.next_span - 1, tracer.current_span(core))
+            }
+            None => (0, 0),
         }
     }
 
@@ -359,7 +422,7 @@ impl System {
                 key: self.machine.reclaim_page(addr)?,
             },
         };
-        self.trace_push(event);
+        self.record(event);
         Ok(())
     }
 
@@ -369,6 +432,6 @@ impl System {
     #[inline]
     pub(super) fn wrpkru(&mut self, pkru: Pkru) {
         self.machine.set_pkru(pkru);
-        self.trace_push(TraceEvent::WrPkru { pkru });
+        self.record(TraceEvent::WrPkru { pkru });
     }
 }

@@ -8,9 +8,8 @@ use super::System;
 use crate::error::{CubicleError, Result};
 use crate::ids::{CubicleId, WindowId};
 use crate::race::RaceObject;
-use crate::trace::{FaultDecision, TraceEvent};
+use crate::trace::{FaultDecision, GrantLookup, TraceEvent};
 use cubicle_mpk::{Fault, FaultKind, PageNum, ProtKey, VAddr};
-use std::collections::HashMap;
 
 /// One remembered trap-and-map authorisation: the window that granted
 /// `accessor` the faulting page last time. A hit re-checks that single
@@ -23,12 +22,36 @@ pub(super) struct GrantEntry {
     pub(super) via: WindowId,
 }
 
-#[derive(Default)]
-pub(super) struct GrantCache {
-    /// (accessor, faulting page) → the grant that authorised it last.
-    pub(super) map: HashMap<(CubicleId, PageNum), GrantEntry>,
-    /// Per-accessor hit counts for the resource ledger (host-side).
-    pub(super) hits_by_accessor: HashMap<CubicleId, u64>,
+/// The trace event for one trap-and-map outcome: `probes` window
+/// descriptors searched, the grant cache taking part as `grant`.
+fn fault_event(
+    fault: &Fault,
+    owner: CubicleId,
+    accessor: CubicleId,
+    decision: FaultDecision,
+    probes: u64,
+    grant: GrantLookup,
+) -> TraceEvent {
+    let (addr, kind, probes) = (fault.addr, fault.access, probes as u32);
+    match decision {
+        FaultDecision::Denied => TraceEvent::FaultDenied {
+            addr,
+            owner,
+            accessor,
+            kind,
+            probes,
+            grant,
+        },
+        _ => TraceEvent::FaultResolved {
+            addr,
+            owner,
+            accessor,
+            kind,
+            decision,
+            probes,
+            grant,
+        },
+    }
 }
 
 impl System {
@@ -67,6 +90,9 @@ impl System {
             None => return Err(self.deny_raw_fault(fault)),
         };
         let accessor = self.current_cubicle();
+        let event = |decision, probes, grant| {
+            fault_event(&fault, meta.owner, accessor, decision, probes, grant)
+        };
         if self.cubicles[accessor.index()].is_quarantined() {
             // Residual execution of a quarantined cubicle gets no new
             // grants — not even through still-open peer windows.
@@ -90,8 +116,7 @@ impl System {
             // resolution — a retag would change nothing.
             let pkru = self.pkru_for(accessor);
             self.wrpkru(pkru);
-            self.stats.faults_resolved += 1;
-            self.trace_fault(&fault, meta.owner, accessor, FaultDecision::PkruRefresh);
+            self.record(event(FaultDecision::PkruRefresh, 0, GrantLookup::Skipped));
             return Ok(());
         }
 
@@ -100,8 +125,7 @@ impl System {
         if meta.owner == accessor {
             self.retag(fault.addr, home)?;
             self.record_holder(fault.addr, accessor, None);
-            self.stats.faults_resolved += 1;
-            self.trace_fault(&fault, meta.owner, accessor, FaultDecision::OwnerReclaim);
+            self.record(event(FaultDecision::OwnerReclaim, 0, GrantLookup::Skipped));
             return Ok(());
         }
 
@@ -109,8 +133,7 @@ impl System {
         if !self.mode.acls_active() {
             self.retag(fault.addr, home)?;
             self.record_holder(fault.addr, accessor, None);
-            self.stats.faults_resolved += 1;
-            self.trace_fault(&fault, meta.owner, accessor, FaultDecision::AclsDisabled);
+            self.record(event(FaultDecision::AclsDisabled, 0, GrantLookup::Skipped));
             return Ok(());
         }
 
@@ -127,8 +150,8 @@ impl System {
             false,
             "resolve_fault:grant_cache.get",
         );
-        let mut hit = None;
-        if let Some(entry) = self.grant_cache.map.get(&cache_key).copied() {
+        let (mut hit, mut grant) = (None, GrantLookup::Miss);
+        if let Some(entry) = self.grant_cache.get(&cache_key).copied() {
             if entry.owner == meta.owner {
                 #[cfg(debug_assertions)]
                 {
@@ -154,13 +177,7 @@ impl System {
                     true,
                     "resolve_fault:grant_cache.hit",
                 );
-                *self
-                    .grant_cache
-                    .hits_by_accessor
-                    .entry(accessor)
-                    .or_insert(0) += 1;
-                self.stats.grant_cache_hits += 1;
-                hit = Some(entry.via);
+                (hit, grant) = (Some(entry.via), GrantLookup::Hit);
             } else {
                 // Remembered owner is obsolete (ownership transferred
                 // under the entry): drop it and take the slow path.
@@ -169,8 +186,8 @@ impl System {
                     true,
                     "resolve_fault:grant_cache.remove",
                 );
-                self.grant_cache.map.remove(&cache_key);
-                self.stats.grant_cache_invalidations += 1;
+                self.grant_cache.remove(&cache_key);
+                grant = GrantLookup::Stale;
             }
         }
         self.lock_release(MonitorLock::GrantCache, gstart);
@@ -183,8 +200,7 @@ impl System {
             self.page_op(fault.addr, PageOp::RetagCached(home))
                 .map_err(CubicleError::MachineFault)?;
             self.record_holder(fault.addr, accessor, Some(via));
-            self.stats.faults_resolved += 1;
-            self.trace_fault(&fault, meta.owner, accessor, FaultDecision::Window(via));
+            self.record(event(FaultDecision::Window(via), 0, grant));
             return Ok(());
         }
 
@@ -205,7 +221,6 @@ impl System {
                 break;
             }
         }
-        self.stats.acl_probes += probes;
         self.machine.charge(cost.acl_probe * probes);
         self.lock_release(MonitorLock::Windows, wstart);
         if let Some(wid) = decided_by {
@@ -213,27 +228,24 @@ impl System {
             // owner — to the page (zero-copy)
             self.retag(fault.addr, home)?;
             self.record_holder(fault.addr, accessor, Some(wid));
-            self.stats.faults_resolved += 1;
             let gstart = self.lock_acquire(MonitorLock::GrantCache);
             self.race_note(
                 RaceObject::GrantCache,
                 true,
                 "resolve_fault:grant_cache.insert",
             );
-            self.grant_cache.map.insert(
+            self.grant_cache.insert(
                 (accessor, fault.addr.page()),
                 GrantEntry {
                     owner: meta.owner,
                     via: wid,
                 },
             );
-            self.stats.grant_cache_misses += 1;
             self.lock_release(MonitorLock::GrantCache, gstart);
-            self.trace_fault(&fault, meta.owner, accessor, FaultDecision::Window(wid));
+            self.record(event(FaultDecision::Window(wid), probes, grant));
             Ok(())
         } else {
-            self.stats.faults_denied += 1;
-            self.trace_fault(&fault, meta.owner, accessor, FaultDecision::Denied);
+            self.record(event(FaultDecision::Denied, probes, grant));
             if self.fault_containment {
                 // Fault attribution: if the page's owner sits in a caller
                 // frame below the accessor, the owner passed a pointer it
@@ -290,37 +302,6 @@ impl System {
         CubicleError::MachineFault(fault)
     }
 
-    /// Records the outcome of a trap-and-map resolution in the trace —
-    /// the one record the fault audit is rendered from (no-op when
-    /// tracing is disabled).
-    fn trace_fault(
-        &mut self,
-        fault: &Fault,
-        owner: CubicleId,
-        accessor: CubicleId,
-        decision: FaultDecision,
-    ) {
-        if self.tracer.is_none() {
-            return;
-        }
-        let event = match decision {
-            FaultDecision::Denied => TraceEvent::FaultDenied {
-                addr: fault.addr,
-                owner,
-                accessor,
-                kind: fault.access,
-            },
-            _ => TraceEvent::FaultResolved {
-                addr: fault.addr,
-                owner,
-                accessor,
-                kind: fault.access,
-                decision,
-            },
-        };
-        self.trace_push(event);
-    }
-
     /// The pair key `accessor` shares `page` under with its `owner`, if
     /// any ([`System::shared_home_key`], read under the windows lock —
     /// taken only when the two have a live share at all).
@@ -370,8 +351,9 @@ impl System {
         }
     }
 
-    /// Drops every grant-cache entry `keep` rejects, counting each as an
-    /// invalidation. `site` names the caller for CubicleSan: quarantine
+    /// Drops every grant-cache entry `keep` rejects and returns how many
+    /// it dropped, for the caller's event to count as invalidations.
+    /// `site` names the caller for CubicleSan: quarantine
     /// and restart purge the cubicle's grants in both directions,
     /// ownership transfer drops its pages, and the narrowing window
     /// operations (remove, close, close-all, destroy) drop the window's.
@@ -379,12 +361,13 @@ impl System {
         &mut self,
         site: &'static str,
         keep: impl FnMut(&(CubicleId, PageNum), &mut GrantEntry) -> bool,
-    ) {
+    ) -> u32 {
         let start = self.lock_acquire(MonitorLock::GrantCache);
         self.race_note(RaceObject::GrantCache, true, site);
-        let before = self.grant_cache.map.len();
-        self.grant_cache.map.retain(keep);
-        self.stats.grant_cache_invalidations += (before - self.grant_cache.map.len()) as u64;
+        let before = self.grant_cache.len();
+        self.grant_cache.retain(keep);
+        let dropped = before - self.grant_cache.len();
         self.lock_release(MonitorLock::GrantCache, start);
+        dropped as u32
     }
 }

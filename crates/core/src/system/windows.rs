@@ -22,13 +22,13 @@ pub(super) struct Unpair {
 }
 
 impl System {
-    /// Opens a window-management critical section: counts the op,
-    /// acquires the windows lock and charges the monitor-call cost.
-    /// Balance with [`System::window_op_end`], which releases the lock —
-    /// the section must cover the descriptor mutation itself, or a fault
-    /// searching the array on another core races with it.
+    /// Opens a window-management critical section: acquires the
+    /// windows lock and charges the monitor-call cost. Balance with
+    /// [`System::window_op_end`], which releases the lock — the section
+    /// must cover the descriptor mutation itself, or a fault searching
+    /// the array on another core races with it. Every charged operation,
+    /// failed ones too, ends with one [`System::window_op_done`].
     fn window_op_begin(&mut self) -> Option<u64> {
-        self.stats.window_ops += 1;
         if self.mode.acls_active() {
             // Window management is a call into the trusted monitor
             // cubicle: trampoline + PKRU switches + the operation itself.
@@ -50,12 +50,22 @@ impl System {
         }
     }
 
-    /// Records a completed window operation in the trace (no-op when
-    /// tracing is disabled).
-    fn trace_window_op(&mut self, op: WindowOpKind, wid: WindowId, peer: Option<CubicleId>) {
-        if self.tracer.is_some() {
-            self.trace_push(TraceEvent::WindowOp { op, wid, peer });
-        }
+    /// Records a charged window operation and its outcome.
+    fn window_op_done(
+        &mut self,
+        op: WindowOpKind,
+        wid: WindowId,
+        peer: Option<CubicleId>,
+        result: &Result<()>,
+        grants_dropped: u32,
+    ) {
+        self.record(TraceEvent::WindowOp {
+            op,
+            wid,
+            peer,
+            ok: result.is_ok(),
+            grants_dropped,
+        });
     }
 
     /// `cubicle_window_init`: creates an empty window owned by the
@@ -66,7 +76,7 @@ impl System {
         self.race_note(RaceObject::Windows, true, "window_init:windows.push");
         let wid = self.cubicles[cid.index()].window_init();
         self.window_op_end(wstart);
-        self.trace_window_op(WindowOpKind::Init, wid, None);
+        self.window_op_done(WindowOpKind::Init, wid, None, &Ok(()), 0);
         wid
     }
 
@@ -105,9 +115,7 @@ impl System {
         }
         self.window_op_end(wstart);
         self.lock_release(MonitorLock::PageMeta, pstart);
-        if result.is_ok() {
-            self.trace_window_op(WindowOpKind::Add, wid, None);
-        }
+        self.window_op_done(WindowOpKind::Add, wid, None, &result, 0);
         result
     }
 
@@ -150,19 +158,20 @@ impl System {
                 }
             }
         };
+        let mut grants_dropped = 0;
         if result.is_ok() {
             // The window narrowed: drop every grant it authorised (pages
             // outside the removed range will simply re-resolve and
             // repopulate — correctness over cleverness).
-            self.grant_cache_retain("window_remove:grant_cache.retain", |_, e| {
+            grants_dropped = self.grant_cache_retain("window_remove:grant_cache.retain", |_, e| {
                 !(e.owner == cid && e.via == wid)
             });
         }
         self.window_op_end(wstart);
         if result.is_ok() {
             self.unpair(unpair);
-            self.trace_window_op(WindowOpKind::Remove, wid, None);
         }
+        self.window_op_done(WindowOpKind::Remove, wid, None, &result, grants_dropped);
         result
     }
 
@@ -236,9 +245,7 @@ impl System {
             }
             None => WindowOpKind::Open,
         };
-        if result.is_ok() {
-            self.trace_window_op(op, wid, Some(peer));
-        }
+        self.window_op_done(op, wid, Some(peer), &result, 0);
         result
     }
 
@@ -380,19 +387,25 @@ impl System {
             None => Err(CubicleError::NoSuchWindow(wid)),
         };
         let unpair = self.unshare_locked(|s| s.owner == cid && s.wid == wid && s.peer == peer);
+        let mut grants_dropped = 0;
         if result.is_ok() {
             // Closing is lazy for already-retagged pages, but the
             // *authority* is gone: the peer's next fault must take the
             // full search and be denied, not ride a cached grant.
-            self.grant_cache_retain("window_close:grant_cache.retain", |&(accessor, _), e| {
-                !(e.owner == cid && e.via == wid && accessor == peer)
-            });
+            grants_dropped = self
+                .grant_cache_retain("window_close:grant_cache.retain", |&(accessor, _), e| {
+                    !(e.owner == cid && e.via == wid && accessor == peer)
+                });
         }
         self.window_op_end(wstart);
         self.unpair(unpair);
-        if result.is_ok() {
-            self.trace_window_op(WindowOpKind::Close, wid, Some(peer));
-        }
+        self.window_op_done(
+            WindowOpKind::Close,
+            wid,
+            Some(peer),
+            &result,
+            grants_dropped,
+        );
         result
     }
 
@@ -417,16 +430,16 @@ impl System {
             None => Err(CubicleError::NoSuchWindow(wid)),
         };
         let unpair = self.unshare_locked(|s| s.owner == cid && s.wid == wid);
+        let mut grants_dropped = 0;
         if result.is_ok() {
-            self.grant_cache_retain("window_close_all:grant_cache.retain", |_, e| {
-                !(e.owner == cid && e.via == wid)
-            });
+            grants_dropped = self
+                .grant_cache_retain("window_close_all:grant_cache.retain", |_, e| {
+                    !(e.owner == cid && e.via == wid)
+                });
         }
         self.window_op_end(wstart);
         self.unpair(unpair);
-        if result.is_ok() {
-            self.trace_window_op(WindowOpKind::CloseAll, wid, None);
-        }
+        self.window_op_done(WindowOpKind::CloseAll, wid, None, &result, grants_dropped);
         result
     }
 
@@ -444,19 +457,19 @@ impl System {
             "window_destroy:windows.swap_remove",
         );
         let unpair = self.unshare_locked(|s| s.owner == cid && s.wid == wid);
+        let mut grants_dropped = 0;
         let result = if self.cubicles[cid.index()].window_destroy(wid) {
-            self.grant_cache_retain("window_destroy:grant_cache.retain", |_, e| {
-                !(e.owner == cid && e.via == wid)
-            });
+            grants_dropped = self
+                .grant_cache_retain("window_destroy:grant_cache.retain", |_, e| {
+                    !(e.owner == cid && e.via == wid)
+                });
             Ok(())
         } else {
             Err(CubicleError::NoSuchWindow(wid))
         };
         self.window_op_end(wstart);
         self.unpair(unpair);
-        if result.is_ok() {
-            self.trace_window_op(WindowOpKind::Destroy, wid, None);
-        }
+        self.window_op_done(WindowOpKind::Destroy, wid, None, &result, grants_dropped);
         result
     }
 

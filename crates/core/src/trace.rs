@@ -9,13 +9,19 @@
 //! so any run can be replayed into those figures (or loaded into
 //! Perfetto via `System::export_chrome_trace`).
 //!
-//! Recording is strictly an observer: it never charges simulated cycles,
-//! and with tracing disabled (the default) the kernel takes a single
-//! `Option::is_some` branch per potential event.
+//! Every event passes through the monitor's one door, which always folds
+//! it into `SysStats` and appends it to the ring only while tracing is on.
+//! Rare incidents also land, with the strings that explain them, in the
+//! bounded [`Incident`] log. Recording is strictly an observer: it never
+//! charges simulated cycles.
 
+use crate::errno::Errno;
+use crate::error::CubicleError;
 use crate::ids::{CubicleId, EntryId, WindowId};
+use cubicle_mpk::insn::ForbiddenInsn;
 use cubicle_mpk::{AccessKind, Pkru, ProtKey, VAddr};
 use std::collections::VecDeque;
+use std::fmt;
 
 /// Which window-API operation a [`TraceEvent::WindowOp`] records.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -95,6 +101,21 @@ pub struct FaultAudit {
     pub decision: FaultDecision,
 }
 
+/// How the window-grant cache took part in a trap-and-map decision
+/// (carried by the fault events).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum GrantLookup {
+    /// Not consulted: an owner reclaim, ACLs off or a PKRU refresh.
+    Skipped,
+    /// A remembered grant decided; no ACL search ran.
+    Hit,
+    /// No remembered grant; the ACL search ran.
+    Miss,
+    /// A grant remembered for an obsolete owner was dropped; the ACL
+    /// search ran.
+    Stale,
+}
+
 impl FaultAudit {
     /// Did the monitor admit the access?
     pub fn resolved(&self) -> bool {
@@ -118,6 +139,9 @@ pub enum TraceEvent {
         callee: CubicleId,
         /// The entry point invoked.
         entry: EntryId,
+        /// Invocations carried by a batched dispatch; 0 for a plain
+        /// cross-call.
+        batch: u32,
     },
     /// A cross-cubicle call returned (on every path, including errors),
     /// closing its span.
@@ -146,6 +170,10 @@ pub enum TraceEvent {
         kind: AccessKind,
         /// What admitted the access (never [`FaultDecision::Denied`]).
         decision: FaultDecision,
+        /// Window descriptors the ACL search probed.
+        probes: u32,
+        /// How the window-grant cache took part.
+        grant: GrantLookup,
     },
     /// Trap-and-map refused an access (no open window).
     FaultDenied {
@@ -157,6 +185,10 @@ pub enum TraceEvent {
         accessor: CubicleId,
         /// Read, write or execute.
         kind: AccessKind,
+        /// Window descriptors the ACL search probed.
+        probes: u32,
+        /// How the window-grant cache took part (never a hit).
+        grant: GrantLookup,
     },
     /// A page changed protection key (`pkey_mprotect`).
     Retag {
@@ -172,7 +204,7 @@ pub enum TraceEvent {
         /// The value written.
         pkru: Pkru,
     },
-    /// A window-API operation completed.
+    /// A window-API operation was charged, whether or not it succeeded.
     WindowOp {
         /// Which operation.
         op: WindowOpKind,
@@ -180,6 +212,10 @@ pub enum TraceEvent {
         wid: WindowId,
         /// The peer granted/revoked, when the operation has one.
         peer: Option<CubicleId>,
+        /// Did the operation succeed?
+        ok: bool,
+        /// Window-grant cache entries it invalidated.
+        grants_dropped: u32,
     },
     /// A heap allocation succeeded.
     HeapAlloc {
@@ -206,12 +242,37 @@ pub enum TraceEvent {
         /// Bytes copied.
         bytes: usize,
     },
+    /// An IPC-baseline crossing marshalled its arguments into one
+    /// request and one reply message.
+    IpcRoundTrip {
+        /// The calling cubicle.
+        caller: CubicleId,
+        /// The called cubicle.
+        callee: CubicleId,
+        /// Payload bytes marshalled.
+        bytes: usize,
+    },
+    /// Pages changed owner (`System::grant_pages_to`) and window-grant
+    /// cache entries over them were invalidated. A transfer that drops
+    /// no grant changes no counter and records nothing.
+    OwnershipTransfer {
+        /// Start of the transferred range.
+        addr: VAddr,
+        /// Bytes transferred.
+        len: usize,
+        /// The new owner.
+        to: CubicleId,
+        /// Window-grant cache entries over the range it invalidated.
+        grants_dropped: u32,
+    },
     /// The monitor quarantined a cubicle after a contained fault. Opens
     /// a quarantine span on the cubicle's trace track; the matching
     /// [`TraceEvent::Restart`] closes it.
     Quarantine {
         /// The quarantined cubicle.
         cubicle: CubicleId,
+        /// Window-grant cache entries into or out of it invalidated.
+        grants_dropped: u32,
     },
     /// The monitor microrebooted a quarantined cubicle
     /// (`System::restart`), closing its quarantine span.
@@ -220,6 +281,9 @@ pub enum TraceEvent {
         cubicle: CubicleId,
         /// Its new incarnation number (1 for the first reboot).
         generation: u32,
+        /// Window-grant cache entries invalidated for the fresh
+        /// incarnation.
+        grants_dropped: u32,
     },
     /// The unwind path converted a containable fault into an errno at
     /// the cross-call boundary into a healthy caller.
@@ -231,6 +295,31 @@ pub enum TraceEvent {
         /// The negative errno handed to the caller.
         errno: i64,
     },
+    /// The unwind path passed a contained fault through the frame of a
+    /// quarantined caller on its way to a healthy one.
+    FrameUnwound {
+        /// The callee whose call chain was unwound.
+        callee: CubicleId,
+        /// The quarantined caller the fault keeps unwinding through.
+        caller: CubicleId,
+    },
+    /// The cross-call watchdog caught a frame of `cubicle` running past
+    /// its cycle budget.
+    WatchdogTrip {
+        /// The cubicle whose frame overran.
+        cubicle: CubicleId,
+        /// Cycles past the deadline.
+        overrun: u64,
+    },
+    /// The loader refused an image containing forbidden instructions.
+    LoadRejected {
+        /// The cubicle the image was loaded for.
+        cubicle: CubicleId,
+        /// Forbidden `wrpkru`/`syscall` occurrences in the image.
+        forbidden: usize,
+    },
+    /// A durable subsystem reported a crash-recovery milestone.
+    Recovery(RecoveryEvent),
     /// A page was reclaimed (unmapped) by the quarantine path.
     PageReclaim {
         /// Base address of the reclaimed page.
@@ -238,6 +327,176 @@ pub enum TraceEvent {
         /// The key the page carried when reclaimed.
         key: ProtKey,
     },
+}
+
+/// A crash-recovery milestone reported to the monitor by a durable
+/// subsystem (see `System::record_recovery`).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum RecoveryEvent {
+    /// A write-ahead-log replay ran on database open: `frames` committed
+    /// frames were recovered; `torn` says whether a torn / uncommitted
+    /// tail was discarded.
+    WalReplay { frames: u64, torn: bool },
+    /// A RAMFS inode-journal replay restored `records` journal records
+    /// inside a microrebooted cubicle's `on_restart` hook.
+    RamfsJournalReplay { records: u64 },
+}
+
+/// A rare monitor incident, kept with the strings that explain it in the
+/// bounded incident log (`System::incidents`) whether or not tracing is
+/// on. `Display` renders its audit line.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum Incident {
+    /// The loader refused an image: `forbidden` occurrences, the first
+    /// one `first` at byte `offset`.
+    LoadRejected {
+        cubicle: CubicleId,
+        image: String,
+        forbidden: usize,
+        first: ForbiddenInsn,
+        offset: usize,
+    },
+    /// The monitor quarantined a cubicle.
+    Quarantined {
+        cubicle: CubicleId,
+        name: String,
+        reason: String,
+        pages_reclaimed: usize,
+        windows_destroyed: usize,
+    },
+    /// The unwind path handed a contained `error` to the healthy
+    /// `caller` as `errno`.
+    Contained {
+        callee: CubicleId,
+        caller: CubicleId,
+        caller_name: String,
+        error: CubicleError,
+        errno: Errno,
+    },
+    /// The restart policy wrote a cubicle off after `strikes` restarts.
+    RestartRefused {
+        cubicle: CubicleId,
+        name: String,
+        strikes: u32,
+    },
+    /// The monitor microrebooted a cubicle.
+    Restarted {
+        cubicle: CubicleId,
+        name: String,
+        generation: u32,
+        grants_dropped: u32,
+    },
+    /// A crash-recovery milestone.
+    Recovery(RecoveryEvent),
+}
+
+impl Incident {
+    /// The trace event that carries the incident's counters, when it
+    /// changes any.
+    pub(crate) fn trace(&self) -> Option<TraceEvent> {
+        match *self {
+            Incident::LoadRejected {
+                cubicle, forbidden, ..
+            } => Some(TraceEvent::LoadRejected { cubicle, forbidden }),
+            Incident::Contained {
+                callee,
+                caller,
+                errno,
+                ..
+            } => Some(TraceEvent::FaultContained {
+                callee,
+                caller,
+                errno: errno.neg(),
+            }),
+            Incident::Restarted {
+                cubicle,
+                generation,
+                grants_dropped,
+                ..
+            } => Some(TraceEvent::Restart {
+                cubicle,
+                generation,
+                grants_dropped,
+            }),
+            Incident::Recovery(r) => Some(TraceEvent::Recovery(r)),
+            Incident::Quarantined { .. } | Incident::RestartRefused { .. } => None,
+        }
+    }
+
+    /// The audit block the incident renders in: 0 loader, 1
+    /// containment, 2 recovery.
+    pub(crate) fn block(&self) -> usize {
+        match self {
+            Incident::LoadRejected { .. } => 0,
+            Incident::Recovery(_) => 2,
+            _ => 1,
+        }
+    }
+}
+
+impl fmt::Display for Incident {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Incident::LoadRejected {
+                image,
+                forbidden,
+                first,
+                offset,
+                ..
+            } => write!(
+                f,
+                "loader: image `{image}` rejected: {forbidden} forbidden occurrence(s), \
+                 first `{first}` at +{offset:#x}"
+            ),
+            Incident::Quarantined {
+                cubicle,
+                name,
+                reason,
+                pages_reclaimed,
+                windows_destroyed,
+            } => write!(
+                f,
+                "containment: quarantined {name} ({cubicle}): {reason} \
+                 [{pages_reclaimed} page(s) reclaimed, {windows_destroyed} window(s) destroyed]"
+            ),
+            Incident::Contained {
+                caller_name,
+                error,
+                errno,
+                ..
+            } => write!(
+                f,
+                "containment: unwound `{error}` to {caller_name} as {errno}"
+            ),
+            Incident::RestartRefused {
+                cubicle,
+                name,
+                strikes,
+            } => write!(
+                f,
+                "containment: restart of {name} ({cubicle}) refused permanently \
+                 after {strikes} strikes"
+            ),
+            Incident::Restarted {
+                cubicle,
+                name,
+                generation,
+                ..
+            } => write!(
+                f,
+                "containment: restarted {name} ({cubicle}), generation {generation}"
+            ),
+            Incident::Recovery(RecoveryEvent::WalReplay { frames, torn }) => write!(
+                f,
+                "recovery: wal replay applied {frames} frame(s){}",
+                if *torn { ", torn tail discarded" } else { "" }
+            ),
+            Incident::Recovery(RecoveryEvent::RamfsJournalReplay { records }) => write!(
+                f,
+                "recovery: ramfs journal replay restored {records} record(s)"
+            ),
+        }
+    }
 }
 
 /// A recorded event: sequence number + cycle stamp + payload.
@@ -264,12 +523,14 @@ impl TraceRecord {
                 accessor,
                 kind,
                 decision,
+                ..
             } => (addr, owner, accessor, kind, decision),
             TraceEvent::FaultDenied {
                 addr,
                 owner,
                 accessor,
                 kind,
+                ..
             } => (addr, owner, accessor, kind, FaultDecision::Denied),
             _ => return None,
         };

@@ -361,9 +361,9 @@ fn containment_emits_trace_events_and_exports() {
     let events: Vec<TraceEvent> = sys.trace().unwrap().records().map(|r| r.event).collect();
     assert!(events
         .iter()
-        .any(|e| matches!(e, TraceEvent::Quarantine { cubicle } if *cubicle == victim)));
+        .any(|e| matches!(e, TraceEvent::Quarantine { cubicle, .. } if *cubicle == victim)));
     assert!(events.iter().any(
-        |e| matches!(e, TraceEvent::Restart { cubicle, generation: 1 } if *cubicle == victim)
+        |e| matches!(e, TraceEvent::Restart { cubicle, generation: 1, .. } if *cubicle == victim)
     ));
     assert!(events.iter().any(
         |e| matches!(e, TraceEvent::FaultContained { callee, caller, errno: -14 }

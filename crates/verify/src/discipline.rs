@@ -22,6 +22,11 @@
 //! * a `// verify: lock-held(<structure>)` marker within two lines of
 //!   the mutation.
 //!
+//! The same walk holds the monitor to its one event door: no
+//! `stats.<field> +=` / `-=` anywhere in the module (`SysStats::apply`,
+//! in `stats.rs`, is the only writer of a counter) and no push to the
+//! incident log outside `fn record`.
+//!
 //! `#[cfg(test)] mod tests` blocks are skipped: unit tests poke kernels
 //! from the host side, outside the monitor's concurrency model.
 //!
@@ -46,7 +51,7 @@ const PAGE_META_MUT: &[&str] = &[
 /// Accessors through which every window mutation flows.
 const WINDOW_MUT: &[&str] = &["window_mut", "window_init", "window_destroy"];
 
-/// Mutating methods on the grant cache's `map` / `hits_by_accessor`.
+/// Mutating methods on the grant-cache map.
 const CACHE_MUT: &[&str] = &["insert", "remove", "retain", "clear", "entry", "drain"];
 
 /// Mutating methods on a cubicle's `heap` sub-allocator.
@@ -183,10 +188,33 @@ pub fn check_source(file: &Path, src: &str) -> Vec<Finding> {
             _ => {}
         }
 
-        // ── mutation sites ───────────────────────────────────────────
         let prev_dot = i >= 1 && other(i - 1, '.');
         let prev_sep = prev_dot || (i >= 1 && toks[i - 1].tok == Tok::PathSep);
         let recv = if i >= 2 { ident(i - 2) } else { None };
+        // ── the event door ───────────────────────────────────────────
+        let fname = cur_fn.as_ref().map_or("", |(f, _)| f.as_str());
+        let counter_write = prev_dot
+            && recv == Some("stats")
+            && (other(i + 1, '+') || other(i + 1, '-'))
+            && other(i + 2, '=');
+        let incident_push =
+            prev_dot && name == "push" && recv == Some("incidents") && fname != "record";
+        if counter_write || incident_push {
+            let what = if counter_write {
+                format!("counter `stats.{name}` written outside `SysStats::apply`")
+            } else {
+                "incident pushed outside `System::record`".to_string()
+            };
+            findings.push(Finding {
+                rule: Rule::EventDoor,
+                file: file.to_path_buf(),
+                line: toks[i].line,
+                message: format!("{what} (in fn `{fname}`)"),
+            });
+            continue;
+        }
+
+        // ── mutation sites ───────────────────────────────────────────
         let call = other(i + 1, '(');
         let mut hit: Option<usize> = None;
         if prev_sep && call {
@@ -198,9 +226,7 @@ pub fn check_source(file: &Path, src: &str) -> Vec<Finding> {
                 // window-op section; the descriptor-level mutations are
                 // reached through a cubicle (`self.cubicles[i].window_init()`).
                 hit = Some(1);
-            } else if (recv == Some("map") || recv == Some("hits_by_accessor"))
-                && CACHE_MUT.contains(&name)
-            {
+            } else if recv == Some("grant_cache") && CACHE_MUT.contains(&name) {
                 hit = Some(2);
             } else if recv == Some("heap") && HEAP_MUT.contains(&name) {
                 hit = Some(3);
@@ -321,6 +347,23 @@ mod tests {
     }
 
     #[test]
+    fn grant_cache_mutations_need_their_lock() {
+        let src = r#"
+            fn cached(&mut self) {
+                let start = self.lock_acquire(MonitorLock::GrantCache);
+                self.grant_cache.insert(key, entry);
+                self.lock_release(MonitorLock::GrantCache, start);
+            }
+            fn sloppy(&mut self) {
+                self.grant_cache.remove(&key);
+            }
+        "#;
+        let f = run(src);
+        assert_eq!(f.len(), 1);
+        assert!(f[0].message.contains("grant_cache") && f[0].message.contains("sloppy"));
+    }
+
+    #[test]
     fn window_op_scope_covers_window_mutations() {
         let src = r#"
             fn window_add(&mut self) {
@@ -402,10 +445,39 @@ mod tests {
                 if c.heap_pages_granted + pages > limit { return; }
                 if c.heap_pages_granted == 0 { return; }
                 let m = self.page_meta.get(&page);
-                let n = self.grant_cache.as_ref().map(|c| c.map.len());
+                let n = self.grant_cache.len();
             }
         "#;
         assert!(run(src).is_empty());
+    }
+
+    #[test]
+    fn counters_and_incidents_go_through_the_event_door() {
+        let src = r#"
+            fn record(&mut self, event: TraceEvent) {
+                self.incidents.push(incident);
+            }
+            fn sloppy(&mut self) {
+                self.stats.window_ops += 1;
+                self.stats.acl_probes -= probes;
+                self.incidents.push(incident);
+            }
+            fn fine(&mut self) {
+                self.record(TraceEvent::WindowOp { op, wid, peer, ok, grants_dropped });
+                let n = self.stats.window_ops + 1;
+                if self.stats.window_ops == n { return; }
+            }
+        "#;
+        let f = run(src);
+        assert_eq!(f.len(), 3, "{f:?}");
+        assert!(f.iter().all(|f| f.rule == Rule::EventDoor));
+        assert!(f.iter().all(|f| f.message.contains("sloppy")));
+        assert!(
+            f[0].message.contains("stats.window_ops"),
+            "{}",
+            f[0].message
+        );
+        assert!(f[2].message.contains("incident"), "{}", f[2].message);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! `System::audit`) on a throwaway kernel. Exits non-zero on any finding,
 //! which is what makes the CI job gating.
 
-use cubicle_core::{ComponentImage, CubicleError, IsolationMode, System};
+use cubicle_core::{ComponentImage, CubicleError, Incident, IsolationMode, System};
 use cubicle_mpk::insn::{CodeImage, Insn};
 use std::process::ExitCode;
 
@@ -14,7 +14,7 @@ cubicle_core::impl_component!(Probe);
 
 /// Exercises the runtime half of the verifier on a scratch kernel: the
 /// loader must reject a forbidden image (recording the exhaustive scan
-/// in its audit log) and the invariant auditor must pass on the
+/// in the incident log) and the invariant auditor must pass on the
 /// resulting state.
 fn kernel_self_check() -> Result<(), String> {
     let mut sys = System::new(IsolationMode::Full);
@@ -27,10 +27,14 @@ fn kernel_self_check() -> Result<(), String> {
         Err(CubicleError::ForbiddenInstruction(_)) => {}
         other => return Err(format!("loader accepted a forbidden image: {other:?}")),
     }
-    if sys.loader_audit().len() != 1 {
+    let rejections: Vec<_> = sys
+        .incidents()
+        .iter()
+        .filter(|i| matches!(i, Incident::LoadRejected { .. }))
+        .collect();
+    if rejections.len() != 1 {
         return Err(format!(
-            "expected one loader audit record, got {:?}",
-            sys.loader_audit()
+            "expected one loader rejection incident, got {rejections:?}"
         ));
     }
     if sys.stats().loads_rejected != 1 || sys.stats().forbidden_insns != 2 {

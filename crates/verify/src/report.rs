@@ -28,6 +28,10 @@ pub enum Rule {
     /// (page metadata, windows, grant cache, ledger) outside a lexical
     /// lock-acquire scope in `crates/core/src/system.rs`.
     LockDiscipline,
+    /// A monitor counter written (`stats.<field> +=` / `-=`) or an
+    /// incident pushed outside the monitor's one event door, so the
+    /// counters, trace ring and incident log could disagree.
+    EventDoor,
     /// Unsorted iteration over a `HashMap`/`HashSet` in the TCB — replay
     /// determinism requires every observable order to be defined.
     Nondeterminism,
@@ -42,6 +46,7 @@ impl fmt::Display for Rule {
             Rule::DependencyGraph => "dependency-graph",
             Rule::AmbientConcurrency => "ambient-concurrency",
             Rule::LockDiscipline => "lock-discipline",
+            Rule::EventDoor => "event-door",
             Rule::Nondeterminism => "nondeterminism",
         })
     }
@@ -128,6 +133,7 @@ mod tests {
         assert_eq!(Rule::DependencyGraph.to_string(), "dependency-graph");
         assert_eq!(Rule::AmbientConcurrency.to_string(), "ambient-concurrency");
         assert_eq!(Rule::LockDiscipline.to_string(), "lock-discipline");
+        assert_eq!(Rule::EventDoor.to_string(), "event-door");
         assert_eq!(Rule::Nondeterminism.to_string(), "nondeterminism");
     }
 
