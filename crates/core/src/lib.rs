@@ -106,7 +106,7 @@ pub use metrics::{CycleHisto, Metrics, NUM_BUCKETS};
 pub use mode::{IpcCostModel, IsolationMode};
 pub use race::{AccessInfo, LocksetViolation, RaceDetector, RaceObject, RaceReport};
 pub use span::{CycleAttribution, SpanFrame, SpanProfiler, SpanRecord};
-pub use stats::SysStats;
+pub use stats::{Series, SysStats};
 pub use system::{
     LoadedComponent, MonitorLock, MonitorLockStats, PageMeta, RestartPolicy, Snapshot, System,
     SystemConfig, PARKED_KEY,

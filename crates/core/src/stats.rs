@@ -11,83 +11,220 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 
-/// Counters maintained by the kernel (in addition to the machine-level
-/// counters in [`cubicle_mpk::MachineStats`]). [`SysStats::apply`] is the
-/// only writer of all but the CubicleSan counters: each changes when the
-/// monitor records the event that marks the change.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct SysStats {
-    /// Total cross-cubicle calls dispatched.
-    pub cross_calls: u64,
-    /// Calls per (caller, callee) edge.
-    pub call_edges: HashMap<(CubicleId, CubicleId), u64>,
-    /// Protection faults resolved by trap-and-map (page retagged).
-    pub faults_resolved: u64,
-    /// Protection faults denied (no open window).
-    pub faults_denied: u64,
-    /// Window descriptors probed during ACL searches.
-    pub acl_probes: u64,
-    /// Window management operations (init/add/open/close/…).
-    pub window_ops: u64,
-    /// Bytes of stack-resident arguments copied across per-cubicle stacks
-    /// by trampolines.
-    pub stack_bytes_copied: u64,
-    /// Messages sent by the IPC baseline transport.
-    pub ipc_msgs: u64,
-    /// Payload bytes marshalled by the IPC baseline transport.
-    pub ipc_bytes: u64,
-    /// Component images the loader refused (forbidden instructions).
-    pub loads_rejected: u64,
-    /// Total forbidden `wrpkru`/`syscall` occurrences found by the
-    /// loader's exhaustive audit scan of rejected images.
-    pub forbidden_insns: u64,
-    /// Cubicles quarantined by the fault containment machinery.
-    pub quarantines: u64,
-    /// Microreboots performed (`System::restart`).
-    pub restarts: u64,
-    /// Cross-call frames forcibly unwound while propagating a contained
-    /// fault toward a healthy caller.
-    pub unwound_frames: u64,
-    /// Containable faults converted to an errno at a cross-call boundary
-    /// (one per contained incident reaching a healthy caller).
-    pub contained_faults: u64,
-    /// Callees quarantined by the cycle watchdog for exceeding their
-    /// cross-call cycle budget.
-    pub watchdog_trips: u64,
-    /// Batched cross-call dispatches (one trampoline + PKRU round-trip
-    /// covering a whole batch; see [`crate::System::cross_call_batch`]).
-    pub batch_dispatches: u64,
-    /// Entry invocations carried inside batched dispatches.
-    pub batched_calls: u64,
-    /// Trap-and-map resolutions answered by the window-grant cache
-    /// (O(1) re-check of the remembered descriptor, no linear search).
-    pub grant_cache_hits: u64,
-    /// `grant_cache_hits` per faulting cubicle (the ledger's
-    /// `grant_hits`).
-    pub grant_hits_by_accessor: HashMap<CubicleId, u64>,
-    /// Trap-and-map resolutions that fell through to the linear window
-    /// search (no live cached grant).
-    pub grant_cache_misses: u64,
-    /// Grant-cache entries dropped by precise invalidation (window
-    /// close/remove/destroy, ownership transfer, quarantine, restart).
-    pub grant_cache_invalidations: u64,
-    /// Data races detected by CubicleSan (including pairs suppressed by
-    /// the dedup filter or the report cap). 0 when detection is off.
-    pub race_reports: u64,
-    /// Distinct lock-order edges CubicleSan observed. 0 when off.
-    pub lockorder_edges: u64,
-    /// Eraser lockset violations CubicleSan recorded. 0 when off.
-    pub lockset_violations: u64,
-    /// Write-ahead-log replays performed on database open (each one
-    /// recovered a crashed commit path).
-    pub wal_replays: u64,
-    /// Committed WAL frames applied during replays.
-    pub wal_frames_recovered: u64,
-    /// Torn / uncommitted WAL tails discarded during replays.
-    pub wal_torn_tails_discarded: u64,
-    /// RAMFS inode-journal replays performed by `on_restart` after a
-    /// microreboot.
-    pub ramfs_journal_replays: u64,
+/// One Prometheus series family: its name, `# TYPE`, help text and how to
+/// read its value from a sample of type `S`.
+pub struct Series<S> {
+    /// Metric name.
+    pub name: &'static str,
+    /// `counter` or `gauge`.
+    pub kind: &'static str,
+    /// The `# HELP` text.
+    pub help: &'static str,
+    /// Reads the value from one sample.
+    pub get: fn(&S) -> u64,
+}
+
+impl<S> Series<S> {
+    /// A monotonic counter.
+    pub const fn counter(name: &'static str, help: &'static str, get: fn(&S) -> u64) -> Self {
+        Series {
+            name,
+            kind: "counter",
+            help,
+            get,
+        }
+    }
+
+    /// A value that can go down.
+    pub const fn gauge(name: &'static str, help: &'static str, get: fn(&S) -> u64) -> Self {
+        Series {
+            name,
+            kind: "gauge",
+            help,
+            get,
+        }
+    }
+}
+
+/// Declares [`SysStats`] from one table. A scalar row names its field,
+/// then its series: `pub field: u64 => counter "name" "help",`. A map row
+/// names only its field; the exporter labels its keys itself. The table
+/// generates the struct, [`SysStats::since`] and [`SysStats::SERIES`].
+macro_rules! sys_stats {
+    (
+        $(#[$meta:meta])*
+        pub struct SysStats {
+            $(
+                $(#[$doc:meta])*
+                pub $field:ident: $ty:ty $(=> $kind:ident $name:literal $help:literal)?,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct SysStats {
+            $($(#[$doc])* pub $field: $ty,)*
+        }
+
+        impl SysStats {
+            /// One series per scalar counter, in declaration order.
+            /// CubicleSan's rows are named `cubicle_san_*`.
+            pub const SERIES: &'static [Series<SysStats>] = &[$($(Series {
+                name: $name,
+                kind: stringify!($kind),
+                help: $help,
+                get: |s| s.$field,
+            },)?)*];
+
+            /// Difference `self - earlier`, for windowed measurements
+            /// (e.g., excluding boot). Map keys absent from `earlier` are
+            /// kept as-is.
+            ///
+            /// # Panics
+            ///
+            /// Panics if `earlier` has a counter larger than `self` (it
+            /// must be a snapshot taken before).
+            pub fn since(&self, earlier: &SysStats) -> SysStats {
+                SysStats {
+                    $($field: Since::since(&self.$field, &earlier.$field),)*
+                }
+            }
+        }
+    };
+}
+
+sys_stats! {
+    /// Counters maintained by the kernel (in addition to the machine-level
+    /// counters in [`cubicle_mpk::MachineStats`]). [`SysStats::apply`] is
+    /// the only writer of all but the CubicleSan counters: each changes
+    /// when the monitor records the event that marks the change.
+    #[derive(Clone, PartialEq, Eq, Debug, Default)]
+    pub struct SysStats {
+        /// Total cross-cubicle calls dispatched.
+        pub cross_calls: u64 => counter "cubicle_cross_calls_total"
+            "Cross-cubicle calls dispatched.",
+        /// Calls per (caller, callee) edge.
+        pub call_edges: HashMap<(CubicleId, CubicleId), u64>,
+        /// Protection faults resolved by trap-and-map (page retagged).
+        pub faults_resolved: u64 => counter "cubicle_faults_resolved_total"
+            "Trap-and-map faults resolved.",
+        /// Protection faults denied (no open window).
+        pub faults_denied: u64 => counter "cubicle_faults_denied_total"
+            "Trap-and-map faults denied.",
+        /// Window descriptors probed during ACL searches.
+        pub acl_probes: u64 => counter "cubicle_acl_probes_total"
+            "Window descriptors probed.",
+        /// Window management operations (init/add/open/close/…).
+        pub window_ops: u64 => counter "cubicle_window_ops_total"
+            "Window API operations.",
+        /// Bytes of stack-resident arguments copied across per-cubicle
+        /// stacks by trampolines.
+        pub stack_bytes_copied: u64 => counter "cubicle_stack_bytes_copied_total"
+            "Stack argument bytes copied by trampolines.",
+        /// Messages sent by the IPC baseline transport.
+        pub ipc_msgs: u64 => counter "cubicle_ipc_msgs_total"
+            "IPC baseline messages.",
+        /// Payload bytes marshalled by the IPC baseline transport.
+        pub ipc_bytes: u64 => counter "cubicle_ipc_bytes_total"
+            "IPC baseline payload bytes.",
+        /// Component images the loader refused (forbidden instructions).
+        pub loads_rejected: u64 => counter "cubicle_loads_rejected_total"
+            "Component images the loader refused.",
+        /// Total forbidden `wrpkru`/`syscall` occurrences found by the
+        /// loader's exhaustive audit scan of rejected images.
+        pub forbidden_insns: u64 => counter "cubicle_forbidden_insns_total"
+            "Forbidden wrpkru/syscall occurrences in refused images.",
+        /// Cubicles quarantined by the fault containment machinery.
+        pub quarantines: u64 => counter "cubicle_quarantines_total"
+            "Cubicles quarantined after a contained fault.",
+        /// Microreboots performed (`System::restart`).
+        pub restarts: u64 => counter "cubicle_restarts_total"
+            "Microreboots of quarantined cubicles.",
+        /// Cross-call frames forcibly unwound while propagating a
+        /// contained fault toward a healthy caller.
+        pub unwound_frames: u64 => counter "cubicle_unwound_frames_total"
+            "Cross-call frames unwound while containing a fault.",
+        /// Containable faults converted to an errno at a cross-call
+        /// boundary (one per contained incident reaching a healthy caller).
+        pub contained_faults: u64 => counter "cubicle_contained_faults_total"
+            "Faults converted to an errno at a healthy caller.",
+        /// Callees quarantined by the cycle watchdog for exceeding their
+        /// cross-call cycle budget.
+        pub watchdog_trips: u64 => counter "cubicle_watchdog_trips_total"
+            "Callees quarantined for exceeding their cycle budget.",
+        /// Batched cross-call dispatches (one trampoline + PKRU round-trip
+        /// covering a whole batch; see [`crate::System::cross_call_batch`]).
+        pub batch_dispatches: u64 => counter "cubicle_batch_dispatches_total"
+            "Batched cross-call dispatches (one crossing per batch).",
+        /// Entry invocations carried inside batched dispatches.
+        pub batched_calls: u64 => counter "cubicle_batched_calls_total"
+            "Entry invocations carried inside batched dispatches.",
+        /// Trap-and-map resolutions answered by the window-grant cache
+        /// (O(1) re-check of the remembered descriptor, no linear search).
+        pub grant_cache_hits: u64 => counter "cubicle_grant_cache_hits_total"
+            "Trap-and-map faults answered by the window-grant cache.",
+        /// `grant_cache_hits` per faulting cubicle (the ledger's
+        /// `grant_hits`).
+        pub grant_hits_by_accessor: HashMap<CubicleId, u64>,
+        /// Trap-and-map resolutions that fell through to the linear window
+        /// search (no live cached grant).
+        pub grant_cache_misses: u64 => counter "cubicle_grant_cache_misses_total"
+            "Grant-cache misses that took the linear window search.",
+        /// Grant-cache entries dropped by precise invalidation (window
+        /// close/remove/destroy, ownership transfer, quarantine, restart).
+        pub grant_cache_invalidations: u64 => counter "cubicle_grant_cache_invalidations_total"
+            "Grant-cache entries dropped by precise invalidation.",
+        /// Data races detected by CubicleSan (including pairs suppressed
+        /// by the dedup filter or the report cap). 0 when detection is off.
+        pub race_reports: u64 => counter "cubicle_san_races_total"
+            "Data races reported by CubicleSan.",
+        /// Distinct lock-order edges CubicleSan observed. 0 when off.
+        pub lockorder_edges: u64 => gauge "cubicle_san_lockorder_edges"
+            "Distinct monitor lock-order edges observed.",
+        /// Eraser lockset violations CubicleSan recorded. 0 when off.
+        pub lockset_violations: u64 => counter "cubicle_san_lockset_violations_total"
+            "Eraser lockset violations.",
+        /// Write-ahead-log replays performed on database open (each one
+        /// recovered a crashed commit path).
+        pub wal_replays: u64 => counter "cubicle_wal_replays_total"
+            "Write-ahead-log replays performed on database open.",
+        /// Committed WAL frames applied during replays.
+        pub wal_frames_recovered: u64 => counter "cubicle_wal_frames_recovered_total"
+            "Committed WAL frames applied during replays.",
+        /// Torn / uncommitted WAL tails discarded during replays.
+        pub wal_torn_tails_discarded: u64 => counter "cubicle_wal_torn_tails_discarded_total"
+            "Torn or uncommitted WAL tails discarded during replays.",
+        /// RAMFS inode-journal replays performed by `on_restart` after a
+        /// microreboot.
+        pub ramfs_journal_replays: u64 => counter "cubicle_ramfs_journal_replays_total"
+            "RAMFS inode-journal replays after microreboots.",
+    }
+}
+
+/// `self - earlier` for one counter: a scalar, or a map of per-key counts.
+trait Since {
+    fn since(&self, earlier: &Self) -> Self;
+}
+
+impl Since for u64 {
+    fn since(&self, earlier: &u64) -> u64 {
+        assert!(earlier <= self, "snapshot is not earlier");
+        self - earlier
+    }
+}
+
+/// Per-key `now - earlier`, keeping only the keys that grew.
+impl<K: Copy + Eq + Hash> Since for HashMap<K, u64> {
+    fn since(&self, earlier: &Self) -> Self {
+        // verify: order-ok — differences land in another hash map, so no
+        // iteration order is observable
+        self.iter()
+            .filter_map(|(&k, &n)| {
+                let base = earlier.get(&k).copied().unwrap_or(0);
+                assert!(base <= n, "snapshot is not earlier");
+                (n > base).then_some((k, n - base))
+            })
+            .collect()
+    }
 }
 
 impl SysStats {
@@ -109,56 +246,6 @@ impl SysStats {
             .filter(|((_, to), _)| *to == callee)
             .map(|(_, n)| n)
             .sum()
-    }
-
-    /// Difference `self - earlier`, for windowed measurements (e.g.,
-    /// excluding boot). Edges absent from `earlier` are kept as-is.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `earlier` has counters larger than `self` (it must be a
-    /// snapshot taken before).
-    pub fn since(&self, earlier: &SysStats) -> SysStats {
-        assert!(
-            earlier.cross_calls <= self.cross_calls,
-            "snapshot is not earlier"
-        );
-        SysStats {
-            cross_calls: self.cross_calls - earlier.cross_calls,
-            call_edges: map_since(&self.call_edges, &earlier.call_edges),
-            faults_resolved: self.faults_resolved - earlier.faults_resolved,
-            faults_denied: self.faults_denied - earlier.faults_denied,
-            acl_probes: self.acl_probes - earlier.acl_probes,
-            window_ops: self.window_ops - earlier.window_ops,
-            stack_bytes_copied: self.stack_bytes_copied - earlier.stack_bytes_copied,
-            ipc_msgs: self.ipc_msgs - earlier.ipc_msgs,
-            ipc_bytes: self.ipc_bytes - earlier.ipc_bytes,
-            loads_rejected: self.loads_rejected - earlier.loads_rejected,
-            forbidden_insns: self.forbidden_insns - earlier.forbidden_insns,
-            quarantines: self.quarantines - earlier.quarantines,
-            restarts: self.restarts - earlier.restarts,
-            unwound_frames: self.unwound_frames - earlier.unwound_frames,
-            contained_faults: self.contained_faults - earlier.contained_faults,
-            watchdog_trips: self.watchdog_trips - earlier.watchdog_trips,
-            batch_dispatches: self.batch_dispatches - earlier.batch_dispatches,
-            batched_calls: self.batched_calls - earlier.batched_calls,
-            grant_cache_hits: self.grant_cache_hits - earlier.grant_cache_hits,
-            grant_hits_by_accessor: map_since(
-                &self.grant_hits_by_accessor,
-                &earlier.grant_hits_by_accessor,
-            ),
-            grant_cache_misses: self.grant_cache_misses - earlier.grant_cache_misses,
-            grant_cache_invalidations: self.grant_cache_invalidations
-                - earlier.grant_cache_invalidations,
-            race_reports: self.race_reports - earlier.race_reports,
-            lockorder_edges: self.lockorder_edges - earlier.lockorder_edges,
-            lockset_violations: self.lockset_violations - earlier.lockset_violations,
-            wal_replays: self.wal_replays - earlier.wal_replays,
-            wal_frames_recovered: self.wal_frames_recovered - earlier.wal_frames_recovered,
-            wal_torn_tails_discarded: self.wal_torn_tails_discarded
-                - earlier.wal_torn_tails_discarded,
-            ramfs_journal_replays: self.ramfs_journal_replays - earlier.ramfs_journal_replays,
-        }
     }
 
     /// Folds one recorded monitor event into the counters. Folding a
@@ -262,26 +349,6 @@ impl SysStats {
         self.lockorder_edges += delta.edges;
         self.lockset_violations += delta.violations;
     }
-}
-
-/// Per-key `now - earlier`, keeping only the keys that grew.
-///
-/// # Panics
-///
-/// Panics if a count in `earlier` is larger than in `now`.
-fn map_since<K: Copy + Eq + Hash>(
-    now: &HashMap<K, u64>,
-    earlier: &HashMap<K, u64>,
-) -> HashMap<K, u64> {
-    // verify: order-ok — differences land in another hash map, so no
-    // iteration order is observable
-    now.iter()
-        .filter_map(|(&k, &n)| {
-            let base = earlier.get(&k).copied().unwrap_or(0);
-            assert!(base <= n, "snapshot is not earlier");
-            (n > base).then_some((k, n - base))
-        })
-        .collect()
 }
 
 impl fmt::Display for SysStats {

@@ -124,6 +124,8 @@ pub struct System {
     /// The bounded incident log ([`System::incidents`]), kept outside
     /// the tracer so incidents are never lost when tracing is off.
     incidents: Vec<Incident>,
+    /// Incidents each audit block discarded once full.
+    incidents_dropped: [u64; 3],
     /// Recycled read buffers for [`System::with_read`]: value marshalling
     /// and component handlers borrow one instead of allocating a fresh
     /// `Vec` per cross-cubicle argument. Host-side only — never affects
@@ -323,6 +325,7 @@ impl System {
             cores: config.cores,
             tracer: None,
             incidents: Vec::new(),
+            incidents_dropped: [0; 3],
             scratch_pool: Vec::new(),
             fault_containment: config.fault_containment,
             reclaimed: HashMap::new(),

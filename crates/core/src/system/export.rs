@@ -2,10 +2,88 @@
 //! human-readable fault audit.
 
 use super::locks::MonitorLockStats;
+use super::observe::Tracer;
 use super::System;
+use crate::ids::CubicleId;
 use crate::ledger::LedgerRow;
+use crate::stats::{Series, SysStats};
 use crate::trace::{FaultDecision, TraceEvent};
-use cubicle_mpk::CoreStats;
+use cubicle_mpk::{CoreStats, Machine};
+
+// The Prometheus tables beside `SysStats::SERIES`, one row per series,
+// in export order.
+
+#[rustfmt::skip]
+const MACHINE_SERIES: [Series<Machine>; 9] = [
+    Series::counter("cubicle_wrpkru_total", "PKRU register writes.", |m| m.stats().wrpkru),
+    Series::counter("cubicle_retags_total", "Page key re-assignments (pkey_mprotect).", |m| m.stats().retags),
+    Series::counter("cubicle_machine_faults_total", "Protection faults raised.", |m| m.stats().faults),
+    Series::counter("cubicle_mem_reads_total", "Data loads.", |m| m.stats().reads),
+    Series::counter("cubicle_mem_writes_total", "Data stores.", |m| m.stats().writes),
+    Series::counter("cubicle_sim_tlb_hits_total", "Simulator software-TLB hits (host-side; no cycle effect).", |m| m.stats().tlb_hits),
+    Series::counter("cubicle_sim_tlb_misses_total", "Simulator software-TLB misses, i.e. full page-table walks.", |m| m.stats().tlb_misses),
+    Series::counter("cubicle_page_reclaims_total", "Pages reclaimed (unmapped) by the quarantine path.", |m| m.stats().unmaps),
+    Series::counter("cubicle_cycles_total", "Simulated cycle counter.", |m| m.now()),
+];
+
+/// Per core: its cycle counter and its `CoreStats`.
+#[rustfmt::skip]
+const CORE_SERIES: [Series<(u64, CoreStats)>; 5] = [
+    Series::counter("cubicle_core_cycles", "Per-core simulated cycle counter.", |(cycles, _)| *cycles),
+    Series::counter("cubicle_core_tlb_hits_total", "Software-TLB hits on this core.", |(_, s)| s.tlb_hits),
+    Series::counter("cubicle_core_tlb_misses_total", "Software-TLB misses on this core.", |(_, s)| s.tlb_misses),
+    Series::counter("cubicle_core_cross_calls_total", "Cross-calls dispatched from this core.", |(_, s)| s.cross_calls),
+    Series::counter("cubicle_core_wrpkru_total", "PKRU writes performed on this core.", |(_, s)| s.wrpkru),
+];
+
+#[rustfmt::skip]
+const LOCK_SERIES: [Series<MonitorLockStats>; 3] = [
+    Series::counter("cubicle_lock_acquisitions_total", "Monitor lock acquisitions.", |s| s.acquisitions),
+    Series::counter("cubicle_lock_contended_total", "Monitor lock acquisitions that spun (simulated contention).", |s| s.contended),
+    Series::counter("cubicle_lock_wait_cycles_total", "Simulated cycles spent spinning on monitor locks.", |s| s.wait_cycles),
+];
+
+const LOCKORDER_CYCLIC: Series<System> = Series::gauge(
+    "cubicle_san_lockorder_cyclic",
+    "1 when the lock-order graph has a cycle.",
+    |s| u64::from(s.lockorder_cycle().is_some()),
+);
+
+const CALL_EDGES: Series<u64> = Series::counter(
+    "cubicle_call_edge_total",
+    "Cross-calls per caller/callee edge.",
+    |n| *n,
+);
+
+#[rustfmt::skip]
+const LEDGER_SERIES: [Series<LedgerRow>; 12] = [
+    Series::gauge("cubicle_pages_owned", "Pages owned by the cubicle.", |r| r.pages_owned as u64),
+    Series::gauge("cubicle_pages_held_foreign", "Foreign pages currently retagged to the cubicle via trap-and-map.", |r| r.pages_held_foreign as u64),
+    Series::gauge("cubicle_windows_live", "Live window descriptors.", |r| r.windows as u64),
+    Series::gauge("cubicle_windows_open", "Window descriptors open for at least one peer.", |r| r.windows_open as u64),
+    Series::gauge("cubicle_heap_bytes_used", "Live bytes in the cubicle's heap sub-allocator.", |r| r.heap_used as u64),
+    Series::gauge("cubicle_stack_bytes_used", "Bytes of the per-cubicle stack in use.", |r| r.stack_used as u64),
+    Series::gauge("cubicle_key_parked", "1 when key virtualisation has parked the cubicle's key.", |r| u64::from(r.key_parked)),
+    Series::gauge("cubicle_quarantined", "1 while the cubicle is quarantined.", |r| u64::from(r.quarantined())),
+    Series::gauge("cubicle_generation", "Microreboot incarnation of the cubicle.", |r| u64::from(r.generation)),
+    Series::counter("cubicle_calls_in_total", "Cross-calls into the cubicle.", |r| r.calls_in),
+    Series::counter("cubicle_calls_out_total", "Cross-calls out of the cubicle.", |r| r.calls_out),
+    Series::counter("cubicle_grant_cache_hits", "Trap-and-map faults by the cubicle answered from the grant cache.", |r| r.grant_hits),
+];
+
+#[rustfmt::skip]
+const TRACER_SERIES: [Series<Tracer>; 3] = [
+    Series::counter("cubicle_trace_events_dropped_total", "Trace records overwritten (ring full).", |t| t.buf.dropped()),
+    Series::counter("cubicle_trace_events_recorded_total", "Trace records ever pushed.", |t| t.buf.total_recorded()),
+    Series::counter("cubicle_spans_completed_total", "Cross-call spans closed by the profiler.", |t| t.spans_completed()),
+];
+
+/// Per cubicle, from the span profiler's causal cycle attribution.
+#[rustfmt::skip]
+const SPAN_SERIES: [Series<LedgerRow>; 2] = [
+    Series::counter("cubicle_cycles_self", "Exclusive cycles the span profiler attributes to the cubicle.", |r| r.cycles_self),
+    Series::counter("cubicle_cycles_inclusive", "Inclusive cycles: self plus everything the cubicle's calls caused.", |r| r.cycles_total),
+];
 
 /// Formats one instant event ("ph":"i") for the Chrome trace, on the
 /// process of the core that recorded it.
@@ -62,6 +140,33 @@ fn prom_escape(s: &str) -> String {
     s.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")
+}
+
+/// One Prometheus label, `key="value"`, with the value escaped.
+fn label(key: &str, value: &str) -> String {
+    format!("{key}=\"{}\"", prom_escape(value))
+}
+
+/// Appends each family of `table` in the Prometheus text exposition
+/// format: its `# HELP` and `# TYPE` lines, then one value per sample,
+/// under the sample's labels (bare when they are empty).
+fn prom_series<'a, S: 'a>(
+    table: impl IntoIterator<Item = &'a Series<S>>,
+    samples: &[(String, &S)],
+    out: &mut String,
+) {
+    for s in table {
+        let (name, kind, help) = (s.name, s.kind, s.help);
+        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+        for (labels, sample) in samples {
+            let v = (s.get)(sample);
+            if labels.is_empty() {
+                out.push_str(&format!("{name} {v}\n"));
+            } else {
+                out.push_str(&format!("{name}{{{labels}}} {v}\n"));
+            }
+        }
+    }
 }
 
 impl System {
@@ -346,456 +451,72 @@ impl System {
     /// exposition format. Works with tracing disabled too (counters
     /// only; histograms need the tracer).
     pub fn export_prometheus(&self) -> String {
-        let rows = self.ledger();
         let mut out = String::new();
-        let counter = |name: &str, help: &str, v: u64, out: &mut String| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"
-            ));
-        };
-        let per_cubicle = |name: &str,
-                           help: &str,
-                           kind: &str,
-                           f: &dyn Fn(&LedgerRow) -> u64,
-                           out: &mut String| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-            for r in &rows {
-                out.push_str(&format!(
-                    "{name}{{cubicle=\"{}\"}} {}\n",
-                    prom_escape(&r.name),
-                    f(r),
-                ));
-            }
-        };
-        let s = &self.stats;
-        counter(
-            "cubicle_cross_calls_total",
-            "Cross-cubicle calls dispatched.",
-            s.cross_calls,
-            &mut out,
-        );
-        counter(
-            "cubicle_faults_resolved_total",
-            "Trap-and-map faults resolved.",
-            s.faults_resolved,
-            &mut out,
-        );
-        counter(
-            "cubicle_faults_denied_total",
-            "Trap-and-map faults denied.",
-            s.faults_denied,
-            &mut out,
-        );
-        counter(
-            "cubicle_acl_probes_total",
-            "Window descriptors probed.",
-            s.acl_probes,
-            &mut out,
-        );
-        counter(
-            "cubicle_window_ops_total",
-            "Window API operations.",
-            s.window_ops,
-            &mut out,
-        );
-        counter(
-            "cubicle_stack_bytes_copied_total",
-            "Stack argument bytes copied by trampolines.",
-            s.stack_bytes_copied,
-            &mut out,
-        );
-        counter(
-            "cubicle_ipc_msgs_total",
-            "IPC baseline messages.",
-            s.ipc_msgs,
-            &mut out,
-        );
-        counter(
-            "cubicle_ipc_bytes_total",
-            "IPC baseline payload bytes.",
-            s.ipc_bytes,
-            &mut out,
-        );
-        counter(
-            "cubicle_quarantines_total",
-            "Cubicles quarantined after a contained fault.",
-            s.quarantines,
-            &mut out,
-        );
-        counter(
-            "cubicle_restarts_total",
-            "Microreboots of quarantined cubicles.",
-            s.restarts,
-            &mut out,
-        );
-        counter(
-            "cubicle_unwound_frames_total",
-            "Cross-call frames unwound while containing a fault.",
-            s.unwound_frames,
-            &mut out,
-        );
-        counter(
-            "cubicle_contained_faults_total",
-            "Faults converted to an errno at a healthy caller.",
-            s.contained_faults,
-            &mut out,
-        );
-        counter(
-            "cubicle_watchdog_trips_total",
-            "Callees quarantined for exceeding their cycle budget.",
-            s.watchdog_trips,
-            &mut out,
-        );
-        counter(
-            "cubicle_batch_dispatches_total",
-            "Batched cross-call dispatches (one crossing per batch).",
-            s.batch_dispatches,
-            &mut out,
-        );
-        counter(
-            "cubicle_batched_calls_total",
-            "Entry invocations carried inside batched dispatches.",
-            s.batched_calls,
-            &mut out,
-        );
-        counter(
-            "cubicle_grant_cache_hits_total",
-            "Trap-and-map faults answered by the window-grant cache.",
-            s.grant_cache_hits,
-            &mut out,
-        );
-        counter(
-            "cubicle_grant_cache_misses_total",
-            "Grant-cache misses that took the linear window search.",
-            s.grant_cache_misses,
-            &mut out,
-        );
-        counter(
-            "cubicle_grant_cache_invalidations_total",
-            "Grant-cache entries dropped by precise invalidation.",
-            s.grant_cache_invalidations,
-            &mut out,
-        );
-        counter(
-            "cubicle_wal_replays_total",
-            "Write-ahead-log replays performed on database open.",
-            s.wal_replays,
-            &mut out,
-        );
-        counter(
-            "cubicle_wal_frames_recovered_total",
-            "Committed WAL frames applied during replays.",
-            s.wal_frames_recovered,
-            &mut out,
-        );
-        counter(
-            "cubicle_wal_torn_tails_discarded_total",
-            "Torn or uncommitted WAL tails discarded during replays.",
-            s.wal_torn_tails_discarded,
-            &mut out,
-        );
-        counter(
-            "cubicle_ramfs_journal_replays_total",
-            "RAMFS inode-journal replays after microreboots.",
-            s.ramfs_journal_replays,
-            &mut out,
-        );
-        let m = self.machine.stats();
-        counter(
-            "cubicle_wrpkru_total",
-            "PKRU register writes.",
-            m.wrpkru,
-            &mut out,
-        );
-        counter(
-            "cubicle_retags_total",
-            "Page key re-assignments (pkey_mprotect).",
-            m.retags,
-            &mut out,
-        );
-        counter(
-            "cubicle_machine_faults_total",
-            "Protection faults raised.",
-            m.faults,
-            &mut out,
-        );
-        counter("cubicle_mem_reads_total", "Data loads.", m.reads, &mut out);
-        counter(
-            "cubicle_mem_writes_total",
-            "Data stores.",
-            m.writes,
-            &mut out,
-        );
-        counter(
-            "cubicle_sim_tlb_hits_total",
-            "Simulator software-TLB hits (host-side; no cycle effect).",
-            m.tlb_hits,
-            &mut out,
-        );
-        counter(
-            "cubicle_sim_tlb_misses_total",
-            "Simulator software-TLB misses, i.e. full page-table walks.",
-            m.tlb_misses,
-            &mut out,
-        );
-        counter(
-            "cubicle_page_reclaims_total",
-            "Pages reclaimed (unmapped) by the quarantine path.",
-            m.unmaps,
-            &mut out,
-        );
-        counter(
-            "cubicle_cycles_total",
-            "Simulated cycle counter.",
-            self.machine.now(),
-            &mut out,
-        );
+        let (sanitizer, kernel): (Vec<_>, Vec<_>) = SysStats::SERIES
+            .iter()
+            .partition(|s| s.name.starts_with("cubicle_san_"));
+        prom_series(kernel, &[(String::new(), &self.stats)], &mut out);
+        prom_series(&MACHINE_SERIES, &[(String::new(), &self.machine)], &mut out);
 
         // Per-core counters (one series per simulated core).
-        let cores = self.machine.num_cores();
-        out.push_str(
-            "# HELP cubicle_core_cycles Per-core simulated cycle counter.\n\
-             # TYPE cubicle_core_cycles counter\n",
-        );
-        for i in 0..cores {
-            out.push_str(&format!(
-                "cubicle_core_cycles{{core=\"{i}\"}} {}\n",
-                self.machine.core_cycles(i)
-            ));
-        }
-        type Series<S> = (&'static str, &'static str, fn(&S) -> u64);
-        let core_series: [Series<CoreStats>; 4] = [
-            (
-                "cubicle_core_tlb_hits_total",
-                "Software-TLB hits on this core.",
-                |s| s.tlb_hits,
-            ),
-            (
-                "cubicle_core_tlb_misses_total",
-                "Software-TLB misses on this core.",
-                |s| s.tlb_misses,
-            ),
-            (
-                "cubicle_core_cross_calls_total",
-                "Cross-calls dispatched from this core.",
-                |s| s.cross_calls,
-            ),
-            (
-                "cubicle_core_wrpkru_total",
-                "PKRU writes performed on this core.",
-                |s| s.wrpkru,
-            ),
-        ];
-        for (name, help, get) in core_series {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-            for i in 0..cores {
-                let s = self.machine.core_stats(i);
-                out.push_str(&format!("{name}{{core=\"{i}\"}} {}\n", get(&s)));
-            }
-        }
+        let cores: Vec<_> = (0..self.machine.num_cores())
+            .map(|i| (self.machine.core_cycles(i), self.machine.core_stats(i)))
+            .collect();
+        let samples: Vec<_> = cores
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (label("core", &i.to_string()), c))
+            .collect();
+        prom_series(&CORE_SERIES, &samples, &mut out);
 
         // Monitor lock counters (one series per lock).
-        let lock_series: [Series<MonitorLockStats>; 3] = [
-            (
-                "cubicle_lock_acquisitions_total",
-                "Monitor lock acquisitions.",
-                |s| s.acquisitions,
-            ),
-            (
-                "cubicle_lock_contended_total",
-                "Monitor lock acquisitions that spun (simulated contention).",
-                |s| s.contended,
-            ),
-            (
-                "cubicle_lock_wait_cycles_total",
-                "Simulated cycles spent spinning on monitor locks.",
-                |s| s.wait_cycles,
-            ),
-        ];
-        let lock_stats = self.monitor_lock_stats();
-        for (name, help, get) in lock_series {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-            for st in &lock_stats {
-                out.push_str(&format!("{name}{{lock=\"{}\"}} {}\n", st.name, get(st)));
-            }
-        }
+        let locks = self.monitor_lock_stats();
+        let samples: Vec<_> = locks.iter().map(|l| (label("lock", l.name), l)).collect();
+        prom_series(&LOCK_SERIES, &samples, &mut out);
 
         // CubicleSan sanitizer counters, only while detection is on —
         // feature-off exports are byte-identical to the pre-sanitizer
         // kernel.
         if self.race.is_some() {
-            out.push_str(&format!(
-                "# HELP cubicle_san_races_total Data races reported by CubicleSan.\n\
-                 # TYPE cubicle_san_races_total counter\n\
-                 cubicle_san_races_total {}\n\
-                 # HELP cubicle_san_lockorder_edges Distinct monitor lock-order edges observed.\n\
-                 # TYPE cubicle_san_lockorder_edges gauge\n\
-                 cubicle_san_lockorder_edges {}\n\
-                 # HELP cubicle_san_lockset_violations_total Eraser lockset violations.\n\
-                 # TYPE cubicle_san_lockset_violations_total counter\n\
-                 cubicle_san_lockset_violations_total {}\n\
-                 # HELP cubicle_san_lockorder_cyclic 1 when the lock-order graph has a cycle.\n\
-                 # TYPE cubicle_san_lockorder_cyclic gauge\n\
-                 cubicle_san_lockorder_cyclic {}\n",
-                self.stats.race_reports,
-                self.stats.lockorder_edges,
-                self.stats.lockset_violations,
-                u64::from(self.lockorder_cycle().is_some()),
-            ));
+            prom_series(sanitizer, &[(String::new(), &self.stats)], &mut out);
+            prom_series(&[LOCKORDER_CYCLIC], &[(String::new(), self)], &mut out);
         }
 
         // Per-edge call counters (available without tracing).
-        out.push_str(
-            "# HELP cubicle_call_edge_total Cross-calls per caller/callee edge.\n\
-             # TYPE cubicle_call_edge_total counter\n",
-        );
+        let name = |c: CubicleId| &self.cubicles[c.index()].name;
+        let edge = |(from, to)| {
+            format!(
+                "{},{}",
+                label("caller", name(from)),
+                label("callee", name(to))
+            )
+        };
         let mut edges: Vec<_> = self.stats.call_edges.iter().collect();
         edges.sort();
-        for (&(from, to), &n) in edges {
-            out.push_str(&format!(
-                "cubicle_call_edge_total{{caller=\"{}\",callee=\"{}\"}} {}\n",
-                prom_escape(&self.cubicles[from.index()].name),
-                prom_escape(&self.cubicles[to.index()].name),
-                n,
-            ));
-        }
+        let samples: Vec<_> = edges.into_iter().map(|(&e, n)| (edge(e), n)).collect();
+        prom_series(&[CALL_EDGES], &samples, &mut out);
 
-        // Per-cubicle resource ledger (available without tracing).
-        per_cubicle(
-            "cubicle_pages_owned",
-            "Pages owned by the cubicle.",
-            "gauge",
-            &|r| r.pages_owned as u64,
-            &mut out,
-        );
-        per_cubicle(
-            "cubicle_pages_held_foreign",
-            "Foreign pages currently retagged to the cubicle via trap-and-map.",
-            "gauge",
-            &|r| r.pages_held_foreign as u64,
-            &mut out,
-        );
-        per_cubicle(
-            "cubicle_windows_live",
-            "Live window descriptors.",
-            "gauge",
-            &|r| r.windows as u64,
-            &mut out,
-        );
-        per_cubicle(
-            "cubicle_windows_open",
-            "Window descriptors open for at least one peer.",
-            "gauge",
-            &|r| r.windows_open as u64,
-            &mut out,
-        );
-        per_cubicle(
-            "cubicle_heap_bytes_used",
-            "Live bytes in the cubicle's heap sub-allocator.",
-            "gauge",
-            &|r| r.heap_used as u64,
-            &mut out,
-        );
-        per_cubicle(
-            "cubicle_stack_bytes_used",
-            "Bytes of the per-cubicle stack in use.",
-            "gauge",
-            &|r| r.stack_used as u64,
-            &mut out,
-        );
-        per_cubicle(
-            "cubicle_key_parked",
-            "1 when key virtualisation has parked the cubicle's key.",
-            "gauge",
-            &|r| u64::from(r.key_parked),
-            &mut out,
-        );
-        per_cubicle(
-            "cubicle_quarantined",
-            "1 while the cubicle is quarantined.",
-            "gauge",
-            &|r| u64::from(r.quarantined()),
-            &mut out,
-        );
-        per_cubicle(
-            "cubicle_generation",
-            "Microreboot incarnation of the cubicle.",
-            "gauge",
-            &|r| u64::from(r.generation),
-            &mut out,
-        );
-        per_cubicle(
-            "cubicle_calls_in_total",
-            "Cross-calls into the cubicle.",
-            "counter",
-            &|r| r.calls_in,
-            &mut out,
-        );
-        per_cubicle(
-            "cubicle_calls_out_total",
-            "Cross-calls out of the cubicle.",
-            "counter",
-            &|r| r.calls_out,
-            &mut out,
-        );
-        per_cubicle(
-            "cubicle_grant_cache_hits",
-            "Trap-and-map faults by the cubicle answered from the grant cache.",
-            "counter",
-            &|r| r.grant_hits,
-            &mut out,
-        );
-
+        // Per-cubicle resource ledger (available without tracing), and
+        // with the tracer, the span profiler's causal cycle attribution.
+        let rows = self.ledger();
+        let samples: Vec<_> = rows
+            .iter()
+            .map(|r| (label("cubicle", &r.name), r))
+            .collect();
+        prom_series(&LEDGER_SERIES, &samples, &mut out);
         let Some(tracer) = &self.tracer else {
             return out;
         };
-        counter(
-            "cubicle_trace_events_dropped_total",
-            "Trace records overwritten (ring full).",
-            tracer.buf.dropped(),
-            &mut out,
-        );
-        counter(
-            "cubicle_trace_events_recorded_total",
-            "Trace records ever pushed.",
-            tracer.buf.total_recorded(),
-            &mut out,
-        );
-        counter(
-            "cubicle_spans_completed_total",
-            "Cross-call spans closed by the profiler.",
-            tracer.spans_completed(),
-            &mut out,
-        );
-
-        // Per-cubicle causal cycle attribution (span profiler).
-        per_cubicle(
-            "cubicle_cycles_self",
-            "Exclusive cycles the span profiler attributes to the cubicle.",
-            "counter",
-            &|r| r.cycles_self,
-            &mut out,
-        );
-        per_cubicle(
-            "cubicle_cycles_inclusive",
-            "Inclusive cycles: self plus everything the cubicle's calls caused.",
-            "counter",
-            &|r| r.cycles_total,
-            &mut out,
-        );
+        prom_series(&TRACER_SERIES, &[(String::new(), tracer)], &mut out);
+        prom_series(&SPAN_SERIES, &samples, &mut out);
 
         // Per-edge latency histograms.
         out.push_str(
             "# HELP cubicle_cross_call_cycles Cross-call latency in simulated cycles.\n\
              # TYPE cubicle_cross_call_cycles histogram\n",
         );
-        for (&(from, to), h) in tracer.metrics.edges() {
-            let labels = format!(
-                "caller=\"{}\",callee=\"{}\"",
-                prom_escape(&self.cubicles[from.index()].name),
-                prom_escape(&self.cubicles[to.index()].name),
-            );
-            prom_histogram("cubicle_cross_call_cycles", &labels, h, &mut out);
+        for (&e, h) in tracer.metrics.edges() {
+            prom_histogram("cubicle_cross_call_cycles", &edge(e), h, &mut out);
         }
         out.push_str(
             "# HELP cubicle_entry_cycles Per-entry-point call latency in simulated cycles.\n\
@@ -806,8 +527,7 @@ impl System {
                 .entries
                 .get(entry.index())
                 .map_or_else(|| entry.to_string(), |d| d.name.clone());
-            let labels = format!("entry=\"{}\"", prom_escape(&name));
-            prom_histogram("cubicle_entry_cycles", &labels, h, &mut out);
+            prom_histogram("cubicle_entry_cycles", &label("entry", &name), h, &mut out);
         }
         out
     }
@@ -821,9 +541,14 @@ impl System {
     /// tracing is enabled; incidents are always kept.
     pub fn export_fault_audit(&self) -> String {
         let mut out = String::new();
-        for block in 0..3 {
+        for (block, &dropped) in self.incidents_dropped.iter().enumerate() {
             for incident in self.incidents.iter().filter(|i| i.block() == block) {
                 out.push_str(&format!("{incident}\n"));
+            }
+            if dropped > 0 {
+                out.push_str(&format!(
+                    "dropped: {dropped} incident(s) not logged (block full)\n"
+                ));
             }
         }
         for a in self.fault_audit() {

@@ -81,7 +81,14 @@ impl System {
         let key = self.keys.draw(cid, image.shared)?;
         let cubicle = Cubicle::new(cid, image.name.clone(), key, image.shared);
         self.cubicles.push(cubicle);
-        self.install(image, state, cid)
+        let loaded = self.install(image, state, cid);
+        if loaded.is_err() {
+            // `install` refuses an image before it maps a page, so the
+            // empty cubicle and its key are all there is to undo.
+            self.cubicles.pop();
+            self.keys.release(cid);
+        }
+        loaded
     }
 
     /// Loads a component into an *existing* cubicle (same key, same
@@ -123,7 +130,6 @@ impl System {
                 first,
                 offset,
             });
-            // roll back an empty cubicle created by `load`
             return Err(CubicleError::ForbiddenInstruction(bad));
         }
         // Rule: trampolines must come from the trusted builder.

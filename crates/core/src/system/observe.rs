@@ -370,16 +370,20 @@ impl System {
             }
         }
         if let Some(i) = incident {
-            let kept = self.incidents.iter().filter(|k| k.block() == i.block());
+            let block = i.block();
+            let kept = self.incidents.iter().filter(|k| k.block() == block);
             if kept.count() < INCIDENT_CAP {
                 self.incidents.push(i);
+            } else {
+                self.incidents_dropped[block] += 1;
             }
         }
     }
 
     /// The incident log, oldest first: rejected images, quarantines,
     /// unwinds, restarts and crash recoveries, each rendered by its
-    /// `Display`. Kept with tracing off, up to 64 per audit block.
+    /// `Display`. Kept with tracing off, up to 64 per audit block; the
+    /// fault audit counts the rest.
     pub fn incidents(&self) -> &[Incident] {
         &self.incidents
     }

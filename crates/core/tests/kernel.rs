@@ -466,6 +466,44 @@ fn loader_rejects_duplicate_symbols() {
 }
 
 #[test]
+fn rejected_images_give_back_their_cubicle_and_key() {
+    // More rejections than the pool has keys: a rejected image that kept
+    // its key would leave the clean load below `OutOfKeys`.
+    let mut sys = System::new(IsolationMode::Full);
+    for _ in 0..20 {
+        let img = ComponentImage::new(
+            "EVIL",
+            CodeImage::from_insns(&[Insn::Plain { len: 10 }, Insn::Wrpkru]),
+        );
+        let err = sys.load(img, Box::new(Dummy));
+        assert!(matches!(err, Err(CubicleError::ForbiddenInstruction(_))));
+    }
+    let mallory = Builder::untrusted();
+    for _ in 0..20 {
+        let img = ComponentImage::new("FORGED", CodeImage::plain(64)).export(
+            mallory.export("void fake(void)").unwrap(),
+            |_sys, _this, _args| Ok(Value::Unit),
+        );
+        let err = sys.load(img, Box::new(Dummy));
+        assert!(matches!(err, Err(CubicleError::UntrustedTrampoline { .. })));
+    }
+    let b1 = sys
+        .load(counter_image("B1", "touch"), Box::new(Counter { calls: 0 }))
+        .unwrap();
+    for _ in 0..20 {
+        let err = sys.load(counter_image("B2", "touch"), Box::new(Counter { calls: 0 }));
+        assert!(matches!(err, Err(CubicleError::DuplicateSymbol(_))));
+    }
+    assert_eq!(sys.stats().loads_rejected, 20);
+    let a = load_plain(&mut sys, "A");
+    assert_eq!(
+        a.cid.index(),
+        b1.cid.index() + 1,
+        "no empty cubicle left behind"
+    );
+}
+
+#[test]
 fn code_pages_are_execute_only() {
     // W^X: loaded code cannot be read even by its own cubicle.
     let mut sys = System::new(IsolationMode::Full);

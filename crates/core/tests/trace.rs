@@ -4,9 +4,9 @@
 
 use cubicle_core::{
     impl_component, Builder, ComponentImage, CubicleError, CubicleId, FaultDecision, IsolationMode,
-    System, TraceEvent, Value,
+    SysStats, System, SystemConfig, TraceEvent, Value,
 };
-use cubicle_mpk::insn::CodeImage;
+use cubicle_mpk::insn::{CodeImage, Insn};
 
 struct Dummy;
 impl_component!(Dummy);
@@ -426,6 +426,55 @@ fn saturated_ring_reports_drops() {
         audit.contains(&format!("dropped: {dropped} trace event(s)")),
         "audit drop line must carry the count:\n{audit}"
     );
+}
+
+#[test]
+fn every_counter_is_exported() {
+    let config = SystemConfig {
+        race_detection: true,
+        ..SystemConfig::from(IsolationMode::Full)
+    };
+    let mut sys = System::new(config);
+    let img = ComponentImage::new(
+        "EVIL",
+        CodeImage::from_insns(&[Insn::Wrpkru, Insn::Syscall]),
+    );
+    assert!(sys.load(img, Box::new(Dummy)).is_err());
+    let text = sys.export_prometheus();
+    for s in SysStats::SERIES {
+        let (name, kind) = (s.name, s.kind);
+        let value = (s.get)(sys.stats());
+        for line in [
+            format!("# TYPE {name} {kind}\n"),
+            format!("\n{name} {value}\n"),
+        ] {
+            assert!(text.contains(&line), "missing `{line}` in:\n{text}");
+        }
+    }
+    assert!(text.contains("\ncubicle_loads_rejected_total 1\n"));
+    assert!(text.contains("\ncubicle_forbidden_insns_total 2\n"));
+}
+
+#[test]
+fn full_incident_log_counts_what_it_drops() {
+    let mut sys = System::new(IsolationMode::Full);
+    let b = sys
+        .load(
+            ComponentImage::new("B", CodeImage::plain(4096)),
+            Box::new(Dummy),
+        )
+        .unwrap();
+    for _ in 0..65 {
+        sys.quarantine(b.cid, "test").unwrap();
+        sys.restart(b.cid).unwrap();
+    }
+    // One incident per quarantine and per restart, all in the
+    // containment block, which keeps 64.
+    assert_eq!(sys.incidents().len(), 64);
+    let audit = sys.export_fault_audit();
+    let line = "dropped: 66 incident(s) not logged (block full)\n";
+    assert!(audit.contains(line), "missing `{line}` in:\n{audit}");
+    assert_eq!(audit.lines().count(), 65);
 }
 
 /// Round-trips the Prometheus text output through a scrape-style parser:
