@@ -5,9 +5,8 @@
 //! complementary *runtime* check: it walks a snapshot of machine + kernel
 //! state and verifies that the global isolation invariants still hold
 //! after any sequence of cross-calls, trap-and-map resolutions, window
-//! operations and key-virtualisation evictions. Harnesses run it at
-//! scenario end; the test suite runs it after every step of randomized
-//! scenarios.
+//! operations and key-pool evictions. Harnesses run it at scenario end;
+//! the test suite runs it after every step of randomized scenarios.
 //!
 //! Invariant classes checked:
 //!
@@ -16,20 +15,19 @@
 //!   at all (the loader flips code pages to execute-only after copy-in);
 //! * **causal tag consistency** (§5.6) — every page's MPK key matches the
 //!   holder recorded by the monitor (owner, or the peer trap-and-map last
-//!   admitted), the parked key under tag virtualisation, or the pair key
-//!   of a live window share that covers the page and whose pair includes
-//!   the holder (DESIGN §6l); a non-owner
-//!   holder must be justified by a window grant; machine page table and
-//!   monitor page metadata cover exactly the same pages;
+//!   admitted), the parked key, or the pair key of a live window share
+//!   that covers the page and whose pair includes the holder (DESIGN
+//!   §6l); a non-owner holder must be justified by a window grant;
+//!   machine page table and monitor page metadata cover the same pages;
 //! * **window ranges** — every range published in a window descriptor
 //!   covers only pages owned by the window's cubicle;
 //! * **stack guards** — the unmapped guard pages below and above each
 //!   cubicle stack are still unmapped, and the stack has not overflowed
 //!   its region;
-//! * **key uniqueness** — no two cubicles hold the same MPK key (parked
-//!   cubicles excepted under tag virtualisation; quarantined cubicles
-//!   excepted always, their key is the parked sentinel), no cubicle
-//!   holds a live pair key, and no two pairs share one;
+//! * **key uniqueness** — each key a cubicle or a pair holds has one
+//!   holder, which the key pool binds it to, one key per pair; the pool
+//!   binds no other key and never the parked key, which parked and
+//!   quarantined cubicles carry;
 //! * **quarantine** — a quarantined cubicle is fully torn down: it owns
 //!   and holds no pages, publishes no windows, is one of no pair share,
 //!   carries the parked key and has no stack;
@@ -45,8 +43,8 @@
 //!   Silent (like any disabled subsystem) when detection is off.
 
 use crate::cubicle::RegionType;
-use crate::system::{MonitorLock, System, PARKED_KEY};
-use cubicle_mpk::{pages_covering, VAddr, PAGE_SIZE};
+use crate::system::{Binding, MonitorLock, System, PARKED_KEY};
+use cubicle_mpk::{pages_covering, ProtKey, VAddr, NUM_KEYS, PAGE_SIZE};
 use std::fmt;
 
 /// The invariant class a finding belongs to.
@@ -171,10 +169,6 @@ impl System {
     /// measurements.
     pub fn audit(&self) -> AuditReport {
         let mut findings = Vec::new();
-        // Under tag virtualisation the parked key is a legitimate
-        // transient state for any page; without it, key 15 is an
-        // ordinary per-cubicle key and gets no special treatment.
-        let parked_ok = self.keys.virtualised;
 
         // ── pass 1: every mapped page ────────────────────────────────
         let mapped = self.machine.mapped_pages();
@@ -204,8 +198,10 @@ impl System {
                 });
             }
             let holder = &self.cubicles[meta.holder.index()];
+            // A parked page is a legitimate state for any page: no PKRU
+            // set enables its key.
             if entry.key != holder.key
-                && !(parked_ok && entry.key == PARKED_KEY)
+                && entry.key != PARKED_KEY
                 && self.shared_home_key(meta.owner, meta.holder, page) != Some(entry.key)
             {
                 findings.push(AuditFinding {
@@ -317,23 +313,9 @@ impl System {
         }
 
         // ── pass 4: key uniqueness ───────────────────────────────────
-        // Quarantined cubicles carry the parked sentinel until restart,
-        // so two of them sharing it is expected, not a duplicate.
-        for (i, a) in self.cubicles.iter().enumerate() {
-            if (parked_ok && a.key == PARKED_KEY) || a.is_quarantined() {
-                continue;
-            }
-            for b in self.cubicles.iter().skip(i + 1) {
-                if b.key == a.key && !b.is_quarantined() {
-                    findings.push(AuditFinding {
-                        class: InvariantClass::KeyUniqueness,
-                        detail: format!("{} and {} both hold {}", a.name, b.name, a.key),
-                    });
-                }
-            }
-        }
-        // Pair keys come from the same pool: one key per pair, and none
-        // doubling as a cubicle's own.
+        // Each key a cubicle or a pair holds has one holder, the key
+        // pool's binding for it; parked and quarantined cubicles carry
+        // the parked key, which is no key and which the pool never binds.
         let shares = &self.keys.shares;
         let pair = |s: &crate::system::PairShare| {
             format!(
@@ -342,17 +324,42 @@ impl System {
                 self.cubicles[s.peer.index()].name
             )
         };
-        for (i, s) in shares.iter().enumerate() {
-            if let Some(c) = self
-                .cubicles
-                .iter()
-                .find(|c| c.key == s.key && !c.is_quarantined())
-            {
+        let name = |b: Option<Binding>| match b {
+            Some(Binding::Cubicle(c)) => self.cubicles[c.index()].name.clone(),
+            Some(Binding::Pair) => "the holders of a pair key".to_string(),
+            None => "no one".to_string(),
+        };
+        let mut held = [None; NUM_KEYS];
+        let cubicles = self.cubicles.iter().skip(1).filter(|c| c.key != PARKED_KEY);
+        let holders = cubicles.map(|c| (c.key, Binding::Cubicle(c.id)));
+        for (key, b) in holders.chain(shares.iter().map(|s| (s.key, Binding::Pair))) {
+            let first = *held[usize::from(key.raw())].get_or_insert(b);
+            if first != b {
                 findings.push(AuditFinding {
                     class: InvariantClass::KeyUniqueness,
-                    detail: format!("{} holds {}, the pair key of {}", c.name, s.key, pair(s)),
+                    detail: format!(
+                        "{} and {} both hold {key}",
+                        name(Some(first)),
+                        name(Some(b))
+                    ),
                 });
             }
+        }
+        for key in ProtKey::all().skip(1) {
+            let (bound, holder) = (self.keys.binding(key), held[usize::from(key.raw())]);
+            if bound != holder {
+                findings.push(AuditFinding {
+                    class: InvariantClass::KeyUniqueness,
+                    detail: format!(
+                        "the key pool binds {key} to {}, but {} holds it",
+                        name(bound),
+                        name(holder)
+                    ),
+                });
+            }
+        }
+        // One key per pair.
+        for (i, s) in shares.iter().enumerate() {
             if let Some(t) = shares[..i]
                 .iter()
                 .find(|t| (t.key == s.key) != (t.has(s.owner) && t.has(s.peer)))

@@ -102,6 +102,9 @@ pub struct Cubicle {
     /// Core that most recently executed inside this cubicle (host-side
     /// observability for the per-core ledger column).
     pub last_core: u32,
+    /// When the cubicle was last entered, on the key pool's clock: the
+    /// least recent binding is the one a parked cubicle evicts.
+    pub(crate) last_entered: u64,
 }
 
 impl Cubicle {
@@ -127,6 +130,7 @@ impl Cubicle {
             quarantined_at: 0,
             stack_pool: Vec::new(),
             last_core: 0,
+            last_entered: 0,
         }
     }
 

@@ -48,8 +48,8 @@ pub enum CubicleError {
     /// A cross-cubicle call would re-enter a component that is already on
     /// the call stack (nested A→B→A); see paper §5.6 "Nested calls".
     ReentrantCall(CubicleId),
-    /// All 16 MPK keys are in use (paper §8 discusses tag virtualisation
-    /// as future work; this reproduction keeps the hardware limit).
+    /// No MPK key can be bound: every key of the pool is a pair key, a
+    /// shared cubicle's, or (entering a parked cubicle) on the call stack.
     OutOfKeys,
     /// Too many cubicles for the 64-bit window ACL bitmask.
     TooManyCubicles,
@@ -119,7 +119,7 @@ impl fmt::Display for CubicleError {
             CubicleError::ReentrantCall(cid) => {
                 write!(f, "nested cross-cubicle call re-enters {cid}")
             }
-            CubicleError::OutOfKeys => write!(f, "all 16 MPK protection keys are in use"),
+            CubicleError::OutOfKeys => write!(f, "no MPK key is free or evictable"),
             CubicleError::TooManyCubicles => write!(f, "more than 64 cubicles requested"),
             CubicleError::OutOfMemory(cid) => write!(f, "{cid} is out of memory"),
             CubicleError::Quarantined { cubicle } => {

@@ -3,9 +3,9 @@
 //! One [`LedgerRow`] per cubicle, assembled on demand by
 //! [`crate::System::ledger`]: how many pages the cubicle owns and how
 //! many foreign pages it currently holds via trap-and-map, its live
-//! windows and heap/stack usage, whether its key is resident or parked
-//! under virtualisation, its quarantine state, and (when tracing is
-//! enabled) the self/total cycles the span profiler attributes to it.
+//! windows and heap/stack usage, whether its key is resident or parked,
+//! its quarantine state, and (when tracing is enabled) the self/total
+//! cycles the span profiler attributes to it.
 //! This is the data behind the `cubicle-top` table and the per-cubicle
 //! Prometheus series.
 
@@ -26,8 +26,7 @@ pub struct LedgerRow {
     pub generation: u32,
     /// The MPK key its pages are tagged with right now.
     pub key: ProtKey,
-    /// Under key virtualisation: is the key currently the parked tag
-    /// (pages inaccessible until the cubicle is entered again)?
+    /// Is the key the parked key (quarantined, or waiting for a key)?
     pub key_parked: bool,
     /// Pages whose recorded owner is this cubicle.
     pub pages_owned: usize,

@@ -322,7 +322,7 @@ impl SysStats {
             }
             TraceEvent::FrameUnwound { .. } => self.unwound_frames += 1,
             TraceEvent::WatchdogTrip { .. } => self.watchdog_trips += 1,
-            TraceEvent::LoadRejected { forbidden, .. } => {
+            TraceEvent::LoadRejected { forbidden } => {
                 self.loads_rejected += 1;
                 self.forbidden_insns += forbidden as u64;
             }

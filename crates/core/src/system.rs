@@ -32,8 +32,8 @@ mod trap;
 mod windows;
 
 pub use containment::RestartPolicy;
-pub(crate) use keys::PairShare;
 pub use keys::PARKED_KEY;
+pub(crate) use keys::{Binding, PairShare};
 pub use loader::LoadedComponent;
 pub use locks::{MonitorLock, MonitorLockStats};
 
@@ -179,8 +179,7 @@ pub struct System {
 /// Everything about a [`System`] that is fixed when it is built, like
 /// the image the paper's trusted builder seals before boot: isolation
 /// mode, cost model, containment and restart policy, watchdog budget,
-/// platform tax, key virtualisation, CubicleSan, the core count and
-/// pair keys.
+/// platform tax, CubicleSan, the core count and pair keys.
 ///
 /// `System::new(mode)` takes the defaults for everything but the mode;
 /// other configurations use struct update syntax:
@@ -226,13 +225,6 @@ pub struct SystemConfig {
     /// the "Linux" baseline runs with 0 (the default), every
     /// Unikraft-derived configuration with the calibrated value.
     pub boundary_tax: u64,
-    /// MPK tag virtualisation (paper §8): more than 15 isolated cubicles
-    /// share the hardware's keys. Physical keys 1–14 form the binding
-    /// pool and key 15 is reserved as the inaccessible [`PARKED_KEY`];
-    /// entering a parked cubicle binds it, evicting the least recently
-    /// used binding and retagging its pages to parked, each at full
-    /// `pkey_mprotect` cost. Off by default.
-    pub key_virtualisation: bool,
     /// CubicleSan, the monitor's dynamic race detector: per-core vector
     /// clocks advanced on dispatch and lock acquire/release,
     /// Eraser-style lockset tracking for every access to the four
@@ -246,7 +238,7 @@ pub struct SystemConfig {
     pub cores: usize,
     /// Pair keys for windows shared with one peer
     /// ([`System::window_share`]). On (the default) in
-    /// [`IsolationMode::Full`] with a non-virtualised key pool, the
+    /// [`IsolationMode::Full`] with a free key in the pool, the
     /// window's pages carry a pinned key k(owner, peer) that both
     /// members' PKRU sets enable, so neither traps on them. Off,
     /// `window_share` is `window_open` and every touch takes the paper's
@@ -263,7 +255,6 @@ impl Default for SystemConfig {
             restart_policy: None,
             cycle_budget: None,
             boundary_tax: 0,
-            key_virtualisation: false,
             race_detection: false,
             cores: 1,
             pair_keys: true,
@@ -321,7 +312,7 @@ impl System {
             verifier: Builder::new(),
             boot: None,
             boundary_tax: config.boundary_tax,
-            keys: KeyPool::new(config.key_virtualisation),
+            keys: KeyPool::new(),
             cores: config.cores,
             tracer: None,
             incidents: Vec::new(),

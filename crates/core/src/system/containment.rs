@@ -307,7 +307,7 @@ impl System {
         self.lock_release(MonitorLock::PageMeta, pstart);
 
         // ❹ Park the MPK key: its physical key returns to the pool.
-        self.keys.release(cid);
+        self.keys.release(self.cubicles[cid.index()].key);
 
         // ❺ Reset the kernel-side record: empty heap, no stack, parked
         // key, quarantined state. Pooled re-entrancy stacks were owned
@@ -351,7 +351,8 @@ impl System {
     /// [`CubicleError::NoSuchCubicle`] for an unknown ID,
     /// [`CubicleError::InvalidArgument`] when the cubicle is not
     /// quarantined or still has in-flight frames on the call stack,
-    /// [`CubicleError::OutOfKeys`] when no key is available.
+    /// [`CubicleError::OutOfKeys`] when a shared cubicle finds no free
+    /// key (an isolated one restarts parked).
     pub fn restart(&mut self, cid: CubicleId) -> Result<()> {
         use crate::cubicle::CubicleState;
         if cid.index() >= self.cubicles.len() {
@@ -405,18 +406,18 @@ impl System {
             ));
         }
 
-        // Fresh key, drawn exactly like the loader draws one.
-        let shared = self.cubicles[cid.index()].shared;
-        self.cubicles[cid.index()].key = self.keys.draw(cid, shared)?;
-
-        // Replay the trusted builder's install path per slot, in slot
-        // order (defence in depth: the image is re-scanned even though it
-        // was verified at original load time).
+        // Like the loader: re-scan the images (defence in depth: they
+        // were verified at original load time), then draw a fresh key,
+        // then replay the trusted builder's install path per slot.
         for &slot in &slots {
-            let info = self.reloads[slot].clone();
-            if let Some(bad) = info.code.scan_forbidden() {
+            if let Some(bad) = self.reloads[slot].code.scan_forbidden() {
                 return Err(CubicleError::ForbiddenInstruction(bad));
             }
+        }
+        let shared = self.cubicles[cid.index()].shared;
+        self.cubicles[cid.index()].key = self.keys.draw(cid, shared)?;
+        for &slot in &slots {
+            let info = self.reloads[slot].clone();
             self.map_component_segments(&info);
         }
 

@@ -2,6 +2,7 @@
 //! [`System::cross_call`] and [`System::cross_call_batch`], and the
 //! PKRU each cubicle executes with.
 
+use super::keys::PARKED_KEY;
 use super::{Frame, System};
 use crate::component::{Component, EntryFn};
 use crate::error::{CubicleError, Result};
@@ -248,7 +249,10 @@ impl System {
                     copied = gate.stack_arg_bytes;
                     self.machine.charge(cost.trampoline);
                     if self.mode.mpk_active() {
-                        self.ensure_bound(callee);
+                        if let Err(e) = self.ensure_bound(callee) {
+                            self.components[gate.slot] = Some(comp);
+                            return Err(e);
+                        }
                         // Guard page enters the monitor domain, trampoline
                         // then drops to the callee's permission set.
                         self.wrpkru(Pkru::allow_all());
@@ -318,9 +322,15 @@ impl System {
     /// cubicle were executing. Used by test harnesses and by drivers that
     /// model the application's own code; ordinary inter-component control
     /// transfers must use [`System::cross_call`].
+    ///
+    /// # Panics
+    ///
+    /// If `cid` is parked and no binding is evictable, where a crossing
+    /// fails with [`CubicleError::OutOfKeys`].
     pub fn run_in_cubicle<T>(&mut self, cid: CubicleId, f: impl FnOnce(&mut System) -> T) -> T {
         if self.mode.mpk_active() {
-            self.ensure_bound(cid);
+            self.ensure_bound(cid)
+                .expect("a parked cubicle finds a key to bind");
         }
         let stack_slot = self.stack_acquire(cid);
         self.call_stack.push(Frame {
@@ -345,8 +355,8 @@ impl System {
     /// The PKRU permission set a cubicle executes with: its own key,
     /// every shared cubicle's key (shared static data "is shared among
     /// all cubicles", paper §3) and the pair key of every live window
-    /// share it is one of ([`System::window_share`]). The monitor gets
-    /// everything.
+    /// share it is one of ([`System::window_share`]), never the parked
+    /// key. The monitor gets everything.
     pub fn pkru_for(&self, cid: CubicleId) -> Pkru {
         if cid == CubicleId::MONITOR {
             return Pkru::allow_all();
@@ -362,6 +372,6 @@ impl System {
                 pkru = pkru.allowing(s.key);
             }
         }
-        pkru
+        pkru.denying(PARKED_KEY)
     }
 }

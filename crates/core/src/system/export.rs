@@ -63,7 +63,7 @@ const LEDGER_SERIES: [Series<LedgerRow>; 12] = [
     Series::gauge("cubicle_windows_open", "Window descriptors open for at least one peer.", |r| r.windows_open as u64),
     Series::gauge("cubicle_heap_bytes_used", "Live bytes in the cubicle's heap sub-allocator.", |r| r.heap_used as u64),
     Series::gauge("cubicle_stack_bytes_used", "Bytes of the per-cubicle stack in use.", |r| r.stack_used as u64),
-    Series::gauge("cubicle_key_parked", "1 when key virtualisation has parked the cubicle's key.", |r| u64::from(r.key_parked)),
+    Series::gauge("cubicle_key_parked", "1 when the cubicle's key is the parked key.", |r| u64::from(r.key_parked)),
     Series::gauge("cubicle_quarantined", "1 while the cubicle is quarantined.", |r| u64::from(r.quarantined())),
     Series::gauge("cubicle_generation", "Microreboot incarnation of the cubicle.", |r| u64::from(r.generation)),
     Series::counter("cubicle_calls_in_total", "Cross-calls into the cubicle.", |r| r.calls_in),

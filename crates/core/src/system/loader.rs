@@ -57,17 +57,19 @@ pub(super) struct ReloadInfo {
 impl System {
     /// Loads a component into a fresh cubicle.
     ///
-    /// Performs the loader's integrity duties: scans the code image for
-    /// forbidden `wrpkru`/`syscall` sequences, verifies that every export
-    /// was signed by the trusted builder, maps code execute-only and data
-    /// read-write (W^X), tags all pages with the cubicle's fresh MPK key,
-    /// populates the page metadata map and registers one trampoline per
-    /// public entry.
+    /// Performs the loader's integrity duties before it draws a cubicle
+    /// or a key: scans the code image for forbidden `wrpkru`/`syscall`
+    /// sequences and verifies that every export was signed by the
+    /// trusted builder. It then maps code execute-only and data
+    /// read-write (W^X), tags all pages with the cubicle's fresh MPK key
+    /// (parked when the pool is full), populates the page metadata map
+    /// and registers one trampoline per public entry.
     ///
     /// # Errors
     ///
     /// [`CubicleError::ForbiddenInstruction`],
-    /// [`CubicleError::UntrustedTrampoline`], [`CubicleError::OutOfKeys`],
+    /// [`CubicleError::UntrustedTrampoline`], [`CubicleError::OutOfKeys`]
+    /// (a shared image and no free key),
     /// [`CubicleError::TooManyCubicles`], or a duplicate-symbol error.
     pub fn load(
         &mut self,
@@ -77,18 +79,12 @@ impl System {
         if self.cubicles.len() >= 64 {
             return Err(CubicleError::TooManyCubicles);
         }
+        self.check_image(&image)?;
         let cid = CubicleId(self.cubicles.len() as u16);
         let key = self.keys.draw(cid, image.shared)?;
         let cubicle = Cubicle::new(cid, image.name.clone(), key, image.shared);
         self.cubicles.push(cubicle);
-        let loaded = self.install(image, state, cid);
-        if loaded.is_err() {
-            // `install` refuses an image before it maps a page, so the
-            // empty cubicle and its key are all there is to undo.
-            self.cubicles.pop();
-            self.keys.release(cid);
-        }
-        loaded
+        Ok(self.install(image, state, cid))
     }
 
     /// Loads a component into an *existing* cubicle (same key, same
@@ -107,15 +103,13 @@ impl System {
         if cid.index() >= self.cubicles.len() {
             return Err(CubicleError::InvalidArgument("load_into: no such cubicle"));
         }
-        self.install(image, state, cid)
+        self.check_image(&image)?;
+        Ok(self.install(image, state, cid))
     }
 
-    fn install(
-        &mut self,
-        image: ComponentImage,
-        state: Box<dyn Component>,
-        cid: CubicleId,
-    ) -> Result<LoadedComponent> {
+    /// The loader's verdict on an image, before anything is allocated
+    /// for it.
+    fn check_image(&mut self, image: &ComponentImage) -> Result<()> {
         // Rule: refuse code containing instructions that would undermine
         // the isolation mechanisms. The early-exit scan decides the
         // verdict; the exhaustive scan feeds the incident log so
@@ -124,8 +118,7 @@ impl System {
             let hits = image.code.scan_all();
             let (offset, first) = hits.first().copied().expect("fast path found one");
             self.record(Incident::LoadRejected {
-                cubicle: cid,
-                image: image.name,
+                image: image.name.clone(),
                 forbidden: hits.len(),
                 first,
                 offset,
@@ -145,7 +138,16 @@ impl System {
                 return Err(CubicleError::DuplicateSymbol(signed.decl.name.clone()));
             }
         }
+        Ok(())
+    }
 
+    /// Maps a checked image into `cid` and registers its trampolines.
+    fn install(
+        &mut self,
+        image: ComponentImage,
+        state: Box<dyn Component>,
+        cid: CubicleId,
+    ) -> LoadedComponent {
         let reload = ReloadInfo {
             cid,
             code: image.code.clone(),
@@ -175,7 +177,7 @@ impl System {
             self.entry_names.insert(signed.decl.name.clone(), id);
             entries.insert(signed.decl.name, id);
         }
-        Ok(LoadedComponent { cid, slot, entries })
+        LoadedComponent { cid, slot, entries }
     }
 
     /// Maps one component's code/data/heap/stack segments into its

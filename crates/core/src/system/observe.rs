@@ -265,7 +265,6 @@ impl System {
                 calls_in[to.index()] += count;
             }
         }
-        let key_virt_on = self.keys.virtualised;
         let tracer = self.tracer.as_ref();
         self.cubicles
             .iter()
@@ -279,7 +278,7 @@ impl System {
                     state: c.state,
                     generation: c.generation,
                     key: c.key,
-                    key_parked: key_virt_on && c.key == PARKED_KEY,
+                    key_parked: c.key == PARKED_KEY,
                     pages_owned: owned[c.id.index()],
                     pages_held_foreign: foreign[c.id.index()],
                     windows: c.windows.len(),

@@ -198,7 +198,7 @@ impl System {
     /// the pair key back.
     ///
     /// With [`SystemConfig::pair_keys`](crate::SystemConfig::pair_keys)
-    /// off, a virtualised or empty key pool, or a peer that is the owner,
+    /// off, no free key in the pool, or a peer that is the owner,
     /// the monitor or a shared cubicle, it is exactly `window_open`.
     ///
     /// Unsharing is eager — the owner never traps on a pair-keyed page,

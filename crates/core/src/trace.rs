@@ -313,8 +313,6 @@ pub enum TraceEvent {
     },
     /// The loader refused an image containing forbidden instructions.
     LoadRejected {
-        /// The cubicle the image was loaded for.
-        cubicle: CubicleId,
         /// Forbidden `wrpkru`/`syscall` occurrences in the image.
         forbidden: usize,
     },
@@ -350,7 +348,6 @@ pub enum Incident {
     /// The loader refused an image: `forbidden` occurrences, the first
     /// one `first` at byte `offset`.
     LoadRejected {
-        cubicle: CubicleId,
         image: String,
         forbidden: usize,
         first: ForbiddenInsn,
@@ -395,9 +392,9 @@ impl Incident {
     /// changes any.
     pub(crate) fn trace(&self) -> Option<TraceEvent> {
         match *self {
-            Incident::LoadRejected {
-                cubicle, forbidden, ..
-            } => Some(TraceEvent::LoadRejected { cubicle, forbidden }),
+            Incident::LoadRejected { forbidden, .. } => {
+                Some(TraceEvent::LoadRejected { forbidden })
+            }
             Incident::Contained {
                 callee,
                 caller,

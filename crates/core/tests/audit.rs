@@ -8,7 +8,7 @@
 
 use cubicle_core::{
     impl_component, ComponentImage, CubicleId, InvariantClass, IsolationMode, System, SystemConfig,
-    Value,
+    Value, PARKED_KEY,
 };
 use cubicle_mpk::insn::CodeImage;
 use cubicle_mpk::{CostModel, PageFlags, ProtKey, VAddr};
@@ -107,10 +107,9 @@ fn every_isolation_mode_audits_clean() {
 #[test]
 fn key_virtualisation_parking_audits_clean() {
     // more cubicles than physical keys: parked pages carry PARKED_KEY
-    // while their holder's virtual binding moves around
+    // while their holder's binding moves around
     let mut sys = System::new(SystemConfig {
         cost: CostModel::free(),
-        key_virtualisation: true,
         ..IsolationMode::Full.into()
     });
     let cids: Vec<CubicleId> = (0..20)
@@ -287,6 +286,30 @@ fn key_uniqueness_fires_on_duplicate_assignment() {
     assert!(
         finding.detail.contains("OWNER") && finding.detail.contains("PEER"),
         "{finding}"
+    );
+}
+
+#[test]
+fn key_uniqueness_fires_when_the_pool_disagrees_with_the_cubicles() {
+    // a cubicle on a key the pool never bound to it
+    let (mut sys, _, peer, _) = windowed_pair();
+    sys.corrupt_cubicle_key_for_test(peer, ProtKey::new(14).unwrap());
+    let report = sys.audit();
+    assert!(
+        report
+            .of_class(InvariantClass::KeyUniqueness)
+            .any(|f| f.detail.ends_with("but PEER holds it")),
+        "{report}"
+    );
+    // a live cubicle stamped parked leaves its key bound to no holder
+    let (mut sys, owner, _, _) = windowed_pair();
+    sys.corrupt_cubicle_key_for_test(owner, PARKED_KEY);
+    let report = sys.audit();
+    assert!(
+        report
+            .of_class(InvariantClass::KeyUniqueness)
+            .any(|f| f.detail.ends_with("to OWNER, but no one holds it")),
+        "{report}"
     );
 }
 

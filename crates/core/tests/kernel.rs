@@ -527,16 +527,25 @@ fn code_pages_are_execute_only() {
 }
 
 #[test]
-fn out_of_keys_after_15_isolated_cubicles() {
+fn the_15th_isolated_cubicle_parks_and_runs() {
+    // Keys 1–14 bind and key 15 is the parked key: the 15th isolated
+    // cubicle loads parked and binds on entry.
     let mut sys = System::new(IsolationMode::Full);
-    for i in 0..15 {
+    for i in 0..14 {
         load_plain(&mut sys, &format!("C{i}"));
     }
-    let err = sys.load(
-        ComponentImage::new("C15", CodeImage::plain(64)),
-        Box::new(Dummy),
-    );
-    assert!(matches!(err, Err(CubicleError::OutOfKeys)));
+    let c14 = load_plain(&mut sys, "C14").cid;
+    assert_eq!(sys.cubicle(c14).key, cubicle_core::PARKED_KEY);
+    let back = sys.run_in_cubicle(c14, |sys| {
+        let p = sys.heap_alloc(16, 8).unwrap();
+        sys.write(p, b"parked").unwrap();
+        sys.read_vec(p, 6).unwrap()
+    });
+    assert_eq!(back, b"parked");
+    assert_ne!(sys.cubicle(c14).key, cubicle_core::PARKED_KEY);
+    assert_eq!(sys.key_evictions(), 1);
+    sys.audit()
+        .assert_clean("after the 15th cubicle bound a key");
 }
 
 #[test]

@@ -1,24 +1,17 @@
-//! MPK tag virtualisation (paper §8): more isolated compartments than
-//! the 16 hardware keys, with lazy rebinding through trap-and-map.
+//! The key pool (paper §8's tag virtualisation): keys 1–14 bind, key 15
+//! is the parked key, and more isolated compartments than keys bind
+//! lazily on entry, evicting the least recently entered binding.
 
 use cubicle_core::{
     impl_component, Builder, ComponentImage, CubicleError, CubicleId, InvariantClass,
-    IsolationMode, System, SystemConfig, Value, PARKED_KEY,
+    IsolationMode, System, Value, PARKED_KEY,
 };
 use cubicle_mpk::insn::CodeImage;
-use cubicle_mpk::VAddr;
+use cubicle_mpk::{KeyRights, ProtKey, VAddr};
 use std::collections::BTreeMap;
 
 struct Dummy;
 impl_component!(Dummy);
-
-/// A Full-mode kernel with tag virtualisation fixed at construction.
-fn virtualised() -> System {
-    System::new(SystemConfig {
-        key_virtualisation: true,
-        ..IsolationMode::Full.into()
-    })
-}
 
 fn load_n(sys: &mut System, n: usize) -> Vec<CubicleId> {
     load_named(sys, "C", n)
@@ -38,19 +31,23 @@ fn load_named(sys: &mut System, prefix: &str, n: usize) -> Vec<CubicleId> {
 }
 
 #[test]
-fn without_virtualisation_16th_cubicle_fails() {
+fn sixteen_isolated_cubicles_load_and_run() {
     let mut sys = System::new(IsolationMode::Full);
-    load_n(&mut sys, 15);
-    let err = sys.load(
-        ComponentImage::new("X", CodeImage::plain(64)),
-        Box::new(Dummy),
-    );
-    assert!(matches!(err, Err(CubicleError::OutOfKeys)));
+    let cids = load_n(&mut sys, 16);
+    assert!(cids[..14].iter().all(|&c| sys.cubicle(c).key != PARKED_KEY));
+    assert!(cids[14..].iter().all(|&c| sys.cubicle(c).key == PARKED_KEY));
+    for &cid in &cids[14..] {
+        plant_secret(&mut sys, cid);
+        assert_ne!(sys.cubicle(cid).key, PARKED_KEY, "entry binds a key");
+    }
+    assert_eq!(sys.key_evictions(), 2);
+    sys.audit()
+        .assert_clean("after binding two parked cubicles");
 }
 
 #[test]
 fn with_virtualisation_32_cubicles_load_and_run() {
-    let mut sys = virtualised();
+    let mut sys = System::new(IsolationMode::Full);
     let cids = load_n(&mut sys, 32);
     // every cubicle can run and use its own memory
     for &cid in &cids {
@@ -68,7 +65,7 @@ fn with_virtualisation_32_cubicles_load_and_run() {
 
 #[test]
 fn isolation_holds_across_rebinding() {
-    let mut sys = virtualised();
+    let mut sys = System::new(IsolationMode::Full);
     let cids = load_n(&mut sys, 24);
     // cubicle 0 stores a secret…
     let secret = sys.run_in_cubicle(cids[0], |sys| {
@@ -99,7 +96,7 @@ fn isolation_holds_across_rebinding() {
 #[test]
 fn windows_still_work_under_virtualisation() {
     let builder = Builder::new();
-    let mut sys = virtualised();
+    let mut sys = System::new(IsolationMode::Full);
     // a reader component plus enough filler to overflow the key pool
     let reader = sys
         .load(
@@ -134,7 +131,7 @@ fn windows_still_work_under_virtualisation() {
 
 #[test]
 fn shared_cubicles_stay_pinned() {
-    let mut sys = virtualised();
+    let mut sys = System::new(IsolationMode::Full);
     let libc = sys
         .load(
             ComponentImage::new("LIBC", CodeImage::plain(64)).shared(),
@@ -156,7 +153,7 @@ fn shared_cubicles_stay_pinned() {
 
 #[test]
 fn evictions_are_charged() {
-    let mut sys = virtualised();
+    let mut sys = System::new(IsolationMode::Full);
     let cids = load_n(&mut sys, 20);
     // warm every cubicle once
     for &cid in &cids {
@@ -193,7 +190,7 @@ fn plant_secret(sys: &mut System, cid: CubicleId) -> VAddr {
 
 #[test]
 fn keys_stay_unique_across_quarantine_restart_and_reload() {
-    let mut sys = virtualised();
+    let mut sys = System::new(IsolationMode::Full);
     let mut cids = load_n(&mut sys, 20);
     for &cid in &cids {
         plant_secret(&mut sys, cid);
@@ -238,4 +235,88 @@ fn keys_stay_unique_across_quarantine_restart_and_reload() {
         let back = sys.run_in_cubicle(cid, |sys| sys.read_vec(p, 7).unwrap());
         assert_eq!(back, b"secret-");
     }
+}
+
+/// No binding is evictable: every key is pinned by a shared cubicle, so
+/// a crossing into a parked cubicle fails instead of binding it.
+#[test]
+fn a_crossing_with_no_evictable_binding_fails_out_of_keys() {
+    let builder = Builder::new();
+    let mut sys = System::new(IsolationMode::Full);
+    let shared = |name: String| ComponentImage::new(name, CodeImage::plain(64)).shared();
+    for i in 0..14 {
+        sys.load(shared(format!("S{i}")), Box::new(Dummy)).unwrap();
+    }
+    let iso = sys
+        .load(
+            ComponentImage::new("ISO", CodeImage::plain(64)).export(
+                builder.export("long iso_ping(void)").unwrap(),
+                |_sys, _this, _args| Ok(Value::I64(1)),
+            ),
+            Box::new(Dummy),
+        )
+        .unwrap();
+    assert_eq!(sys.cubicle(iso.cid).key, PARKED_KEY);
+    let ping = iso.entry("iso_ping").unwrap();
+    for _ in 0..2 {
+        // twice: the failed crossing left the component in place
+        assert!(matches!(
+            sys.cross_call(ping, &[]),
+            Err(CubicleError::OutOfKeys)
+        ));
+    }
+    assert!(matches!(
+        sys.load(shared("S14".into()), Box::new(Dummy)),
+        Err(CubicleError::OutOfKeys)
+    ));
+    assert_eq!(sys.key_evictions(), 0);
+    sys.audit().assert_clean("after refused crossings");
+}
+
+/// A quarantined cubicle carries the parked key, which the pool never
+/// binds and no PKRU set enables: running as it reaches no live
+/// cubicle's, parked cubicle's or pair's pages.
+#[test]
+fn a_quarantined_cubicle_reaches_no_other_cubicles_pages() {
+    let mut sys = System::new(IsolationMode::Full);
+    let cids = load_n(&mut sys, 15);
+    assert_eq!(sys.cubicle(cids[14]).key, PARKED_KEY);
+    // entering the 15th evicts the least recently entered, C0
+    let secrets: Vec<VAddr> = cids.iter().map(|&c| plant_secret(&mut sys, c)).collect();
+    let victim = cids[5];
+    sys.quarantine(victim, "test").unwrap();
+    // the released key becomes a pair key of two survivors
+    let (owner, peer) = (cids[1], cids[2]);
+    sys.run_in_cubicle(owner, |sys| {
+        let buf = sys.heap_alloc(4096, 4096).unwrap();
+        let wid = sys.window_init();
+        sys.window_add(wid, buf, 4096).unwrap();
+        sys.window_share(wid, peer).unwrap();
+    });
+    let pair = sys.pair_key(owner, peer).expect("a free key to lend");
+
+    let pkru = sys.pkru_for(victim);
+    let live: Vec<ProtKey> = sys
+        .cubicles()
+        .skip(1)
+        .filter(|c| c.id != victim)
+        .map(|c| c.key)
+        .chain([pair, PARKED_KEY])
+        .collect();
+    for key in live {
+        assert_eq!(pkru.rights(key), KeyRights::None, "{key} enabled");
+    }
+    for (i, &secret) in secrets.iter().enumerate() {
+        if cids[i] != victim {
+            let r = sys.run_in_cubicle(victim, |sys| sys.read_vec(secret, 8));
+            assert!(
+                r.is_err(),
+                "the quarantined cubicle read {}'s heap",
+                cids[i]
+            );
+        }
+    }
+    assert_eq!(sys.cubicle(cids[0]).key, PARKED_KEY);
+    sys.audit()
+        .assert_clean("after quarantine with a parked cubicle");
 }

@@ -6,7 +6,7 @@
 
 use cubicle_core::{
     impl_component, ComponentImage, CubicleError, CubicleId, FaultDecision, IsolationMode, System,
-    SystemConfig, WindowId,
+    SystemConfig, WindowId, PARKED_KEY,
 };
 use cubicle_mpk::insn::CodeImage;
 use cubicle_mpk::{CostModel, ProtKey, VAddr};
@@ -167,16 +167,16 @@ fn close_remove_and_destroy_revoke_the_peer_at_once() {
     assert_eq!(read(&mut sys, b, buf).unwrap(), b"in transit");
 }
 
-/// Isolated cubicles the key pool can still load.
+/// Isolated cubicles the key pool can still load with a key of their
+/// own; the first one that loads parked ends the count.
 fn loadable(sys: &mut System) -> usize {
     let mut n = 0;
     loop {
-        let image = ComponentImage::new(format!("X{n}"), CodeImage::plain(64));
-        match sys.load(image, Box::new(Dummy)) {
-            Ok(_) => n += 1,
-            Err(CubicleError::OutOfKeys) => return n,
-            Err(e) => panic!("{e}"),
+        let cid = load(sys, &format!("X{n}"));
+        if sys.cubicle(cid).key == PARKED_KEY {
+            return n;
         }
+        n += 1;
     }
 }
 
@@ -213,10 +213,11 @@ fn quarantine_and_restart_of_either_member_return_the_key() {
             assert_eq!(traps(&sys), (before.0 + 1, before.1 + 1));
             assert_eq!(page_key(&sys, buf), sys.cubicle(b).key);
         }
-        // A, B, C, D hold four keys; the pair key is back in the pool
+        // A, B, C, D hold four of the 14 keys; the pair key is back in
+        // the pool
         assert_eq!(
             loadable(&mut sys),
-            11,
+            10,
             "victim {}",
             sys.cubicle_name(victim)
         );
@@ -244,15 +245,7 @@ fn ping_pong(config: SystemConfig, fill: usize, share: bool) -> (u64, (u64, u64)
 fn without_a_key_to_lend_share_is_exactly_open() {
     let paper = SystemConfig::from(IsolationMode::Full);
     let cases = [
-        ("pool exhausted", paper, 11),
-        (
-            "pool virtualised",
-            SystemConfig {
-                key_virtualisation: true,
-                ..paper
-            },
-            0,
-        ),
+        ("pool exhausted", paper, 10),
         (
             "pair keys off",
             SystemConfig {
@@ -271,7 +264,7 @@ fn without_a_key_to_lend_share_is_exactly_open() {
     }
     // the exhausted case really exhausted the pool
     let (mut sys, _) = boot(paper);
-    assert_eq!(loadable(&mut sys), 11);
+    assert_eq!(loadable(&mut sys), 10);
 }
 
 #[test]

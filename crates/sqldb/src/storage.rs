@@ -15,7 +15,7 @@
 //! writes the bytes, and one iov/reply page with `VFSCORE`. A
 //! steady-state call then opens no window and takes no fault. When the
 //! monitor grants no pair key (a mode other than `Full`, pair keys off,
-//! a virtualised or exhausted key pool) the file shares each buffer for
+//! or no free key in the pool) the file shares each buffer for
 //! the call only, the paper's Figure 1c port.
 
 use crate::error::{Result, SqlError};

@@ -9,8 +9,8 @@
 //! (as shipped) or per call (every configuration without a pair key).
 
 use cubicle_core::{
-    impl_component, ComponentImage, CubicleError, CubicleId, IsolationMode, System, SystemConfig,
-    TraceEvent,
+    impl_component, ComponentImage, CubicleId, IsolationMode, System, SystemConfig, TraceEvent,
+    PARKED_KEY,
 };
 use cubicle_mpk::insn::CodeImage;
 use cubicle_mpk::rng::Rng64;
@@ -76,10 +76,9 @@ impl Side {
         if exhaust {
             for i in 0.. {
                 let pad = ComponentImage::new(format!("PAD{i}"), CodeImage::plain(4096));
-                match sys.load(pad, Box::new(SqliteApp)) {
-                    Ok(_) => {}
-                    Err(CubicleError::OutOfKeys) => break,
-                    Err(e) => panic!("loading a pad: {e}"),
+                let pad = sys.load(pad, Box::new(SqliteApp)).unwrap();
+                if sys.cubicle(pad.cid).key == PARKED_KEY {
+                    break;
                 }
             }
         }
@@ -246,8 +245,8 @@ fn checkpoint_script() -> Vec<Op> {
     ]
 }
 
-/// Without a pair key — pair keys off, a virtualised key pool, or no
-/// free key left — every file call shares its buffers for the call only,
+/// Without a pair key — pair keys off, or no free key left — every
+/// file call shares its buffers for the call only,
 /// and the stack's bytes still match the host's.
 #[test]
 fn files_without_a_pair_key_share_per_call_and_agree_with_the_host_model() {
@@ -255,13 +254,8 @@ fn files_without_a_pair_key_share_per_call_and_agree_with_the_host_model() {
         pair_keys: false,
         ..IsolationMode::Full.into()
     };
-    let virtualised = SystemConfig {
-        key_virtualisation: true,
-        ..IsolationMode::Full.into()
-    };
     for (what, mut side) in [
         ("pair keys off", Side::cubicle_with(no_pair_keys, false)),
-        ("virtualised pool", Side::cubicle_with(virtualised, false)),
         (
             "exhausted pool",
             Side::cubicle_with(IsolationMode::Full.into(), true),

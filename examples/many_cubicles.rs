@@ -1,16 +1,15 @@
-//! MPK tag virtualisation (paper §8): running more compartments than the
-//! 16 hardware keys.
+//! More compartments than MPK keys (paper §8's tag virtualisation).
 //!
-//! Without virtualisation the 16th isolated component fails to load
-//! (MPK has 15 usable keys beside the monitor's). Built with
-//! `SystemConfig::key_virtualisation`, cubicles share a pool of physical keys:
-//! entering a parked cubicle binds it, evicting the least-recently-used
-//! binding, whose pages are lazily faulted back in by trap-and-map.
+//! The monitor binds keys 1–14 (key 0 is its own, key 15 the parked
+//! key). An isolated cubicle that finds no free key loads parked and
+//! binds on entry, evicting the binding of the cubicle entered least
+//! recently; the evicted cubicle's pages are parked and trap-and-map
+//! faults them back in when someone authorised touches them again.
 //!
 //! Run with: `cargo run --example many_cubicles`
 
 use cubicleos::kernel::{
-    impl_component, ComponentImage, CubicleError, IsolationMode, System, SystemConfig,
+    impl_component, ComponentImage, IsolationMode, System, SystemConfig, PARKED_KEY,
 };
 use cubicleos::mpk::insn::CodeImage;
 use cubicleos::mpk::CoreScheduler;
@@ -19,32 +18,10 @@ struct Worker;
 impl_component!(Worker);
 
 fn main() {
-    // ---- hardware limit without virtualisation -------------------------
-    let mut plain = System::new(IsolationMode::Full);
-    for i in 0..15 {
-        plain
-            .load(
-                ComponentImage::new(format!("W{i}"), CodeImage::plain(256)),
-                Box::new(Worker),
-            )
-            .unwrap();
-    }
-    match plain.load(
-        ComponentImage::new("W15", CodeImage::plain(256)),
-        Box::new(Worker),
-    ) {
-        Err(CubicleError::OutOfKeys) => {
-            println!("without virtualisation: 15 isolated cubicles, the 16th fails (OutOfKeys) ✓")
-        }
-        other => panic!("expected OutOfKeys, got {other:?}"),
-    }
-
-    // ---- 40 compartments with the virtualisation layer ----------------
     // Four simulated cores: boot runs on core 0, the others come up at
     // the first core switch of the multi-core leg below.
     const CORES: usize = 4;
     let mut sys = System::new(SystemConfig {
-        key_virtualisation: true,
         cores: CORES,
         ..IsolationMode::Full.into()
     });
@@ -58,10 +35,16 @@ fn main() {
             .cid
         })
         .collect();
+    let parked = workers
+        .iter()
+        .filter(|&&c| sys.cubicle(c).key == PARKED_KEY)
+        .count();
     println!(
-        "with virtualisation: loaded {} isolated cubicles",
-        workers.len()
+        "loaded {} isolated cubicles: {} hold a key, {parked} start parked",
+        workers.len(),
+        workers.len() - parked
     );
+    assert_eq!(parked, workers.len() - 14, "14 keys bind");
 
     // every worker owns private state and cycles through the key pool
     let mut secrets = Vec::new();
