@@ -18,11 +18,14 @@
 //!
 //! Exit status is non-zero unless every injection recovered cleanly.
 //! The CI smoke job greps the literal `durability: 0 violations`,
-//! `replay: deterministic` and `audit: clean` lines from stdout.
+//! `replay: deterministic` and `audit: clean` lines from stdout, and the
+//! `points:` line (injections per phase they landed in) for
+//! `pre-wal-sync` and `mid-frame` landings: a phase the commit path no
+//! longer offers falls back through the mix silently otherwise.
 //!
 //! Usage: `crashstorm [seeds] [injections-per-seed]`
 
-use cubicle_bench::inject::run_crash_campaign;
+use cubicle_bench::inject::{run_crash_campaign, CrashPoint};
 use cubicle_core::{IsolationMode, SystemConfig};
 use cubicle_httpd::boot_web;
 use cubicle_mpk::VAddr;
@@ -135,6 +138,7 @@ fn main() {
 
     println!("== crash storms: {seeds} seed(s) x {injections} injection(s) ==");
     let mut total_injected = 0;
+    let mut landed = [0u64; CrashPoint::ALL.len()];
     let mut total_violations = 0;
     let mut wal_replays = 0;
     let mut journal_replays = 0;
@@ -146,6 +150,9 @@ fn main() {
         let identical = a.digest == b.digest;
         replays_ok &= identical;
         total_injected += a.injected;
+        for (total, n) in landed.iter_mut().zip(a.landed) {
+            *total += n;
+        }
         total_violations += a.violations;
         wal_replays += a.wal_replays;
         journal_replays += a.ramfs_journal_replays;
@@ -174,6 +181,12 @@ fn main() {
 
     println!("== summary ==");
     println!("injected: {total_injected}");
+    let points: Vec<String> = CrashPoint::ALL
+        .iter()
+        .zip(landed)
+        .map(|(p, n)| format!("{}={n}", p.name()))
+        .collect();
+    println!("points: {}", points.join(" "));
     println!("recovery: wal-replays={wal_replays} journal-replays={journal_replays}");
     println!("durability: {total_violations} violations");
     println!(

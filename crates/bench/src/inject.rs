@@ -324,6 +324,17 @@ impl CrashPoint {
         CrashPoint::MidCheckpoint,
         CrashPoint::MidRamfsJournalAppend,
     ];
+
+    /// The phase's name as `crashstorm` prints it.
+    pub fn name(self) -> &'static str {
+        match self {
+            CrashPoint::PreWalSync => "pre-wal-sync",
+            CrashPoint::MidFrame => "mid-frame",
+            CrashPoint::PostCommitPreCheckpoint => "post-commit-pre-checkpoint",
+            CrashPoint::MidCheckpoint => "mid-checkpoint",
+            CrashPoint::MidRamfsJournalAppend => "mid-ramfs-journal-append",
+        }
+    }
 }
 
 /// Which file a storage operation touched.
@@ -432,6 +443,35 @@ impl StorageFile for CrashFile {
                 die(sys)
             }
             None => self.inner.pwrite(sys, off, data),
+        }
+    }
+
+    /// Ticks `Write` for the data, then `Sync`, so the trace offers the
+    /// same crash points as a write followed by a sync. Unarmed, the
+    /// fused write travels whole. Armed at the write, its prefix plus the
+    /// torn cut lands; armed at the sync, the whole write lands without
+    /// `RWF_DSYNC`; either way the app then dies.
+    fn pwrite_sync(
+        &mut self,
+        sys: &mut System,
+        off: u64,
+        data: &[u8],
+    ) -> cubicle_sqldb::Result<()> {
+        if self.dead() {
+            return Err(SqlError::Io(Errno::Efault.neg()));
+        }
+        if let Some(cut) = self.tick(OpKind::Write { len: data.len() }) {
+            if cut > 0 {
+                self.inner.pwrite(sys, off, &data[..cut.min(data.len())])?;
+            }
+            return die(sys).map(|_| ());
+        }
+        match self.tick(OpKind::Sync) {
+            Some(_) => {
+                self.inner.pwrite_vec(sys, &[(off, data)])?;
+                die(sys).map(|_| ())
+            }
+            None => self.inner.pwrite_sync(sys, off, data),
         }
     }
 
@@ -769,6 +809,9 @@ pub struct CrashReport {
     pub wal_replays: u64,
     /// RAMFS journal replays observed during recovery.
     pub ramfs_journal_replays: u64,
+    /// Injections per phase they landed in (after any fallback through
+    /// the mix), indexed like [`CrashPoint::ALL`].
+    pub landed: [u64; CrashPoint::ALL.len()],
     /// FNV-1a digest over the semantic record (replay-determinism
     /// witness: same seed ⇒ same crashes ⇒ same recovered states).
     pub digest: u64,
@@ -923,6 +966,7 @@ pub fn run_crash_campaign(seed: u64, injections: usize) -> CrashReport {
             }
         }
         report.injected += 1;
+        report.landed[point as usize] += 1;
 
         // Armed run: identical stack + workload, crash scheduled.
         let plan: SharedPlan = Rc::new(RefCell::new(CrashPlan {
@@ -1031,6 +1075,7 @@ pub fn run_crash_campaign(seed: u64, injections: usize) -> CrashReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cubicle_core::TraceEvent;
 
     #[test]
     fn campaign_contains_everything_and_replays_identically() {
@@ -1062,6 +1107,35 @@ mod tests {
         assert_eq!(a.digest, b.digest, "same seed must replay bit-identically");
         let c = run_crash_campaign(0xC4A5 + 1, 12);
         assert_ne!(a.digest, c.digest, "different seed must differ");
+    }
+
+    /// The fused append-and-sync still ticks the WAL write and then its
+    /// sync, so a commit's observe trace offers both commit-path phases;
+    /// unarmed, the commits travel fused, with no `vfs_fsync`.
+    #[test]
+    fn a_wal_commit_offers_pre_sync_and_mid_frame_targets() {
+        let plan = SharedPlan::default();
+        let mut stack = boot_sql_stack();
+        stack.sys.enable_tracing(1 << 16);
+        let mut db = open_storm_db(&mut stack, &plan).expect("open");
+        let w = StormWorkload {
+            txns: vec![1],
+            ckpt_after: 2,
+        };
+        assert!(!run_storm_workload(&mut stack.sys, stack.app, &mut db, &w).crashed);
+        let fsync = stack.sys.entry("vfs_fsync").expect("vfs_fsync");
+        let fsyncs = stack.sys.trace().expect("tracing").records().filter(
+            |r| matches!(r.event, TraceEvent::CrossCallEnter { entry, .. } if entry == fsync),
+        );
+        assert_eq!(fsyncs.count(), 0, "unarmed commits travel fused");
+        let trace = std::mem::take(&mut plan.borrow_mut().trace);
+        let mut rng = Rng64::new(1);
+        for point in [CrashPoint::PreWalSync, CrashPoint::MidFrame] {
+            assert!(
+                pick_target(point, &trace, &mut rng).is_some(),
+                "{point:?}: {trace:?}"
+            );
+        }
     }
 
     #[test]

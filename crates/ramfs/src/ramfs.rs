@@ -10,7 +10,7 @@ use cubicle_mpk::insn::CodeImage;
 use cubicle_mpk::{VAddr, PAGE_SIZE};
 use cubicle_ukbase::AllocProxy;
 use cubicle_vfs::path::components;
-use cubicle_vfs::{FsOps, Vfs};
+use cubicle_vfs::{flags, FsOps, Vfs};
 
 use crate::journal::{AppendOutcome, Journal, JournalRecord};
 
@@ -492,8 +492,10 @@ pub fn image() -> ComponentImage {
             e_read,
         )
         .export(
-            b.export("long ramfs_write(long ino, const void *buf, size_t n, uint64_t off)")
-                .unwrap(),
+            b.export(
+                "long ramfs_write(long ino, const void *buf, size_t n, uint64_t off, int flags)",
+            )
+            .unwrap(),
             e_write,
         )
         .export(
@@ -745,11 +747,16 @@ fn e_read(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<
     Ok(Value::I64(n as i64))
 }
 
+/// `write(ino, buf, n, off, flags)` → bytes: stores `n` bytes of the
+/// caller's buffer at `off`. With [`flags::RWF_DSYNC`] a successful store
+/// runs [`sync_file`] before returning, so the write and its sync cost
+/// one crossing; a failed store does not sync and returns its errno.
 fn e_write(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<Value> {
     sys.charge(RAMFS_OP_COST);
     let ino = args[0].as_i64();
     let (buf, n) = args[1].as_buf();
     let off = args[2].as_u64();
+    let dsync = args[3].as_i64() & flags::RWF_DSYNC != 0;
     // Journal ahead of any mutation. The payload is pulled through the
     // caller's window once, logged, and applied from the local copy, so
     // the journaled bytes and the extent bytes can never diverge.
@@ -786,10 +793,12 @@ fn e_write(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result
         Some(data) => Bytes::Local(data),
         None => Bytes::Caller(buf),
     };
-    match fs.store(sys, ino, off, n, src)? {
-        Ok(()) => Ok(Value::I64(n as i64)),
-        Err(e) => Ok(Value::I64(e)),
-    }
+    let r = match fs.store(sys, ino, off, n, src)? {
+        Ok(()) if dsync => sync_file(sys),
+        Ok(()) => 0,
+        Err(e) => e,
+    };
+    Ok(Value::I64(if r < 0 { r } else { n as i64 }))
 }
 
 /// `copy_range(ino_in, off_in, ino_out, off_out, n)` → bytes copied: the
@@ -909,10 +918,16 @@ fn e_size(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<
 }
 
 fn e_sync(sys: &mut System, _this: &mut dyn Component, _args: &[Value]) -> Result<Value> {
-    // RAM-backed: nothing to flush, but the crossing itself is the cost
-    // the paper measures.
+    Ok(Value::I64(sync_file(sys)))
+}
+
+/// The sync step behind `ramfs_sync` and a [`flags::RWF_DSYNC`]
+/// `ramfs_write` → 0 or `-errno`. RAM-backed: there is nothing to flush,
+/// so it charges its work and succeeds; the crossing that reaches it is
+/// the cost the paper measures.
+fn sync_file(sys: &mut System) -> i64 {
     sys.charge(RAMFS_OP_COST / 2);
-    Ok(Value::I64(0))
+    0
 }
 
 fn e_readdir(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<Value> {

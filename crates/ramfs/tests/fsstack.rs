@@ -365,7 +365,9 @@ fn refused_vectored_call_leaves_no_window_or_iov_behind() {
             sys.cubicle(app).window_count(),
             sys.cubicle(app).heap.in_use(),
         );
-        let err = port.pwrite_vec(sys, fd, &[(foreign, 4096, 0)]).unwrap_err();
+        let err = port
+            .pwrite_vec(sys, fd, &[(foreign, 4096, 0)], 0)
+            .unwrap_err();
         assert!(matches!(err, CubicleError::NotOwner { .. }), "got {err:?}");
         let after = (
             sys.cubicle(app).window_count(),
@@ -419,5 +421,62 @@ fn overlong_paths_are_einval() {
         assert_eq!(port.mkdir(sys, &long).unwrap(), einval);
         assert_eq!(port.unlink(sys, &long).unwrap(), einval);
         assert_eq!(port.stat(sys, &long).unwrap(), Err(einval));
+    });
+}
+
+/// `RWF_DSYNC` is `vfs_pwrite_vec`'s only flag. The fused write on a bad
+/// fd is `-EBADF` like any write; an unknown bit is `-EINVAL` before a
+/// byte moves; and the sync rides the write's one VFSCORE→RAMFS batch.
+#[test]
+fn pwrite_vec_flags_refuse_a_bad_fd_and_unknown_bits() {
+    let mut stack = boot(IsolationMode::Full);
+    let ramfs = stack.backends[0];
+    let vfs = stack.vfs.cid();
+    with_port(&mut stack, |sys, port| {
+        let fd = port
+            .open(sys, "/dsync", flags::O_CREAT | flags::O_RDWR)
+            .unwrap();
+        let buf = sys.heap_alloc(128, 8).unwrap();
+        sys.write(buf, &[1u8; 128]).unwrap();
+        let segs = [(buf, 64, 0), (buf + 64, 64, 64)];
+        assert_eq!(port.pwrite_vec(sys, fd, &segs, 0).unwrap(), 128);
+        sys.write(buf, &[2u8; 128]).unwrap();
+
+        let dsync = flags::RWF_DSYNC;
+        assert_eq!(
+            port.pwrite_vec(sys, 999, &segs, dsync).unwrap(),
+            Errno::Ebadf.neg()
+        );
+        for bad in [1, 4, dsync | 0x10, i64::MIN] {
+            assert_eq!(
+                port.pwrite_vec(sys, fd, &segs, bad).unwrap(),
+                Errno::Einval.neg(),
+                "flags {bad:#x}"
+            );
+        }
+        port.lseek(sys, fd, 0, whence::SEEK_SET).unwrap();
+        assert_eq!(
+            port.read_vec(sys, fd, 256).unwrap(),
+            [1u8; 128],
+            "file unchanged"
+        );
+
+        let edge = |sys: &System| sys.since_boot().1.edge(vfs, ramfs);
+        let before = edge(sys);
+        assert_eq!(port.pwrite_vec(sys, fd, &segs, dsync).unwrap(), 128);
+        assert_eq!(edge(sys) - before, 1, "one batched dispatch, no ramfs_sync");
+        port.lseek(sys, fd, 0, whence::SEEK_SET).unwrap();
+        assert_eq!(port.read_vec(sys, fd, 256).unwrap(), [2u8; 128]);
+
+        // The flag adds only the sync's own work: half a VFSCORE op and
+        // half a RAMFS op, as `vfs_fsync` → `ramfs_sync` charged.
+        let cycles = |sys: &mut System, flags| {
+            let t0 = sys.now();
+            assert_eq!(port.pwrite_vec(sys, fd, &segs, flags).unwrap(), 128);
+            sys.now() - t0
+        };
+        cycles(sys, 0);
+        let plain = cycles(sys, 0);
+        assert_eq!(cycles(sys, dsync) - plain, 60 + 40);
     });
 }

@@ -201,7 +201,7 @@ impl Database {
                     return Err(SqlError::Transaction("COMMIT outside a transaction".into()));
                 }
                 self.explicit_txn = false;
-                self.pager.commit(sys)?;
+                self.commit(sys)?;
                 Ok(QueryResult::default())
             }
             Stmt::Rollback => {
@@ -229,7 +229,7 @@ impl Database {
                 }
                 let out = self.execute_write(sys, other);
                 match (&out, auto) {
-                    (Ok(_), true) => self.pager.commit(sys)?,
+                    (Ok(_), true) => self.commit(sys)?,
                     (Err(_), true) => {
                         self.pager.rollback(sys)?;
                         self.load_schema(sys)?;
@@ -239,6 +239,17 @@ impl Database {
                 out
             }
         }
+    }
+
+    /// Commits the pager's transaction. The pager rolls a failed WAL
+    /// commit back, so the schema is reloaded as after a ROLLBACK; the
+    /// commit's own error wins.
+    fn commit(&mut self, sys: &mut System) -> Result<()> {
+        let out = self.pager.commit(sys);
+        if out.is_err() {
+            let _ = self.load_schema(sys);
+        }
+        out
     }
 
     fn execute_write(&mut self, sys: &mut System, stmt: Stmt) -> Result<QueryResult> {

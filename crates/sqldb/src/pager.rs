@@ -5,10 +5,10 @@
 //!
 //! * a **write-ahead log** ([`JournalMode::Wal`], the default): commit
 //!   appends the transaction's pages to `{path}-wal` ending in a commit
-//!   record, group commit coalesces several transactions into one sync,
-//!   and a checkpoint later folds committed frames back into the main
-//!   file — a crash at any byte boundary preserves exactly the committed
-//!   prefix (see [`crate::wal`]); or
+//!   record, in one write that is also the sync, and a checkpoint later
+//!   folds committed frames back into the main file — a crash at any
+//!   byte boundary preserves exactly the committed prefix (see
+//!   [`crate::wal`]); or
 //! * a **rollback journal** ([`JournalMode::Rollback`], the PR-1 design,
 //!   kept as the A/B baseline): each page's *original* content is saved
 //!   before its first modification, commit = sync journal → write dirty
@@ -39,7 +39,7 @@ const JOURNAL_MAGIC: &[u8; 8] = b"CBJRNL01";
 pub enum JournalMode {
     /// Undo journal + in-place page writes (the PR-1 design).
     Rollback,
-    /// Append-only write-ahead log with group commit + checkpointing.
+    /// Append-only write-ahead log with checkpointing.
     Wal,
 }
 
@@ -294,7 +294,9 @@ impl Pager {
     /// Commits the open transaction.
     ///
     /// WAL mode: append every dirty page as a frame, the last one a
-    /// commit record, then sync, so an acknowledged commit is durable.
+    /// commit record, in one durable write ([`Wal::commit_frames`]), so
+    /// an acknowledged commit is durable. A failed WAL commit is rolled
+    /// back: none of its pages reaches a later commit.
     /// Rollback mode: journal sync → dirty page write-back
     /// → db sync → journal delete.
     ///
@@ -323,41 +325,47 @@ impl Pager {
         if dirty.is_empty() && self.txn_index.is_empty() {
             return Ok(()); // read-only transaction: nothing to make durable
         }
-        if dirty.is_empty() {
-            // Every modified page was already spilled to the log; append
-            // the header page once more purely to carry the commit
-            // record (and the authoritative page_count with it).
-            let header = self.read_page(sys, 0)?;
-            let wal = self.wal.as_mut().expect("wal mode");
-            let off = wal.append_frame(sys, 0, self.page_count, &header)?;
-            self.txn_index.insert(0, off);
-            self.stats.wal_frames += 1;
+        // One durable write carries every frame, the commit record last.
+        // When every modified page was already spilled to the log, the
+        // header page is appended once more purely to carry the commit
+        // record (and the authoritative page_count with it).
+        let header;
+        let frames: Vec<(u32, u32, &[u8])> = if dirty.is_empty() {
+            header = self.read_page(sys, 0)?;
+            dirty.push(0);
+            vec![(0, self.page_count, &header[..])]
         } else {
-            // One write carries every frame, the commit record last.
             let last = *dirty.last().expect("non-empty");
-            let frames: Vec<(u32, u32, &[u8])> = dirty
+            dirty
                 .iter()
                 .map(|&pno| {
                     let db_size = if pno == last { self.page_count } else { 0 };
                     (pno, db_size, &self.cache[&pno].data[..])
                 })
-                .collect();
-            let wal = self.wal.as_mut().expect("wal mode");
-            let offs = wal.append_frames(sys, &frames)?;
-            for (pno, off) in dirty.into_iter().zip(offs) {
-                self.cache.get_mut(&pno).expect("listed above").dirty = false;
-                self.txn_index.insert(pno, off);
-                self.stats.wal_frames += 1;
+                .collect()
+        };
+        let wal = self.wal.as_mut().expect("wal mode");
+        let offs = match wal.commit_frames(sys, &frames) {
+            Ok(offs) => offs,
+            Err(e) => {
+                // Nothing of a failed commit may ride the next one: roll
+                // it back as ROLLBACK would. The append's error wins.
+                let _ = self.discard_wal_txn(sys);
+                return Err(e);
             }
-        }
-        // The commit record is on file: promote the transaction's frames
+        };
+        // The commit record is durable: promote the transaction's frames
         // into the committed index.
-        for (pno, off) in self.txn_index.drain() {
-            self.committed_index.insert(pno, off);
+        for (pno, off) in dirty.into_iter().zip(offs) {
+            self.cache
+                .get_mut(&pno)
+                .expect("listed or read above")
+                .dirty = false;
+            self.txn_index.insert(pno, off);
+            self.stats.wal_frames += 1;
         }
-        self.wal.as_mut().expect("wal mode").mark_committed();
+        self.committed_index.extend(self.txn_index.drain());
         self.stats.commits += 1;
-        self.wal.as_mut().expect("wal mode").sync(sys)?;
         self.stats.syncs += 1;
         Ok(())
     }
@@ -408,13 +416,7 @@ impl Pager {
                     return Err(SqlError::Transaction("rollback without transaction".into()));
                 }
                 self.wal_txn = false;
-                self.wal
-                    .as_mut()
-                    .expect("wal mode")
-                    .rollback_uncommitted(sys)?;
-                self.txn_index.clear();
-                self.cache.clear();
-                self.reload_header(sys)
+                self.discard_wal_txn(sys)
             }
             JournalMode::Rollback => {
                 let Some(mut journal) = self.journal.take() else {
@@ -516,6 +518,19 @@ impl Pager {
         self.committed_index.clear();
         self.stats.checkpoints += 1;
         Ok(true)
+    }
+
+    /// WAL-mode rollback: truncates the log back to the last commit
+    /// record and drops every cached page and spilled frame of the
+    /// transaction.
+    fn discard_wal_txn(&mut self, sys: &mut System) -> Result<()> {
+        self.txn_index.clear();
+        self.cache.clear();
+        self.wal
+            .as_mut()
+            .expect("wal mode")
+            .rollback_uncommitted(sys)?;
+        self.reload_header(sys)
     }
 
     fn reload_header(&mut self, sys: &mut System) -> Result<()> {

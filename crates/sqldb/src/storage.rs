@@ -42,6 +42,19 @@ pub trait StorageFile {
     /// [`SqlError::Io`] with a negative errno.
     fn pwrite(&mut self, sys: &mut System, off: u64, data: &[u8]) -> Result<usize>;
 
+    /// Writes `data` at `off` in full and makes the file durable: the
+    /// one durable write. The default is [`StorageFile::pwrite`] then
+    /// [`StorageFile::sync`]; a backend that can carry the sync on the
+    /// write overrides it.
+    ///
+    /// # Errors
+    ///
+    /// [`SqlError::Io`] with a negative errno; `-EIO` when `data` is
+    /// written short. After an error any prefix of `data` may be on file.
+    fn pwrite_sync(&mut self, sys: &mut System, off: u64, data: &[u8]) -> Result<()> {
+        write_then_sync(self, sys, off, data)
+    }
+
     /// Reads every `(file_off, buf)` segment in full, in order. The
     /// default loops [`StorageFile::pread`]; a backend that can move a
     /// whole vector in one call overrides it.
@@ -131,6 +144,20 @@ pub trait StorageFile {
     fn close(&mut self, _sys: &mut System) -> Result<()> {
         Ok(())
     }
+}
+
+/// [`StorageFile::pwrite_sync`]'s default: `pwrite` in full, then
+/// `sync`.
+fn write_then_sync<F: StorageFile + ?Sized>(
+    file: &mut F,
+    sys: &mut System,
+    off: u64,
+    data: &[u8],
+) -> Result<()> {
+    if file.pwrite(sys, off, data)? < data.len() {
+        return short_transfer();
+    }
+    file.sync(sys)
 }
 
 /// [`StorageFile::copy_from`]'s default: one `pread_vec` out of `src` and
@@ -432,18 +459,20 @@ impl CubicleFile {
         Ok(out?)
     }
 
-    /// The one vectored routine behind `pread_vec`, `pwrite_vec` and
-    /// every contiguous transfer larger than [`STAGING`]. Each vector of
-    /// [`plan_vectors`] costs one SQLITE→VFSCORE crossing and one batched
-    /// VFSCORE→RAMFS dispatch; `copy` moves one piece between the
-    /// caller's buffer and the staging area (before the call when
-    /// writing, after it when reading). Stops at the first short vector
-    /// and returns the bytes moved.
+    /// The one vectored routine behind `pread_vec`, `pwrite_vec`,
+    /// `pwrite_sync` and every contiguous transfer larger than
+    /// [`STAGING`]. `write` is `None` for a read, and for a write the
+    /// `vfs_pwrite_vec` flags of its last vector (earlier ones pass 0).
+    /// Each vector of [`plan_vectors`] costs one SQLITE→VFSCORE crossing
+    /// and one batched VFSCORE→RAMFS dispatch; `copy` moves one piece
+    /// between the caller's buffer and the staging area (before the call
+    /// when writing, after it when reading). Stops at the first short
+    /// vector and returns the bytes moved.
     fn transfer_vec(
         &mut self,
         sys: &mut System,
         segs: &[(u64, usize)],
-        write: bool,
+        write: Option<i64>,
         mut copy: impl FnMut(&mut System, Piece) -> Result<()>,
     ) -> Result<usize> {
         if segs.iter().all(|&(_, len)| len == 0) {
@@ -451,24 +480,28 @@ impl CubicleFile {
         }
         let base = self.vec_staging(sys)?;
         let mut moved = 0usize;
-        for vector in plan_vectors(base, segs) {
-            if write {
+        let vectors = plan_vectors(base, segs);
+        let last = vectors.len() - 1;
+        for (i, vector) in vectors.into_iter().enumerate() {
+            if write.is_some() {
                 for &p in &vector {
                     copy(sys, p)?;
                 }
             }
             let iov: Vec<(VAddr, usize, u64)> =
                 vector.iter().map(|p| (p.addr, p.len, p.file_off)).collect();
-            let n = if write {
-                self.port.pwrite_vec(sys, self.fd, &iov)?
-            } else {
-                self.port.pread_vec(sys, self.fd, &iov)?
+            let n = match write {
+                Some(flags) => {
+                    let flags = if i == last { flags } else { 0 };
+                    self.port.pwrite_vec(sys, self.fd, &iov, flags)?
+                }
+                None => self.port.pread_vec(sys, self.fd, &iov)?,
             };
             if n < 0 {
                 return io_err(n);
             }
             let n = n as usize;
-            if !write {
+            if write.is_none() {
                 let mut left = n;
                 for &p in &vector {
                     if left == 0 {
@@ -491,7 +524,7 @@ impl CubicleFile {
 impl StorageFile for CubicleFile {
     fn pread(&mut self, sys: &mut System, off: u64, buf: &mut [u8]) -> Result<usize> {
         if buf.len() > STAGING {
-            return self.transfer_vec(sys, &[(off, buf.len())], false, |sys, p| {
+            return self.transfer_vec(sys, &[(off, buf.len())], None, |sys, p| {
                 Ok(sys.read(p.addr, &mut buf[p.pos..p.pos + p.len])?)
             });
         }
@@ -533,7 +566,7 @@ impl StorageFile for CubicleFile {
 
     fn pread_vec(&mut self, sys: &mut System, segs: &mut [(u64, &mut [u8])]) -> Result<()> {
         let lens: Vec<(u64, usize)> = segs.iter().map(|(off, buf)| (*off, buf.len())).collect();
-        let moved = self.transfer_vec(sys, &lens, false, |sys, p| {
+        let moved = self.transfer_vec(sys, &lens, None, |sys, p| {
             Ok(sys.read(p.addr, &mut segs[p.seg].1[p.pos..p.pos + p.len])?)
         })?;
         all_moved(moved, &lens)
@@ -541,8 +574,26 @@ impl StorageFile for CubicleFile {
 
     fn pwrite_vec(&mut self, sys: &mut System, segs: &[(u64, &[u8])]) -> Result<()> {
         let lens: Vec<(u64, usize)> = segs.iter().map(|&(off, data)| (off, data.len())).collect();
-        let moved = self.transfer_vec(sys, &lens, true, |sys, p| {
+        let moved = self.transfer_vec(sys, &lens, Some(0), |sys, p| {
             Ok(sys.write(p.addr, &segs[p.seg].1[p.pos..p.pos + p.len])?)
+        })?;
+        all_moved(moved, &lens)
+    }
+
+    /// Vectored whatever the size, the last vector carrying
+    /// `RWF_DSYNC`: the write and its sync cross SQLITE→VFSCORE→RAMFS
+    /// once per staging vector, with no separate `vfs_fsync`. A file on
+    /// the paper's per-call port under MPK (unpaired, the port Figures
+    /// 6–10 pin) keeps the write-then-fsync sequence instead: there the
+    /// vector's staged iov costs two trap-and-map round trips more than
+    /// the scalar write, which outweighs the crossing it saves.
+    fn pwrite_sync(&mut self, sys: &mut System, off: u64, data: &[u8]) -> Result<()> {
+        if data.is_empty() || (self.paired.is_none() && sys.mode().mpk_active()) {
+            return write_then_sync(self, sys, off, data);
+        }
+        let lens = [(off, data.len())];
+        let moved = self.transfer_vec(sys, &lens, Some(flags::RWF_DSYNC), |sys, p| {
+            Ok(sys.write(p.addr, &data[p.pos..p.pos + p.len])?)
         })?;
         all_moved(moved, &lens)
     }

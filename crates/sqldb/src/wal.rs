@@ -311,9 +311,10 @@ impl Wal {
 
     /// Appends `(pno, db_size, page)` frames in order with one write and
     /// returns the offset of each frame's page data. `db_size != 0`
-    /// makes a frame a commit record; a commit passes its record last.
-    /// The frames are not durable until [`Wal::sync`], nor part of the
-    /// committed prefix until [`Wal::mark_committed`].
+    /// makes a frame a commit record. The frames are not durable until
+    /// [`Wal::sync`], nor part of the committed prefix until
+    /// [`Wal::mark_committed`]; a commit appends through
+    /// [`Wal::commit_frames`] instead.
     ///
     /// # Errors
     ///
@@ -327,6 +328,42 @@ impl Wal {
         sys: &mut System,
         frames: &[(u32, u32, &[u8])],
     ) -> Result<Vec<u64>> {
+        self.append(sys, frames, false)
+    }
+
+    /// Appends a transaction's last frames, its commit record last, and
+    /// makes the whole log durable in one write
+    /// ([`StorageFile::pwrite_sync`]). On `Ok` the log up to the record
+    /// is the committed prefix. On `Err` nothing is committed, but any
+    /// prefix of the frames may be on file: the caller discards them
+    /// with [`Wal::rollback_uncommitted`].
+    ///
+    /// # Errors
+    ///
+    /// I/O errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a page is not exactly [`DB_PAGE`] bytes.
+    pub fn commit_frames(
+        &mut self,
+        sys: &mut System,
+        frames: &[(u32, u32, &[u8])],
+    ) -> Result<Vec<u64>> {
+        let offs = self.append(sys, frames, true)?;
+        self.synced_end = self.end;
+        self.mark_committed();
+        Ok(offs)
+    }
+
+    /// [`Wal::append_frames`], made durable by the same write when
+    /// `durable`.
+    fn append(
+        &mut self,
+        sys: &mut System,
+        frames: &[(u32, u32, &[u8])],
+        durable: bool,
+    ) -> Result<Vec<u64>> {
         let mut bytes = Vec::with_capacity(frames.len() * FRAME_SIZE as usize);
         let mut chain = self.chain;
         for &(pno, db_size, data) in frames {
@@ -337,13 +374,20 @@ impl Wal {
             bytes.extend_from_slice(&chain.to_le_bytes());
             bytes.extend_from_slice(data);
         }
-        self.file.pwrite(sys, self.end, &bytes)?;
-        let data_offs = (0..frames.len() as u64)
-            .map(|i| self.end + i * FRAME_SIZE + FRAME_HEADER as u64)
-            .collect();
-        self.end += bytes.len() as u64;
+        let start = self.end;
+        if durable {
+            // Counted before the write: a failed one may have landed any
+            // prefix, which `rollback_uncommitted` must cut off.
+            self.end += bytes.len() as u64;
+            self.file.pwrite_sync(sys, start, &bytes)?;
+        } else {
+            self.file.pwrite(sys, start, &bytes)?;
+            self.end += bytes.len() as u64;
+        }
         self.chain = chain;
-        Ok(data_offs)
+        Ok((0..frames.len() as u64)
+            .map(|i| start + i * FRAME_SIZE + FRAME_HEADER as u64)
+            .collect())
     }
 
     /// Reads one page image out of the log at `data_off` (an offset

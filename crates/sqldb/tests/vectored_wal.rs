@@ -16,9 +16,9 @@ use cubicle_mpk::insn::CodeImage;
 use cubicle_mpk::rng::Rng64;
 use cubicle_ramfs::{mount_at, Ramfs};
 use cubicle_sqldb::pager::{Pager, DB_PAGE};
-use cubicle_sqldb::storage::{CubicleEnv, HostEnv, StorageEnv};
-use cubicle_sqldb::wal::{wal_path, Wal};
-use cubicle_sqldb::{Database, SqlValue};
+use cubicle_sqldb::storage::{CubicleEnv, HostEnv, StorageEnv, VEC_STAGING};
+use cubicle_sqldb::wal::{wal_path, Wal, FRAME_SIZE};
+use cubicle_sqldb::{Database, JournalMode, SqlValue};
 use cubicle_ukbase::boot_base;
 use cubicle_vfs::{Vfs, VfsPort, VfsProxy};
 use std::collections::HashMap;
@@ -612,5 +612,98 @@ fn commit_of_up_to_seven_pages_makes_one_wal_write() {
         });
         let writes = count(&calls, "vfs_pwrite") + count(&calls, "vfs_pwrite_vec");
         assert_eq!(writes, 1, "{d} dirty pages: {calls:?}");
+    }
+}
+
+/// A WAL commit of `d` dirty pages is `⌈d × FRAME_SIZE / VEC_STAGING⌉`
+/// `vfs_pwrite_vec` calls whose last carries `RWF_DSYNC`: a one-page
+/// commit goes vectored too, and no commit makes a `vfs_pwrite` or a
+/// `vfs_fsync`.
+#[test]
+fn wal_commit_is_fused_vectored_writes_and_no_fsync() {
+    let mut side = Side::cubicle();
+    side.sys.enable_tracing(1 << 20);
+    let env = side.env();
+    let mut pager = side.run(|sys| Pager::open(sys, env, DB, 256).unwrap());
+    let mut rng = Rng64::new(13);
+    side.run(|sys| {
+        pager.begin(sys).unwrap();
+        for _ in 0..10 {
+            let pno = pager.allocate_page(sys).unwrap();
+            pager.write_page(sys, pno, &page_image(&mut rng)).unwrap();
+        }
+        pager.commit(sys).unwrap();
+    });
+    for d in 1..=9u32 {
+        let images: Vec<Vec<u8>> = (0..d).map(|_| page_image(&mut rng)).collect();
+        let ((), calls) = vfs_calls(&mut side, |sys| {
+            pager.begin(sys).unwrap();
+            for (pno, image) in pages(1, d).into_iter().zip(&images) {
+                pager.write_page(sys, pno, image).unwrap();
+            }
+            pager.commit(sys).unwrap();
+        });
+        let bytes = u64::from(d) * FRAME_SIZE;
+        assert_eq!(
+            count(&calls, "vfs_pwrite_vec"),
+            bytes.div_ceil(VEC_STAGING as u64),
+            "{d} dirty pages: {calls:?}"
+        );
+        assert_eq!(count(&calls, "vfs_pwrite"), 0, "{d} dirty pages: {calls:?}");
+        assert_eq!(count(&calls, "vfs_fsync"), 0, "{d} dirty pages: {calls:?}");
+    }
+}
+
+/// The paper's per-call port (the one Figures 6, 8 and 10 run) keeps its
+/// sequences: a rollback-journal commit still syncs the journal and then
+/// the database, two `vfs_fsync` calls, and a WAL commit is still a write
+/// and then a `vfs_fsync` (there a vector's staged iov costs more
+/// trap-and-map round trips than the fused sync saves).
+#[test]
+fn the_per_call_port_keeps_its_commit_sequences() {
+    let per_call = SystemConfig {
+        pair_keys: false,
+        ..IsolationMode::Full.into()
+    };
+    let mut side = Side::cubicle_with(per_call, false);
+    side.sys.enable_tracing(1 << 20);
+    let mut rng = Rng64::new(21);
+    for (path, mode) in [
+        ("/rollback.db", JournalMode::Rollback),
+        ("/wal.db", JournalMode::Wal),
+    ] {
+        let env = side.env();
+        let mut pager = side.run(|sys| Pager::open_with_mode(sys, env, path, 256, mode).unwrap());
+        for d in [1u32, 3, 9] {
+            let images: Vec<Vec<u8>> = (0..d).map(|_| page_image(&mut rng)).collect();
+            let ((), calls) = vfs_calls(&mut side, |sys| {
+                pager.begin(sys).unwrap();
+                for image in &images {
+                    let pno = pager.allocate_page(sys).unwrap();
+                    pager.write_page(sys, pno, image).unwrap();
+                }
+                pager.commit(sys).unwrap();
+            });
+            let (fsyncs, vectored) = match mode {
+                // the journal, then the database
+                JournalMode::Rollback => (2, 0),
+                // one write of d + 1 frames (the header page is dirty,
+                // so each commit is above the scalar staging)
+                JournalMode::Wal => {
+                    let bytes = u64::from(d + 1) * FRAME_SIZE;
+                    (1, bytes.div_ceil(VEC_STAGING as u64))
+                }
+            };
+            assert_eq!(
+                count(&calls, "vfs_fsync"),
+                fsyncs,
+                "{mode:?} {d}: {calls:?}"
+            );
+            assert_eq!(
+                count(&calls, "vfs_pwrite_vec"),
+                vectored,
+                "{mode:?} {d}: {calls:?}"
+            );
+        }
     }
 }

@@ -24,6 +24,10 @@ pub mod flags {
     pub const O_TRUNC: i64 = 0o1000;
     /// Append on every write.
     pub const O_APPEND: i64 = 0o2000;
+    /// `vfs_pwrite_vec` flag (`pwritev2`'s): the write is durable when
+    /// the call returns, as if an `fsync` followed it. The only flag the
+    /// call takes.
+    pub const RWF_DSYNC: i64 = 0x2;
 }
 
 /// `lseek` whence values.
@@ -79,7 +83,9 @@ pub struct FsOps {
     pub remove: EntryId,
     /// `long read(long ino, void *buf, size_t n, uint64_t off)` → bytes.
     pub read: EntryId,
-    /// `long write(long ino, const void *buf, size_t n, uint64_t off)` → bytes.
+    /// `long write(long ino, const void *buf, size_t n, uint64_t off,
+    /// int flags)` → bytes. With [`flags::RWF_DSYNC`] a successful store
+    /// is followed by the backend's `sync` step before the call returns.
     pub write: EntryId,
     /// `long truncate(long ino, uint64_t len)` → 0.
     pub truncate: EntryId,
@@ -136,5 +142,6 @@ mod tests {
         assert_eq!(flags::O_CREAT, 64);
         assert_eq!(flags::O_TRUNC, 512);
         assert_eq!(flags::O_APPEND, 1024);
+        assert_eq!(flags::RWF_DSYNC, 2);
     }
 }

@@ -192,11 +192,14 @@ impl VfsPort {
         fd: i64,
         segments: &[(VAddr, usize, u64)],
     ) -> Result<i64> {
-        self.rw_vec(sys, fd, segments, false)
+        self.rw_vec(sys, segments, |sys, iov, len| {
+            self.proxy.pread_vec(sys, fd, iov, len)
+        })
     }
 
-    /// `pwrite_vec(fd, segments)`: vectored positioned write; see
-    /// [`VfsPort::pread_vec`].
+    /// `pwrite_vec(fd, segments, flags)`: vectored positioned write; see
+    /// [`VfsPort::pread_vec`]. With [`crate::flags::RWF_DSYNC`] the write
+    /// is durable on return, in the same single crossing.
     ///
     /// # Errors
     ///
@@ -206,26 +209,24 @@ impl VfsPort {
         sys: &mut System,
         fd: i64,
         segments: &[(VAddr, usize, u64)],
+        flags: i64,
     ) -> Result<i64> {
-        self.rw_vec(sys, fd, segments, true)
+        self.rw_vec(sys, segments, |sys, iov, len| {
+            self.proxy.pwrite_vec(sys, fd, iov, len, flags)
+        })
     }
 
+    /// Stages `segments`' iov and runs `call(iov, iov_len)` with it and
+    /// every data segment shared for the call.
     fn rw_vec(
         &self,
         sys: &mut System,
-        fd: i64,
         segments: &[(VAddr, usize, u64)],
-        write: bool,
+        call: impl FnOnce(&mut System, VAddr, usize) -> Result<i64>,
     ) -> Result<i64> {
         let data: Vec<(VAddr, usize)> = segments.iter().map(|&(a, l, _)| (a, l)).collect();
         let iov = encode_iov(segments);
-        let call = |sys: &mut System, iov_buf| {
-            if write {
-                self.proxy.pwrite_vec(sys, fd, iov_buf, iov.len())
-            } else {
-                self.proxy.pread_vec(sys, fd, iov_buf, iov.len())
-            }
-        };
+        let call = |sys: &mut System, iov_buf| call(sys, iov_buf, iov.len());
         let len = iov.len().max(1);
         self.vfs_scratch(sys, len, Some(&iov), &data, &self.grantees, call, raw)
     }

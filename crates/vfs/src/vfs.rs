@@ -166,7 +166,7 @@ pub fn image() -> ComponentImage {
             e_pread_vec,
         )
         .export(
-            b.export("long vfs_pwrite_vec(int fd, const void *iov, size_t len)")
+            b.export("long vfs_pwrite_vec(int fd, const void *iov, size_t len, int flags)")
                 .unwrap(),
             e_pwrite_vec,
         )
@@ -360,11 +360,14 @@ fn backend_rw(
         } else {
             Value::buf_out(buf + done, chunk)
         };
+        let args = [
+            Value::I64(ino),
+            bufval,
+            Value::U64(off + done as u64),
+            Value::I64(0),
+        ];
         let r = sys
-            .cross_call(
-                entry,
-                &[Value::I64(ino), bufval, Value::U64(off + done as u64)],
-            )?
+            .cross_call(entry, &args[..if write { 4 } else { 3 }])?
             .as_i64();
         if r < 0 {
             if total == 0 {
@@ -430,6 +433,11 @@ fn vec_total(vals: &[Value], lens: impl IntoIterator<Item = u64>) -> i64 {
 /// caller-owned segments. The whole vector is dispatched to the backend
 /// under a single trampoline crossing ([`System::cross_call_batch`]) and
 /// returns the bytes transferred ([`vec_total`]).
+///
+/// A write's `flags` may hold [`flags::RWF_DSYNC`] and nothing else
+/// (`-EINVAL` before anything moves). The fused sync charges the VFS
+/// work of an `fsync` and rides on the batch's last element, so the
+/// backend syncs once, after its last store, inside the same dispatch.
 fn rw_vec(
     sys: &mut System,
     this: &mut dyn Component,
@@ -437,6 +445,10 @@ fn rw_vec(
     write: bool,
 ) -> Result<Value> {
     sys.charge(VFS_OP_COST);
+    let sync = if write { args[2].as_i64() } else { 0 };
+    if sync & !flags::RWF_DSYNC != 0 {
+        return Ok(Value::I64(Errno::Einval.neg()));
+    }
     let fd = args[0].as_i64();
     let iovs = match read_iov(sys, &args[1])? {
         Ok(iovs) => iovs,
@@ -449,20 +461,33 @@ fn rw_vec(
     let ops = vfs.mounts[file.mount].ops;
     let entry = if write { ops.write } else { ops.read };
 
+    if sync != 0 {
+        sys.charge(VFS_OP_COST / 2);
+    }
+
     // One monitor crossing for the whole vector.
-    let elems: Vec<[Value; 3]> = iovs
+    let last = iovs.len() - 1;
+    let elems: Vec<[Value; 4]> = iovs
         .iter()
-        .map(|&[addr, len, off]| {
+        .enumerate()
+        .map(|(i, &[addr, len, off])| {
             let (addr, len) = (VAddr::new(addr), len as usize);
             let bufval = if write {
                 Value::buf_in(addr, len)
             } else {
                 Value::buf_out(addr, len)
             };
-            [Value::I64(file.ino), bufval, Value::U64(off)]
+            let flags = if i == last { sync } else { 0 };
+            [
+                Value::I64(file.ino),
+                bufval,
+                Value::U64(off),
+                Value::I64(flags),
+            ]
         })
         .collect();
-    let refs: Vec<&[Value]> = elems.iter().map(|e| e.as_slice()).collect();
+    let arity = if write { 4 } else { 3 };
+    let refs: Vec<&[Value]> = elems.iter().map(|e| &e[..arity]).collect();
     let vals = sys.cross_call_batch(entry, &refs)?;
     Ok(Value::I64(vec_total(&vals, iovs.iter().map(|t| t[1]))))
 }
@@ -907,19 +932,29 @@ impl VfsProxy {
         )
     }
 
-    /// `pwrite_vec(fd, iov, iov_len)` — writev-style positioned scatter
-    /// write; see [`VfsProxy::pread_vec`].
+    /// `pwrite_vec(fd, iov, iov_len, flags)` — `pwritev2`-style
+    /// positioned scatter write; see [`VfsProxy::pread_vec`]. `flags` is
+    /// 0 or [`flags::RWF_DSYNC`], which makes the write durable before
+    /// the call returns (any other bit: `-EINVAL`).
     ///
     /// # Errors
     ///
     /// Kernel errors from the cross-cubicle call.
-    pub fn pwrite_vec(&self, sys: &mut System, fd: i64, iov: VAddr, iov_len: usize) -> Result<i64> {
+    pub fn pwrite_vec(
+        &self,
+        sys: &mut System,
+        fd: i64,
+        iov: VAddr,
+        iov_len: usize,
+        flags: i64,
+    ) -> Result<i64> {
         proxy_call!(
             self,
             sys,
             pwrite_vec,
             Value::I64(fd),
-            Value::buf_in(iov, iov_len)
+            Value::buf_in(iov, iov_len),
+            Value::I64(flags)
         )
     }
 
