@@ -10,12 +10,11 @@ use cubicle_bench::report::{
 use cubicle_bench::scenario::per_call_port;
 use cubicle_core::{impl_component, ComponentImage, IsolationMode, System};
 use cubicle_mpk::insn::CodeImage;
-use cubicle_ramfs::{mount_at, Ramfs};
+use cubicle_ramfs::boot_fs;
 use cubicle_sqldb::speedtest::{run_speedtest, SpeedtestConfig};
 use cubicle_sqldb::storage::CubicleEnv;
 use cubicle_sqldb::Database;
 use cubicle_ukbase::boot_base;
-use cubicle_vfs::{Vfs, VfsPort, VfsProxy};
 
 struct SqliteApp;
 impl_component!(SqliteApp);
@@ -43,28 +42,18 @@ fn main() {
         sys.enable_tracing(1 << 20);
     }
     let base = boot_base(&mut sys).unwrap();
-    let vfs_loaded = sys
-        .load(cubicle_vfs::image(), Box::new(Vfs::default()))
-        .unwrap();
-    let ramfs_loaded = sys
-        .load(cubicle_ramfs::image(), Box::new(Ramfs::default()))
-        .unwrap();
-    sys.with_component_mut::<Ramfs, _>(ramfs_loaded.slot, |fs, _| fs.set_alloc(base.alloc))
-        .unwrap();
-    mount_at(&mut sys, vfs_loaded.slot, &ramfs_loaded, "/").unwrap();
+    let fs = boot_fs(&mut sys, &base, None).unwrap();
     let app = sys
         .load(
             ComponentImage::new("SQLITE", CodeImage::plain(128 * 1024)).heap_pages(256),
             Box::new(SqliteApp),
         )
         .unwrap();
-    let vfs_proxy = VfsProxy::resolve(&vfs_loaded).unwrap();
-    let ramfs_cid = ramfs_loaded.cid;
     let time = base.time;
     let c0 = sys.now();
     let t0 = std::time::Instant::now();
     sys.run_in_cubicle(app.cid, move |sys| {
-        let port = VfsPort::new(sys, vfs_proxy, &[ramfs_cid]).unwrap();
+        let port = fs.port(sys).unwrap();
         let mut db = Database::open(sys, Box::new(CubicleEnv::new(port)), "/speedtest.db").unwrap();
         // the application stamps start/end times, like speedtest1 does
         time.now_ns(sys).unwrap();

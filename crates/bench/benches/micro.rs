@@ -441,11 +441,10 @@ fn bench_speedtest_statement(results: &mut BenchResults) {
 /// `_pair_keys` entries are the same bursts as the stack ships, with the
 /// files' staging pages shared under pair keys.
 fn bench_sql_commit(results: &mut BenchResults) {
-    use cubicle_ramfs::{mount_at, Ramfs};
+    use cubicle_ramfs::boot_fs;
     use cubicle_sqldb::storage::CubicleEnv;
     use cubicle_sqldb::{Database, JournalMode};
     use cubicle_ukbase::boot_base;
-    use cubicle_vfs::{Vfs, VfsPort, VfsProxy};
 
     let per_call = per_call_port(IsolationMode::Full);
     let shipped = SystemConfig::from(IsolationMode::Full);
@@ -466,15 +465,7 @@ fn bench_sql_commit(results: &mut BenchResults) {
     for (name, mode, config) in variants {
         let mut sys = System::new(config);
         let base = boot_base(&mut sys).unwrap();
-        let vfs_loaded = sys
-            .load(cubicle_vfs::image(), Box::new(Vfs::default()))
-            .unwrap();
-        let ramfs_loaded = sys
-            .load(cubicle_ramfs::image(), Box::new(Ramfs::default()))
-            .unwrap();
-        sys.with_component_mut::<Ramfs, _>(ramfs_loaded.slot, |fs, _| fs.set_alloc(base.alloc))
-            .unwrap();
-        mount_at(&mut sys, vfs_loaded.slot, &ramfs_loaded, "/").unwrap();
+        let fs = boot_fs(&mut sys, &base, None).unwrap();
         let app = sys
             .load(
                 ComponentImage::new("SQL", CodeImage::plain(4096)).heap_pages(128),
@@ -482,10 +473,9 @@ fn bench_sql_commit(results: &mut BenchResults) {
             )
             .unwrap();
         sys.mark_boot_complete();
-        let vfs = VfsProxy::resolve(&vfs_loaded).unwrap();
-        let (app, ramfs_cid) = (app.cid, ramfs_loaded.cid);
+        let app = app.cid;
         let mut db = sys.run_in_cubicle(app, |sys| {
-            let port = VfsPort::new(sys, vfs, &[ramfs_cid]).unwrap();
+            let port = fs.port(sys).unwrap();
             let mut db = Database::open_with_mode(
                 sys,
                 Box::new(CubicleEnv::new(port)),

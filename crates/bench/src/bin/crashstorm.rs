@@ -11,8 +11,8 @@
 //!    prefix, nothing torn, nothing phantom, `integrity_check` ok.
 //!    Every storm runs twice; the semantic digests must match
 //!    bit-for-bit (replay determinism).
-//! 2. **Figure 5 NGINX, without re-population**: with the RAMFS inode
-//!    journal enabled, the web deployment keeps serving the *same bytes*
+//! 2. **Figure 5 NGINX, without re-population**: built with the RAMFS
+//!    inode journal, the web deployment keeps serving the *same bytes*
 //!    after its file-system cubicle is quarantined and microrebooted —
 //!    no `put_file` after the crash, unlike `faultstorm`'s leg.
 //!
@@ -27,7 +27,7 @@
 
 use cubicle_bench::inject::{run_crash_campaign, CrashPoint};
 use cubicle_core::{IsolationMode, SystemConfig};
-use cubicle_httpd::boot_web;
+use cubicle_httpd::{boot_web, WebConfig};
 use cubicle_mpk::VAddr;
 use cubicle_net::WireModel;
 
@@ -50,13 +50,14 @@ fn fast_wire() -> WireModel {
 /// number of violations (0 on success).
 fn nginx_leg() -> u64 {
     println!("== nginx (fig. 5, journal recovery) leg ==");
-    let mut dep = boot_web(SystemConfig {
-        fault_containment: true,
-        ..IsolationMode::Full.into()
+    let mut dep = boot_web(WebConfig {
+        system: SystemConfig {
+            fault_containment: true,
+            ..IsolationMode::Full.into()
+        },
+        ramfs_journal_pages: Some(NGINX_JOURNAL_PAGES),
     })
     .expect("boot_web");
-    dep.enable_ramfs_journal(NGINX_JOURNAL_PAGES)
-        .expect("enable journal");
     let body: Vec<u8> = (0..8_192u32).map(|i| (i % 253) as u8).collect();
     dep.put_file("/index.html", &body).expect("put_file");
     dep.put_file("/app.js", b"console.log('cubicles')")

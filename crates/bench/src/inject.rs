@@ -20,11 +20,10 @@ use cubicle_core::{
 use cubicle_mpk::insn::{CodeImage, Insn};
 use cubicle_mpk::rng::Rng64;
 use cubicle_mpk::VAddr;
-use cubicle_ramfs::{install_journal, mount_at, Ramfs};
+use cubicle_ramfs::{boot_fs, FsStack, Ramfs};
 use cubicle_sqldb::storage::{CubicleEnv, StorageEnv, StorageFile};
 use cubicle_sqldb::{Database, SqlError, SqlValue};
 use cubicle_ukbase::boot_base;
-use cubicle_vfs::{Vfs, VfsPort, VfsProxy};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -593,10 +592,7 @@ impl StorageEnv for CrashEnv {
 struct SqlStack {
     sys: System,
     app: CubicleId,
-    vfs: VfsProxy,
-    vfs_cid: CubicleId,
-    ramfs_cid: CubicleId,
-    ramfs_slot: usize,
+    fs: FsStack,
 }
 
 /// Journal region: 64 pages = 256 KiB; small enough that long storms
@@ -609,23 +605,7 @@ fn boot_sql_stack() -> SqlStack {
         ..IsolationMode::Full.into()
     });
     let base = boot_base(&mut sys).expect("boot_base");
-    let vfs_loaded = sys
-        .load(cubicle_vfs::image(), Box::new(Vfs::default()))
-        .expect("load vfs");
-    let ramfs_loaded = sys
-        .load(cubicle_ramfs::image(), Box::new(Ramfs::default()))
-        .expect("load ramfs");
-    sys.with_component_mut::<Ramfs, _>(ramfs_loaded.slot, |fs, _| fs.set_alloc(base.alloc))
-        .expect("ramfs slot");
-    mount_at(&mut sys, vfs_loaded.slot, &ramfs_loaded, "/").expect("mount");
-    install_journal(
-        &mut sys,
-        vfs_loaded.cid,
-        ramfs_loaded.cid,
-        ramfs_loaded.slot,
-        STORM_JOURNAL_PAGES,
-    )
-    .expect("install journal");
+    let fs = boot_fs(&mut sys, &base, Some(STORM_JOURNAL_PAGES)).expect("boot_fs");
     let app = sys
         .load(
             ComponentImage::new("SQLITE", CodeImage::plain(4096)).heap_pages(128),
@@ -636,18 +616,14 @@ fn boot_sql_stack() -> SqlStack {
     SqlStack {
         sys,
         app: app.cid,
-        vfs: VfsProxy::resolve(&vfs_loaded).expect("vfs proxy"),
-        vfs_cid: vfs_loaded.cid,
-        ramfs_cid: ramfs_loaded.cid,
-        ramfs_slot: ramfs_loaded.slot,
+        fs,
     }
 }
 
 fn open_storm_db(stack: &mut SqlStack, plan: &SharedPlan) -> cubicle_sqldb::Result<Database> {
-    let (app, vfs, ramfs) = (stack.app, stack.vfs, stack.ramfs_cid);
-    let plan = plan.clone();
-    stack.sys.run_in_cubicle(app, move |sys| {
-        let port = VfsPort::new(sys, vfs, &[ramfs]).map_err(SqlError::Kernel)?;
+    let (fs, plan) = (stack.fs, plan.clone());
+    stack.sys.run_in_cubicle(stack.app, move |sys| {
+        let port = fs.port(sys).map_err(SqlError::Kernel)?;
         let env = CrashEnv {
             inner: CubicleEnv::new(port),
             plan,
@@ -934,7 +910,7 @@ pub fn run_crash_campaign(seed: u64, injections: usize) -> CrashReport {
         assert!(!observed.crashed, "observe run must not crash");
         let journal_appends = stack
             .sys
-            .with_component_mut::<Ramfs, _>(stack.ramfs_slot, |fs, _| {
+            .with_component_mut::<Ramfs, _>(stack.fs.ramfs_slot, |fs, _| {
                 fs.journal().map_or(0, |j| j.appends)
             })
             .expect("ramfs slot");
@@ -978,7 +954,7 @@ pub fn run_crash_campaign(seed: u64, injections: usize) -> CrashReport {
             let k = rng.range_u64(0, journal_appends.max(1));
             stack
                 .sys
-                .with_component_mut::<Ramfs, _>(stack.ramfs_slot, |fs, _| {
+                .with_component_mut::<Ramfs, _>(stack.fs.ramfs_slot, |fs, _| {
                     fs.set_journal_crash_after(Some(k));
                 })
                 .expect("ramfs slot");
@@ -1001,7 +977,7 @@ pub fn run_crash_campaign(seed: u64, injections: usize) -> CrashReport {
 
         // Blast radius: exactly the expected offender is quarantined.
         let offender = if point == CrashPoint::MidRamfsJournalAppend {
-            stack.ramfs_cid
+            stack.fs.ramfs_cid
         } else {
             stack.app
         };
@@ -1009,7 +985,7 @@ pub fn run_crash_campaign(seed: u64, injections: usize) -> CrashReport {
             report.violation(step, point, "crash did not quarantine the offender");
             continue;
         }
-        for cid in [stack.app, stack.vfs_cid, stack.ramfs_cid] {
+        for cid in [stack.app, stack.fs.vfs_cid, stack.fs.ramfs_cid] {
             if cid != offender && stack.sys.cubicle(cid).is_quarantined() {
                 report.violation(step, point, &format!("fault cascaded into {cid:?}"));
             }

@@ -22,7 +22,7 @@
 //! bit-identical comparison.
 
 use cubicle_core::{CubicleError, IsolationMode, Result, System, SystemConfig};
-use cubicle_httpd::{boot_web, HttpResponse, WebDeployment, HTTP_PORT};
+use cubicle_httpd::{boot_web, HttpResponse, WebConfig, WebDeployment, HTTP_PORT};
 use cubicle_mpk::CoreScheduler;
 use cubicle_net::{SimClient, WireModel};
 
@@ -292,10 +292,7 @@ pub fn run_siege(dep: &mut WebDeployment, cfg: &MtConfig) -> Result<MtOutcome> {
 /// # Errors
 ///
 /// Boot or siege failures.
-pub fn boot_and_siege(
-    config: impl Into<SystemConfig>,
-    cfg: &MtConfig,
-) -> Result<(MtOutcome, System)> {
+pub fn boot_and_siege(config: impl Into<WebConfig>, cfg: &MtConfig) -> Result<(MtOutcome, System)> {
     let mut dep = boot_web(config)?;
     prepare_web_files(&mut dep)?;
     let outcome = run_siege(&mut dep, cfg)?;

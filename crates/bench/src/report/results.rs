@@ -34,6 +34,18 @@ pub struct BenchEntry {
     pub sim_cycles: u64,
 }
 
+/// The nearest directory at or above `start` whose `Cargo.toml` has a
+/// `[workspace]` table.
+pub fn workspace_root(start: &Path) -> Option<PathBuf> {
+    start
+        .ancestors()
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|toml| toml.lines().any(|line| line.trim() == "[workspace]"))
+        })
+        .map(Path::to_path_buf)
+}
+
 /// A set of results, merged into `BENCH_results.json` on save.
 #[derive(Default, Debug)]
 pub struct BenchResults {
@@ -47,12 +59,18 @@ impl BenchResults {
     }
 
     /// The default output path: `$CUBICLE_BENCH_OUT` if set, otherwise
-    /// `BENCH_results.json` at the workspace root.
+    /// `BENCH_results.json` at the [`workspace_root`] above the current
+    /// directory (or in the current directory, outside any workspace).
+    /// The root is looked up when the program runs, so a bench built in
+    /// one checkout writes into the checkout it runs in.
     pub fn default_path() -> PathBuf {
-        match std::env::var_os("CUBICLE_BENCH_OUT") {
-            Some(p) => PathBuf::from(p),
-            None => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_results.json"),
+        if let Some(p) = std::env::var_os("CUBICLE_BENCH_OUT") {
+            return PathBuf::from(p);
         }
+        let cwd = std::env::current_dir().unwrap_or_default();
+        workspace_root(&cwd)
+            .unwrap_or(cwd)
+            .join("BENCH_results.json")
     }
 
     /// Records one benchmark.
@@ -391,6 +409,25 @@ mod tests {
         let names: Vec<_> = merged.entries().iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["a", "b", "c"]);
         assert_eq!(merged.entries()[1].wall_ns, 25, "entry b was replaced");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn workspace_root_is_the_nearest_manifest_with_a_workspace_table() {
+        let dir = std::env::temp_dir().join(format!("bench_root_{}", std::process::id()));
+        let member = dir.join("crates/bench");
+        std::fs::create_dir_all(member.join("src")).unwrap();
+        std::fs::write(
+            dir.join("Cargo.toml"),
+            "[workspace]\nmembers = [\"crates/*\"]\n",
+        )
+        .unwrap();
+        std::fs::write(
+            member.join("Cargo.toml"),
+            "[package]\n[workspace.package]\n",
+        )
+        .unwrap();
+        assert_eq!(workspace_root(&member.join("src")), Some(dir.clone()));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,11 +1,11 @@
 //! Deployment boot and a siege-like load driver (paper §6.3).
 
 use crate::server::{image as nginx_image, Httpd, HttpdProxy};
-use cubicle_core::{CubicleError, CubicleId, Result, System, SystemConfig};
+use cubicle_core::{CubicleError, CubicleId, IsolationMode, Result, System, SystemConfig};
 use cubicle_net::{boot_net, NetStack, SimClient, WireModel};
-use cubicle_ramfs::{mount_at, Ramfs};
+use cubicle_ramfs::boot_fs;
 use cubicle_ukbase::{boot_base, BaseSystem};
-use cubicle_vfs::{flags, Vfs, VfsPort, VfsProxy};
+use cubicle_vfs::{flags, VfsPort, VfsProxy};
 
 /// The fully booted NGINX deployment: the 8-partition component graph of
 /// Figure 5 (NGINX, LWIP, NETDEV, VFSCORE, RAMFS, PLAT, ALLOC, TIME +
@@ -21,14 +21,10 @@ pub struct WebDeployment {
     pub base: BaseSystem,
     /// `VFSCORE` proxy (for file population).
     pub vfs: VfsProxy,
-    /// `VFSCORE`'s cubicle (the RAMFS journal's custodian).
-    pub vfs_cid: CubicleId,
     /// Registry slot of `VFSCORE` (statistics).
     pub vfs_slot: usize,
     /// The file-system backend cubicle.
     pub ramfs_cid: CubicleId,
-    /// Registry slot of the file-system backend (journal wiring).
-    pub ramfs_slot: usize,
     /// Registry slot of the server (statistics).
     pub httpd_slot: usize,
     next_client_port: u16,
@@ -37,28 +33,51 @@ pub struct WebDeployment {
 /// HTTP server port used by the deployment.
 pub const HTTP_PORT: u16 = 80;
 
-/// Boots the full web deployment on a kernel built with `config` — an
-/// [`cubicle_core::IsolationMode`] alone, or a full [`SystemConfig`].
+/// How [`boot_web`] builds the deployment. An [`IsolationMode`] or a
+/// [`SystemConfig`] converts into one with no RAMFS journal, which is how
+/// every shipped stack boots.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct WebConfig {
+    /// The kernel's configuration.
+    pub system: SystemConfig,
+    /// Pages of the RAMFS redo journal kept by `VFSCORE`
+    /// ([`cubicle_ramfs::boot_fs`]); with one, a microrebooted RAMFS
+    /// comes back with its files, so NGINX keeps serving them.
+    pub ramfs_journal_pages: Option<usize>,
+}
+
+impl From<SystemConfig> for WebConfig {
+    fn from(system: SystemConfig) -> WebConfig {
+        WebConfig {
+            system,
+            ramfs_journal_pages: None,
+        }
+    }
+}
+
+impl From<IsolationMode> for WebConfig {
+    fn from(mode: IsolationMode) -> WebConfig {
+        SystemConfig::from(mode).into()
+    }
+}
+
+/// Boots the full web deployment as `config` says — an
+/// [`IsolationMode`] alone, a full [`SystemConfig`], or a [`WebConfig`].
 ///
 /// # Errors
 ///
 /// Loader or initialisation failures.
-pub fn boot_web(config: impl Into<SystemConfig>) -> Result<WebDeployment> {
-    let mut sys = System::new(config);
+pub fn boot_web(config: impl Into<WebConfig>) -> Result<WebDeployment> {
+    let config = config.into();
+    let mut sys = System::new(config.system);
     let base = boot_base(&mut sys)?;
-    let vfs_loaded = sys.load(cubicle_vfs::image(), Box::new(Vfs::default()))?;
-    let ramfs_loaded = sys.load(cubicle_ramfs::image(), Box::new(Ramfs::default()))?;
-    sys.with_component_mut::<Ramfs, _>(ramfs_loaded.slot, |fs, _| fs.set_alloc(base.alloc))
-        .expect("ramfs slot");
-    mount_at(&mut sys, vfs_loaded.slot, &ramfs_loaded, "/")?;
+    let fs = boot_fs(&mut sys, &base, config.ramfs_journal_pages)?;
     let net = boot_net(&mut sys)?;
-    let vfs = VfsProxy::resolve(&vfs_loaded)?;
 
     let nginx_loaded = sys.load(nginx_image(), Box::new(Httpd::default()))?;
     let httpd = HttpdProxy::resolve(&nginx_loaded)?;
-    let ramfs_cid = ramfs_loaded.cid;
     sys.with_component_mut::<Httpd, _>(nginx_loaded.slot, |h, _| {
-        h.set_wiring(net.lwip, vfs, &[ramfs_cid]);
+        h.set_wiring(net.lwip, fs.vfs, &[fs.ramfs_cid]);
         h.set_observability(base.time, base.plat);
     })
     .expect("nginx slot");
@@ -74,35 +93,15 @@ pub fn boot_web(config: impl Into<SystemConfig>) -> Result<WebDeployment> {
         httpd,
         net,
         base,
-        vfs,
-        vfs_cid: vfs_loaded.cid,
-        vfs_slot: vfs_loaded.slot,
-        ramfs_cid,
-        ramfs_slot: ramfs_loaded.slot,
+        vfs: fs.vfs,
+        vfs_slot: fs.vfs_slot,
+        ramfs_cid: fs.ramfs_cid,
         httpd_slot: nginx_loaded.slot,
         next_client_port: 40_000,
     })
 }
 
 impl WebDeployment {
-    /// Wires a crash-surviving inode journal into `RAMFS`, custodied by
-    /// `VFSCORE`: after this, a quarantined-and-microrebooted `RAMFS`
-    /// replays its namespace instead of coming back empty, and NGINX
-    /// keeps serving pre-crash content without re-population.
-    ///
-    /// # Errors
-    ///
-    /// Kernel errors from the allocation, window or format path.
-    pub fn enable_ramfs_journal(&mut self, pages: usize) -> Result<cubicle_mpk::VAddr> {
-        cubicle_ramfs::install_journal(
-            &mut self.sys,
-            self.vfs_cid,
-            self.ramfs_cid,
-            self.ramfs_slot,
-            pages,
-        )
-    }
-
     /// Creates a file in the document root (runs in the server cubicle,
     /// like an admin populating the image).
     ///

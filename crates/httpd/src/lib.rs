@@ -13,5 +13,5 @@
 mod driver;
 mod server;
 
-pub use driver::{boot_web, HttpResponse, WebDeployment, HTTP_PORT};
+pub use driver::{boot_web, HttpResponse, WebConfig, WebDeployment, HTTP_PORT};
 pub use server::{image, Httpd, HttpdProxy, IO_BUF};

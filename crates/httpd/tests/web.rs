@@ -1,7 +1,8 @@
 //! End-to-end HTTP tests over the full 8-partition deployment.
 
 use cubicle_core::{IsolationMode, SystemConfig};
-use cubicle_httpd::{boot_web, WebDeployment};
+use cubicle_httpd::{boot_web, WebConfig, WebDeployment};
+use cubicle_mpk::VAddr;
 use cubicle_net::WireModel;
 
 fn fast_wire() -> WireModel {
@@ -293,4 +294,32 @@ fn sendfile_map_is_revoked_when_the_file_changes() {
     let (_l, r) = dep.fetch("/data.bin", fast_wire()).unwrap();
     assert_eq!(r.body, v2, "fetch after rewrite serves the new bytes");
     dep.sys.audit().assert_clean("after sendfile revocation");
+}
+
+/// The journal is chosen when the deployment is built: after RAMFS is
+/// quarantined and microrebooted, NGINX serves the same bytes with no
+/// re-put.
+#[test]
+fn a_journaled_stack_serves_the_same_bytes_after_a_ramfs_microreboot() {
+    let mut dep = boot_web(WebConfig {
+        system: SystemConfig {
+            fault_containment: true,
+            ..IsolationMode::Full.into()
+        },
+        ramfs_journal_pages: Some(64),
+    })
+    .unwrap();
+    let body: Vec<u8> = (0..8_192u32).map(|i| (i % 253) as u8).collect();
+    dep.put_file("/index.html", &body).unwrap();
+    let ramfs = dep.ramfs_cid;
+    let wild = dep
+        .sys
+        .run_in_cubicle(ramfs, |sys| sys.read_vec(VAddr::new(0x0FFF_0000), 8));
+    assert!(wild.is_err() && dep.sys.cubicle(ramfs).is_quarantined());
+    dep.sys.restart(ramfs).unwrap();
+    assert_eq!(dep.sys.stats().ramfs_journal_replays, 1);
+    let (_, resp) = dep.fetch("/index.html", fast_wire()).unwrap();
+    assert_eq!(resp.status, 200);
+    assert!(resp.body == body, "the same bytes, with no re-put");
+    assert!(dep.sys.audit().is_clean());
 }

@@ -73,8 +73,8 @@ pub struct MachineStats {
 /// Per-core event counters (host-side observability; no simulated-cycle
 /// effect). The machine keeps one of these per simulated core so that
 /// multi-core runs can attribute TLB behaviour, PKRU churn and cross-call
-/// pressure to the core that caused it. On a single-core machine the core-0
-/// counters mirror the corresponding [`MachineStats`] fields.
+/// pressure to the core that caused it. The matching [`MachineStats`]
+/// fields are these counters summed over the cores.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CoreStats {
     /// Software-TLB hits on this core.
@@ -279,6 +279,8 @@ pub struct Machine {
     pkru: Pkru,
     cycles: u64,
     cost: CostModel,
+    /// Machine-wide counters. The TLB and `wrpkru` fields stay zero here:
+    /// those events count once, in the per-core counters.
     stats: MachineStats,
     /// Models the paper's proposed hardware modification (§5.5): "whenever
     /// read and write access is disabled \[for a key\], execution is too".
@@ -538,9 +540,22 @@ impl Machine {
         self.cycles += cycles;
     }
 
-    /// Event counters.
+    /// Event counters. The TLB and `wrpkru` counts are kept once, per
+    /// core, and summed here over the current core and the parked ones.
     pub fn stats(&self) -> MachineStats {
-        self.stats
+        let mut stats = self.stats;
+        let parked = self
+            .cores
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != self.cur)
+            .map(|(_, core)| &core.stats);
+        for core in std::iter::once(&self.cur_stats).chain(parked) {
+            stats.tlb_hits += core.tlb_hits;
+            stats.tlb_misses += core.tlb_misses;
+            stats.wrpkru += core.wrpkru;
+        }
+        stats
     }
 
     // ---------------------------------------------------------------------
@@ -608,14 +623,12 @@ impl Machine {
                     }
                 };
                 if granted {
-                    self.stats.tlb_hits += 1;
                     self.cur_stats.tlb_hits += 1;
                     return Ok((e.chunk as usize, e.slot as usize));
                 }
                 // Cached but denied: fall through to the walk so the
                 // fault carries the precise kind (Permission vs key).
             }
-            self.stats.tlb_misses += 1;
             self.cur_stats.tlb_misses += 1;
         }
         self.walk(page, access, fault_addr)
@@ -902,7 +915,6 @@ impl Machine {
     pub fn set_pkru(&mut self, pkru: Pkru) {
         self.pkru = pkru;
         self.cycles += self.cost.wrpkru;
-        self.stats.wrpkru += 1;
         self.cur_stats.wrpkru += 1;
     }
 
@@ -1728,6 +1740,27 @@ mod tests {
         let misses_before = m.core_stats(1).tlb_misses;
         m.write(a, b"yo").unwrap();
         assert!(m.core_stats(1).tlb_misses > misses_before);
+    }
+
+    #[test]
+    fn machine_stats_sum_the_cores() {
+        let mut m = Machine::new();
+        let a = rw_page(&mut m, 0x1000, 1);
+        m.set_pkru(Pkru::allow_all());
+        m.read(a, &mut [0; 8]).unwrap();
+        m.set_num_cores(3);
+        m.switch_to_core(2);
+        m.set_pkru(Pkru::allow_all());
+        m.write(a, b"c2").unwrap();
+        m.read(a, &mut [0; 2]).unwrap();
+        m.switch_to_core(1);
+        let s = m.stats();
+        let cores: Vec<CoreStats> = (0..3).map(|i| m.core_stats(i)).collect();
+        let sum = |f: fn(&CoreStats) -> u64| cores.iter().map(f).sum::<u64>();
+        assert_eq!(s.tlb_hits, sum(|c| c.tlb_hits));
+        assert_eq!(s.tlb_misses, sum(|c| c.tlb_misses));
+        assert_eq!(s.wrpkru, sum(|c| c.wrpkru));
+        assert_eq!((s.wrpkru, s.tlb_misses, s.tlb_hits), (2, 2, 1));
     }
 
     #[test]

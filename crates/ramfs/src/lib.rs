@@ -14,14 +14,17 @@
 //! pool, refilled in coarse chunks from the system-wide `ALLOC` cubicle —
 //! reproducing Figure 8's sparse `RAMFS → ALLOC` edge.
 //!
-//! Crash consistency: [`install_journal`] places a redo journal of the
-//! inode table and file extents ([`journal`]) in pages owned by a
-//! *custodian* cubicle (normally `VFSCORE`), reachable through a window
-//! that survives a `RAMFS` quarantine. The restart hook replays it, so a
+//! [`boot_fs`] builds the storage stack every deployment uses: `VFSCORE`,
+//! then `RAMFS` wired to `ALLOC` and mounted at `/`.
+//!
+//! Crash consistency: asked at build time, [`boot_fs`] places a redo
+//! journal of the inode table and file extents ([`journal`]) in pages
+//! owned by `VFSCORE` (the *custodian*), reachable through a window that
+//! survives a `RAMFS` quarantine. The restart hook replays it, so a
 //! microrebooted `RAMFS` comes back with its files instead of empty —
 //! see DESIGN.md §6k and `tests/journal_reboot.rs`.
 
 pub mod journal;
 mod ramfs;
 
-pub use ramfs::{fs_ops, image, install_journal, mount_at, Ramfs, POOL_CHUNK_PAGES};
+pub use ramfs::{boot_fs, fs_ops, image, mount_at, FsStack, Ramfs, POOL_CHUNK_PAGES};

@@ -8,9 +8,9 @@ use cubicle_core::{
 };
 use cubicle_mpk::insn::CodeImage;
 use cubicle_mpk::{VAddr, PAGE_SIZE};
-use cubicle_ukbase::AllocProxy;
+use cubicle_ukbase::{AllocProxy, BaseSystem};
 use cubicle_vfs::path::components;
-use cubicle_vfs::{flags, FsOps, Vfs};
+use cubicle_vfs::{flags, FsOps, Vfs, VfsPort, VfsProxy};
 
 use crate::journal::{AppendOutcome, Journal, JournalRecord};
 
@@ -55,7 +55,7 @@ pub struct Ramfs {
     pub pages_used: u64,
     /// Live sendfile windows by inode (`map_extents`/`unmap_extents`).
     sendfile_maps: HashMap<i64, SendfileMap>,
-    /// Redo journal in custodian-owned pages ([`install_journal`]).
+    /// Redo journal in custodian-owned pages ([`boot_fs`]).
     journal: Option<Journal>,
 }
 
@@ -432,38 +432,25 @@ impl Ramfs {
     }
 }
 
-/// Wires a crash-surviving journal into a loaded `RAMFS`: `custodian`
-/// (any cubicle that outlives `RAMFS` quarantines — typically `VFSCORE`)
-/// allocates `pages` pages, opens a window over them for `RAMFS`, and
-/// formats the region; `RAMFS` then journals every namespace mutation
-/// through that window ahead of applying it. Returns the region base.
-///
-/// # Errors
-///
-/// Kernel errors from the allocation, window or format path.
-///
-/// # Panics
-///
-/// Panics when `ramfs_slot` does not hold a [`Ramfs`] component.
-pub fn install_journal(
-    sys: &mut System,
-    custodian: CubicleId,
-    ramfs_cid: CubicleId,
-    ramfs_slot: usize,
-    pages: usize,
-) -> Result<VAddr> {
-    let base = sys.run_in_cubicle(custodian, |sys| -> Result<VAddr> {
+/// Wires a crash-surviving journal into the stack's `RAMFS`: `VFSCORE`,
+/// which outlives `RAMFS` quarantines, allocates `pages` pages, opens a
+/// window over them for `RAMFS`, and formats the region; `RAMFS` then
+/// journals every namespace mutation through that window ahead of
+/// applying it.
+fn install_journal(sys: &mut System, fs: &FsStack, pages: usize) -> Result<()> {
+    let ramfs_cid = fs.ramfs_cid;
+    let base = sys.run_in_cubicle(fs.vfs_cid, |sys| -> Result<VAddr> {
         let base = sys.alloc_pages(pages);
         sys.share(&[(base, pages * PAGE_SIZE)], &[ramfs_cid])?;
         // The custodian formats its own pages directly.
         Journal::new(base, pages).format(sys)?;
         Ok(base)
     })?;
-    sys.with_component_mut::<Ramfs, _>(ramfs_slot, |fs, _| {
-        fs.journal = Some(Journal::new(base, pages));
+    sys.with_component_mut::<Ramfs, _>(fs.ramfs_slot, |ramfs, _| {
+        ramfs.journal = Some(Journal::new(base, pages));
     })
     .expect("ramfs slot holds the Ramfs component");
-    Ok(base)
+    Ok(())
 }
 
 /// Builds the loadable `RAMFS` image.
@@ -572,6 +559,74 @@ pub fn mount_at(
     sys.with_component_mut::<Vfs, _>(vfs_slot, |vfs, _| vfs.mount(prefix, ops))
         .expect("vfs slot holds the Vfs component");
     Ok(())
+}
+
+/// The storage stack [`boot_fs`] builds: `VFSCORE` with one `RAMFS`
+/// mounted at `/`.
+#[derive(Clone, Copy, Debug)]
+pub struct FsStack {
+    /// `VFSCORE`'s entry points.
+    pub vfs: VfsProxy,
+    /// `VFSCORE`'s cubicle (the journal's custodian).
+    pub vfs_cid: CubicleId,
+    /// Registry slot of `VFSCORE`.
+    pub vfs_slot: usize,
+    /// The `RAMFS` cubicle.
+    pub ramfs_cid: CubicleId,
+    /// Registry slot of `RAMFS`.
+    pub ramfs_slot: usize,
+    ops: FsOps,
+}
+
+impl FsStack {
+    /// Mounts the same `RAMFS` at one more `prefix`.
+    pub fn mount(&self, sys: &mut System, prefix: &str) {
+        sys.with_component_mut::<Vfs, _>(self.vfs_slot, |vfs, _| vfs.mount(prefix, self.ops))
+            .expect("vfs slot holds the Vfs component");
+    }
+
+    /// Opens a file port onto this stack for the current cubicle.
+    ///
+    /// # Errors
+    ///
+    /// As [`VfsPort::new`].
+    pub fn port(&self, sys: &mut System) -> Result<VfsPort> {
+        VfsPort::new(sys, self.vfs, &[self.ramfs_cid])
+    }
+}
+
+/// Builds the storage stack on `base`, in boot order: loads `VFSCORE`,
+/// loads `RAMFS`, gives it the `ALLOC` proxy and mounts it at `/`. With
+/// `Some(pages)`, `RAMFS` also gets a redo journal of that many pages
+/// kept by `VFSCORE` (DESIGN.md §6k): durability is chosen when the
+/// stack is built, never after boot.
+///
+/// # Errors
+///
+/// Loader errors, and kernel errors from the journal's allocation,
+/// window or format path.
+pub fn boot_fs(
+    sys: &mut System,
+    base: &BaseSystem,
+    journal_pages: Option<usize>,
+) -> Result<FsStack> {
+    let vfs = sys.load(cubicle_vfs::image(), Box::new(Vfs::default()))?;
+    let ramfs = sys.load(image(), Box::new(Ramfs::default()))?;
+    sys.with_component_mut::<Ramfs, _>(ramfs.slot, |fs, _| fs.set_alloc(base.alloc))
+        .expect("ramfs slot holds the Ramfs component");
+    let fs = FsStack {
+        vfs: VfsProxy::resolve(&vfs)?,
+        vfs_cid: vfs.cid,
+        vfs_slot: vfs.slot,
+        ramfs_cid: ramfs.cid,
+        ramfs_slot: ramfs.slot,
+        ops: fs_ops(&ramfs)?,
+    };
+    fs.mount(sys, "/");
+    if let Some(pages) = journal_pages {
+        install_journal(sys, &fs, pages)?;
+    }
+    Ok(fs)
 }
 
 fn read_rel_path(sys: &mut System, args: &[Value]) -> Result<std::result::Result<String, i64>> {
@@ -924,7 +979,8 @@ fn e_sync(sys: &mut System, _this: &mut dyn Component, _args: &[Value]) -> Resul
 /// The sync step behind `ramfs_sync` and a [`flags::RWF_DSYNC`]
 /// `ramfs_write` → 0 or `-errno`. RAM-backed: there is nothing to flush,
 /// so it charges its work and succeeds; the crossing that reaches it is
-/// the cost the paper measures.
+/// the cost the paper measures. With a journal ([`boot_fs`]) every store
+/// is already journaled before its write returns.
 fn sync_file(sys: &mut System) -> i64 {
     sys.charge(RAMFS_OP_COST / 2);
     0

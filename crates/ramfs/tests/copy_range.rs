@@ -7,9 +7,9 @@ use cubicle_core::{
 };
 use cubicle_mpk::insn::CodeImage;
 use cubicle_mpk::VAddr;
-use cubicle_ramfs::{install_journal, mount_at, Ramfs};
+use cubicle_ramfs::{boot_fs, FsStack};
 use cubicle_ukbase::boot_base;
-use cubicle_vfs::{flags, Vfs, VfsPort, VfsProxy, IOV_ENTRY_SIZE, IOV_MAX};
+use cubicle_vfs::{flags, VfsPort, IOV_ENTRY_SIZE, IOV_MAX};
 
 struct App;
 impl_component!(App);
@@ -18,32 +18,20 @@ struct Stack {
     sys: System,
     app: CubicleId,
     peer: CubicleId,
-    vfs: VfsProxy,
-    ramfs: CubicleId,
+    fs: FsStack,
 }
 
 /// RAMFS mounted at `/` and again at `/mnt`, plus a peer cubicle for
-/// sendfile mappings; `journal_pages > 0` gives RAMFS a redo journal
-/// kept by `VFSCORE`.
-fn boot(journal_pages: usize) -> Stack {
+/// sendfile mappings; `Some(pages)` gives RAMFS a redo journal kept by
+/// `VFSCORE`.
+fn boot(journal_pages: Option<usize>) -> Stack {
     let mut sys = System::new(SystemConfig {
         fault_containment: true,
         ..IsolationMode::Full.into()
     });
     let base = boot_base(&mut sys).unwrap();
-    let vfs = sys
-        .load(cubicle_vfs::image(), Box::new(Vfs::default()))
-        .unwrap();
-    let ramfs = sys
-        .load(cubicle_ramfs::image(), Box::new(Ramfs::default()))
-        .unwrap();
-    sys.with_component_mut::<Ramfs, _>(ramfs.slot, |fs, _| fs.set_alloc(base.alloc))
-        .unwrap();
-    mount_at(&mut sys, vfs.slot, &ramfs, "/").unwrap();
-    mount_at(&mut sys, vfs.slot, &ramfs, "/mnt").unwrap();
-    if journal_pages > 0 {
-        install_journal(&mut sys, vfs.cid, ramfs.cid, ramfs.slot, journal_pages).unwrap();
-    }
+    let fs = boot_fs(&mut sys, &base, journal_pages).unwrap();
+    fs.mount(&mut sys, "/mnt");
     let app = sys
         .load(
             ComponentImage::new("APP", CodeImage::plain(4096)).heap_pages(64),
@@ -61,15 +49,14 @@ fn boot(journal_pages: usize) -> Stack {
         sys,
         app: app.cid,
         peer: peer.cid,
-        vfs: VfsProxy::resolve(&vfs).unwrap(),
-        ramfs: ramfs.cid,
+        fs,
     }
 }
 
 fn with_port<T>(stack: &mut Stack, f: impl FnOnce(&mut System, &VfsPort) -> T) -> T {
-    let (app, vfs, ramfs) = (stack.app, stack.vfs, stack.ramfs);
-    stack.sys.run_in_cubicle(app, move |sys| {
-        let port = VfsPort::new(sys, vfs, &[ramfs]).unwrap();
+    let fs = stack.fs;
+    stack.sys.run_in_cubicle(stack.app, move |sys| {
+        let port = fs.port(sys).unwrap();
         f(sys, &port)
     })
 }
@@ -108,7 +95,7 @@ fn pattern(len: usize, salt: u8) -> Vec<u8> {
 
 #[test]
 fn argument_errors() {
-    let mut stack = boot(0);
+    let mut stack = boot(None);
     with_port(&mut stack, |sys, port| {
         let src = put(sys, port, "/src", &pattern(100, 1));
         let dst = open(sys, port, "/dst");
@@ -144,7 +131,7 @@ fn argument_errors() {
 
 #[test]
 fn short_count_at_source_eof() {
-    let mut stack = boot(0);
+    let mut stack = boot(None);
     with_port(&mut stack, |sys, port| {
         let data = pattern(5_000, 2);
         let src = put(sys, port, "/src", &data);
@@ -162,7 +149,7 @@ fn short_count_at_source_eof() {
 
 #[test]
 fn growing_past_a_gap_zero_fills() {
-    let mut stack = boot(0);
+    let mut stack = boot(None);
     with_port(&mut stack, |sys, port| {
         let data = pattern(3_000, 3);
         let src = put(sys, port, "/src", &data);
@@ -178,7 +165,7 @@ fn growing_past_a_gap_zero_fills() {
 
 #[test]
 fn overlapping_copy_within_one_file() {
-    let mut stack = boot(0);
+    let mut stack = boot(None);
     with_port(&mut stack, |sys, port| {
         let data = pattern(9_000, 4);
         let fd = put(sys, port, "/f", &data);
@@ -199,7 +186,7 @@ fn overlapping_copy_within_one_file() {
 /// Maps `/dst` (two pages) to the peer, runs `grow`, and reports whether
 /// the peer can still read the first extent page.
 fn mapping_survives(grow: impl FnOnce(&mut System, &VfsPort, i64, i64) -> i64) -> bool {
-    let mut stack = boot(0);
+    let mut stack = boot(None);
     let peer = stack.peer;
     let (first, grew) = with_port(&mut stack, |sys, port| {
         let src = put(sys, port, "/src", &pattern(4_096, 5));
@@ -236,7 +223,7 @@ fn growing_copy_revokes_sendfile_mapping_like_a_growing_write() {
 
 #[test]
 fn journaled_copy_survives_microreboot_and_replay() {
-    let mut stack = boot(16);
+    let mut stack = boot(Some(16));
     let data = pattern(10_000, 7);
     let want = with_port(&mut stack, |sys, port| {
         let src = put(sys, port, "/src", &data);
@@ -256,7 +243,7 @@ fn journaled_copy_survives_microreboot_and_replay() {
     dst_want.extend_from_slice(&data);
     assert_eq!(want.1, dst_want);
 
-    let ramfs = stack.ramfs;
+    let ramfs = stack.fs.ramfs_cid;
     let wild = stack
         .sys
         .run_in_cubicle(ramfs, |sys| sys.read_vec(VAddr::new(0x0FFF_0000), 8));

@@ -6,9 +6,9 @@ use cubicle_core::{
     impl_component, ComponentImage, CubicleError, CubicleId, Errno, IsolationMode, System,
 };
 use cubicle_mpk::insn::CodeImage;
-use cubicle_ramfs::{mount_at, Ramfs};
-use cubicle_ukbase::{boot_base, BaseSystem};
-use cubicle_vfs::{flags, whence, Vfs, VfsPort, VfsProxy};
+use cubicle_ramfs::{boot_fs, FsStack};
+use cubicle_ukbase::boot_base;
+use cubicle_vfs::{flags, whence, VfsPort};
 
 struct App;
 impl_component!(App);
@@ -16,24 +16,13 @@ impl_component!(App);
 struct Stack {
     sys: System,
     app: CubicleId,
-    vfs: VfsProxy,
-    backends: Vec<CubicleId>,
-    #[allow(dead_code)]
-    base: BaseSystem,
+    fs: FsStack,
 }
 
 fn boot(mode: IsolationMode) -> Stack {
     let mut sys = System::new(mode);
     let base = boot_base(&mut sys).unwrap();
-    let vfs_loaded = sys
-        .load(cubicle_vfs::image(), Box::new(Vfs::default()))
-        .unwrap();
-    let ramfs_loaded = sys
-        .load(cubicle_ramfs::image(), Box::new(Ramfs::default()))
-        .unwrap();
-    sys.with_component_mut::<Ramfs, _>(ramfs_loaded.slot, |fs, _| fs.set_alloc(base.alloc))
-        .unwrap();
-    mount_at(&mut sys, vfs_loaded.slot, &ramfs_loaded, "/").unwrap();
+    let fs = boot_fs(&mut sys, &base, None).unwrap();
     let app = sys
         .load(
             ComponentImage::new("APP", CodeImage::plain(4096)).heap_pages(64),
@@ -44,16 +33,14 @@ fn boot(mode: IsolationMode) -> Stack {
     Stack {
         sys,
         app: app.cid,
-        vfs: VfsProxy::resolve(&vfs_loaded).unwrap(),
-        backends: vec![ramfs_loaded.cid],
-        base,
+        fs,
     }
 }
 
 fn with_port<T>(stack: &mut Stack, f: impl FnOnce(&mut System, &VfsPort) -> T) -> T {
-    let (app, vfs, backends) = (stack.app, stack.vfs, stack.backends.clone());
-    stack.sys.run_in_cubicle(app, move |sys| {
-        let port = VfsPort::new(sys, vfs, &backends).unwrap();
+    let fs = stack.fs;
+    stack.sys.run_in_cubicle(stack.app, move |sys| {
+        let port = fs.port(sys).unwrap();
         f(sys, &port)
     })
 }
@@ -354,7 +341,7 @@ fn refused_vectored_call_leaves_no_window_or_iov_behind() {
     // half-way through publishing the vector; the port must still
     // destroy the window and free the iov staging it allocated.
     let mut stack = boot(IsolationMode::Full);
-    let ramfs_cid = stack.backends[0];
+    let ramfs_cid = stack.fs.ramfs_cid;
     let foreign = stack.sys.heap_alloc_for(ramfs_cid, 4096, 4096).unwrap();
     let app = stack.app;
     with_port(&mut stack, |sys, port| {
@@ -384,7 +371,7 @@ fn refused_vectored_call_leaves_no_window_or_iov_behind() {
 #[test]
 fn failed_port_calls_free_their_scratch_heap() {
     let mut stack = boot(IsolationMode::Full);
-    let (app, vfs) = (stack.app, stack.vfs.cid());
+    let (app, vfs) = (stack.app, stack.fs.vfs_cid);
     with_port(&mut stack, |sys, port| {
         let fd = port
             .open(sys, "/f", flags::O_CREAT | flags::O_RDWR)
@@ -430,8 +417,7 @@ fn overlong_paths_are_einval() {
 #[test]
 fn pwrite_vec_flags_refuse_a_bad_fd_and_unknown_bits() {
     let mut stack = boot(IsolationMode::Full);
-    let ramfs = stack.backends[0];
-    let vfs = stack.vfs.cid();
+    let (ramfs, vfs) = (stack.fs.ramfs_cid, stack.fs.vfs_cid);
     with_port(&mut stack, |sys, port| {
         let fd = port
             .open(sys, "/dsync", flags::O_CREAT | flags::O_RDWR)

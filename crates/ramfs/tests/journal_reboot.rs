@@ -7,9 +7,9 @@ use cubicle_core::{
     impl_component, ComponentImage, CubicleId, Errno, IsolationMode, System, SystemConfig,
 };
 use cubicle_mpk::insn::CodeImage;
-use cubicle_ramfs::{install_journal, mount_at, Ramfs};
-use cubicle_ukbase::{boot_base, BaseSystem};
-use cubicle_vfs::{flags, whence, Vfs, VfsPort, VfsProxy};
+use cubicle_ramfs::{boot_fs, FsStack, Ramfs};
+use cubicle_ukbase::boot_base;
+use cubicle_vfs::{flags, whence, VfsPort};
 
 struct App;
 impl_component!(App);
@@ -17,42 +17,19 @@ impl_component!(App);
 struct Stack {
     sys: System,
     app: CubicleId,
-    vfs: VfsProxy,
-    ramfs_cid: CubicleId,
-    ramfs_slot: usize,
-    backends: Vec<CubicleId>,
-    #[allow(dead_code)]
-    base: BaseSystem,
+    fs: FsStack,
 }
 
 /// Boots APP → VFSCORE → RAMFS → ALLOC with `VFSCORE` acting as the
-/// journal's custodian (`journal_pages == 0` skips the journal — the
-/// pre-journal baseline).
-fn boot(journal_pages: usize) -> Stack {
+/// journal's custodian (`None` skips the journal — the pre-journal
+/// baseline).
+fn boot(journal_pages: Option<usize>) -> Stack {
     let mut sys = System::new(SystemConfig {
         fault_containment: true,
         ..IsolationMode::Full.into()
     });
     let base = boot_base(&mut sys).unwrap();
-    let vfs_loaded = sys
-        .load(cubicle_vfs::image(), Box::new(Vfs::default()))
-        .unwrap();
-    let ramfs_loaded = sys
-        .load(cubicle_ramfs::image(), Box::new(Ramfs::default()))
-        .unwrap();
-    sys.with_component_mut::<Ramfs, _>(ramfs_loaded.slot, |fs, _| fs.set_alloc(base.alloc))
-        .unwrap();
-    mount_at(&mut sys, vfs_loaded.slot, &ramfs_loaded, "/").unwrap();
-    if journal_pages > 0 {
-        install_journal(
-            &mut sys,
-            vfs_loaded.cid,
-            ramfs_loaded.cid,
-            ramfs_loaded.slot,
-            journal_pages,
-        )
-        .unwrap();
-    }
+    let fs = boot_fs(&mut sys, &base, journal_pages).unwrap();
     let app = sys
         .load(
             ComponentImage::new("APP", CodeImage::plain(4096)).heap_pages(64),
@@ -63,18 +40,14 @@ fn boot(journal_pages: usize) -> Stack {
     Stack {
         sys,
         app: app.cid,
-        vfs: VfsProxy::resolve(&vfs_loaded).unwrap(),
-        ramfs_cid: ramfs_loaded.cid,
-        ramfs_slot: ramfs_loaded.slot,
-        backends: vec![ramfs_loaded.cid],
-        base,
+        fs,
     }
 }
 
 fn with_port<T>(stack: &mut Stack, f: impl FnOnce(&mut System, &VfsPort) -> T) -> T {
-    let (app, vfs, backends) = (stack.app, stack.vfs, stack.backends.clone());
-    stack.sys.run_in_cubicle(app, move |sys| {
-        let port = VfsPort::new(sys, vfs, &backends).unwrap();
+    let fs = stack.fs;
+    stack.sys.run_in_cubicle(stack.app, move |sys| {
+        let port = fs.port(sys).unwrap();
         f(sys, &port)
     })
 }
@@ -122,7 +95,7 @@ fn pattern(len: usize, salt: u8) -> Vec<u8> {
 
 #[test]
 fn quarantine_mid_write_then_microreboot_restores_every_file() {
-    let mut stack = boot(16);
+    let mut stack = boot(Some(16));
     let index_body = b"<h1>crash-consistent cubicles</h1>".to_vec();
     let big = pattern(10_000, 0x5A);
 
@@ -143,7 +116,7 @@ fn quarantine_mid_write_then_microreboot_restores_every_file() {
     // Arm the torn-append hook: the next journaled write dies *between*
     // the record bytes and the len update, and the containment policy
     // quarantines RAMFS right there.
-    let slot = stack.ramfs_slot;
+    let slot = stack.fs.ramfs_slot;
     stack
         .sys
         .with_component_mut::<Ramfs, _>(slot, |fs, _| fs.set_journal_crash_after(Some(0)))
@@ -159,7 +132,7 @@ fn quarantine_mid_write_then_microreboot_restores_every_file() {
         "mid-append crash must surface as an error: {denied:?}"
     );
     assert!(
-        stack.sys.cubicle(stack.ramfs_cid).is_quarantined(),
+        stack.sys.cubicle(stack.fs.ramfs_cid).is_quarantined(),
         "wild touch mid-append must quarantine RAMFS"
     );
     assert!(
@@ -169,7 +142,7 @@ fn quarantine_mid_write_then_microreboot_restores_every_file() {
 
     // Microreboot. The restart hook replays the journal under the
     // reborn cubicle's own privileges — nothing is re-put by the test.
-    stack.sys.restart(stack.ramfs_cid).unwrap();
+    stack.sys.restart(stack.fs.ramfs_cid).unwrap();
     assert_eq!(stack.sys.stats().ramfs_journal_replays, 1);
 
     with_port(&mut stack, |sys, port| {
@@ -201,7 +174,7 @@ fn quarantine_mid_write_then_microreboot_restores_every_file() {
 fn journal_compaction_survives_the_reboot() {
     // A 2-page region fills after a handful of 1 KiB writes, forcing
     // snapshot compaction; recovery must replay the *compacted* log.
-    let mut stack = boot(2);
+    let mut stack = boot(Some(2));
     let finale = pattern(1_024, 0x11);
     with_port(&mut stack, |sys, port| {
         for round in 0..8u8 {
@@ -209,7 +182,7 @@ fn journal_compaction_survives_the_reboot() {
         }
         put(sys, port, "/hot.bin", &finale);
     });
-    let slot = stack.ramfs_slot;
+    let slot = stack.fs.ramfs_slot;
     let compactions = stack
         .sys
         .with_component_mut::<Ramfs, _>(slot, |fs, _| fs.journal().map(|j| j.compactions))
@@ -217,7 +190,7 @@ fn journal_compaction_survives_the_reboot() {
         .expect("journal installed");
     assert!(compactions > 0, "the tiny region must have compacted");
 
-    let ramfs = stack.ramfs_cid;
+    let ramfs = stack.fs.ramfs_cid;
     let r = stack.sys.run_in_cubicle(ramfs, |sys| {
         sys.read_vec(cubicle_mpk::VAddr::new(0x0FFF_0000), 8)
     });
@@ -237,11 +210,11 @@ fn journal_compaction_survives_the_reboot() {
 fn without_a_journal_the_reboot_loses_the_tree() {
     // The pre-journal baseline this PR exists to fix: same crash, no
     // custodian region — the microrebooted RAMFS comes back empty.
-    let mut stack = boot(0);
+    let mut stack = boot(None);
     with_port(&mut stack, |sys, port| {
         put(sys, port, "/f", b"volatile");
     });
-    let ramfs = stack.ramfs_cid;
+    let ramfs = stack.fs.ramfs_cid;
     let r = stack.sys.run_in_cubicle(ramfs, |sys| {
         sys.read_vec(cubicle_mpk::VAddr::new(0x0FFF_0000), 8)
     });

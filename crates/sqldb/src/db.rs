@@ -187,6 +187,20 @@ impl Database {
     }
 
     fn execute_stmt(&mut self, sys: &mut System, stmt: Stmt) -> Result<QueryResult> {
+        let out = self.run_stmt(sys, stmt);
+        if out.is_err() && self.explicit_txn && !self.pager.in_txn() {
+            // The pager rolled the transaction back under the failed
+            // statement (a page spill that could not be written), as
+            // SQLite does on an I/O error: the explicit transaction is
+            // over, and a later COMMIT fails instead of committing a
+            // torn transaction.
+            self.explicit_txn = false;
+            let _ = self.load_schema(sys);
+        }
+        out
+    }
+
+    fn run_stmt(&mut self, sys: &mut System, stmt: Stmt) -> Result<QueryResult> {
         match stmt {
             Stmt::Begin => {
                 if self.explicit_txn {
@@ -231,7 +245,9 @@ impl Database {
                 match (&out, auto) {
                     (Ok(_), true) => self.commit(sys)?,
                     (Err(_), true) => {
-                        self.pager.rollback(sys)?;
+                        if self.pager.in_txn() {
+                            self.pager.rollback(sys)?;
+                        }
                         self.load_schema(sys)?;
                     }
                     _ => {}

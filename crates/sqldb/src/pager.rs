@@ -622,7 +622,10 @@ impl Pager {
     ///
     /// # Errors
     ///
-    /// [`SqlError::Transaction`] outside a transaction; I/O errors.
+    /// [`SqlError::Transaction`] outside a transaction; I/O errors. When
+    /// making room in the cache means spilling a dirty page and the spill
+    /// fails, the whole transaction is rolled back before the error
+    /// returns, here and in [`Pager::page_ref`]: no page is dropped.
     ///
     /// # Panics
     ///
@@ -685,24 +688,14 @@ impl Pager {
                 .min_by_key(|(_, e)| e.tick)
                 .map(|(&p, _)| p)
                 .expect("cache non-empty");
-            let entry = self.cache.remove(&victim).expect("present");
-            if entry.dirty {
-                self.stats.evictions += 1;
-                match self.mode {
-                    JournalMode::Rollback => {
-                        self.file
-                            .pwrite(sys, u64::from(victim) * DB_PAGE as u64, &entry.data)?;
-                    }
-                    JournalMode::Wal => {
-                        // Mid-transaction spill: an ordinary (non-commit)
-                        // frame. The db file is never written mid-txn.
-                        let wal = self.wal.as_mut().expect("wal mode");
-                        let off = wal.append_frame(sys, victim, 0, &entry.data)?;
-                        self.txn_index.insert(victim, off);
-                        self.stats.wal_frames += 1;
-                    }
-                }
+            // A dirty victim leaves the cache only once its spill has
+            // landed; a failed spill rolls the transaction back.
+            if let Err(e) = self.spill(sys, victim) {
+                // The spill's error wins over the rollback's.
+                let _ = self.rollback(sys);
+                return Err(e);
             }
+            self.cache.remove(&victim);
         }
         self.cache.insert(
             pno,
@@ -712,6 +705,31 @@ impl Pager {
                 tick: self.tick,
             },
         );
+        Ok(())
+    }
+
+    /// Writes a dirty cached page out ahead of its eviction: in place in
+    /// rollback mode (its undo image is already journaled), as an
+    /// ordinary (non-commit) WAL frame in WAL mode, where the db file is
+    /// never written mid-transaction. A clean page needs nothing.
+    fn spill(&mut self, sys: &mut System, pno: u32) -> Result<()> {
+        let entry = &self.cache[&pno];
+        if !entry.dirty {
+            return Ok(());
+        }
+        self.stats.evictions += 1;
+        match self.mode {
+            JournalMode::Rollback => {
+                self.file
+                    .pwrite(sys, u64::from(pno) * DB_PAGE as u64, &entry.data)?;
+            }
+            JournalMode::Wal => {
+                let wal = self.wal.as_mut().expect("wal mode");
+                let off = wal.append_frame(sys, pno, 0, &entry.data)?;
+                self.txn_index.insert(pno, off);
+                self.stats.wal_frames += 1;
+            }
+        }
         Ok(())
     }
 

@@ -3,11 +3,10 @@
 
 use cubicle_core::{impl_component, ComponentImage, CubicleId, IsolationMode, System};
 use cubicle_mpk::insn::CodeImage;
-use cubicle_ramfs::{mount_at, Ramfs};
+use cubicle_ramfs::{boot_fs, FsStack};
 use cubicle_sqldb::storage::CubicleEnv;
 use cubicle_sqldb::{Database, SqlValue};
 use cubicle_ukbase::boot_base;
-use cubicle_vfs::{Vfs, VfsPort, VfsProxy};
 
 struct App;
 impl_component!(App);
@@ -15,22 +14,13 @@ impl_component!(App);
 struct Stack {
     sys: System,
     app: CubicleId,
-    vfs: VfsProxy,
-    ramfs: CubicleId,
+    fs: FsStack,
 }
 
 fn boot() -> Stack {
     let mut sys = System::new(IsolationMode::Full);
     let base = boot_base(&mut sys).unwrap();
-    let vfs_loaded = sys
-        .load(cubicle_vfs::image(), Box::new(Vfs::default()))
-        .unwrap();
-    let ramfs_loaded = sys
-        .load(cubicle_ramfs::image(), Box::new(Ramfs::default()))
-        .unwrap();
-    sys.with_component_mut::<Ramfs, _>(ramfs_loaded.slot, |fs, _| fs.set_alloc(base.alloc))
-        .unwrap();
-    mount_at(&mut sys, vfs_loaded.slot, &ramfs_loaded, "/").unwrap();
+    let fs = boot_fs(&mut sys, &base, None).unwrap();
     let app = sys
         .load(
             ComponentImage::new("SQLITE", CodeImage::plain(4096)).heap_pages(128),
@@ -40,15 +30,14 @@ fn boot() -> Stack {
     Stack {
         sys,
         app: app.cid,
-        vfs: VfsProxy::resolve(&vfs_loaded).unwrap(),
-        ramfs: ramfs_loaded.cid,
+        fs,
     }
 }
 
 fn open_db(stack: &mut Stack, cache: usize) -> Database {
-    let (app, vfs, ramfs) = (stack.app, stack.vfs, stack.ramfs);
-    stack.sys.run_in_cubicle(app, move |sys| {
-        let port = VfsPort::new(sys, vfs, &[ramfs]).unwrap();
+    let fs = stack.fs;
+    stack.sys.run_in_cubicle(stack.app, move |sys| {
+        let port = fs.port(sys).unwrap();
         Database::open_with_cache(sys, Box::new(CubicleEnv::new(port)), "/crash.db", cache).unwrap()
     })
 }

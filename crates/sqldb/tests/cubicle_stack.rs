@@ -6,11 +6,10 @@ use cubicle_core::{
     impl_component, ComponentImage, CubicleId, IsolationMode, System, SystemConfig,
 };
 use cubicle_mpk::insn::CodeImage;
-use cubicle_ramfs::{mount_at, Ramfs};
+use cubicle_ramfs::{boot_fs, FsStack};
 use cubicle_sqldb::storage::CubicleEnv;
 use cubicle_sqldb::{Database, SqlValue};
 use cubicle_ukbase::boot_base;
-use cubicle_vfs::{Vfs, VfsPort, VfsProxy};
 
 struct SqliteApp;
 impl_component!(SqliteApp);
@@ -18,22 +17,13 @@ impl_component!(SqliteApp);
 struct Deployment {
     sys: System,
     app: CubicleId,
-    vfs: VfsProxy,
-    ramfs_cid: CubicleId,
+    fs: FsStack,
 }
 
 fn boot(config: impl Into<SystemConfig>) -> Deployment {
     let mut sys = System::new(config);
     let base = boot_base(&mut sys).unwrap();
-    let vfs_loaded = sys
-        .load(cubicle_vfs::image(), Box::new(Vfs::default()))
-        .unwrap();
-    let ramfs_loaded = sys
-        .load(cubicle_ramfs::image(), Box::new(Ramfs::default()))
-        .unwrap();
-    sys.with_component_mut::<Ramfs, _>(ramfs_loaded.slot, |fs, _| fs.set_alloc(base.alloc))
-        .unwrap();
-    mount_at(&mut sys, vfs_loaded.slot, &ramfs_loaded, "/").unwrap();
+    let fs = boot_fs(&mut sys, &base, None).unwrap();
     let app = sys
         .load(
             ComponentImage::new("SQLITE", CodeImage::plain(64 * 1024)).heap_pages(256),
@@ -44,15 +34,14 @@ fn boot(config: impl Into<SystemConfig>) -> Deployment {
     Deployment {
         sys,
         app: app.cid,
-        vfs: VfsProxy::resolve(&vfs_loaded).unwrap(),
-        ramfs_cid: ramfs_loaded.cid,
+        fs,
     }
 }
 
 fn open_db(dep: &mut Deployment) -> Database {
-    let (app, vfs, ramfs) = (dep.app, dep.vfs, dep.ramfs_cid);
-    dep.sys.run_in_cubicle(app, move |sys| {
-        let port = VfsPort::new(sys, vfs, &[ramfs]).unwrap();
+    let fs = dep.fs;
+    dep.sys.run_in_cubicle(dep.app, move |sys| {
+        let port = fs.port(sys).unwrap();
         Database::open(sys, Box::new(CubicleEnv::new(port)), "/app.db").unwrap()
     })
 }

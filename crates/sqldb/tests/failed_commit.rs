@@ -1,22 +1,27 @@
 //! A WAL commit that fails — its append or its sync — is rolled back on
 //! the spot: the pages it carried are neither readable afterwards nor
 //! carried into the log by the next commit, and the database reloads its
-//! schema as after a ROLLBACK. The failures are injected by a wrapper
+//! schema as after a ROLLBACK. So is a transaction whose page spill
+//! fails, in either journal mode. The failures are injected by a wrapper
 //! around the in-process [`HostEnv`] that fails the `-wal` file's next
 //! write (landing half its bytes first, as a torn write would) or its
-//! next sync, once.
+//! next sync, or the database file's next write, once.
 
 use cubicle_core::{Errno, IsolationMode, System};
 use cubicle_sqldb::pager::{Pager, DB_PAGE};
 use cubicle_sqldb::storage::{HostEnv, StorageEnv, StorageFile};
-use cubicle_sqldb::{Database, Result, SqlError, SqlValue};
+use cubicle_sqldb::{Database, JournalMode, Result, SqlError, SqlValue};
 use std::cell::Cell;
 use std::rc::Rc;
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Fail {
+    /// The `-wal` file's next write.
     Write,
+    /// The `-wal` file's next sync.
     Sync,
+    /// The database file's next write.
+    DbWrite,
 }
 
 #[derive(Clone, Default)]
@@ -27,14 +32,15 @@ struct FlakyEnv {
 
 struct FlakyFile {
     inner: Box<dyn StorageFile>,
-    wal: bool,
+    /// The failures this file can take.
+    kinds: &'static [Fail],
     armed: Rc<Cell<Option<Fail>>>,
 }
 
 impl FlakyFile {
-    /// Consumes the armed failure when it is `kind` on the `-wal` file.
+    /// Consumes the armed failure when it is `kind` and this file takes it.
     fn fires(&self, kind: Fail) -> bool {
-        let fires = self.wal && self.armed.get() == Some(kind);
+        let fires = self.kinds.contains(&kind) && self.armed.get() == Some(kind);
         if fires {
             self.armed.set(None);
         }
@@ -52,7 +58,7 @@ impl StorageFile for FlakyFile {
     }
 
     fn pwrite(&mut self, sys: &mut System, off: u64, data: &[u8]) -> Result<usize> {
-        if self.fires(Fail::Write) {
+        if self.fires(Fail::Write) || self.fires(Fail::DbWrite) {
             self.inner.pwrite(sys, off, &data[..data.len() / 2])?;
             return eio();
         }
@@ -77,9 +83,16 @@ impl StorageFile for FlakyFile {
 
 impl StorageEnv for FlakyEnv {
     fn open(&mut self, sys: &mut System, path: &str) -> Result<Box<dyn StorageFile>> {
+        let kinds: &'static [Fail] = if path.ends_with("-wal") {
+            &[Fail::Write, Fail::Sync]
+        } else if path.ends_with("-journal") {
+            &[]
+        } else {
+            &[Fail::DbWrite]
+        };
         Ok(Box::new(FlakyFile {
             inner: self.inner.open(sys, path)?,
-            wal: path.ends_with("-wal"),
+            kinds,
             armed: self.armed.clone(),
         }))
     }
@@ -164,6 +177,98 @@ fn a_failed_commit_reloads_the_schema() {
             db.query(&mut sys, "SELECT v FROM t").unwrap(),
             vec![vec![SqlValue::Integer(2)]],
             "{fail:?}"
+        );
+    }
+}
+
+/// An 8-page cache: the 9th page a transaction dirties evicts a dirty
+/// page, whose spill (a WAL frame, or the page written in place under the
+/// rollback journal) fails. The transaction is rolled back, COMMIT has
+/// nothing to commit, and after a reopen its pages all read old.
+#[test]
+fn a_failed_spill_rolls_the_whole_transaction_back() {
+    for (mode, fail) in [
+        (JournalMode::Wal, Fail::Write),
+        (JournalMode::Rollback, Fail::DbWrite),
+    ] {
+        let mut sys = System::new(IsolationMode::Unikraft);
+        let env = FlakyEnv::default();
+        let open = |sys: &mut System| {
+            Pager::open_with_mode(sys, Box::new(env.clone()), "/spill.db", 8, mode).unwrap()
+        };
+        let mut pager = open(&mut sys);
+        pager.begin(&mut sys).unwrap();
+        let pnos: Vec<u32> = (0..12)
+            .map(|_| pager.allocate_page(&mut sys).unwrap())
+            .collect();
+        for &pno in &pnos {
+            pager.write_page(&mut sys, pno, &page(1)).unwrap();
+        }
+        pager.commit(&mut sys).unwrap();
+
+        pager.begin(&mut sys).unwrap();
+        env.armed.set(Some(fail));
+        let failed_at = pnos
+            .iter()
+            .position(|&pno| pager.write_page(&mut sys, pno, &page(2)).is_err());
+        assert_eq!(failed_at, Some(8), "{mode:?}: the 9th dirty page spills");
+        assert_eq!(env.armed.get(), None, "{mode:?}: the failure fired");
+        assert!(!pager.in_txn(), "{mode:?}: the transaction is rolled back");
+        assert!(
+            matches!(pager.commit(&mut sys), Err(SqlError::Transaction(_))),
+            "{mode:?}: COMMIT has no transaction left to commit"
+        );
+        drop(pager);
+
+        let mut pager = open(&mut sys);
+        for &pno in &pnos {
+            assert!(
+                pager.read_page(&mut sys, pno).unwrap() == page(1),
+                "{mode:?}: page {pno} reads its committed bytes after the reopen"
+            );
+        }
+    }
+}
+
+/// The same failure under SQL, in both journal modes: an auto-commit
+/// statement fails with the spill's error, and one inside BEGIN also ends
+/// the transaction, so COMMIT fails instead of committing a torn one.
+#[test]
+fn a_statement_whose_spill_fails_ends_the_transaction() {
+    for (mode, fail) in [
+        (JournalMode::Wal, Fail::Write),
+        (JournalMode::Rollback, Fail::DbWrite),
+    ] {
+        let mut sys = System::new(IsolationMode::Unikraft);
+        let env = FlakyEnv::default();
+        let open = |sys: &mut System| {
+            Database::open_with_mode(sys, Box::new(env.clone()), "/spill.db", 8, mode).unwrap()
+        };
+        let mut db = open(&mut sys);
+        let (old, new) = ("a".repeat(1_000), "b".repeat(1_000));
+        db.execute(&mut sys, "CREATE TABLE t(k INTEGER PRIMARY KEY, v TEXT)")
+            .unwrap();
+        let rows: Vec<String> = (0..40).map(|k| format!("({k}, '{old}')")).collect();
+        let insert = format!("INSERT INTO t VALUES {}", rows.join(", "));
+        db.execute(&mut sys, &insert).unwrap();
+        let update = format!("UPDATE t SET v = '{new}'");
+        for explicit in [false, true] {
+            if explicit {
+                db.execute(&mut sys, "BEGIN").unwrap();
+            }
+            env.armed.set(Some(fail));
+            assert!(is_eio(db.execute(&mut sys, &update)), "{mode:?}");
+        }
+        let commit = db.execute(&mut sys, "COMMIT");
+        assert!(matches!(commit, Err(SqlError::Transaction(_))), "{mode:?}");
+        drop(db);
+
+        let mut db = open(&mut sys);
+        let rows = db.query(&mut sys, "SELECT v FROM t").unwrap();
+        assert_eq!(rows.len(), 40, "{mode:?}");
+        assert!(
+            rows.iter().all(|r| r[0] == SqlValue::Text(old.clone())),
+            "{mode:?}: every row reads its committed value"
         );
     }
 }

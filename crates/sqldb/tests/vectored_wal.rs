@@ -14,13 +14,12 @@ use cubicle_core::{
 };
 use cubicle_mpk::insn::CodeImage;
 use cubicle_mpk::rng::Rng64;
-use cubicle_ramfs::{mount_at, Ramfs};
+use cubicle_ramfs::boot_fs;
 use cubicle_sqldb::pager::{Pager, DB_PAGE};
 use cubicle_sqldb::storage::{CubicleEnv, HostEnv, StorageEnv, VEC_STAGING};
 use cubicle_sqldb::wal::{wal_path, Wal, FRAME_SIZE};
 use cubicle_sqldb::{Database, JournalMode, SqlValue};
 use cubicle_ukbase::boot_base;
-use cubicle_vfs::{Vfs, VfsPort, VfsProxy};
 use std::collections::HashMap;
 
 const DB: &str = "/vec.db";
@@ -58,15 +57,7 @@ impl Side {
     fn cubicle_with(config: SystemConfig, exhaust: bool) -> Side {
         let mut sys = System::new(config);
         let base = boot_base(&mut sys).unwrap();
-        let vfs_loaded = sys
-            .load(cubicle_vfs::image(), Box::new(Vfs::default()))
-            .unwrap();
-        let ramfs_loaded = sys
-            .load(cubicle_ramfs::image(), Box::new(Ramfs::default()))
-            .unwrap();
-        sys.with_component_mut::<Ramfs, _>(ramfs_loaded.slot, |fs, _| fs.set_alloc(base.alloc))
-            .unwrap();
-        mount_at(&mut sys, vfs_loaded.slot, &ramfs_loaded, "/").unwrap();
+        let fs = boot_fs(&mut sys, &base, None).unwrap();
         let app = sys
             .load(
                 ComponentImage::new("SQLITE", CodeImage::plain(64 * 1024)).heap_pages(256),
@@ -83,15 +74,11 @@ impl Side {
             }
         }
         sys.mark_boot_complete();
-        let proxy = VfsProxy::resolve(&vfs_loaded).unwrap();
-        let ramfs = ramfs_loaded.cid;
-        let env = sys.run_in_cubicle(app.cid, |sys| {
-            CubicleEnv::new(VfsPort::new(sys, proxy, &[ramfs]).unwrap())
-        });
+        let env = sys.run_in_cubicle(app.cid, |sys| CubicleEnv::new(fs.port(sys).unwrap()));
         Side {
             sys,
             app: Some(app.cid),
-            vfs: Some(vfs_loaded.cid),
+            vfs: Some(fs.vfs_cid),
             env: Box::new(move || Box::new(env.clone())),
         }
     }

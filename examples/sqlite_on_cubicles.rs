@@ -11,11 +11,10 @@
 
 use cubicleos::kernel::{impl_component, ComponentImage, IsolationMode, System, SystemConfig};
 use cubicleos::mpk::insn::CodeImage;
-use cubicleos::ramfs::{mount_at, Ramfs};
+use cubicleos::ramfs::boot_fs;
 use cubicleos::sqldb::storage::CubicleEnv;
 use cubicleos::sqldb::Database;
 use cubicleos::ukbase::boot_base;
-use cubicleos::vfs::{Vfs, VfsPort, VfsProxy};
 
 struct SqliteApp;
 impl_component!(SqliteApp);
@@ -23,23 +22,17 @@ impl_component!(SqliteApp);
 fn run_mode(label: &str, config: SystemConfig) -> Result<u64, Box<dyn std::error::Error>> {
     let mut sys = System::new(config);
     let base = boot_base(&mut sys)?;
-    let vfs = sys.load(cubicleos::vfs::image(), Box::new(Vfs::default()))?;
-    let ramfs = sys.load(cubicleos::ramfs::image(), Box::new(Ramfs::default()))?;
-    sys.with_component_mut::<Ramfs, _>(ramfs.slot, |fs, _| fs.set_alloc(base.alloc))
-        .unwrap();
-    mount_at(&mut sys, vfs.slot, &ramfs, "/")?;
+    let fs = boot_fs(&mut sys, &base, None)?;
     let app = sys.load(
         ComponentImage::new("SQLITE", CodeImage::plain(64 * 1024)).heap_pages(128),
         Box::new(SqliteApp),
     )?;
     sys.mark_boot_complete();
 
-    let vfs_proxy = VfsProxy::resolve(&vfs)?;
-    let ramfs_cid = ramfs.cid;
     let cycles = sys.run_in_cubicle(
         app.cid,
         move |sys| -> Result<u64, Box<dyn std::error::Error>> {
-            let port = VfsPort::new(sys, vfs_proxy, &[ramfs_cid])?;
+            let port = fs.port(sys)?;
             let mut db = Database::open(sys, Box::new(CubicleEnv::new(port)), "/demo.db")?;
             let t0 = sys.now();
             db.execute(

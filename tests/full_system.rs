@@ -6,11 +6,10 @@ use cubicleos::httpd::{Httpd, HttpdProxy};
 use cubicleos::kernel::{impl_component, ComponentImage, IsolationMode, System};
 use cubicleos::mpk::insn::CodeImage;
 use cubicleos::net::{boot_net, SimClient, WireModel};
-use cubicleos::ramfs::{mount_at, Ramfs};
+use cubicleos::ramfs::boot_fs;
 use cubicleos::sqldb::storage::CubicleEnv;
 use cubicleos::sqldb::Database;
 use cubicleos::ukbase::boot_base;
-use cubicleos::vfs::{Vfs, VfsPort, VfsProxy};
 
 struct SqliteApp;
 impl_component!(SqliteApp);
@@ -21,18 +20,8 @@ fn database_and_webserver_share_one_cubicle_system() {
 
     // --- substrate: base + fs + net ------------------------------------
     let base = boot_base(&mut sys).unwrap();
-    let vfs_loaded = sys
-        .load(cubicleos::vfs::image(), Box::new(Vfs::default()))
-        .unwrap();
-    let ramfs_loaded = sys
-        .load(cubicleos::ramfs::image(), Box::new(Ramfs::default()))
-        .unwrap();
-    sys.with_component_mut::<Ramfs, _>(ramfs_loaded.slot, |fs, _| fs.set_alloc(base.alloc))
-        .unwrap();
-    mount_at(&mut sys, vfs_loaded.slot, &ramfs_loaded, "/").unwrap();
+    let fs = boot_fs(&mut sys, &base, None).unwrap();
     let net = boot_net(&mut sys).unwrap();
-    let vfs = VfsProxy::resolve(&vfs_loaded).unwrap();
-    let ramfs_cid = ramfs_loaded.cid;
 
     // --- application 1: the SQL engine ---------------------------------
     let sqlite = sys
@@ -42,7 +31,7 @@ fn database_and_webserver_share_one_cubicle_system() {
         )
         .unwrap();
     let report: String = sys.run_in_cubicle(sqlite.cid, |sys| {
-        let port = VfsPort::new(sys, vfs, &[ramfs_cid]).unwrap();
+        let port = fs.port(sys).unwrap();
         let mut db =
             Database::open(sys, Box::new(CubicleEnv::new(port.clone())), "/app.db").unwrap();
         db.execute(sys, "CREATE TABLE hits(page TEXT, n INTEGER)")
@@ -81,7 +70,7 @@ fn database_and_webserver_share_one_cubicle_system() {
         .load(cubicleos::httpd::image(), Box::new(Httpd::default()))
         .unwrap();
     sys.with_component_mut::<Httpd, _>(nginx.slot, |h, _| {
-        h.set_wiring(net.lwip, vfs, &[ramfs_cid]);
+        h.set_wiring(net.lwip, fs.vfs, &[fs.ramfs_cid]);
     })
     .unwrap();
     let httpd = HttpdProxy::resolve(&nginx).unwrap();
