@@ -212,7 +212,7 @@ impl System {
                     ),
                 });
             }
-            if self.mode.acls_active() && meta.holder != meta.owner && meta.via.is_none() {
+            if self.holders_need_windows() && meta.holder != meta.owner && meta.via.is_none() {
                 findings.push(AuditFinding {
                     class: InvariantClass::TagConsistency,
                     detail: format!(

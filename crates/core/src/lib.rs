@@ -103,7 +103,7 @@ pub use heap::{InvalidFree, SubAllocator};
 pub use ids::{CubicleId, EntryId, WindowId};
 pub use ledger::LedgerRow;
 pub use metrics::{CycleHisto, Metrics, NUM_BUCKETS};
-pub use mode::{IpcCostModel, IsolationMode};
+pub use mode::{IpcCostModel, IsolationMode, IPC_PACKET_BYTES};
 pub use race::{AccessInfo, LocksetViolation, RaceDetector, RaceObject, RaceReport};
 pub use span::{CycleAttribution, SpanFrame, SpanProfiler, SpanRecord};
 pub use stats::{Series, SysStats};

@@ -18,13 +18,14 @@ pub struct IpcCostModel {
     /// Cycles per byte moved through the message channel (covers the
     /// copy in, the copy out, and cache effects).
     pub per_byte: u64,
-    /// Effective signalling granularity of bulk-data *server* interfaces
-    /// (Genode packet streams): a bulk operation to a file-system server
-    /// is split into packets of this many bytes, each its own kernel
-    /// round trip. `0` disables packetisation. Window-based CubicleOS
-    /// has no analogue — grants are per-range, not per-packet.
-    pub packet_bytes: usize,
 }
+
+/// Effective signalling granularity of bulk-data *server* interfaces
+/// under every IPC baseline (Genode packet streams): a bulk operation to
+/// a file-system server is split into packets of this many bytes, each
+/// its own kernel round trip. Window-based CubicleOS has no analogue —
+/// grants are per-range, not per-packet.
+pub const IPC_PACKET_BYTES: usize = 4096;
 
 /// How the kernel mediates component interaction.
 ///
@@ -54,12 +55,12 @@ pub enum IsolationMode {
 
 impl IsolationMode {
     /// Does this mode switch PKRU across cubicles (and therefore fault)?
-    pub const fn mpk_active(self) -> bool {
+    pub(crate) const fn mpk_active(self) -> bool {
         matches!(self, IsolationMode::NoAcl | IsolationMode::Full)
     }
 
     /// Does this mode run cross-cubicle call trampolines?
-    pub const fn trampolines_active(self) -> bool {
+    pub(crate) const fn trampolines_active(self) -> bool {
         matches!(
             self,
             IsolationMode::NoMpk | IsolationMode::NoAcl | IsolationMode::Full
@@ -67,7 +68,7 @@ impl IsolationMode {
     }
 
     /// Does this mode consult (and charge for) window ACLs?
-    pub const fn acls_active(self) -> bool {
+    pub(crate) const fn acls_active(self) -> bool {
         matches!(self, IsolationMode::Full)
     }
 
@@ -105,7 +106,6 @@ mod tests {
             kernel: "seL4",
             fixed: 1,
             per_byte: 1,
-            packet_bytes: 0,
         });
         assert!(!ipc.mpk_active());
         assert!(!ipc.acls_active());

@@ -19,10 +19,12 @@
 //! construction and introspection. Each monitor concern is a submodule
 //! extending `impl System`: `loader`, `dispatch`, `trap`, `windows`,
 //! `memory`, `containment`, `locks`, `keys`, `observe` and `export`.
+//! `isolation` is the one that reads the [`IsolationMode`].
 
 mod containment;
 mod dispatch;
 mod export;
+mod isolation;
 mod keys;
 mod loader;
 mod locks;
@@ -271,17 +273,6 @@ impl From<IsolationMode> for SystemConfig {
     }
 }
 
-impl std::fmt::Debug for System {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("System")
-            .field("mode", &self.mode)
-            .field("cubicles", &self.cubicles.len())
-            .field("entries", &self.entries.len())
-            .field("cycles", &self.machine.now())
-            .finish()
-    }
-}
-
 impl System {
     /// Creates a kernel with its configuration fixed for its lifetime:
     /// an [`IsolationMode`] alone takes the defaults (paper cost model,
@@ -330,11 +321,6 @@ impl System {
             pair_keys: config.pair_keys && config.mode == IsolationMode::Full,
             race: config.race_detection.then(|| Box::new(RaceDetector::new())),
         }
-    }
-
-    /// The isolation mode this kernel runs in.
-    pub fn mode(&self) -> IsolationMode {
-        self.mode
     }
 
     /// Read-only view of the machine.

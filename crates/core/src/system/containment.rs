@@ -277,14 +277,8 @@ impl System {
         for page in held {
             let owner = self.page_meta[&page].owner;
             let owner_key = self.cubicles[owner.index()].key;
-            if self.mode.mpk_active() {
-                self.page_op(page.base(), PageOp::Retag(owner_key))
-                    .expect("held page is mapped");
-            } else {
-                self.machine
-                    .set_page_key_at_load(page.base(), owner_key)
-                    .expect("held page is mapped");
-            }
+            self.rekey_page(page.base(), owner_key)
+                .expect("held page is mapped");
             self.record_holder(page.base(), owner, None);
         }
 

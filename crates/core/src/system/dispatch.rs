@@ -7,7 +7,6 @@ use super::{Frame, System};
 use crate::component::{Component, EntryFn};
 use crate::error::{CubicleError, Result};
 use crate::ids::{CubicleId, EntryId};
-use crate::mode::IsolationMode;
 use crate::trace::TraceEvent;
 use crate::value::Value;
 use cubicle_mpk::Pkru;
@@ -227,38 +226,11 @@ impl System {
         // stack-resident arguments between the per-cubicle stacks.
         let (mut call, mut copied) = (cost.call, 0);
         if !merged {
-            self.machine.charge(self.boundary_tax);
-            match self.mode {
-                IsolationMode::Unikraft => {}
-                IsolationMode::Ipc(m) => {
-                    // One message each way carrying every element.
-                    call = 0;
-                    let bytes: usize = batch
-                        .iter()
-                        .flat_map(|args| args.iter())
-                        .map(|v| v.bytes_in() + v.bytes_out())
-                        .sum();
-                    self.machine.charge(m.fixed + m.per_byte * bytes as u64);
-                    self.record(TraceEvent::IpcRoundTrip {
-                        caller,
-                        callee,
-                        bytes,
-                    });
-                }
-                _ => {
-                    copied = gate.stack_arg_bytes;
-                    self.machine.charge(cost.trampoline);
-                    if self.mode.mpk_active() {
-                        if let Err(e) = self.ensure_bound(callee) {
-                            self.components[gate.slot] = Some(comp);
-                            return Err(e);
-                        }
-                        // Guard page enters the monitor domain, trampoline
-                        // then drops to the callee's permission set.
-                        self.wrpkru(Pkru::allow_all());
-                        let pkru = self.pkru_for(callee);
-                        self.wrpkru(pkru);
-                    }
+            match self.cross_in(caller, callee, gate.stack_arg_bytes, batch, &cost) {
+                Ok(per_element) => (call, copied) = per_element,
+                Err(e) => {
+                    self.components[gate.slot] = Some(comp);
+                    return Err(e);
                 }
             }
             self.machine.note_cross_call();
@@ -307,14 +279,7 @@ impl System {
         if self.watchdog_armed() {
             self.refresh_cycle_alarm();
         }
-        if self.mode.trampolines_active() {
-            self.machine.charge(cost.trampoline);
-            if self.mode.mpk_active() {
-                self.wrpkru(Pkru::allow_all());
-                let pkru = self.pkru_for(self.current_cubicle());
-                self.wrpkru(pkru);
-            }
-        }
+        self.cross_out(&cost);
         status
     }
 
@@ -328,27 +293,18 @@ impl System {
     /// If `cid` is parked and no binding is evictable, where a crossing
     /// fails with [`CubicleError::OutOfKeys`].
     pub fn run_in_cubicle<T>(&mut self, cid: CubicleId, f: impl FnOnce(&mut System) -> T) -> T {
-        if self.mode.mpk_active() {
-            self.ensure_bound(cid)
-                .expect("a parked cubicle finds a key to bind");
-        }
+        self.bind_domain(cid);
         let stack_slot = self.stack_acquire(cid);
         self.call_stack.push(Frame {
             cubicle: cid,
             deadline: None,
             stack_slot,
         });
-        if self.mode.mpk_active() {
-            let pkru = self.pkru_for(cid);
-            self.machine.set_pkru_at_load(pkru);
-        }
+        self.load_domain();
         let out = f(self);
         self.call_stack.pop();
         self.stack_release(cid, stack_slot);
-        if self.mode.mpk_active() {
-            let pkru = self.pkru_for(self.current_cubicle());
-            self.machine.set_pkru_at_load(pkru);
-        }
+        self.load_domain();
         out
     }
 

@@ -301,7 +301,7 @@ impl System {
     #[inline]
     pub(super) fn stack_acquire(&mut self, cid: CubicleId) -> Option<usize> {
         if self.machine.num_cores() == 1
-            || !self.mode.mpk_active()
+            || !self.stacks_pooled()
             || cid == CubicleId::MONITOR
             || self.cubicles[cid.index()].stack_len == 0
         {

@@ -2,7 +2,6 @@
 //! monitor's memory services (heap, stack, page grants; paper §4).
 
 use super::locks::MonitorLock;
-use super::observe::PageOp;
 use super::System;
 use crate::cubicle::RegionType;
 use crate::error::{CubicleError, Result};
@@ -353,14 +352,7 @@ impl System {
                 m.owner = to;
                 m.holder = to;
                 m.via = None;
-                if self.mode.mpk_active() {
-                    self.page_op(page.base(), PageOp::Retag(key))
-                        .expect("mapped");
-                } else {
-                    self.machine
-                        .set_page_key_at_load(page.base(), key)
-                        .expect("mapped");
-                }
+                self.rekey_page(page.base(), key).expect("mapped");
             }
         }
         self.lock_release(MonitorLock::PageMeta, pstart);

@@ -2,6 +2,7 @@
 //! metadata and window ACLs, with the window-grant cache. A page under
 //! a live pair share resolves to the pair's key (DESIGN §6l).
 
+use super::isolation::FaultPolicy;
 use super::locks::MonitorLock;
 use super::observe::PageOp;
 use super::System;
@@ -72,11 +73,10 @@ impl System {
     }
 
     fn resolve_fault_locked(&mut self, fault: Fault) -> Result<()> {
-        // Only protection-key faults are subject to window authorisation.
-        let FaultKind::ProtectionKey(_) = fault.kind else {
-            return Err(self.deny_raw_fault(fault));
-        };
-        if !self.mode.mpk_active() {
+        // Only protection-key faults, in a mode that resolves them, are
+        // subject to window authorisation.
+        let policy = self.fault_policy();
+        if policy == FaultPolicy::RawDeny || !matches!(fault.kind, FaultKind::ProtectionKey(_)) {
             return Err(self.deny_raw_fault(fault));
         }
         let cost = *self.machine.cost_model();
@@ -130,7 +130,7 @@ impl System {
         }
 
         // Ablation mode "w/o ACLs": windows are open for any access.
-        if !self.mode.acls_active() {
+        if policy == FaultPolicy::AclsOff {
             self.retag(fault.addr, home)?;
             self.record_holder(fault.addr, accessor, None);
             self.record(event(FaultDecision::AclsDisabled, 0, GrantLookup::Skipped));

@@ -29,7 +29,7 @@ impl System {
     /// the array on another core races with it. Every charged operation,
     /// failed ones too, ends with one [`System::window_op_done`].
     fn window_op_begin(&mut self) -> Option<u64> {
-        if self.mode.acls_active() {
+        if self.window_ops_charged() {
             // Window management is a call into the trusted monitor
             // cubicle: trampoline + PKRU switches + the operation itself.
             // Descriptor mutation serialises on the windows lock across

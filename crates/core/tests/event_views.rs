@@ -31,7 +31,6 @@ fn configs() -> Vec<SystemConfig> {
         kernel: "seL4",
         fixed: 900,
         per_byte: 2,
-        packet_bytes: 0,
     });
     let mut out = Vec::new();
     for mode in [IsolationMode::Full, IsolationMode::NoAcl, ipc] {

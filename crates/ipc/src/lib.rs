@@ -8,10 +8,12 @@
 //! channel — there are no windows and no zero-copy grants.
 //!
 //! This crate provides the per-kernel cost models
-//! ([`IsolationMode::Ipc`]) and marshalling helpers. The same component
-//! graph (VFSCORE, RAMFS, …) runs unchanged under these baselines: the
-//! kernel's `cross_call` charges the message costs according to the
-//! transfer direction of each [`cubicle_core::Value::Buf`] argument.
+//! ([`IsolationMode::Ipc`]), [`mode_for`] and [`crossing_cost`]. The same
+//! component graph (VFSCORE, RAMFS, …) runs unchanged under these
+//! baselines: the kernel's `cross_call` charges the message costs
+//! according to the transfer direction of each
+//! [`cubicle_core::Value::Buf`] argument, and VFSCORE moves bulk data to
+//! a separated server in [`cubicle_core::IPC_PACKET_BYTES`] packets.
 //!
 //! ## Calibration
 //!
@@ -33,7 +35,6 @@ pub const SEL4: IpcCostModel = IpcCostModel {
     kernel: "SeL4",
     fixed: 33_000,
     per_byte: 6,
-    packet_bytes: 4096,
 };
 
 /// Genode on **Fiasco.OC**: L4-family IPC with a mature Genode backend.
@@ -41,7 +42,6 @@ pub const FIASCO_OC: IpcCostModel = IpcCostModel {
     kernel: "Fiasco.OC",
     fixed: 14_700,
     per_byte: 4,
-    packet_bytes: 4096,
 };
 
 /// Genode on **NOVA**: microhypervisor IPC, close to Fiasco.OC in
@@ -50,7 +50,6 @@ pub const NOVA: IpcCostModel = IpcCostModel {
     kernel: "NOVA",
     fixed: 16_500,
     per_byte: 4,
-    packet_bytes: 4096,
 };
 
 /// Genode on **Linux**: crossings are SysV-IPC + socket round trips
@@ -60,7 +59,6 @@ pub const GENODE_LINUX: IpcCostModel = IpcCostModel {
     kernel: "Genode/Linux",
     fixed: 168_000,
     per_byte: 20,
-    packet_bytes: 4096,
 };
 
 /// All four kernels of Figure 10b, in the paper's presentation order.

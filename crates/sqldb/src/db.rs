@@ -257,9 +257,9 @@ impl Database {
         }
     }
 
-    /// Commits the pager's transaction. The pager rolls a failed WAL
-    /// commit back, so the schema is reloaded as after a ROLLBACK; the
-    /// commit's own error wins.
+    /// Commits the pager's transaction. The pager rolls a failed commit
+    /// back, so the schema is reloaded as after a ROLLBACK; the commit's
+    /// own error wins.
     fn commit(&mut self, sys: &mut System) -> Result<()> {
         let out = self.pager.commit(sys);
         if out.is_err() {

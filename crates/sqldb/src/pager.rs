@@ -298,7 +298,8 @@ impl Pager {
     /// an acknowledged commit is durable. A failed WAL commit is rolled
     /// back: none of its pages reaches a later commit.
     /// Rollback mode: journal sync → dirty page write-back
-    /// → db sync → journal delete.
+    /// → db sync → journal delete. A failure before the db sync
+    /// completes is rolled back from the journal, as ROLLBACK would.
     ///
     /// # Errors
     ///
@@ -371,9 +372,26 @@ impl Pager {
     }
 
     fn commit_rollback(&mut self, sys: &mut System) -> Result<()> {
-        let Some(mut journal) = self.journal.take() else {
+        if self.journal.is_none() {
             return Err(SqlError::Transaction("commit without transaction".into()));
-        };
+        }
+        if let Err(e) = self.write_back(sys) {
+            // Nothing of a failed commit may ride the next one: roll it
+            // back as ROLLBACK would, from the journal it still holds.
+            // The write-back's error wins.
+            let _ = self.rollback(sys);
+            return Err(e);
+        }
+        let mut journal = self.journal.take().expect("checked above");
+        journal.file.close(sys)?;
+        self.env.unlink(sys, &journal_path(&self.path))?;
+        Ok(())
+    }
+
+    /// Rollback mode's durable half of a commit: journal sync → dirty
+    /// page write-back → db sync.
+    fn write_back(&mut self, sys: &mut System) -> Result<()> {
+        let journal = self.journal.as_mut().expect("rollback-mode transaction");
         journal.file.sync(sys)?;
         self.stats.syncs += 1;
         // The header page was journaled and updated through write_page
@@ -395,8 +413,6 @@ impl Pager {
         self.file.sync(sys)?;
         self.stats.syncs += 1;
         self.stats.commits += 1;
-        journal.file.close(sys)?;
-        self.env.unlink(sys, &journal_path(&self.path))?;
         Ok(())
     }
 

@@ -588,7 +588,7 @@ impl StorageFile for CubicleFile {
     /// vector's staged iov costs two trap-and-map round trips more than
     /// the scalar write, which outweighs the crossing it saves.
     fn pwrite_sync(&mut self, sys: &mut System, off: u64, data: &[u8]) -> Result<()> {
-        if data.is_empty() || (self.paired.is_none() && sys.mode().mpk_active()) {
+        if data.is_empty() || (self.paired.is_none() && sys.share_traps()) {
             return write_then_sync(self, sys, off, data);
         }
         let lens = [(off, data.len())];

@@ -96,12 +96,14 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
                 if s.len() % 2 != 0 {
                     return Err(SqlError::Parse("odd-length blob literal".into()));
                 }
+                // Digit by digit from the bytes: a pair may split a
+                // multi-byte character.
+                let digit = |b: u8| char::from(b).to_digit(16);
                 for pair in s.as_bytes().chunks(2) {
-                    let hex = std::str::from_utf8(pair).expect("ascii");
-                    bytes.push(
-                        u8::from_str_radix(hex, 16)
-                            .map_err(|_| SqlError::Parse("bad blob literal".into()))?,
-                    );
+                    let (Some(hi), Some(lo)) = (digit(pair[0]), digit(pair[1])) else {
+                        return Err(SqlError::Parse("bad blob literal".into()));
+                    };
+                    bytes.push((hi << 4 | lo) as u8);
                 }
                 out.push(Token::Blob(bytes));
                 i = ni;
@@ -250,6 +252,17 @@ mod tests {
             vec![Token::Blob(vec![0xAB, 0x01])]
         );
         assert!(tokenize("x'ABC'").is_err());
+    }
+
+    #[test]
+    fn bad_blob_digits_are_a_parse_error() {
+        // "aé0" is four bytes: the pair [0x61, 0xC3] splits the 'é'.
+        for sql in ["SELECT X'aé0'", "x'+a'", "x'0g'"] {
+            assert!(
+                matches!(tokenize(sql), Err(SqlError::Parse(m)) if m == "bad blob literal"),
+                "{sql}"
+            );
+        }
     }
 
     #[test]

@@ -2,15 +2,21 @@
 //! the spot: the pages it carried are neither readable afterwards nor
 //! carried into the log by the next commit, and the database reloads its
 //! schema as after a ROLLBACK. So is a transaction whose page spill
-//! fails, in either journal mode. The failures are injected by a wrapper
-//! around the in-process [`HostEnv`] that fails the `-wal` file's next
-//! write (landing half its bytes first, as a torn write would) or its
-//! next sync, or the database file's next write, once.
+//! fails, in either journal mode, and a rollback-journal COMMIT whose
+//! write-back fails. The failures are injected by a wrapper around a
+//! storage environment (the in-process [`HostEnv`], or the cubicle
+//! stack's [`CubicleEnv`]) that fails the `-wal` file's next write
+//! (landing half its bytes first, as a torn write would) or its next
+//! sync, or the database file's next write, once.
 
-use cubicle_core::{Errno, IsolationMode, System};
+use cubicle_core::{impl_component, ComponentImage, Errno, IsolationMode, System};
+use cubicle_mpk::insn::CodeImage;
+use cubicle_ramfs::boot_fs;
 use cubicle_sqldb::pager::{Pager, DB_PAGE};
-use cubicle_sqldb::storage::{HostEnv, StorageEnv, StorageFile};
+use cubicle_sqldb::storage::{CubicleEnv, HostEnv, StorageEnv, StorageFile};
 use cubicle_sqldb::{Database, JournalMode, Result, SqlError, SqlValue};
+use cubicle_ukbase::boot_base;
+use cubicle_vfs::Vfs;
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -24,10 +30,19 @@ enum Fail {
     DbWrite,
 }
 
-#[derive(Clone, Default)]
-struct FlakyEnv {
-    inner: HostEnv,
+#[derive(Clone)]
+struct FlakyEnv<E> {
+    inner: E,
     armed: Rc<Cell<Option<Fail>>>,
+}
+
+impl<E> FlakyEnv<E> {
+    fn new(inner: E) -> FlakyEnv<E> {
+        FlakyEnv {
+            inner,
+            armed: Rc::default(),
+        }
+    }
 }
 
 struct FlakyFile {
@@ -79,9 +94,13 @@ impl StorageFile for FlakyFile {
         }
         self.inner.sync(sys)
     }
+
+    fn close(&mut self, sys: &mut System) -> Result<()> {
+        self.inner.close(sys)
+    }
 }
 
-impl StorageEnv for FlakyEnv {
+impl<E: StorageEnv> StorageEnv for FlakyEnv<E> {
     fn open(&mut self, sys: &mut System, path: &str) -> Result<Box<dyn StorageFile>> {
         let kinds: &'static [Fail] = if path.ends_with("-wal") {
             &[Fail::Write, Fail::Sync]
@@ -118,7 +137,7 @@ fn is_eio<T: std::fmt::Debug>(r: Result<T>) -> bool {
 fn a_failed_wal_commit_never_becomes_durable() {
     for fail in [Fail::Write, Fail::Sync] {
         let mut sys = System::new(IsolationMode::Unikraft);
-        let env = FlakyEnv::default();
+        let env = FlakyEnv::new(HostEnv::new());
         let open = |sys: &mut System| Pager::open(sys, Box::new(env.clone()), "/f.db", 16).unwrap();
         let mut pager = open(&mut sys);
         pager.begin(&mut sys).unwrap();
@@ -157,7 +176,7 @@ fn a_failed_wal_commit_never_becomes_durable() {
 fn a_failed_commit_reloads_the_schema() {
     for fail in [Fail::Write, Fail::Sync] {
         let mut sys = System::new(IsolationMode::Unikraft);
-        let env = FlakyEnv::default();
+        let env = FlakyEnv::new(HostEnv::new());
         let open = |sys: &mut System| Database::open(sys, Box::new(env.clone()), "/s.db").unwrap();
         let mut db = open(&mut sys);
         db.execute(&mut sys, "CREATE TABLE t(v INTEGER)").unwrap();
@@ -181,6 +200,72 @@ fn a_failed_commit_reloads_the_schema() {
     }
 }
 
+struct App;
+impl_component!(App);
+
+/// A rollback-journal COMMIT whose page write-back fails is rolled back
+/// from its journal, over the cubicle stack: the journal's descriptor is
+/// closed, and the next transaction's COMMIT does not make the failed
+/// one durable.
+#[test]
+fn a_failed_rollback_commit_never_becomes_durable() {
+    let mut sys = System::new(IsolationMode::Full);
+    let base = boot_base(&mut sys).unwrap();
+    let fs = boot_fs(&mut sys, &base, None).unwrap();
+    let app = sys
+        .load(
+            ComponentImage::new("SQLITE", CodeImage::plain(4096)).heap_pages(64),
+            Box::new(App),
+        )
+        .unwrap();
+    let open_fds = |sys: &mut System| {
+        sys.with_component_mut::<Vfs, _>(fs.vfs_slot, |vfs, _| vfs.open_fds())
+            .unwrap()
+    };
+    sys.run_in_cubicle(app.cid, |sys| {
+        let env = FlakyEnv::new(CubicleEnv::new(fs.port(sys).unwrap()));
+        let open = |sys: &mut System| {
+            Pager::open_with_mode(
+                sys,
+                Box::new(env.clone()),
+                "/r.db",
+                16,
+                JournalMode::Rollback,
+            )
+            .unwrap()
+        };
+        let mut pager = open(sys);
+        pager.begin(sys).unwrap();
+        let a = pager.allocate_page(sys).unwrap();
+        let b = pager.allocate_page(sys).unwrap();
+        pager.write_page(sys, a, &page(1)).unwrap();
+        pager.write_page(sys, b, &page(1)).unwrap();
+        pager.commit(sys).unwrap();
+        let fds = open_fds(sys);
+
+        // T1 writes a = 2 and its commit fails in the write-back.
+        pager.begin(sys).unwrap();
+        pager.write_page(sys, a, &page(2)).unwrap();
+        env.armed.set(Some(Fail::DbWrite));
+        assert!(is_eio(pager.commit(sys)), "T1's commit fails");
+        assert_eq!(env.armed.get(), None, "the failure fired");
+        assert!(!pager.in_txn());
+        assert_eq!(open_fds(sys), fds, "the journal's descriptor is closed");
+        assert!(pager.read_page(sys, a).unwrap() == page(1), "a reads 1");
+
+        // T2 writes only b; its commit must not carry a.
+        pager.begin(sys).unwrap();
+        pager.write_page(sys, b, &page(3)).unwrap();
+        pager.commit(sys).unwrap();
+        assert_eq!(open_fds(sys), fds);
+        drop(pager);
+
+        let mut pager = open(sys);
+        assert!(pager.read_page(sys, a).unwrap() == page(1), "a reads 1");
+        assert!(pager.read_page(sys, b).unwrap() == page(3), "b reads 3");
+    });
+}
+
 /// An 8-page cache: the 9th page a transaction dirties evicts a dirty
 /// page, whose spill (a WAL frame, or the page written in place under the
 /// rollback journal) fails. The transaction is rolled back, COMMIT has
@@ -192,7 +277,7 @@ fn a_failed_spill_rolls_the_whole_transaction_back() {
         (JournalMode::Rollback, Fail::DbWrite),
     ] {
         let mut sys = System::new(IsolationMode::Unikraft);
-        let env = FlakyEnv::default();
+        let env = FlakyEnv::new(HostEnv::new());
         let open = |sys: &mut System| {
             Pager::open_with_mode(sys, Box::new(env.clone()), "/spill.db", 8, mode).unwrap()
         };
@@ -240,7 +325,7 @@ fn a_statement_whose_spill_fails_ends_the_transaction() {
         (JournalMode::Rollback, Fail::DbWrite),
     ] {
         let mut sys = System::new(IsolationMode::Unikraft);
-        let env = FlakyEnv::default();
+        let env = FlakyEnv::new(HostEnv::new());
         let open = |sys: &mut System| {
             Database::open_with_mode(sys, Box::new(env.clone()), "/spill.db", 8, mode).unwrap()
         };

@@ -27,7 +27,11 @@
 //!   `crates/core/src/system/`) must sit lexically inside a matching
 //!   lock-acquire scope — the static complement of the CubicleSan
 //!   dynamic race detector ([`cubicle_core::SystemConfig::race_detection`]).
-//! * **Pass 4 — replay determinism** ([`determinism`]): no unsorted
+//! * **Pass 4 — the isolation seam** ([`seam`]): outside
+//!   `crates/core/src/system/isolation.rs` (and `mode.rs`) no kernel file
+//!   reads `self.mode` or calls a mode predicate, and no component asks
+//!   `System` for its mode.
+//! * **Pass 5 — replay determinism** ([`determinism`]): no unsorted
 //!   `HashMap`/`HashSet` iteration in the TCB crates (`crates/core`,
 //!   `crates/mpk`) without a commutative terminal, a sort, or an
 //!   explicit `// verify: order-ok` marker.
@@ -40,6 +44,7 @@ pub mod discipline;
 pub mod lexer;
 pub mod lint;
 pub mod report;
+pub mod seam;
 
 pub use report::{Finding, Report, Rule};
 
@@ -68,7 +73,19 @@ pub fn run_all(workspace_root: &Path) -> std::io::Result<Report> {
     report.findings.extend(findings);
     report.files_scanned += scanned;
 
-    // Pass 4: replay determinism over the TCB crates.
+    // Pass 4: the isolation seam, in the kernel and in every component.
+    let (findings, scanned) = seam::check_core(&crates.join("core").join("src"))?;
+    report.findings.extend(findings);
+    report.files_scanned += scanned;
+    for name in lint::COMPONENT_CRATES {
+        for (path, text) in rust_sources(&crates.join(name).join("src"))? {
+            report
+                .findings
+                .extend(seam::check_source(&path, &text, false));
+        }
+    }
+
+    // Pass 5: replay determinism over the TCB crates.
     for name in ["core", "mpk"] {
         let (findings, scanned) = determinism::check_crate_sources(&crates.join(name))?;
         report.findings.extend(findings);

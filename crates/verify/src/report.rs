@@ -32,6 +32,11 @@ pub enum Rule {
     /// incident pushed outside the monitor's one event door, so the
     /// counters, trace ring and incident log could disagree.
     EventDoor,
+    /// The isolation mode read outside the kernel's one isolation seam
+    /// (`crates/core/src/system/isolation.rs`): a `self.mode` read or a
+    /// mode predicate elsewhere in the kernel, or a component asking
+    /// `System` for its mode.
+    ModeSeam,
     /// Unsorted iteration over a `HashMap`/`HashSet` in the TCB — replay
     /// determinism requires every observable order to be defined.
     Nondeterminism,
@@ -47,6 +52,7 @@ impl fmt::Display for Rule {
             Rule::AmbientConcurrency => "ambient-concurrency",
             Rule::LockDiscipline => "lock-discipline",
             Rule::EventDoor => "event-door",
+            Rule::ModeSeam => "mode-seam",
             Rule::Nondeterminism => "nondeterminism",
         })
     }
@@ -134,6 +140,7 @@ mod tests {
         assert_eq!(Rule::AmbientConcurrency.to_string(), "ambient-concurrency");
         assert_eq!(Rule::LockDiscipline.to_string(), "lock-discipline");
         assert_eq!(Rule::EventDoor.to_string(), "event-door");
+        assert_eq!(Rule::ModeSeam.to_string(), "mode-seam");
         assert_eq!(Rule::Nondeterminism.to_string(), "nondeterminism");
     }
 

@@ -3,7 +3,7 @@
 //! must not.
 
 use cubicle_verify::lint::lint_source;
-use cubicle_verify::{deps, determinism, discipline, Rule};
+use cubicle_verify::{deps, determinism, discipline, seam, Rule};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -197,4 +197,33 @@ fn dep_fixture_fires_for_lateral_and_external_edges() {
     assert!(findings
         .iter()
         .any(|f| f.message.contains("may not depend on `serde`")));
+}
+
+#[test]
+fn mode_seam_fires_outside_the_seam_only() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("fixtures")
+        .join("core_src");
+    let (findings, scanned) = seam::check_core(&src).expect("fixture readable");
+    assert_eq!(scanned, 1, "mode.rs and system/isolation.rs are the seam");
+    assert_eq!(findings.len(), 1, "{findings:#?}");
+    let f = &findings[0];
+    assert_eq!(f.rule, Rule::ModeSeam);
+    assert!(f.file.ends_with("system/trap.rs"), "{f}");
+    assert!(f.message.contains("`self.mode.mpk_active`"), "{f}");
+}
+
+#[test]
+fn mode_seam_fires_on_a_component_reading_the_mode() {
+    let (path, text) = fixture("bad_mode_read.rs");
+    let findings = seam::check_source(&path, &text, false);
+    assert_eq!(findings.len(), 2, "{findings:#?}");
+    assert!(findings.iter().all(|f| f.rule == Rule::ModeSeam));
+    assert!(findings[0].message.contains("`sys.mode()`"));
+    assert!(findings[1].message.contains("`mpk_active`"));
+
+    let (path, text) = fixture("ok_mode_seam.rs");
+    let findings = seam::check_source(&path, &text, false);
+    assert!(findings.is_empty(), "false positives: {findings:#?}");
 }

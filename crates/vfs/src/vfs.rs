@@ -334,10 +334,10 @@ fn rw_common(
     Ok(Value::I64(n))
 }
 
-/// One segment's transfer to/from the backend. Message-based baselines
-/// (Genode-style file-system sessions) move bulk data to the backend
-/// server through a packet stream: each packet is its own kernel round
-/// trip. CubicleOS/Unikraft pass the whole buffer in one zero-copy call.
+/// One segment's transfer to/from the backend, in calls of at most
+/// [`System::max_transfer`] bytes: one packet per kernel round trip
+/// under the message-based baselines, the whole buffer in one zero-copy
+/// call under CubicleOS/Unikraft.
 fn backend_rw(
     sys: &mut System,
     entry: EntryId,
@@ -347,10 +347,7 @@ fn backend_rw(
     off: u64,
     write: bool,
 ) -> Result<i64> {
-    let packet = match sys.mode() {
-        cubicle_core::IsolationMode::Ipc(m) if m.packet_bytes > 0 => m.packet_bytes,
-        _ => usize::MAX,
-    };
+    let packet = sys.max_transfer();
     let mut total: i64 = 0;
     let mut done = 0usize;
     while done < len {
