@@ -17,7 +17,8 @@
 //!   holder recorded by the monitor (owner, or the peer trap-and-map last
 //!   admitted), the parked key, or the pair key of a live window share
 //!   that covers the page and whose pair includes the holder (DESIGN
-//!   §6l); a non-owner holder must be justified by a window grant;
+//!   §6l); a non-owner holder must be justified by a window grant, and
+//!   a page held for loads only is write-protected (DESIGN §6s);
 //!   machine page table and monitor page metadata cover the same pages;
 //! * **window ranges** — every range published in a window descriptor
 //!   covers only pages owned by the window's cubicle;
@@ -25,7 +26,9 @@
 //!   cubicle stack are still unmapped, and the stack has not overflowed
 //!   its region;
 //! * **key uniqueness** — each key a cubicle or a pair holds has one
-//!   holder, which the key pool binds it to, one key per pair; the pool
+//!   holder, which the key pool binds it to, one key per pair (a
+//!   read-only pair is not the read-write pair of the same cubicles),
+//!   and each member holds exactly the rights its share grants; the pool
 //!   binds no other key and never the parked key, which parked and
 //!   quarantined cubicles carry;
 //! * **quarantine** — a quarantined cubicle is fully torn down: it owns
@@ -44,7 +47,7 @@
 
 use crate::cubicle::RegionType;
 use crate::system::{Binding, MonitorLock, System, PARKED_KEY};
-use cubicle_mpk::{pages_covering, ProtKey, VAddr, NUM_KEYS, PAGE_SIZE};
+use cubicle_mpk::{pages_covering, KeyRights, ProtKey, VAddr, NUM_KEYS, PAGE_SIZE};
 use std::fmt;
 
 /// The invariant class a finding belongs to.
@@ -202,13 +205,31 @@ impl System {
             // set enables its key.
             if entry.key != holder.key
                 && entry.key != PARKED_KEY
-                && self.shared_home_key(meta.owner, meta.holder, page) != Some(entry.key)
+                && self
+                    .shared_home_key(meta.owner, meta.holder, page)
+                    .is_none_or(|(key, _)| key != entry.key)
             {
                 findings.push(AuditFinding {
                     class: InvariantClass::TagConsistency,
                     detail: format!(
                         "page {} tagged {} but holder {} expects {}",
                         page, entry.key, holder.name, holder.key
+                    ),
+                });
+            }
+            if meta.read_only && (entry.flags.can_write() || meta.holder == meta.owner) {
+                findings.push(AuditFinding {
+                    class: InvariantClass::TagConsistency,
+                    detail: format!(
+                        "page {} is held for loads only by {} but is {} ({})",
+                        page,
+                        holder.name,
+                        if meta.holder == meta.owner {
+                            "its owner's"
+                        } else {
+                            "writable"
+                        },
+                        entry.flags
                     ),
                 });
             }
@@ -358,11 +379,12 @@ impl System {
                 });
             }
         }
-        // One key per pair.
+        // One key per pair: a read-write pair either way round, a
+        // read-only one as (owner, peer).
         for (i, s) in shares.iter().enumerate() {
             if let Some(t) = shares[..i]
                 .iter()
-                .find(|t| (t.key == s.key) != (t.has(s.owner) && t.has(s.peer)))
+                .find(|t| (t.key == s.key) != (t.pair() == s.pair()))
             {
                 findings.push(AuditFinding {
                     class: InvariantClass::KeyUniqueness,
@@ -374,6 +396,24 @@ impl System {
                         s.key
                     ),
                 });
+            }
+        }
+        // Each member holds the rights its share grants on the pair key:
+        // the owner read-write, the peer read-write or read-only.
+        for s in shares {
+            for (member, rights) in [(s.owner, KeyRights::ReadWrite), (s.peer, s.rights)] {
+                let held = self.pkru_for(member).rights(s.key);
+                if held != rights {
+                    findings.push(AuditFinding {
+                        class: InvariantClass::KeyUniqueness,
+                        detail: format!(
+                            "{} holds {held:?} on {} of pair {}, which grants it {rights:?}",
+                            self.cubicles[member.index()].name,
+                            s.key,
+                            pair(s)
+                        ),
+                    });
+                }
             }
         }
 

@@ -76,6 +76,9 @@ pub struct PageMeta {
     /// Survives a lazy `window_close`, recording why the stale tag is
     /// legitimate.
     pub via: Option<WindowId>,
+    /// The holder was admitted for loads only through a plain window:
+    /// the page is write-protected while it holds it (DESIGN §6s).
+    pub read_only: bool,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -170,6 +173,10 @@ pub struct System {
     /// Shared windows get pair keys ([`SystemConfig::pair_keys`], only
     /// in [`IsolationMode::Full`]).
     pair_keys: bool,
+    /// [`SystemConfig::pair_keys`] as configured, whatever the mode: the
+    /// keyed file port, which maps database reads where the mode lets it
+    /// ([`System::maps_reads`]).
+    keyed_port: bool,
     /// CubicleSan ([`SystemConfig::race_detection`]): vector-clock
     /// happens-before race detector + Eraser locksets + lock-order graph
     /// over the monitor's shared metadata. `None` skips every hook; the
@@ -245,6 +252,8 @@ pub struct SystemConfig {
     /// members' PKRU sets enable, so neither traps on them. Off,
     /// `window_share` is `window_open` and every touch takes the paper's
     /// per-page trap-and-map; the paper-figure harnesses pin that.
+    /// It also chooses the file port: on, a database file maps its
+    /// reads where the mode allows ([`System::maps_reads`]).
     pub pair_keys: bool,
 }
 
@@ -319,6 +328,7 @@ impl System {
             locks: MonitorLocks::default(),
             pending_quarantine: Vec::new(),
             pair_keys: config.pair_keys && config.mode == IsolationMode::Full,
+            keyed_port: config.pair_keys,
             race: config.race_detection.then(|| Box::new(RaceDetector::new())),
         }
     }

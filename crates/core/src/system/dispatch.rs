@@ -311,8 +311,10 @@ impl System {
     /// The PKRU permission set a cubicle executes with: its own key,
     /// every shared cubicle's key (shared static data "is shared among
     /// all cubicles", paper §3) and the pair key of every live window
-    /// share it is one of ([`System::window_share`]), never the parked
-    /// key. The monitor gets everything.
+    /// share it is one of ([`System::window_share`]) — with the
+    /// write-disable bit as the peer of a read-only share
+    /// ([`System::share_read_only`]) — never the parked key. The
+    /// monitor gets everything.
     pub fn pkru_for(&self, cid: CubicleId) -> Pkru {
         if cid == CubicleId::MONITOR {
             return Pkru::allow_all();
@@ -325,7 +327,7 @@ impl System {
         }
         for s in &self.keys.shares {
             if s.has(cid) {
-                pkru = pkru.allowing(s.key);
+                pkru = pkru.with(s.key, s.rights_of(cid));
             }
         }
         pkru.denying(PARKED_KEY)

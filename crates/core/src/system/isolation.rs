@@ -166,6 +166,17 @@ impl System {
         self.mode.mpk_active()
     }
 
+    /// Does a file port serve page reads from a read-only map of the
+    /// file system's pages (DESIGN §6s)? Only on the keyed port
+    /// ([`SystemConfig::pair_keys`](crate::SystemConfig::pair_keys)),
+    /// and only where pages can be shared at all: under full isolation
+    /// the map is a read-only pair-keyed share, under Unikraft a plain
+    /// window that costs nothing. The ablations and the message-passing
+    /// baselines keep `pread`, so they stay the paper's configurations.
+    pub fn maps_reads(&self) -> bool {
+        self.keyed_port && matches!(self.mode, IsolationMode::Unikraft | IsolationMode::Full)
+    }
+
     /// The largest buffer one call to a file-system server may carry.
     /// Message-based baselines move bulk data through a packet stream
     /// (Genode file-system sessions), [`IPC_PACKET_BYTES`] per kernel

@@ -1,13 +1,13 @@
 //! The MPK key pool: one draw/release pair for the loader, the
 //! microreboot and quarantine, lazy binding of parked cubicles (paper
 //! §8's tag virtualisation), and the pair keys of windows shared with
-//! one peer.
+//! one peer, read-write or read-only.
 
 use super::observe::PageOp;
 use super::System;
 use crate::error::{CubicleError, Result};
 use crate::ids::{CubicleId, WindowId};
-use cubicle_mpk::ProtKey;
+use cubicle_mpk::{KeyRights, ProtKey};
 
 /// The parked key, carried by quarantined cubicles and isolated ones
 /// waiting for a key: never bound and enabled in no PKRU set, so parked
@@ -20,8 +20,10 @@ pub const PARKED_KEY: ProtKey = ProtKey::new(15).expect("MPK has 16 keys");
 /// key starts parked and binds on entry by eviction, each retag of the
 /// evicted pages at full `pkey_mprotect` cost (paper §8: "CubicleOS
 /// could use existing tag virtualisation mechanisms [libmpk]"). The
-/// first [`PairShare`] between two cubicles pins a free key for the
-/// pair (never by eviction); the end of their last share returns it.
+/// first [`PairShare`] of a pair pins a free key for it (never by
+/// eviction); the end of its last share returns it. A read-write pair is
+/// unordered; a read-only one is (owner, peer), so it never shares a key
+/// with the read-write pair of the same two cubicles.
 pub(crate) struct KeyPool {
     /// physical key → what it is bound to.
     bindings: Vec<(ProtKey, Option<Binding>)>,
@@ -38,20 +40,23 @@ pub(crate) struct KeyPool {
 pub(crate) enum Binding {
     /// A cubicle's own key, pinned while the cubicle is shared.
     Cubicle(CubicleId),
-    /// The pair key of two cubicles with at least one live
-    /// [`PairShare`] between them, pinned until the last one ends.
+    /// The pair key of a pair with at least one live [`PairShare`],
+    /// pinned until the last one ends.
     Pair,
 }
 
 /// One persistent window its owner shares with exactly one peer under
 /// the pair key k(owner, peer) (`System::window_share`): both members'
-/// PKRU sets enable `key`, so neither traps on the window's pages.
+/// PKRU sets enable `key`, so neither traps on the window's pages. The
+/// owner's rights are read-write; the peer's are `rights`, read-only for
+/// a `System::share_read_only` (the key's write-disable bit).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct PairShare {
     pub(crate) owner: CubicleId,
     pub(crate) peer: CubicleId,
     pub(crate) wid: WindowId,
     pub(crate) key: ProtKey,
+    pub(crate) rights: KeyRights,
 }
 
 impl PairShare {
@@ -60,9 +65,29 @@ impl PairShare {
         self.owner == cid || self.peer == cid
     }
 
-    /// Is this a share between `a` and `b`, in either direction?
-    fn pairs(&self, a: CubicleId, b: CubicleId) -> bool {
-        self.has(a) && self.has(b)
+    /// `cid`'s rights on the pair key: read-write for the owner, the
+    /// share's rights for the peer, none for anyone else.
+    pub(crate) fn rights_of(&self, cid: CubicleId) -> KeyRights {
+        if self.owner == cid {
+            KeyRights::ReadWrite
+        } else if self.peer == cid {
+            self.rights
+        } else {
+            KeyRights::None
+        }
+    }
+
+    /// The pair a key is bound to: the unordered members of a read-write
+    /// share, (owner, peer) of a read-only one.
+    pub(crate) fn pair(&self) -> (CubicleId, CubicleId, KeyRights) {
+        match self.rights {
+            KeyRights::ReadWrite => (
+                self.owner.min(self.peer),
+                self.owner.max(self.peer),
+                self.rights,
+            ),
+            rights => (self.owner, self.peer, rights),
+        }
     }
 }
 
@@ -109,20 +134,32 @@ impl KeyPool {
         }
     }
 
-    /// The live pair key of `a` and `b`, in either direction.
-    pub(crate) fn pair_key(&self, a: CubicleId, b: CubicleId) -> Option<ProtKey> {
-        self.shares.iter().find(|s| s.pairs(a, b)).map(|s| s.key)
+    /// The live key of the pair `pair` names ([`PairShare::pair`]).
+    fn key_of(&self, pair: (CubicleId, CubicleId, KeyRights)) -> Option<ProtKey> {
+        self.shares.iter().find(|s| s.pair() == pair).map(|s| s.key)
     }
 
-    /// Records that `owner` shares `wid` with `peer` and returns the
-    /// pair's key — the live one, or the lowest free key, pinned. `None`
-    /// when the share already exists or no key is free: the window then
-    /// stays merely open.
+    /// The live read-write pair key of `a` and `b`, in either direction.
+    pub(crate) fn pair_key(&self, a: CubicleId, b: CubicleId) -> Option<ProtKey> {
+        self.key_of((a.min(b), a.max(b), KeyRights::ReadWrite))
+    }
+
+    /// The live read-only pair key `owner` shares pages with `peer`
+    /// under.
+    pub(crate) fn read_only_key(&self, owner: CubicleId, peer: CubicleId) -> Option<ProtKey> {
+        self.key_of((owner, peer, KeyRights::ReadOnly))
+    }
+
+    /// Records that `owner` shares `wid` with `peer`, who gets `rights`
+    /// on it, and returns the pair's key — the live one, or the lowest
+    /// free key, pinned. `None` when the share already exists or no key
+    /// is free: the window then stays merely open.
     pub(super) fn share(
         &mut self,
         owner: CubicleId,
         peer: CubicleId,
         wid: WindowId,
+        rights: KeyRights,
     ) -> Option<ProtKey> {
         if self
             .shares
@@ -131,7 +168,14 @@ impl KeyPool {
         {
             return None;
         }
-        let key = match self.pair_key(owner, peer) {
+        let mut share = PairShare {
+            owner,
+            peer,
+            wid,
+            key: PARKED_KEY,
+            rights,
+        };
+        share.key = match self.key_of(share.pair()) {
             Some(key) => key,
             None => {
                 let slot = self.bindings.iter_mut().find(|(_, b)| b.is_none())?;
@@ -139,18 +183,18 @@ impl KeyPool {
                 slot.0
             }
         };
-        self.shares.push(PairShare {
-            owner,
-            peer,
-            wid,
-            key,
-        });
-        Some(key)
+        self.shares.push(share);
+        Some(share.key)
+    }
+
+    /// Keys not bound to anything (statistics, leak tests).
+    pub(super) fn free_keys(&self) -> usize {
+        self.bindings.iter().filter(|(_, b)| b.is_none()).count()
     }
 
     /// Could `n` more pairs each pin a key of their own now?
     pub(super) fn can_pin(&self, n: usize) -> bool {
-        self.bindings.iter().filter(|(_, b)| b.is_none()).count() >= n
+        self.free_keys() >= n
     }
 
     /// Ends every share `ends` selects and returns them; a pair whose
@@ -158,7 +202,7 @@ impl KeyPool {
     pub(super) fn unshare(&mut self, ends: impl Fn(&PairShare) -> bool) -> Vec<PairShare> {
         let ended: Vec<PairShare> = self.shares.extract_if(.., |s| ends(s)).collect();
         for s in &ended {
-            if self.pair_key(s.owner, s.peer).is_none() {
+            if self.key_of(s.pair()).is_none() {
                 self.release(s.key);
             }
         }
@@ -171,6 +215,11 @@ impl System {
     /// ran full).
     pub fn key_evictions(&self) -> u64 {
         self.keys.evictions
+    }
+
+    /// Keys of the pool bound to nothing: neither a cubicle nor a pair.
+    pub fn free_keys(&self) -> usize {
+        self.keys.free_keys()
     }
 
     /// Stamps `cid` as just entered and binds it if it is parked (a

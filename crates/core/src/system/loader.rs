@@ -277,6 +277,7 @@ impl System {
                     region,
                     holder: owner,
                     via: None,
+                    read_only: false,
                 },
             );
         }

@@ -1,6 +1,7 @@
 //! Trap-and-map (paper §5.3, Fig. 4): fault resolution against page
 //! metadata and window ACLs, with the window-grant cache. A page under
-//! a live pair share resolves to the pair's key (DESIGN §6l).
+//! a live pair share resolves to the pair's key (DESIGN §6l); a peer
+//! admitted for loads only never gets a store (DESIGN §6s).
 
 use super::isolation::FaultPolicy;
 use super::locks::MonitorLock;
@@ -10,7 +11,7 @@ use crate::error::{CubicleError, Result};
 use crate::ids::{CubicleId, WindowId};
 use crate::race::RaceObject;
 use crate::trace::{FaultDecision, GrantLookup, TraceEvent};
-use cubicle_mpk::{Fault, FaultKind, PageNum, ProtKey, VAddr};
+use cubicle_mpk::{AccessKind, Fault, FaultKind, KeyRights, PageFlags, PageNum, ProtKey, VAddr};
 
 /// One remembered trap-and-map authorisation: the window that granted
 /// `accessor` the faulting page last time. A hit re-checks that single
@@ -74,9 +75,18 @@ impl System {
 
     fn resolve_fault_locked(&mut self, fault: Fault) -> Result<()> {
         // Only protection-key faults, in a mode that resolves them, are
-        // subject to window authorisation.
+        // subject to window authorisation — and any fault on a page
+        // write-protected for a load-only holder, whose flags fault
+        // before its key does.
         let policy = self.fault_policy();
-        if policy == FaultPolicy::RawDeny || !matches!(fault.kind, FaultKind::ProtectionKey(_)) {
+        let resolvable = match fault.kind {
+            FaultKind::ProtectionKey(_) => true,
+            _ => self
+                .page_meta
+                .get(&fault.addr.page())
+                .is_some_and(|m| m.read_only),
+        };
+        if policy == FaultPolicy::RawDeny || !resolvable {
             return Err(self.deny_raw_fault(fault));
         }
         let cost = *self.machine.cost_model();
@@ -102,9 +112,16 @@ impl System {
         // live share of the owner's covers the page and the accessor is
         // one of the pair (DESIGN §6l), else the accessor's own key.
         let accessor_key = self.cubicles[accessor.index()].key;
-        let home = self
+        let (home, rights) = self
             .home_key(meta.owner, accessor, fault.addr.page())
-            .unwrap_or(accessor_key);
+            .unwrap_or((accessor_key, KeyRights::ReadWrite));
+        let store = fault.access == AccessKind::Write;
+        if store && !rights.can_write() {
+            // The peer of a read-only share never stores to its pages:
+            // no search, no retag (DESIGN §6s).
+            let ev = event(FaultDecision::Denied, 0, GrantLookup::Skipped);
+            return Err(self.deny_window_fault(fault, meta.owner, accessor, ev));
+        }
         if home != accessor_key
             && self
                 .machine
@@ -163,7 +180,7 @@ impl System {
                         .find(|w| w.id() == entry.via)
                         .is_some_and(|w| {
                             let check = w.check(fault.addr, accessor);
-                            check.covers && check.allowed
+                            check.covers && check.allowed && !check.read_only
                         });
                     debug_assert!(
                         live,
@@ -205,7 +222,8 @@ impl System {
         }
 
         // ❸ linear search of the owner's window descriptors,
-        // ❹ O(1) bitmask check per covering descriptor. The descriptor
+        // ❹ O(1) bitmask check per covering descriptor — a store needs a
+        // descriptor that admits the accessor for stores. The descriptor
         // array can be mutated by its owner on another core mid-search,
         // so the search runs under the windows lock (P → W nesting).
         let owner_idx = meta.owner.index();
@@ -216,18 +234,28 @@ impl System {
         for w in &self.cubicles[owner_idx].windows {
             let check = w.check(fault.addr, accessor);
             probes += check.probes;
-            if check.covers && check.allowed {
-                decided_by = Some(w.id());
+            if check.covers && check.allowed && !(store && check.read_only) {
+                decided_by = Some((w.id(), check.read_only));
                 break;
             }
         }
         self.machine.charge(cost.acl_probe * probes);
         self.lock_release(MonitorLock::Windows, wstart);
-        if let Some(wid) = decided_by {
+        if let Some((wid, read_only)) = decided_by {
             // ❺ assign the accessor's MPK tag — or its pair key with the
             // owner — to the page (zero-copy)
             self.retag(fault.addr, home)?;
             self.record_holder(fault.addr, accessor, Some(wid));
+            if read_only {
+                // A load-only grant: a key the holder may store through
+                // leaves the page write-protected while it holds it, and
+                // no grant is cached, so a store always searches.
+                if rights.can_write() {
+                    self.protect_read_only(fault.addr);
+                }
+                self.record(event(FaultDecision::Window(wid), probes, grant));
+                return Ok(());
+            }
             let gstart = self.lock_acquire(MonitorLock::GrantCache);
             self.race_note(
                 RaceObject::GrantCache,
@@ -245,38 +273,66 @@ impl System {
             self.record(event(FaultDecision::Window(wid), probes, grant));
             Ok(())
         } else {
-            self.record(event(FaultDecision::Denied, probes, grant));
-            if self.fault_containment {
-                // Fault attribution: if the page's owner sits in a caller
-                // frame below the accessor, the owner passed a pointer it
-                // never opened a window for (confused deputy) — blame the
-                // owner. Otherwise the accessor touched memory it was
-                // never handed — blame the accessor.
-                let frames = self.call_stack.len().saturating_sub(1);
-                let offender = if self.call_stack[..frames]
-                    .iter()
-                    .any(|f| f.cubicle == meta.owner)
-                {
-                    meta.owner
-                } else {
-                    accessor
-                };
-                self.pending_quarantine.push((
-                    offender,
-                    format!(
-                        "denied {} at {} (owner {}, accessor {})",
-                        fault.access,
-                        fault.addr,
-                        self.cubicles[meta.owner.index()].name,
-                        self.cubicles[accessor.index()].name,
-                    ),
-                ));
+            let ev = event(FaultDecision::Denied, probes, grant);
+            Err(self.deny_window_fault(fault, meta.owner, accessor, ev))
+        }
+    }
+
+    /// Records a trap-and-map denial (`event`) and, under fault
+    /// containment, names the offender to quarantine: the owner when it
+    /// sits in a caller frame below the accessor — it passed a pointer it
+    /// never opened a window for (confused deputy) — and otherwise the
+    /// accessor, which touched memory it was never handed.
+    fn deny_window_fault(
+        &mut self,
+        fault: Fault,
+        owner: CubicleId,
+        accessor: CubicleId,
+        event: TraceEvent,
+    ) -> CubicleError {
+        self.record(event);
+        if self.fault_containment {
+            let frames = self.call_stack.len().saturating_sub(1);
+            let offender = if self.call_stack[..frames].iter().any(|f| f.cubicle == owner) {
+                owner
+            } else {
+                accessor
+            };
+            self.pending_quarantine.push((
+                offender,
+                format!(
+                    "denied {} at {} (owner {}, accessor {})",
+                    fault.access,
+                    fault.addr,
+                    self.cubicles[owner.index()].name,
+                    self.cubicles[accessor.index()].name,
+                ),
+            ));
+        }
+        CubicleError::WindowDenied {
+            accessor,
+            owner,
+            addr: fault.addr,
+        }
+    }
+
+    /// Write-protects a page just handed to a load-only holder under a
+    /// key it may store through: the `PROT_READ` rides on the retag's
+    /// `pkey_mprotect`, so it is free. [`System::record_holder`] lifts it
+    /// when the page changes hands.
+    fn protect_read_only(&mut self, addr: VAddr) {
+        if self
+            .machine
+            .page_entry(addr)
+            .is_some_and(|e| e.flags.can_write())
+        {
+            self.machine
+                .set_page_flags(addr, PageFlags::r())
+                .expect("retagged page is mapped");
+            // verify: lock-held(page_meta)
+            if let Some(m) = self.page_meta.get_mut(&addr.page()) {
+                m.read_only = true;
             }
-            Err(CubicleError::WindowDenied {
-                accessor,
-                owner: meta.owner,
-                addr: fault.addr,
-            })
         }
     }
 
@@ -302,15 +358,16 @@ impl System {
         CubicleError::MachineFault(fault)
     }
 
-    /// The pair key `accessor` shares `page` under with its `owner`, if
-    /// any ([`System::shared_home_key`], read under the windows lock —
-    /// taken only when the two have a live share at all).
+    /// The pair key `accessor` shares `page` under with its `owner`, and
+    /// its rights on it, if any ([`System::shared_home_key`], read under
+    /// the windows lock — taken only when the two have a live share at
+    /// all).
     fn home_key(
         &mut self,
         owner: CubicleId,
         accessor: CubicleId,
         page: PageNum,
-    ) -> Option<ProtKey> {
+    ) -> Option<(ProtKey, KeyRights)> {
         if !self
             .keys
             .shares
@@ -344,10 +401,17 @@ impl System {
             true,
             "record_holder:page_meta.get_mut",
         );
-        if let Some(m) = self.page_meta.get_mut(&addr.page()) {
-            // verify: lock-held(page_meta)
-            m.holder = holder;
-            m.via = via;
+        // verify: lock-held(page_meta)
+        let Some(m) = self.page_meta.get_mut(&addr.page()) else {
+            return;
+        };
+        m.holder = holder;
+        m.via = via;
+        if std::mem::take(&mut m.read_only) {
+            // The write protection leaves with the load-only holder.
+            self.machine
+                .set_page_flags(addr, PageFlags::rw())
+                .expect("held page is mapped");
         }
     }
 

@@ -1,8 +1,10 @@
 //! The window API (paper Table 1), plus `window_share`: a window its
-//! owner shares with one peer under a pair key (DESIGN §6l); and the
+//! owner shares with one peer under a pair key (DESIGN §6l), read-only
+//! for the peer with `share_read_only` (DESIGN §6s); and the
 //! shared-buffer seam components use instead of hand-rolling window
 //! lifecycles (DESIGN §6m): [`System::share`], [`System::share_paired`],
-//! [`System::reshare`] and the scoped [`System::with_shared`].
+//! [`System::share_read_only`], [`System::reshare`] and the scoped
+//! [`System::with_shared`].
 
 use super::keys::PairShare;
 use super::locks::MonitorLock;
@@ -12,7 +14,7 @@ use crate::error::{CubicleError, Result};
 use crate::ids::{CubicleId, WindowId};
 use crate::race::RaceObject;
 use crate::trace::{TraceEvent, WindowOpKind};
-use cubicle_mpk::{pages_covering, PageNum, ProtKey, VAddr, PAGE_SIZE};
+use cubicle_mpk::{pages_covering, KeyRights, PageNum, ProtKey, VAddr, PAGE_SIZE};
 
 /// The pages of one ended pair share that may still carry its key.
 pub(super) struct Unpair {
@@ -81,7 +83,10 @@ impl System {
     }
 
     /// `cubicle_window_add`: associates `[ptr, ptr+len)` with window
-    /// `wid`.
+    /// `wid`. A range added to a window under a live pair share joins the
+    /// share at once: its pages are retagged to the pair key, one
+    /// `pkey_mprotect` each, as [`System::window_share`] retags the
+    /// window's first ones.
     ///
     /// # Errors
     ///
@@ -115,6 +120,19 @@ impl System {
         }
         self.window_op_end(wstart);
         self.lock_release(MonitorLock::PageMeta, pstart);
+        if result.is_ok()
+            && self
+                .keys
+                .shares
+                .iter()
+                .any(|s| s.owner == cid && s.wid == wid)
+        {
+            for page in pages_covering(ptr, len) {
+                if let Some((key, _)) = self.shared_home_key(cid, cid, page) {
+                    self.retag_owned(cid, &[page], None, key);
+                }
+            }
+        }
         self.window_op_done(WindowOpKind::Add, wid, None, &result, 0);
         result
     }
@@ -181,7 +199,7 @@ impl System {
     ///
     /// [`CubicleError::NoSuchWindow`].
     pub fn window_open(&mut self, wid: WindowId, peer: CubicleId) -> Result<()> {
-        self.open_window(wid, peer, false)
+        self.open_window(wid, peer, false, KeyRights::ReadWrite)
     }
 
     /// Opens a persistent window for `peer`, the one cubicle its owner
@@ -214,26 +232,45 @@ impl System {
     ///
     /// [`CubicleError::NoSuchWindow`].
     pub fn window_share(&mut self, wid: WindowId, peer: CubicleId) -> Result<()> {
-        self.open_window(wid, peer, true)
+        self.open_window(wid, peer, true, KeyRights::ReadWrite)
     }
 
-    /// The one path behind [`System::window_open`] and
-    /// [`System::window_share`]; `share` asks for the pair key.
-    fn open_window(&mut self, wid: WindowId, peer: CubicleId, share: bool) -> Result<()> {
+    /// The one path behind [`System::window_open`],
+    /// [`System::window_share`] and [`System::share_read_only`]'s open;
+    /// `share` asks for the pair key, `rights` are the peer's.
+    fn open_window(
+        &mut self,
+        wid: WindowId,
+        peer: CubicleId,
+        share: bool,
+        rights: KeyRights,
+    ) -> Result<()> {
         let wstart = self.window_op_begin();
         let cid = self.current_cubicle();
         self.race_note(RaceObject::Windows, true, "window_open:window_mut.open_for");
+        let read_only = !rights.can_write();
         let result = match self.cubicles[cid.index()].window_mut(wid) {
+            Some(w) if read_only => {
+                w.open_read_only_for(peer);
+                Ok(())
+            }
             Some(w) => {
                 w.open_for(peer);
                 Ok(())
             }
             None => Err(CubicleError::NoSuchWindow(wid)),
         };
+        if result.is_ok() && read_only {
+            // A narrowed admission: a grant remembered for a store must
+            // not outlive it.
+            self.grant_cache_retain("window_open:grant_cache.retain", |&(accessor, _), e| {
+                !(e.owner == cid && e.via == wid && accessor == peer)
+            });
+        }
         let paired = match result {
             Ok(()) if share && self.pair_keys_between(cid, peer) => self
                 .keys
-                .share(cid, peer, wid)
+                .share(cid, peer, wid, rights)
                 .map(|key| (key, self.window_pages(cid, wid, None))),
             _ => None,
         };
@@ -264,22 +301,29 @@ impl System {
             })
     }
 
-    /// The pair key `a` and `b` share windows under, while they do (see
-    /// [`System::window_share`]).
+    /// The read-write pair key `a` and `b` share windows under, while
+    /// they do (see [`System::window_share`]).
     pub fn pair_key(&self, a: CubicleId, b: CubicleId) -> Option<ProtKey> {
         self.keys.pair_key(a, b)
     }
 
-    /// The pair key a page of `owner` carries for `member`: `Some` while
-    /// `member` is one of a live share's pair and a range of the shared
-    /// window covers `page`. Reads window descriptors; the fault path
-    /// holds the windows lock around it.
+    /// The read-only pair key `owner` shares pages with `peer` under,
+    /// while it does (see [`System::share_read_only`]).
+    pub fn read_only_key(&self, owner: CubicleId, peer: CubicleId) -> Option<ProtKey> {
+        self.keys.read_only_key(owner, peer)
+    }
+
+    /// The pair key a page of `owner` carries for `member`, and
+    /// `member`'s rights on it: `Some` while `member` is one of a live
+    /// share's pair and a range of the shared window covers `page`.
+    /// Reads window descriptors; the fault path holds the windows lock
+    /// around it.
     pub(crate) fn shared_home_key(
         &self,
         owner: CubicleId,
         member: CubicleId,
         page: PageNum,
-    ) -> Option<ProtKey> {
+    ) -> Option<(ProtKey, KeyRights)> {
         self.keys
             .shares
             .iter()
@@ -290,7 +334,7 @@ impl System {
                         .window(s.wid)
                         .is_some_and(|w| w.ranges().iter().any(|r| r.covers_page(page)))
             })
-            .map(|s| s.key)
+            .map(|s| (s.key, s.rights_of(member)))
     }
 
     /// The distinct pages window `wid` of `owner` covers — only its
@@ -484,7 +528,7 @@ impl System {
     /// [`CubicleError::NotOwner`] when a range is not the caller's. The
     /// half-built window is destroyed before the error returns.
     pub fn share(&mut self, ranges: &[(VAddr, usize)], peers: &[CubicleId]) -> Result<WindowId> {
-        self.build_window(ranges, peers, false)
+        self.build_window(ranges, peers, false, KeyRights::ReadWrite)
     }
 
     /// [`System::share`] with one peer under the pair's key: its open is
@@ -502,16 +546,29 @@ impl System {
     /// for a range that is not whole pages; otherwise as
     /// [`System::share`].
     pub fn share_paired(&mut self, ranges: &[(VAddr, usize)], peer: CubicleId) -> Result<WindowId> {
-        let page = PAGE_SIZE as u64;
-        if ranges
-            .iter()
-            .any(|&(ptr, len)| len == 0 || !ptr.is_aligned(page) || len % PAGE_SIZE != 0)
-        {
-            return Err(CubicleError::InvalidArgument(
-                "share_paired: ranges must be whole pages",
-            ));
-        }
-        self.build_window(ranges, &[peer], true)
+        whole_pages(ranges)?;
+        self.build_window(ranges, &[peer], true, KeyRights::ReadWrite)
+    }
+
+    /// [`System::share_paired`] with `peer` admitted for loads only
+    /// (DESIGN §6s). The window's ACL records the peer as read-only, so
+    /// trap-and-map denies its stores without a retag, and the pair key
+    /// is bound to (owner, peer) read-only: the peer's PKRU set enables
+    /// it with the write-disable bit, the owner's without. It is never
+    /// the read-write key of the same two cubicles. Without a key (the
+    /// same conditions as [`System::window_share`]) the window is plainly
+    /// open, read-only: a load traps and maps the page write-protected.
+    ///
+    /// # Errors
+    ///
+    /// As [`System::share_paired`].
+    pub fn share_read_only(
+        &mut self,
+        ranges: &[(VAddr, usize)],
+        peer: CubicleId,
+    ) -> Result<WindowId> {
+        whole_pages(ranges)?;
+        self.build_window(ranges, &[peer], true, KeyRights::ReadOnly)
     }
 
     /// Would [`System::share_paired`] from the current cubicle to each of
@@ -563,14 +620,15 @@ impl System {
         self.window_destroy(wid).and(out)
     }
 
-    /// The one path behind [`System::share`] and
-    /// [`System::share_paired`]: adds every range, then opens the window
-    /// for every peer.
+    /// The one path behind [`System::share`], [`System::share_paired`]
+    /// and [`System::share_read_only`]: adds every range, then opens the
+    /// window for every peer with `rights`.
     fn build_window(
         &mut self,
         ranges: &[(VAddr, usize)],
         peers: &[CubicleId],
         paired: bool,
+        rights: KeyRights,
     ) -> Result<WindowId> {
         let wid = self.window_init();
         let built = ranges
@@ -579,11 +637,27 @@ impl System {
             .and_then(|()| {
                 peers
                     .iter()
-                    .try_for_each(|&p| self.open_window(wid, p, paired))
+                    .try_for_each(|&p| self.open_window(wid, p, paired, rights))
             });
         match built {
             Ok(()) => Ok(wid),
             Err(e) => self.window_destroy(wid).and(Err(e)),
         }
     }
+}
+
+/// A keyed share exposes whole pages for its life, not for one call:
+/// every range must be page-aligned and a whole number of pages, or a
+/// neighbour on a partly shared page would be exposed along with it.
+fn whole_pages(ranges: &[(VAddr, usize)]) -> Result<()> {
+    let page = PAGE_SIZE as u64;
+    if ranges
+        .iter()
+        .any(|&(ptr, len)| len == 0 || !ptr.is_aligned(page) || len % PAGE_SIZE != 0)
+    {
+        return Err(CubicleError::InvalidArgument(
+            "keyed shares take whole pages",
+        ));
+    }
+    Ok(())
 }

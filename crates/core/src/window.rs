@@ -32,13 +32,15 @@ impl WindowRange {
 }
 
 /// A window: a set of ranges plus the ACL bitmask of cubicles that may
-/// access them.
+/// access them, and of those admitted for loads only.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Window {
     id: WindowId,
     ranges: Vec<WindowRange>,
     /// Bit *i* set ⇒ cubicle *i* may access the window's contents.
     mask: u64,
+    /// Bit *i* set ⇒ cubicle *i* may only load them (a subset of `mask`).
+    read_only: u64,
 }
 
 impl Window {
@@ -48,6 +50,7 @@ impl Window {
             id,
             ranges: Vec::new(),
             mask: 0,
+            read_only: 0,
         }
     }
 
@@ -80,19 +83,29 @@ impl Window {
         self.ranges.len() != before
     }
 
-    /// Opens the window for `cid` (`cubicle_window_open`).
+    /// Opens the window for `cid` (`cubicle_window_open`), for loads and
+    /// stores.
     pub fn open_for(&mut self, cid: CubicleId) {
         self.mask |= cid.mask_bit();
+        self.read_only &= !cid.mask_bit();
+    }
+
+    /// Opens the window for `cid` for loads only.
+    pub fn open_read_only_for(&mut self, cid: CubicleId) {
+        self.mask |= cid.mask_bit();
+        self.read_only |= cid.mask_bit();
     }
 
     /// Closes the window for `cid` (`cubicle_window_close`).
     pub fn close_for(&mut self, cid: CubicleId) {
         self.mask &= !cid.mask_bit();
+        self.read_only &= !cid.mask_bit();
     }
 
     /// Closes the window for everyone (`cubicle_window_close_all`).
     pub fn close_all(&mut self) {
         self.mask = 0;
+        self.read_only = 0;
     }
 
     /// Is the window currently open for `cid`?
@@ -100,10 +113,16 @@ impl Window {
         self.mask & cid.mask_bit() != 0
     }
 
-    /// Returns `(covers, allowed)` for an access by `accessor` at `addr`:
-    /// whether any range covers the address and, if so, whether the ACL
-    /// admits the accessor. Also reports the number of ranges probed, so
-    /// the monitor can charge the linear-search cost.
+    /// Is the window open for `cid` for loads only?
+    pub fn is_read_only_for(&self, cid: CubicleId) -> bool {
+        self.read_only & cid.mask_bit() != 0
+    }
+
+    /// Returns `(covers, allowed, read_only)` for an access by `accessor`
+    /// at `addr`: whether any range covers the address and, if so,
+    /// whether the ACL admits the accessor and for loads only. Also
+    /// reports the number of ranges probed, so the monitor can charge
+    /// the linear-search cost.
     pub fn check(&self, addr: VAddr, accessor: CubicleId) -> WindowCheck {
         let mut probes = 0;
         for range in &self.ranges {
@@ -112,6 +131,7 @@ impl Window {
                 return WindowCheck {
                     covers: true,
                     allowed: self.is_open_for(accessor),
+                    read_only: self.is_read_only_for(accessor),
                     probes,
                 };
             }
@@ -119,6 +139,7 @@ impl Window {
         WindowCheck {
             covers: false,
             allowed: false,
+            read_only: false,
             probes,
         }
     }
@@ -131,6 +152,8 @@ pub struct WindowCheck {
     pub covers: bool,
     /// The ACL admits the accessor (meaningful only when `covers`).
     pub allowed: bool,
+    /// The ACL admits the accessor for loads only: not for a store.
+    pub read_only: bool,
     /// Number of range descriptors inspected.
     pub probes: u64,
 }
@@ -216,6 +239,22 @@ mod tests {
         let c = win.check(VAddr::new(0x9000), CubicleId(4));
         assert!(!c.covers && !c.allowed);
         assert_eq!(c.probes, 2);
+    }
+
+    #[test]
+    fn read_only_admission_is_per_peer_and_the_last_open_wins() {
+        let mut win = w();
+        win.add_range(VAddr::new(0x1000), 16);
+        win.open_read_only_for(CubicleId(2));
+        win.open_for(CubicleId(3));
+        let c = win.check(VAddr::new(0x1000), CubicleId(2));
+        assert!(c.allowed && c.read_only);
+        assert!(!win.check(VAddr::new(0x1000), CubicleId(3)).read_only);
+        win.open_for(CubicleId(2));
+        assert!(!win.is_read_only_for(CubicleId(2)));
+        win.open_read_only_for(CubicleId(2));
+        win.close_for(CubicleId(2));
+        assert!(!win.is_open_for(CubicleId(2)) && !win.is_read_only_for(CubicleId(2)));
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! currently opened a covering window for it** — and conversely, an
 //! open window always admits the grantee. The window may also be shared
 //! with one peer under a pair key (`System::window_share`); the model
-//! then follows the pair key's eager revocation.
+//! then follows the pair key's eager revocation. A second model maps
+//! pages to a peer for loads only (`System::share_read_only`), keyed and
+//! plain, and follows growth, revocation and the peer's denied stores.
 //!
 //! Formerly proptest-based; rewritten over the in-tree deterministic
 //! [`Rng64`] so the suite builds fully offline.
@@ -189,6 +191,185 @@ fn window_acl_algebra_never_leaks() {
             // the interleaving of opens, closes, reclaims and reads
             sys.audit()
                 .assert_clean(&format!("case {case}, step {step}"));
+        }
+    }
+}
+
+/// One step of the read-only holder model: the owner maps a growing
+/// prefix of its pages to a load-only peer `R` (a file's page map), a
+/// third cubicle `P` holds a read-write window over all of them.
+#[derive(Clone, Copy, Debug)]
+enum MapOp {
+    OwnerWrite(usize, u8),
+    RLoad(usize),
+    RStore(usize),
+    PLoad(usize),
+    PStore(usize, u8),
+    /// The map gains the next page (a growing file).
+    Grow,
+    /// The map is revoked (a shrinking truncate, a removal).
+    Revoke,
+}
+
+fn rand_map_op(rng: &mut Rng64, pages: usize) -> MapOp {
+    let page = rng.range_usize(0, pages);
+    let byte = rng.range_u64(1, 256) as u8;
+    match rng.range_usize(0, 9) {
+        0 => MapOp::OwnerWrite(page, byte),
+        1 | 2 => MapOp::RLoad(page),
+        3 => MapOp::RStore(page),
+        4 => MapOp::PLoad(page),
+        5 => MapOp::PStore(page, byte),
+        6 | 7 => MapOp::Grow,
+        _ => MapOp::Revoke,
+    }
+}
+
+/// Who holds a page of the map model, i.e. whose key it carries.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Holder {
+    Owner,
+    P,
+    /// `R` through the plain window: its own key, write-protected.
+    R,
+    /// The read-only pair key of the live map.
+    Map,
+}
+
+/// A load-only peer can load exactly the pages the owner maps to it (or,
+/// through a plain window, still holds after a revocation — lazy tag
+/// consistency), never store to any of them, and always loads the
+/// owner's current bytes; growth and revocation keep the page keys where
+/// the model puts them. Run keyed (pair keys on: the map is a read-only
+/// pair-keyed share) and plain (off: trap-and-map with write-protected
+/// grants).
+#[test]
+fn read_only_holders_load_and_never_store() {
+    const PAGES: usize = 4;
+    for case in 0..64u64 {
+        let keyed = case % 2 == 0;
+        let mut rng = Rng64::new(0x0F0_0000 + case);
+        let mut sys = System::new(SystemConfig {
+            cost: CostModel::free(),
+            pair_keys: keyed,
+            ..IsolationMode::Full.into()
+        });
+        let mut load = |name: &str| {
+            sys.load(
+                ComponentImage::new(name, CodeImage::plain(64)).heap_pages(8),
+                Box::new(Dummy),
+            )
+            .unwrap()
+            .cid
+        };
+        let (owner, r, p) = (load("OWNER"), load("R"), load("P"));
+        let pages: Vec<VAddr> = sys.run_in_cubicle(owner, |sys| {
+            let pages: Vec<VAddr> = (0..PAGES)
+                .map(|_| sys.heap_alloc(4096, 4096).unwrap())
+                .collect();
+            let ranges: Vec<_> = pages.iter().map(|&a| (a, 4096)).collect();
+            sys.share(&ranges, &[p]).unwrap();
+            pages
+        });
+
+        let mut bytes = [0u8; PAGES];
+        let mut holder = [Holder::Owner; PAGES];
+        let mut map: Option<(WindowId, usize)> = None;
+        let mapped = |map: &Option<(WindowId, usize)>, i: usize| map.is_some_and(|(_, n)| i < n);
+
+        for step in 0..rng.range_usize(1, 80) {
+            let op = rand_map_op(&mut rng, PAGES);
+            let ctx = format!("case {case} (keyed {keyed}), step {step}: {op:?}");
+            match op {
+                MapOp::OwnerWrite(i, b) => {
+                    sys.run_in_cubicle(owner, |sys| sys.write(pages[i], &[b]))
+                        .unwrap();
+                    bytes[i] = b;
+                    holder[i] = if keyed && mapped(&map, i) {
+                        Holder::Map
+                    } else {
+                        Holder::Owner
+                    };
+                }
+                MapOp::RLoad(i) => {
+                    let res = sys.run_in_cubicle(r, |sys| sys.read_vec(pages[i], 1));
+                    let allowed = mapped(&map, i) || holder[i] == Holder::R;
+                    match res {
+                        Ok(got) => {
+                            assert!(allowed, "{ctx}: R loaded an unmapped page");
+                            assert_eq!(got, [bytes[i]], "{ctx}: R loaded stale bytes");
+                            if mapped(&map, i) {
+                                holder[i] = if keyed { Holder::Map } else { Holder::R };
+                            }
+                        }
+                        Err(CubicleError::WindowDenied { .. }) => {
+                            assert!(!allowed, "{ctx}: R denied a mapped page")
+                        }
+                        Err(e) => panic!("{ctx}: unexpected error: {e}"),
+                    }
+                }
+                MapOp::RStore(i) => {
+                    let res = sys.run_in_cubicle(r, |sys| sys.write(pages[i], &[0xEE]));
+                    assert!(
+                        matches!(res, Err(CubicleError::WindowDenied { .. })),
+                        "{ctx}: a load-only peer stored: {res:?}"
+                    );
+                }
+                MapOp::PLoad(i) => {
+                    let got = sys.run_in_cubicle(p, |sys| sys.read_vec(pages[i], 1));
+                    assert_eq!(got.unwrap(), [bytes[i]], "{ctx}");
+                    holder[i] = Holder::P;
+                }
+                MapOp::PStore(i, b) => {
+                    sys.run_in_cubicle(p, |sys| sys.write(pages[i], &[b]))
+                        .unwrap();
+                    bytes[i] = b;
+                    holder[i] = Holder::P;
+                }
+                MapOp::Grow => {
+                    let n = map.map_or(0, |(_, n)| n);
+                    if n < PAGES {
+                        let range = [(pages[n], 4096)];
+                        let wid = sys.run_in_cubicle(owner, |sys| match map {
+                            Some((wid, _)) => sys.window_add(wid, pages[n], 4096).map(|()| wid),
+                            None => sys.share_read_only(&range, r),
+                        });
+                        map = Some((wid.unwrap(), n + 1));
+                        if keyed {
+                            // the new page joins the share at once
+                            holder[n] = Holder::Map;
+                        }
+                    }
+                }
+                MapOp::Revoke => {
+                    if let Some((wid, _)) = map.take() {
+                        sys.run_in_cubicle(owner, |sys| sys.window_destroy(wid))
+                            .unwrap();
+                        // keyed: eager, the pages go home; plain: lazy
+                        for h in &mut holder {
+                            if *h == Holder::Map {
+                                *h = Holder::Owner;
+                            }
+                        }
+                    }
+                }
+            }
+            for i in 0..PAGES {
+                let entry = sys.machine().page_entry(pages[i]).unwrap();
+                let expect = match holder[i] {
+                    Holder::Owner => sys.cubicle(owner).key,
+                    Holder::P => sys.cubicle(p).key,
+                    Holder::R => sys.cubicle(r).key,
+                    Holder::Map => sys.read_only_key(owner, r).expect("a live map"),
+                };
+                assert_eq!(entry.key, expect, "{ctx}: page {i} held by {:?}", holder[i]);
+                assert_eq!(
+                    entry.flags.can_write(),
+                    holder[i] != Holder::R,
+                    "{ctx}: page {i} write protection"
+                );
+            }
+            sys.audit().assert_clean(&ctx);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The `RAMFS` component implementation.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use cubicle_core::{
     component_mut, impl_component, Builder, Component, ComponentImage, CubicleId, Errno,
@@ -10,7 +10,7 @@ use cubicle_mpk::insn::CodeImage;
 use cubicle_mpk::{VAddr, PAGE_SIZE};
 use cubicle_ukbase::{AllocProxy, BaseSystem};
 use cubicle_vfs::path::components;
-use cubicle_vfs::{flags, FsOps, Vfs, VfsPort, VfsProxy};
+use cubicle_vfs::{flags, FsOps, Vfs, VfsPort, VfsProxy, PAGE_MAP_HEADER};
 
 use crate::journal::{AppendOutcome, Journal, JournalRecord};
 
@@ -36,6 +36,28 @@ struct SendfileMap {
     refs: u64,
 }
 
+/// A peer's read-only page map of one inode (DESIGN §6s): the file's
+/// full pages, shared read-only under the pair key (owner `RAMFS`, peer
+/// read-only), kept while the file grows and revoked only when extents
+/// may be dropped. The generation word tells its holders whether the
+/// pages they were listed are still the map's.
+#[derive(Debug)]
+struct PageMap {
+    /// The page the generation word is published in, shared read-only
+    /// with the peer for the map's whole life.
+    gen_page: VAddr,
+    gen_wid: WindowId,
+    /// The generation the mapped pages belong to.
+    gen: u64,
+    /// The window over the mapped pages; `None` while none are mapped.
+    pages_wid: Option<WindowId>,
+    /// Pages mapped, from the file's first.
+    mapped: usize,
+    /// Holders: `map_extents` calls without [`flags::MAP_MORE`] not yet
+    /// matched by an `unmap_extents`.
+    refs: u64,
+}
+
 /// Where the bytes of a store come from.
 #[derive(Clone, Copy)]
 enum Bytes<'a> {
@@ -55,6 +77,12 @@ pub struct Ramfs {
     pub pages_used: u64,
     /// Live sendfile windows by inode (`map_extents`/`unmap_extents`).
     sendfile_maps: HashMap<i64, SendfileMap>,
+    /// Read-only page maps by inode and peer, in that order (revocation
+    /// walks an inode's maps in peer order).
+    page_maps: BTreeMap<(i64, CubicleId), PageMap>,
+    /// The last generation handed out: every map and every revocation
+    /// takes a fresh one.
+    map_gen: u64,
     /// Redo journal in custodian-owned pages ([`boot_fs`]).
     journal: Option<Journal>,
 }
@@ -69,6 +97,8 @@ impl Default for Ramfs {
             alloc: None,
             pages_used: 0,
             sendfile_maps: HashMap::new(),
+            page_maps: BTreeMap::new(),
+            map_gen: 0,
             journal: None,
         }
     }
@@ -178,6 +208,101 @@ impl Ramfs {
             sys.window_destroy(m.wid)?;
         }
         Ok(())
+    }
+
+    /// Joins `peer`'s read-only page map of `ino` (or, with `more`, finds
+    /// it) and grows it to `full`, the file's full pages: the new pages
+    /// join the map's window, which retags only them, and the mapped ones
+    /// stay as they are. Returns the generation word's address and value;
+    /// `Ok(Err(-ENOENT))` for `more` without a live map.
+    fn page_map(
+        &mut self,
+        sys: &mut System,
+        ino: i64,
+        peer: CubicleId,
+        full: &[VAddr],
+        more: bool,
+    ) -> Result<std::result::Result<(VAddr, u64), i64>> {
+        if !self.page_maps.contains_key(&(ino, peer)) {
+            if more {
+                return Ok(Err(Errno::Enoent.neg()));
+            }
+            let gen_page = sys.heap_alloc(PAGE_SIZE, PAGE_SIZE)?;
+            self.map_gen += 1;
+            let shared = sys
+                .write_u64(gen_page, self.map_gen)
+                .and_then(|()| sys.share_read_only(&[(gen_page, PAGE_SIZE)], peer));
+            let gen_wid = match shared {
+                Ok(wid) => wid,
+                Err(e) => return sys.heap_free(gen_page).and(Err(e)),
+            };
+            let map = PageMap {
+                gen_page,
+                gen_wid,
+                gen: self.map_gen,
+                pages_wid: None,
+                mapped: 0,
+                refs: 0,
+            };
+            self.page_maps.insert((ino, peer), map);
+        }
+        let map = self
+            .page_maps
+            .get_mut(&(ino, peer))
+            .expect("inserted above");
+        if full.len() > map.mapped {
+            let fresh: Vec<_> = full[map.mapped..].iter().map(|&p| (p, PAGE_SIZE)).collect();
+            match map.pages_wid {
+                Some(wid) => {
+                    for &(page, len) in &fresh {
+                        sys.window_add(wid, page, len)?;
+                    }
+                }
+                None => map.pages_wid = Some(sys.share_read_only(&fresh, peer)?),
+            }
+            map.mapped = full.len();
+        }
+        if !more {
+            map.refs += 1;
+        }
+        Ok(Ok((map.gen_page, map.gen)))
+    }
+
+    /// Revokes every read-only page map of `ino`: the generation word
+    /// moves on, so a holder's next mapped read sees it and reads through
+    /// `ramfs_read` instead, and the mapped pages leave the map's window,
+    /// back to `RAMFS`'s key. The map and its word live on for their
+    /// holders, and grow again from the file's first page.
+    fn revoke_page_maps(&mut self, sys: &mut System, ino: i64) -> Result<()> {
+        let peers = (ino, CubicleId(0))..=(ino, CubicleId(u16::MAX));
+        for map in self.page_maps.range_mut(peers).map(|(_, m)| m) {
+            self.map_gen += 1;
+            map.gen = self.map_gen;
+            sys.write_u64(map.gen_page, map.gen)?;
+            if let Some(wid) = map.pages_wid.take() {
+                sys.window_destroy(wid)?;
+            }
+            map.mapped = 0;
+        }
+        Ok(())
+    }
+
+    /// Drops one holder of `peer`'s read-only page map of `ino`; the last
+    /// one ends the map (a no-op without one).
+    fn unmap_pages(&mut self, sys: &mut System, ino: i64, peer: CubicleId) -> Result<()> {
+        let Some(map) = self.page_maps.get_mut(&(ino, peer)) else {
+            return Ok(());
+        };
+        map.refs = map.refs.saturating_sub(1);
+        if map.refs > 0 {
+            return Ok(());
+        }
+        let map = self.page_maps.remove(&(ino, peer)).expect("found above");
+        if let Some(wid) = map.pages_wid {
+            sys.window_destroy(wid)?;
+        }
+        sys.window_destroy(map.gen_wid)?;
+        sys.heap_free(map.gen_page)
     }
 
     /// The store step behind `ramfs_write` and `ramfs_copy_range`: grows
@@ -499,12 +624,16 @@ pub fn image() -> ComponentImage {
         )
         .export(b.export("long ramfs_is_dir(long ino)").unwrap(), e_is_dir)
         .export(
-            b.export("long ramfs_map_extents(long ino, long peer, void *out, size_t n)")
-                .unwrap(),
+            b.export(
+                "long ramfs_map_extents(long ino, long peer, void *out, size_t n, \
+                 uint64_t first, int flags)",
+            )
+            .unwrap(),
             e_map_extents,
         )
         .export(
-            b.export("long ramfs_unmap_extents(long ino)").unwrap(),
+            b.export("long ramfs_unmap_extents(long ino, long peer, int flags)")
+                .unwrap(),
             e_unmap_extents,
         )
         .export(
@@ -755,6 +884,7 @@ fn e_remove(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Resul
     }
     let fs = component_mut::<Ramfs>(this);
     fs.drop_sendfile_map(sys, ino as i64)?;
+    fs.revoke_page_maps(sys, ino as i64)?;
     if let Some(Inode::File { extents, .. }) = fs.inodes[ino].take() {
         fs.pages_used -= extents.len() as u64;
         fs.pool.extend(extents);
@@ -926,15 +1056,23 @@ fn e_truncate(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Res
     }
     {
         let fs = component_mut::<Ramfs>(this);
-        fs.drop_sendfile_map(sys, ino)?;
-        let surplus: Vec<VAddr> = match fs.file_mut(ino) {
-            Ok((_, extents)) => {
-                // shrink: recycle surplus pages
-                let keep = needed_pages.min(extents.len());
-                extents.split_off(keep)
-            }
+        let size = match fs.file_mut(ino) {
+            Ok((size, _)) => *size,
             Err(e) => return Ok(Value::I64(e)),
         };
+        // A truncate to the current size changes nothing a map lists. A
+        // sendfile map's list goes stale on any other; a read-only map
+        // lists only pages wholly below the end of file, which only a
+        // shrink can break.
+        if new_len != size {
+            fs.drop_sendfile_map(sys, ino)?;
+        }
+        if new_len < size {
+            fs.revoke_page_maps(sys, ino)?;
+        }
+        // shrink: recycle surplus pages
+        let (_, extents) = fs.file_mut(ino).expect("checked");
+        let surplus = extents.split_off(needed_pages.min(extents.len()));
         fs.pages_used -= surplus.len() as u64;
         fs.pool.extend(surplus);
     }
@@ -1014,46 +1152,89 @@ fn e_readdir(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Resu
     }
 }
 
-/// `map_extents(ino, peer, out, n)`: grants `peer` (and the caller, who
-/// already reaches RAMFS) one refcounted window over every extent page of
-/// `ino` and writes the page addresses (`u64` LE each) into `out`. This is
-/// the zero-copy sendfile primitive: the consumer reads response bytes
-/// straight out of the file's own pages, no intermediate copy.
+/// `map_extents(ino, peer, out, n, first, flags)`: maps `ino`'s data
+/// pages to `peer` and writes their addresses (`u64` LE each) into `out`,
+/// through one walk of the extent list for both kinds of map:
+///
+/// * `flags` 0 — sendfile: one refcounted window over every extent page,
+///   granted to `peer` (and the caller, who already reaches RAMFS). The
+///   whole list must fit `out` (`first` must be 0), or it is `-EINVAL`.
+///   The consumer reads response bytes straight out of the file's own
+///   pages, no intermediate copy.
+/// * [`flags::MAP_READ_ONLY`] — `peer`'s read-only page map (DESIGN
+///   §6s), over the pages wholly below the end of file. The call joins
+///   the map (with [`flags::MAP_MORE`], finds the live one) and grows it
+///   to the file's full pages, then lists them from page `first` on, as
+///   many as fit `out` after the generation word's address and value.
+///
+/// Returns the number of pages listed.
 fn e_map_extents(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<Value> {
     sys.charge(RAMFS_OP_COST);
     let ino = args[0].as_i64();
     let peer_raw = args[1].as_i64();
     let (out, n) = args[2].as_buf();
+    let first = args[3].as_u64();
+    let mode = args[4].as_i64();
+    let read_only = mode & flags::MAP_READ_ONLY != 0;
+    let known = flags::MAP_READ_ONLY | flags::MAP_MORE;
     let Ok(peer) = u16::try_from(peer_raw) else {
         return Ok(Value::I64(Errno::Einval.neg()));
     };
+    if mode & !known != 0 || (!read_only && (mode != 0 || first != 0)) {
+        return Ok(Value::I64(Errno::Einval.neg()));
+    }
     let peer = CubicleId(peer);
-    let extents = {
+    let (size, extents) = {
         let fs = component_mut::<Ramfs>(this);
         match fs.file_mut(ino) {
-            Ok((_, extents)) => extents.clone(),
+            Ok((size, extents)) => (*size, extents.clone()),
             Err(e) => return Ok(Value::I64(e)),
         }
     };
-    if n < extents.len() * 8 {
+    // The pages a map may cover: every extent for sendfile; for a
+    // read-only map, which outlives the call, only the full ones.
+    let (covered, header, room) = if read_only {
+        let full = usize::try_from(size).unwrap_or(usize::MAX) / PAGE_SIZE;
+        (full, PAGE_MAP_HEADER, n.saturating_sub(PAGE_MAP_HEADER) / 8)
+    } else {
+        (extents.len(), 0, n / 8)
+    };
+    let from = usize::try_from(first).unwrap_or(usize::MAX).min(covered);
+    let listed = &extents[from..covered.min(from.saturating_add(room))];
+    if !read_only && listed.len() < covered {
         return Ok(Value::I64(Errno::Einval.neg()));
     }
-    // Publish the extent list first: a denied write leaves no window
-    // behind and no reference to roll back.
-    let mut bytes = Vec::with_capacity(extents.len() * 8);
-    for page in &extents {
+    let mut bytes = Vec::with_capacity(header + listed.len() * 8);
+    if read_only {
+        let fs = component_mut::<Ramfs>(this);
+        let more = mode & flags::MAP_MORE != 0;
+        match fs.page_map(sys, ino, peer, &extents[..covered], more)? {
+            Ok((gen_page, gen)) => {
+                bytes.extend_from_slice(&gen_page.raw().to_le_bytes());
+                bytes.extend_from_slice(&gen.to_le_bytes());
+            }
+            Err(e) => return Ok(Value::I64(e)),
+        }
+    }
+    for page in listed {
         bytes.extend_from_slice(&page.raw().to_le_bytes());
     }
+    // Sendfile publishes the list before it maps: a denied write leaves no
+    // window behind and no reference to roll back. A read-only map's
+    // header names the map, so a denied write gives its reference back.
     if !bytes.is_empty() {
         match sys.write(out, &bytes) {
             Ok(()) => {}
             Err(cubicle_core::CubicleError::WindowDenied { .. }) => {
-                return Ok(Value::I64(Errno::Eacces.neg()))
+                if read_only && mode & flags::MAP_MORE == 0 {
+                    component_mut::<Ramfs>(this).unmap_pages(sys, ino, peer)?;
+                }
+                return Ok(Value::I64(Errno::Eacces.neg()));
             }
             Err(e) => return Err(e),
         }
     }
-    if !extents.is_empty() {
+    if !read_only && !extents.is_empty() {
         let existing = component_mut::<Ramfs>(this)
             .sendfile_maps
             .get(&ino)
@@ -1071,17 +1252,25 @@ fn e_map_extents(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> 
             .or_insert(SendfileMap { wid, refs: 0 })
             .refs += 1;
     }
-    Ok(Value::I64(extents.len() as i64))
+    Ok(Value::I64(listed.len() as i64))
 }
 
-/// `unmap_extents(ino)`: drops one `map_extents` reference; the window is
-/// destroyed (revoking all peers at once) when the count reaches zero.
-/// Idempotent — unmapping an inode whose window was already revoked by a
-/// truncate/remove/growing-write is a no-op.
+/// `unmap_extents(ino, peer, flags)`: drops one `map_extents` reference
+/// taken with `flags`. A sendfile window is destroyed (revoking all
+/// peers at once) when its count reaches zero, a read-only page map
+/// when its last holder leaves. Idempotent — unmapping an inode whose
+/// sendfile window was already revoked by a truncate/remove/growing
+/// write, or whose maps a microreboot ended, is a no-op.
 fn e_unmap_extents(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<Value> {
     sys.charge(RAMFS_OP_COST / 2);
     let ino = args[0].as_i64();
     let fs = component_mut::<Ramfs>(this);
+    if args[2].as_i64() & flags::MAP_READ_ONLY != 0 {
+        if let Ok(peer) = u16::try_from(args[1].as_i64()) {
+            fs.unmap_pages(sys, ino, CubicleId(peer))?;
+        }
+        return Ok(Value::I64(0));
+    }
     let Some(m) = fs.sendfile_maps.get_mut(&ino) else {
         return Ok(Value::I64(0));
     };

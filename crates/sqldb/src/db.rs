@@ -136,6 +136,17 @@ impl Database {
         Ok(db)
     }
 
+    /// Closes the database ([`Pager::close`]): an open transaction rolls
+    /// back, and its files and what the storage holds for them are
+    /// released.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors; every file is closed regardless.
+    pub fn close(self, sys: &mut System) -> Result<()> {
+        self.pager.close(sys)
+    }
+
     /// Pager statistics (cache hits/misses, syncs, commits).
     pub fn pager_stats(&self) -> crate::pager::PagerStats {
         self.pager.stats

@@ -206,7 +206,34 @@ impl Pager {
                 pager.reload_header(sys)?;
             }
         }
+        // Misses read the database file's pages straight from the file
+        // system's where the system offers a map (DESIGN §6s); the log's
+        // frames straddle pages and it is truncated at every checkpoint,
+        // so it stays on `pread`.
+        pager.file.map_reads(sys);
         Ok(pager)
+    }
+
+    /// Closes the database: rolls back an open transaction, then closes
+    /// the log, a rollback journal and the database file, each whatever
+    /// the others do, releasing what the storage holds for them (file
+    /// descriptors, staging, page maps). The first error wins.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors.
+    pub fn close(mut self, sys: &mut System) -> Result<()> {
+        let mut out = Ok(());
+        if self.in_txn() {
+            out = self.rollback(sys);
+        }
+        if let Some(wal) = self.wal.as_mut() {
+            out = out.and(wal.file_mut().close(sys));
+        }
+        if let Some(journal) = self.journal.as_mut() {
+            out = out.and(journal.file.close(sys));
+        }
+        out.and(self.file.close(sys))
     }
 
     /// Number of pages in the database (including the header page).
@@ -533,6 +560,8 @@ impl Pager {
         self.wal.as_mut().expect("checked above").reset(sys)?;
         self.committed_index.clear();
         self.stats.checkpoints += 1;
+        // The fold may have grown the file: the map lists the new pages.
+        self.file.map_reads(sys);
         Ok(true)
     }
 

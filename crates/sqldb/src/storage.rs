@@ -17,11 +17,17 @@
 //! monitor grants no pair key (a mode other than `Full`, pair keys off,
 //! or no free key in the pool) the file shares each buffer for
 //! the call only, the paper's Figure 1c port.
+//!
+//! The database file, asked by the pager ([`StorageFile::map_reads`]),
+//! also holds a read-only map of its pages in the backend (DESIGN §6s)
+//! where the system offers one ([`System::maps_reads`]): a page read
+//! below the mapped length is one checked load from the backend's page,
+//! with no crossing.
 
 use crate::error::{Result, SqlError};
-use cubicle_core::{CubicleId, Errno, System, WindowId};
+use cubicle_core::{CubicleError, CubicleId, Errno, System, WindowId};
 use cubicle_mpk::{VAddr, PAGE_SIZE};
-use cubicle_vfs::{flags, VfsPort, IOV_MAX};
+use cubicle_vfs::{flags, PageList, VfsPort, IOV_MAX, PAGE_MAP_HEADER};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -134,6 +140,14 @@ pub trait StorageFile {
     ///
     /// [`SqlError::Io`] with a negative errno.
     fn sync(&mut self, sys: &mut System) -> Result<()>;
+
+    /// Asks the file to serve page reads from a read-only map of its
+    /// pages where the system offers one, and to bring that map up to
+    /// the file's current length: the pager calls it on its database
+    /// file after opening it and after each checkpoint. It never fails —
+    /// a file that cannot map keeps reading through
+    /// [`StorageFile::pread`] — and the default does nothing.
+    fn map_reads(&mut self, _sys: &mut System) {}
 
     /// Releases the handle (file descriptors, staging buffers). The
     /// default is a no-op for handle-less backends.
@@ -328,6 +342,17 @@ const STAGING: usize = 8192;
 /// The buffered [`StorageFile::copy_from`] sizes its steps by it.
 pub const VEC_STAGING: usize = 4 * STAGING;
 
+/// The backend's read-only map of a file's pages, as this handle was
+/// listed it (DESIGN §6s).
+struct PageMap {
+    /// The backend's generation word for the map, and its value when
+    /// `pages` were listed: they are the map's while the two agree.
+    gen_addr: VAddr,
+    gen: u64,
+    /// The file's full pages from its first, as far as listed.
+    pages: Vec<VAddr>,
+}
+
 struct CubicleFile {
     /// The env's port, or a [`VfsPort::preshared`] one over `iov_page`
     /// once the file is paired.
@@ -344,6 +369,11 @@ struct CubicleFile {
     iov_page: Option<VAddr>,
     /// The paired windows, destroyed at close.
     shares: Vec<WindowId>,
+    /// The file's read-only page map, while this handle holds one.
+    map: Option<PageMap>,
+    /// This handle wrote past the mapped length since the map was last
+    /// listed: the next [`StorageFile::map_reads`] lists the new pages.
+    grown: bool,
 }
 
 fn io_err<T>(code: i64) -> Result<T> {
@@ -441,6 +471,106 @@ impl CubicleFile {
         Ok(())
     }
 
+    /// Bytes the page map covers (0 without one).
+    fn mapped_len(&self) -> u64 {
+        self.map
+            .as_ref()
+            .map_or(0, |m| (m.pages.len() * PAGE_SIZE) as u64)
+    }
+
+    /// Notes a write or a truncate reaching `end`: past the mapped
+    /// length, the next [`StorageFile::map_reads`] has pages to list.
+    fn wrote_to(&mut self, end: u64) {
+        self.grown |= end > self.mapped_len();
+    }
+
+    /// Joins the backend's page map of this file, or lists the pages it
+    /// gained since this handle's last listing, one staging area of
+    /// addresses per call. A listing of another generation means the map
+    /// was revoked under this handle, which drops it.
+    fn list_pages(&mut self, sys: &mut System) -> Result<()> {
+        let room = (STAGING - PAGE_MAP_HEADER) / 8;
+        loop {
+            let first = self.map.as_ref().map_or(0, |m| m.pages.len());
+            let more = self.map.is_some();
+            let listed =
+                self.port
+                    .map_pages(sys, self.fd, (self.staging, STAGING), first as u64, more)?;
+            let Ok(PageList {
+                gen_addr,
+                gen,
+                pages,
+            }) = listed
+            else {
+                self.unmap(sys);
+                return Ok(());
+            };
+            let chunk = pages.len();
+            match &mut self.map {
+                Some(m) if (m.gen_addr, m.gen) == (gen_addr, gen) => m.pages.extend(pages),
+                Some(_) => {
+                    self.unmap(sys);
+                    return Ok(());
+                }
+                None => {
+                    self.map = Some(PageMap {
+                        gen_addr,
+                        gen,
+                        pages,
+                    })
+                }
+            }
+            if chunk < room {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Drops this handle's page map and, best effort, its reference in
+    /// the backend: a backend rebooted since holds none, and the handle
+    /// reads through `pread` either way.
+    fn unmap(&mut self, sys: &mut System) {
+        if self.map.take().is_some() {
+            let _ = self.port.unmap_pages(sys, self.fd);
+        }
+    }
+
+    /// Serves a page-aligned whole-page read of a mapped page from the
+    /// backend's page: one checked load, no crossing. First it reads the
+    /// map's generation word, which the backend publishes read-only: a
+    /// new value, or a word it can no longer read (the backend was
+    /// quarantined), means the map was revoked, so the handle drops it
+    /// and the read falls through to `pread`. `false` when the read is
+    /// not the map's to serve.
+    fn mapped_read(&mut self, sys: &mut System, off: u64, buf: &mut [u8]) -> Result<bool> {
+        let Some(map) = &self.map else {
+            return Ok(false);
+        };
+        let page = usize::try_from(off / PAGE_SIZE as u64)
+            .ok()
+            .and_then(|i| map.pages.get(i));
+        let Some(&page) =
+            page.filter(|_| buf.len() == PAGE_SIZE && off.is_multiple_of(PAGE_SIZE as u64))
+        else {
+            return Ok(false);
+        };
+        match sys.read_u64(map.gen_addr) {
+            Ok(gen) if gen == map.gen => {}
+            Ok(_)
+            | Err(
+                CubicleError::WindowDenied { .. }
+                | CubicleError::Quarantined { .. }
+                | CubicleError::MachineFault(_),
+            ) => {
+                self.unmap(sys);
+                return Ok(false);
+            }
+            Err(e) => return Err(e.into()),
+        }
+        sys.read(page, buf)?;
+        Ok(true)
+    }
+
     /// Ends the file's shares, then frees its staging areas, every one
     /// of them whatever fails; the first error wins.
     fn release(&mut self, sys: &mut System) -> Result<()> {
@@ -477,6 +607,10 @@ impl CubicleFile {
     ) -> Result<usize> {
         if segs.iter().all(|&(_, len)| len == 0) {
             return Ok(0);
+        }
+        if write.is_some() {
+            let end = segs.iter().map(|&(off, len)| off + len as u64).max();
+            self.wrote_to(end.unwrap_or(0));
         }
         let base = self.vec_staging(sys)?;
         let mut moved = 0usize;
@@ -523,6 +657,9 @@ impl CubicleFile {
 
 impl StorageFile for CubicleFile {
     fn pread(&mut self, sys: &mut System, off: u64, buf: &mut [u8]) -> Result<usize> {
+        if self.mapped_read(sys, off, buf)? {
+            return Ok(buf.len());
+        }
         if buf.len() > STAGING {
             return self.transfer_vec(sys, &[(off, buf.len())], None, |sys, p| {
                 Ok(sys.read(p.addr, &mut buf[p.pos..p.pos + p.len])?)
@@ -548,6 +685,7 @@ impl StorageFile for CubicleFile {
             self.pwrite_vec(sys, &[(off, data)])?;
             return Ok(data.len());
         }
+        self.wrote_to(off + data.len() as u64);
         if data.is_empty() {
             return Ok(0);
         }
@@ -614,6 +752,11 @@ impl StorageFile for CubicleFile {
         let Some(fd_in) = src.vfs_fd() else {
             return buffered_copy(self, sys, src, segs);
         };
+        let end = segs
+            .iter()
+            .map(|&(_, dst_off, len)| dst_off + len as u64)
+            .max();
+        self.wrote_to(end.unwrap_or(0));
         for chunk in segs.chunks(IOV_MAX) {
             let iov: Vec<(u64, usize, u64)> = chunk
                 .iter()
@@ -638,6 +781,7 @@ impl StorageFile for CubicleFile {
     }
 
     fn truncate(&mut self, sys: &mut System, len: u64) -> Result<()> {
+        self.wrote_to(len);
         let r = self.port.ftruncate(sys, self.fd, len)?;
         if r < 0 {
             return io_err(r);
@@ -653,12 +797,26 @@ impl StorageFile for CubicleFile {
         Ok(())
     }
 
-    /// Closes the descriptor, then releases the staging areas on every
-    /// path; the close's own error wins.
+    /// Joins the page map when the system offers one and this handle
+    /// holds none, and lists the pages it gained when this handle grew
+    /// the file since: at most one listing per growth.
+    fn map_reads(&mut self, sys: &mut System) {
+        if !sys.maps_reads() || (self.map.is_some() && !self.grown) {
+            return;
+        }
+        self.grown = false;
+        if self.list_pages(sys).is_err() {
+            self.unmap(sys);
+        }
+    }
+
+    /// Leaves the page map, closes the descriptor, then releases the
+    /// staging areas on every path; the close's own error wins.
     fn close(&mut self, sys: &mut System) -> Result<()> {
         if self.fd < 0 {
             return Ok(());
         }
+        self.unmap(sys);
         let r = self.port.close(sys, self.fd);
         self.fd = -1;
         let released = self.release(sys);
@@ -686,6 +844,8 @@ impl StorageEnv for CubicleEnv {
             paired: None,
             iov_page: None,
             shares: Vec::new(),
+            map: None,
+            grown: false,
         };
         if let Err(e) = file.pair(sys) {
             // The pairing's error wins over the cleanup's.

@@ -18,5 +18,5 @@ mod port;
 mod vfs;
 
 pub use ops::{flags, whence, FileStat, FsOps};
-pub use port::{VfsPort, SENDFILE_EXTENT_BUF};
+pub use port::{PageList, VfsPort, PAGE_MAP_HEADER, SENDFILE_EXTENT_BUF};
 pub use vfs::{encode_iov, image, Vfs, VfsProxy, IOV_ENTRY_SIZE, IOV_MAX, MAX_FDS};

@@ -28,6 +28,16 @@ pub mod flags {
     /// the call returns, as if an `fsync` followed it. The only flag the
     /// call takes.
     pub const RWF_DSYNC: i64 = 0x2;
+    /// `vfs_sendfile_map` flag: a persistent map for the caller alone,
+    /// read-only, over the file's full pages (DESIGN §6s). The call takes
+    /// a reference that `vfs_sendfile_unmap` with this flag drops, and
+    /// lists the pages from `first` on after a two-word header: the
+    /// address of the generation word the backend publishes read-only
+    /// for the map, and its value now.
+    pub const MAP_READ_ONLY: i64 = 0x1;
+    /// With [`MAP_READ_ONLY`]: list more pages of the caller's live map,
+    /// growing it to the file's full pages, without a reference.
+    pub const MAP_MORE: i64 = 0x2;
 }
 
 /// `lseek` whence values.
@@ -98,13 +108,18 @@ pub struct FsOps {
     pub readdir: EntryId,
     /// `long is_dir(long ino)` → 1 / 0 / `-errno`.
     pub is_dir: EntryId,
-    /// `long map_extents(long ino, long peer, void *out, size_t n)` →
-    /// extent count. Grants `peer` a window over every data page of the
-    /// file and writes the extent addresses (one `u64` per page) into
-    /// `out`; repeat calls share one refcounted window (sendfile path).
+    /// `long map_extents(long ino, long peer, void *out, size_t n,
+    /// uint64_t first, int flags)` → extent count. With `flags` 0 it
+    /// grants `peer` a window over every data page of the file from
+    /// `first` on and writes their addresses (one `u64` per page) into
+    /// `out`, all of them or `-EINVAL`; repeat calls share one
+    /// refcounted window (sendfile path). With
+    /// [`flags::MAP_READ_ONLY`] the map is `peer`'s read-only page map,
+    /// listed one chunk of `out` at a time (DESIGN §6s).
     pub map_extents: EntryId,
-    /// `long unmap_extents(long ino)` → 0. Drops one reference taken by
-    /// `map_extents`; the backend destroys the window at zero.
+    /// `long unmap_extents(long ino, long peer, int flags)` → 0. Drops
+    /// one reference taken by `map_extents` with the same `flags` (and,
+    /// for a read-only map, `peer`); the backend ends the map at zero.
     pub unmap_extents: EntryId,
     /// `long copy_range(long ino_in, uint64_t off_in, long ino_out,
     /// uint64_t off_out, size_t n)` → bytes copied, short at the source's

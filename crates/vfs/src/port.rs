@@ -17,7 +17,7 @@
 //! persistent window — a common optimisation that keeps per-call window
 //! traffic for the data path only.
 
-use crate::ops::FileStat;
+use crate::ops::{flags, FileStat};
 use crate::vfs::{encode_iov, encode_triples, VfsProxy};
 use cubicle_core::{CubicleId, Errno, Result, System};
 use cubicle_mpk::{VAddr, PAGE_SIZE};
@@ -25,7 +25,26 @@ use cubicle_mpk::{VAddr, PAGE_SIZE};
 /// Bytes of the extent-address buffer [`VfsPort::sendfile_map`] stages:
 /// room for 1024 extents (a 4 MiB file at 4 KiB pages). Larger files get
 /// `-EINVAL` from the backend and the caller falls back to staged reads.
+/// A read-only page map ([`VfsPort::map_pages`]) has no such limit: it
+/// is listed one buffer at a time.
 pub const SENDFILE_EXTENT_BUF: usize = 8192;
+
+/// Bytes of the header before the page addresses of a
+/// [`VfsPort::map_pages`] listing: the generation word's address and its
+/// value.
+pub const PAGE_MAP_HEADER: usize = 16;
+
+/// One listing of the caller's read-only page map of a file (DESIGN
+/// §6s): the map stays live while the word at `gen_addr` reads `gen`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PageList {
+    /// Where the backend publishes the map's generation, read-only.
+    pub gen_addr: VAddr,
+    /// The generation the listed pages belong to.
+    pub gen: u64,
+    /// The file's full pages from the requested one on, in file order.
+    pub pages: Vec<VAddr>,
+}
 
 /// A ported application's handle to the file system stack.
 #[derive(Clone, Debug)]
@@ -276,17 +295,13 @@ impl VfsPort {
     ) -> Result<std::result::Result<Vec<VAddr>, i64>> {
         let call = |sys: &mut System, out| {
             self.proxy
-                .sendfile_map(sys, fd, peer, out, SENDFILE_EXTENT_BUF)
+                .sendfile_map(sys, fd, peer, out, SENDFILE_EXTENT_BUF, 0, 0)
         };
         self.scratch(sys, SENDFILE_EXTENT_BUF, call, |sys, out, r| {
             if r < 0 {
                 return Ok(Err(r));
             }
-            let bytes = sys.read_vec(out, r as usize * 8)?;
-            Ok(Ok(bytes
-                .chunks_exact(8)
-                .map(|c| VAddr::new(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
-                .collect()))
+            Ok(Ok(addresses(&sys.read_vec(out, r as usize * 8)?)))
         })
     }
 
@@ -297,7 +312,58 @@ impl VfsPort {
     ///
     /// Kernel errors from the cross-cubicle call.
     pub fn sendfile_unmap(&self, sys: &mut System, fd: i64) -> Result<i64> {
-        self.proxy.sendfile_unmap(sys, fd)
+        self.proxy.sendfile_unmap(sys, fd, CubicleId::MONITOR, 0)
+    }
+
+    /// Lists the current cubicle's read-only page map of `fd` from page
+    /// `first` on, as many pages as fit `[buf, buf+n)` after the
+    /// [`PAGE_MAP_HEADER`] (DESIGN §6s). Without `more` the call maps
+    /// the file and takes a reference that [`VfsPort::unmap_pages`]
+    /// drops; with it, it grows the caller's live map to the file's
+    /// full pages and lists more of it. `buf` is the caller's and the
+    /// backend writes it, so a port that is not
+    /// [`VfsPort::preshared`] shares it for the call.
+    ///
+    /// # Errors
+    ///
+    /// Kernel errors from the cross-cubicle call; `Ok(Err(-errno))` from
+    /// the backend.
+    pub fn map_pages(
+        &self,
+        sys: &mut System,
+        fd: i64,
+        (buf, n): (VAddr, usize),
+        first: u64,
+        more: bool,
+    ) -> Result<std::result::Result<PageList, i64>> {
+        let peer = sys.current_cubicle();
+        let mode = flags::MAP_READ_ONLY | if more { flags::MAP_MORE } else { 0 };
+        let r = self.with_buffer_window(sys, buf, n, |sys| {
+            self.proxy.sendfile_map(sys, fd, peer, buf, n, first, mode)
+        })?;
+        if r < 0 {
+            return Ok(Err(r));
+        }
+        let bytes = sys.read_vec(buf, PAGE_MAP_HEADER + r as usize * 8)?;
+        let (header, pages) = bytes.split_at(PAGE_MAP_HEADER);
+        let header = addresses(header);
+        Ok(Ok(PageList {
+            gen_addr: header[0],
+            gen: header[1].raw(),
+            pages: addresses(pages),
+        }))
+    }
+
+    /// Drops the reference to the current cubicle's read-only page map
+    /// of `fd` that [`VfsPort::map_pages`] took.
+    ///
+    /// # Errors
+    ///
+    /// Kernel errors from the cross-cubicle call.
+    pub fn unmap_pages(&self, sys: &mut System, fd: i64) -> Result<i64> {
+        let peer = sys.current_cubicle();
+        self.proxy
+            .sendfile_unmap(sys, fd, peer, flags::MAP_READ_ONLY)
     }
 
     /// `lseek(fd, off, whence)`.
@@ -465,6 +531,14 @@ impl VfsPort {
             _ => scratch_call(sys, len, input, data, peers, call, output),
         }
     }
+}
+
+/// Decodes little-endian `u64` words into addresses.
+fn addresses(bytes: &[u8]) -> Vec<VAddr> {
+    bytes
+        .chunks_exact(8)
+        .map(|c| VAddr::new(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
+        .collect()
 }
 
 /// The `output` of a call whose reply is its return value alone.

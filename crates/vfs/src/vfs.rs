@@ -206,12 +206,16 @@ pub fn image() -> ComponentImage {
             e_readdir,
         )
         .export(
-            b.export("long vfs_sendfile_map(int fd, long peer, void *out, size_t n)")
-                .unwrap(),
+            b.export(
+                "long vfs_sendfile_map(int fd, long peer, void *out, size_t n, uint64_t first, \
+                 int flags)",
+            )
+            .unwrap(),
             e_sendfile_map,
         )
         .export(
-            b.export("long vfs_sendfile_unmap(int fd)").unwrap(),
+            b.export("long vfs_sendfile_unmap(int fd, long peer, int flags)")
+                .unwrap(),
             e_sendfile_unmap,
         )
         .export(
@@ -728,10 +732,12 @@ fn e_readdir(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Resu
     )
 }
 
-/// `vfs_sendfile_map(fd, peer, out, n)`: resolves the fd to its backing
-/// inode and asks the backend to window the file's data pages to `peer`,
-/// writing the extent addresses into `out` (sendfile fast path — the
-/// consumer then reads response bytes straight from the file's pages).
+/// `vfs_sendfile_map(fd, peer, out, n, first, flags)`: resolves the fd
+/// to its backing inode and asks the backend to map the file's data
+/// pages to `peer` from page `first` on, writing their addresses into
+/// `out`: for sendfile (`flags` 0 — the consumer then reads response
+/// bytes straight from the file's pages), or as `peer`'s read-only page
+/// map ([`crate::flags::MAP_READ_ONLY`], DESIGN §6s).
 fn e_sendfile_map(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<Value> {
     sys.charge(VFS_OP_COST / 2);
     let fd = args[0].as_i64();
@@ -748,11 +754,14 @@ fn e_sendfile_map(sys: &mut System, this: &mut dyn Component, args: &[Value]) ->
             Value::I64(file.ino),
             Value::I64(peer),
             Value::buf_out(out, n),
+            args[3],
+            args[4],
         ],
     )
 }
 
-/// `vfs_sendfile_unmap(fd)`: releases one `vfs_sendfile_map` reference.
+/// `vfs_sendfile_unmap(fd, peer, flags)`: releases one
+/// `vfs_sendfile_map` reference taken with the same `flags`.
 fn e_sendfile_unmap(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<Value> {
     sys.charge(VFS_OP_COST / 2);
     let fd = args[0].as_i64();
@@ -761,7 +770,7 @@ fn e_sendfile_unmap(sys: &mut System, this: &mut dyn Component, args: &[Value]) 
         return Ok(Value::I64(Errno::Ebadf.neg()));
     };
     let ops = vfs.mounts[file.mount].ops;
-    sys.cross_call(ops.unmap_extents, &[Value::I64(file.ino)])
+    sys.cross_call(ops.unmap_extents, &[Value::I64(file.ino), args[1], args[2]])
 }
 
 /// Typed application-side proxy for `VFSCORE`.
@@ -1064,14 +1073,17 @@ impl VfsProxy {
         proxy_call!(self, sys, ftruncate, Value::I64(fd), Value::U64(len))
     }
 
-    /// `sendfile_map(fd, peer, out, n)` → extent count or `-errno`. On
-    /// success `out` holds that many little-endian `u64` page addresses
-    /// and `peer` holds a window over every one of them until the
-    /// matching [`VfsProxy::sendfile_unmap`].
+    /// `sendfile_map(fd, peer, out, n, first, flags)` → extent count or
+    /// `-errno`. With `flags` 0, on success `out` holds that many
+    /// little-endian `u64` page addresses, from page `first` on, and
+    /// `peer` holds a window over every one of them until the matching
+    /// [`VfsProxy::sendfile_unmap`]. With [`crate::flags::MAP_READ_ONLY`]
+    /// it lists `peer`'s read-only page map (DESIGN §6s).
     ///
     /// # Errors
     ///
     /// Kernel errors from the cross-cubicle call.
+    #[allow(clippy::too_many_arguments)]
     pub fn sendfile_map(
         &self,
         sys: &mut System,
@@ -1079,6 +1091,8 @@ impl VfsProxy {
         peer: CubicleId,
         out: VAddr,
         n: usize,
+        first: u64,
+        flags: i64,
     ) -> Result<i64> {
         proxy_call!(
             self,
@@ -1086,18 +1100,34 @@ impl VfsProxy {
             sendfile_map,
             Value::I64(fd),
             Value::I64(i64::from(peer.0)),
-            Value::buf_out(out, n)
+            Value::buf_out(out, n),
+            Value::U64(first),
+            Value::I64(flags)
         )
     }
 
-    /// `sendfile_unmap(fd)`: drops one [`VfsProxy::sendfile_map`]
-    /// reference.
+    /// `sendfile_unmap(fd, peer, flags)`: drops one
+    /// [`VfsProxy::sendfile_map`] reference taken with `flags` (and
+    /// `peer`, for a read-only map).
     ///
     /// # Errors
     ///
     /// Kernel errors from the cross-cubicle call.
-    pub fn sendfile_unmap(&self, sys: &mut System, fd: i64) -> Result<i64> {
-        proxy_call!(self, sys, sendfile_unmap, Value::I64(fd))
+    pub fn sendfile_unmap(
+        &self,
+        sys: &mut System,
+        fd: i64,
+        peer: CubicleId,
+        flags: i64,
+    ) -> Result<i64> {
+        proxy_call!(
+            self,
+            sys,
+            sendfile_unmap,
+            Value::I64(fd),
+            Value::I64(i64::from(peer.0)),
+            Value::I64(flags)
+        )
     }
 
     /// `readdir(fd, buf, n, index)` → name length, or `-ENOENT` past the
