@@ -17,8 +17,7 @@
 //!   holder recorded by the monitor (owner, or the peer trap-and-map last
 //!   admitted), the parked key, or the pair key of a live window share
 //!   that covers the page and whose pair includes the holder (DESIGN
-//!   §6l); a non-owner holder must be justified by a window grant, and
-//!   a page held for loads only is write-protected (DESIGN §6s);
+//!   §6l); a non-owner holder must be justified by a window grant;
 //!   machine page table and monitor page metadata cover the same pages;
 //! * **window ranges** — every range published in a window descriptor
 //!   covers only pages owned by the window's cubicle;
@@ -28,7 +27,8 @@
 //! * **key uniqueness** — each key a cubicle or a pair holds has one
 //!   holder, which the key pool binds it to, one key per pair (a
 //!   read-only pair is not the read-write pair of the same cubicles),
-//!   and each member holds exactly the rights its share grants; the pool
+//!   and each member holds exactly the rights its share grants (a
+//!   load-only right lives nowhere else, DESIGN §6s); the pool
 //!   binds no other key and never the parked key, which parked and
 //!   quarantined cubicles carry;
 //! * **quarantine** — a quarantined cubicle is fully torn down: it owns
@@ -214,22 +214,6 @@ impl System {
                     detail: format!(
                         "page {} tagged {} but holder {} expects {}",
                         page, entry.key, holder.name, holder.key
-                    ),
-                });
-            }
-            if meta.read_only && (entry.flags.can_write() || meta.holder == meta.owner) {
-                findings.push(AuditFinding {
-                    class: InvariantClass::TagConsistency,
-                    detail: format!(
-                        "page {} is held for loads only by {} but is {} ({})",
-                        page,
-                        holder.name,
-                        if meta.holder == meta.owner {
-                            "its owner's"
-                        } else {
-                            "writable"
-                        },
-                        entry.flags
                     ),
                 });
             }

@@ -76,9 +76,6 @@ pub struct PageMeta {
     /// Survives a lazy `window_close`, recording why the stale tag is
     /// legitimate.
     pub via: Option<WindowId>,
-    /// The holder was admitted for loads only through a plain window:
-    /// the page is write-protected while it holds it (DESIGN §6s).
-    pub read_only: bool,
 }
 
 #[derive(Clone, Copy, Debug)]

@@ -277,7 +277,6 @@ impl System {
                     region,
                     holder: owner,
                     via: None,
-                    read_only: false,
                 },
             );
         }

@@ -1,7 +1,8 @@
 //! Trap-and-map (paper §5.3, Fig. 4): fault resolution against page
 //! metadata and window ACLs, with the window-grant cache. A page under
-//! a live pair share resolves to the pair's key (DESIGN §6l); a peer
-//! admitted for loads only never gets a store (DESIGN §6s).
+//! a live pair share resolves to the pair's key (DESIGN §6l). Load-only
+//! is a right of that key, not of a window: the peer of a read-only
+//! share is denied a store before any search (DESIGN §6s).
 
 use super::isolation::FaultPolicy;
 use super::locks::MonitorLock;
@@ -11,7 +12,7 @@ use crate::error::{CubicleError, Result};
 use crate::ids::{CubicleId, WindowId};
 use crate::race::RaceObject;
 use crate::trace::{FaultDecision, GrantLookup, TraceEvent};
-use cubicle_mpk::{AccessKind, Fault, FaultKind, KeyRights, PageFlags, PageNum, ProtKey, VAddr};
+use cubicle_mpk::{AccessKind, Fault, FaultKind, KeyRights, PageNum, ProtKey, VAddr};
 
 /// One remembered trap-and-map authorisation: the window that granted
 /// `accessor` the faulting page last time. A hit re-checks that single
@@ -75,18 +76,9 @@ impl System {
 
     fn resolve_fault_locked(&mut self, fault: Fault) -> Result<()> {
         // Only protection-key faults, in a mode that resolves them, are
-        // subject to window authorisation — and any fault on a page
-        // write-protected for a load-only holder, whose flags fault
-        // before its key does.
+        // subject to window authorisation.
         let policy = self.fault_policy();
-        let resolvable = match fault.kind {
-            FaultKind::ProtectionKey(_) => true,
-            _ => self
-                .page_meta
-                .get(&fault.addr.page())
-                .is_some_and(|m| m.read_only),
-        };
-        if policy == FaultPolicy::RawDeny || !resolvable {
+        if policy == FaultPolicy::RawDeny || !matches!(fault.kind, FaultKind::ProtectionKey(_)) {
             return Err(self.deny_raw_fault(fault));
         }
         let cost = *self.machine.cost_model();
@@ -180,7 +172,7 @@ impl System {
                         .find(|w| w.id() == entry.via)
                         .is_some_and(|w| {
                             let check = w.check(fault.addr, accessor);
-                            check.covers && check.allowed && !check.read_only
+                            check.covers && check.allowed
                         });
                     debug_assert!(
                         live,
@@ -222,8 +214,7 @@ impl System {
         }
 
         // ❸ linear search of the owner's window descriptors,
-        // ❹ O(1) bitmask check per covering descriptor — a store needs a
-        // descriptor that admits the accessor for stores. The descriptor
+        // ❹ O(1) bitmask check per covering descriptor. The descriptor
         // array can be mutated by its owner on another core mid-search,
         // so the search runs under the windows lock (P → W nesting).
         let owner_idx = meta.owner.index();
@@ -234,25 +225,21 @@ impl System {
         for w in &self.cubicles[owner_idx].windows {
             let check = w.check(fault.addr, accessor);
             probes += check.probes;
-            if check.covers && check.allowed && !(store && check.read_only) {
-                decided_by = Some((w.id(), check.read_only));
+            if check.covers && check.allowed {
+                decided_by = Some(w.id());
                 break;
             }
         }
         self.machine.charge(cost.acl_probe * probes);
         self.lock_release(MonitorLock::Windows, wstart);
-        if let Some((wid, read_only)) = decided_by {
+        if let Some(wid) = decided_by {
             // ❺ assign the accessor's MPK tag — or its pair key with the
             // owner — to the page (zero-copy)
             self.retag(fault.addr, home)?;
             self.record_holder(fault.addr, accessor, Some(wid));
-            if read_only {
-                // A load-only grant: a key the holder may store through
-                // leaves the page write-protected while it holds it, and
-                // no grant is cached, so a store always searches.
-                if rights.can_write() {
-                    self.protect_read_only(fault.addr);
-                }
+            if !rights.can_write() {
+                // A load under a read-only pair key: no grant is cached,
+                // the key's write-disable bit denies every store.
                 self.record(event(FaultDecision::Window(wid), probes, grant));
                 return Ok(());
             }
@@ -313,26 +300,6 @@ impl System {
             accessor,
             owner,
             addr: fault.addr,
-        }
-    }
-
-    /// Write-protects a page just handed to a load-only holder under a
-    /// key it may store through: the `PROT_READ` rides on the retag's
-    /// `pkey_mprotect`, so it is free. [`System::record_holder`] lifts it
-    /// when the page changes hands.
-    fn protect_read_only(&mut self, addr: VAddr) {
-        if self
-            .machine
-            .page_entry(addr)
-            .is_some_and(|e| e.flags.can_write())
-        {
-            self.machine
-                .set_page_flags(addr, PageFlags::r())
-                .expect("retagged page is mapped");
-            // verify: lock-held(page_meta)
-            if let Some(m) = self.page_meta.get_mut(&addr.page()) {
-                m.read_only = true;
-            }
         }
     }
 
@@ -401,17 +368,10 @@ impl System {
             true,
             "record_holder:page_meta.get_mut",
         );
-        // verify: lock-held(page_meta)
-        let Some(m) = self.page_meta.get_mut(&addr.page()) else {
-            return;
-        };
-        m.holder = holder;
-        m.via = via;
-        if std::mem::take(&mut m.read_only) {
-            // The write protection leaves with the load-only holder.
-            self.machine
-                .set_page_flags(addr, PageFlags::rw())
-                .expect("held page is mapped");
+        if let Some(m) = self.page_meta.get_mut(&addr.page()) {
+            // verify: lock-held(page_meta)
+            m.holder = holder;
+            m.via = via;
         }
     }
 

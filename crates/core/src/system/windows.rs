@@ -197,7 +197,8 @@ impl System {
     ///
     /// # Errors
     ///
-    /// [`CubicleError::NoSuchWindow`].
+    /// [`CubicleError::NoSuchWindow`], or [`CubicleError::NoSuchCubicle`]
+    /// for a `peer` not loaded, before any ACL edit.
     pub fn window_open(&mut self, wid: WindowId, peer: CubicleId) -> Result<()> {
         self.open_window(wid, peer, false, KeyRights::ReadWrite)
     }
@@ -230,7 +231,8 @@ impl System {
     ///
     /// # Errors
     ///
-    /// [`CubicleError::NoSuchWindow`].
+    /// [`CubicleError::NoSuchWindow`], or [`CubicleError::NoSuchCubicle`]
+    /// for a `peer` not loaded, before any ACL edit.
     pub fn window_share(&mut self, wid: WindowId, peer: CubicleId) -> Result<()> {
         self.open_window(wid, peer, true, KeyRights::ReadWrite)
     }
@@ -248,25 +250,11 @@ impl System {
         let wstart = self.window_op_begin();
         let cid = self.current_cubicle();
         self.race_note(RaceObject::Windows, true, "window_open:window_mut.open_for");
-        let read_only = !rights.can_write();
-        let result = match self.cubicles[cid.index()].window_mut(wid) {
-            Some(w) if read_only => {
-                w.open_read_only_for(peer);
-                Ok(())
-            }
-            Some(w) => {
-                w.open_for(peer);
-                Ok(())
-            }
-            None => Err(CubicleError::NoSuchWindow(wid)),
-        };
-        if result.is_ok() && read_only {
-            // A narrowed admission: a grant remembered for a store must
-            // not outlive it.
-            self.grant_cache_retain("window_open:grant_cache.retain", |&(accessor, _), e| {
-                !(e.owner == cid && e.via == wid && accessor == peer)
-            });
-        }
+        let result = self.loaded(peer).and_then(|()| {
+            let w = self.cubicles[cid.index()].window_mut(wid);
+            w.map(|w| w.open_for(peer))
+                .ok_or(CubicleError::NoSuchWindow(wid))
+        });
         let paired = match result {
             Ok(()) if share && self.pair_keys_between(cid, peer) => self
                 .keys
@@ -284,6 +272,17 @@ impl System {
         };
         self.window_op_done(op, wid, Some(peer), &result, 0);
         result
+    }
+
+    /// A window ACL admits only loaded cubicles: an ID past the table
+    /// would shift out of the `u64` mask, or leave a bit for the next
+    /// load to inherit.
+    fn loaded(&self, peer: CubicleId) -> Result<()> {
+        if peer.index() < self.cubicles.len() {
+            Ok(())
+        } else {
+            Err(CubicleError::NoSuchCubicle(peer))
+        }
     }
 
     /// Can `owner` and `peer` hold a pair key? Pair keys are on, and both
@@ -414,7 +413,8 @@ impl System {
     ///
     /// # Errors
     ///
-    /// [`CubicleError::NoSuchWindow`].
+    /// [`CubicleError::NoSuchWindow`], or [`CubicleError::NoSuchCubicle`]
+    /// for a `peer` not loaded, before any ACL edit.
     pub fn window_close(&mut self, wid: WindowId, peer: CubicleId) -> Result<()> {
         let wstart = self.window_op_begin();
         let cid = self.current_cubicle();
@@ -423,13 +423,11 @@ impl System {
             true,
             "window_close:window_mut.close_for",
         );
-        let result = match self.cubicles[cid.index()].window_mut(wid) {
-            Some(w) => {
-                w.close_for(peer);
-                Ok(())
-            }
-            None => Err(CubicleError::NoSuchWindow(wid)),
-        };
+        let result = self.loaded(peer).and_then(|()| {
+            let w = self.cubicles[cid.index()].window_mut(wid);
+            w.map(|w| w.close_for(peer))
+                .ok_or(CubicleError::NoSuchWindow(wid))
+        });
         let unpair = self.unshare_locked(|s| s.owner == cid && s.wid == wid && s.peer == peer);
         let mut grants_dropped = 0;
         if result.is_ok() {
@@ -551,23 +549,31 @@ impl System {
     }
 
     /// [`System::share_paired`] with `peer` admitted for loads only
-    /// (DESIGN §6s). The window's ACL records the peer as read-only, so
-    /// trap-and-map denies its stores without a retag, and the pair key
-    /// is bound to (owner, peer) read-only: the peer's PKRU set enables
-    /// it with the write-disable bit, the owner's without. It is never
-    /// the read-write key of the same two cubicles. Without a key (the
-    /// same conditions as [`System::window_share`]) the window is plainly
-    /// open, read-only: a load traps and maps the page write-protected.
+    /// (DESIGN §6s). Load-only is a right of the key, not of the window:
+    /// the pair key is bound to (owner, peer) read-only, the peer's PKRU
+    /// set enables it with the write-disable bit, the owner's without,
+    /// and trap-and-map denies the peer's stores without a search. It is
+    /// never the read-write key of the same two cubicles. Where no page
+    /// key is ever checked ([`System::share_traps`] false) the window is
+    /// plainly open.
     ///
     /// # Errors
     ///
-    /// As [`System::share_paired`].
+    /// As [`System::share_paired`], and [`CubicleError::OutOfKeys`],
+    /// before any window operation, where pages are keyed but the pair
+    /// can hold no key (the conditions of [`System::window_share`]).
     pub fn share_read_only(
         &mut self,
         ranges: &[(VAddr, usize)],
         peer: CubicleId,
     ) -> Result<WindowId> {
         whole_pages(ranges)?;
+        let owner = self.current_cubicle();
+        let keyed = self.pair_keys_between(owner, peer)
+            && (self.keys.read_only_key(owner, peer).is_some() || self.keys.can_pin(1));
+        if self.share_traps() && !keyed {
+            return Err(CubicleError::OutOfKeys);
+        }
         self.build_window(ranges, &[peer], true, KeyRights::ReadOnly)
     }
 
@@ -593,10 +599,11 @@ impl System {
     ///
     /// # Errors
     ///
-    /// [`CubicleError::NoSuchWindow`].
+    /// [`CubicleError::NoSuchWindow`], or [`CubicleError::NoSuchCubicle`]
+    /// for a `peer` not loaded, before any ACL edit.
     pub fn reshare(&mut self, wid: WindowId, peer: CubicleId) -> Result<()> {
         match self.cubicles[self.current_cubicle().index()].window(wid) {
-            Some(w) if w.is_open_for(peer) => Ok(()),
+            Some(w) if self.loaded(peer).is_ok() && w.is_open_for(peer) => Ok(()),
             _ => self.window_open(wid, peer),
         }
     }

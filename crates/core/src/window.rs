@@ -6,6 +6,10 @@
 //! (§5.3); the monitor searches them linearly during trap-and-map, which
 //! is fast because "all but one cubicle have less than ten windows at any
 //! point in time".
+//!
+//! A descriptor carries no rights: an admitted cubicle may load and
+//! store. Load-only sharing is a right of a key, the write-disable bit
+//! of a read-only pair key in the peer's PKRU set (DESIGN §6s).
 
 use crate::ids::{CubicleId, WindowId};
 use cubicle_mpk::{PageNum, VAddr};
@@ -32,15 +36,13 @@ impl WindowRange {
 }
 
 /// A window: a set of ranges plus the ACL bitmask of cubicles that may
-/// access them, and of those admitted for loads only.
+/// access them.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Window {
     id: WindowId,
     ranges: Vec<WindowRange>,
     /// Bit *i* set ⇒ cubicle *i* may access the window's contents.
     mask: u64,
-    /// Bit *i* set ⇒ cubicle *i* may only load them (a subset of `mask`).
-    read_only: u64,
 }
 
 impl Window {
@@ -50,7 +52,6 @@ impl Window {
             id,
             ranges: Vec::new(),
             mask: 0,
-            read_only: 0,
         }
     }
 
@@ -83,29 +84,19 @@ impl Window {
         self.ranges.len() != before
     }
 
-    /// Opens the window for `cid` (`cubicle_window_open`), for loads and
-    /// stores.
+    /// Opens the window for `cid` (`cubicle_window_open`).
     pub fn open_for(&mut self, cid: CubicleId) {
         self.mask |= cid.mask_bit();
-        self.read_only &= !cid.mask_bit();
-    }
-
-    /// Opens the window for `cid` for loads only.
-    pub fn open_read_only_for(&mut self, cid: CubicleId) {
-        self.mask |= cid.mask_bit();
-        self.read_only |= cid.mask_bit();
     }
 
     /// Closes the window for `cid` (`cubicle_window_close`).
     pub fn close_for(&mut self, cid: CubicleId) {
         self.mask &= !cid.mask_bit();
-        self.read_only &= !cid.mask_bit();
     }
 
     /// Closes the window for everyone (`cubicle_window_close_all`).
     pub fn close_all(&mut self) {
         self.mask = 0;
-        self.read_only = 0;
     }
 
     /// Is the window currently open for `cid`?
@@ -113,16 +104,10 @@ impl Window {
         self.mask & cid.mask_bit() != 0
     }
 
-    /// Is the window open for `cid` for loads only?
-    pub fn is_read_only_for(&self, cid: CubicleId) -> bool {
-        self.read_only & cid.mask_bit() != 0
-    }
-
-    /// Returns `(covers, allowed, read_only)` for an access by `accessor`
-    /// at `addr`: whether any range covers the address and, if so,
-    /// whether the ACL admits the accessor and for loads only. Also
-    /// reports the number of ranges probed, so the monitor can charge
-    /// the linear-search cost.
+    /// Returns `(covers, allowed)` for an access by `accessor` at `addr`:
+    /// whether any range covers the address and, if so, whether the ACL
+    /// admits the accessor. Also reports the number of ranges probed, so
+    /// the monitor can charge the linear-search cost.
     pub fn check(&self, addr: VAddr, accessor: CubicleId) -> WindowCheck {
         let mut probes = 0;
         for range in &self.ranges {
@@ -131,7 +116,6 @@ impl Window {
                 return WindowCheck {
                     covers: true,
                     allowed: self.is_open_for(accessor),
-                    read_only: self.is_read_only_for(accessor),
                     probes,
                 };
             }
@@ -139,7 +123,6 @@ impl Window {
         WindowCheck {
             covers: false,
             allowed: false,
-            read_only: false,
             probes,
         }
     }
@@ -152,8 +135,6 @@ pub struct WindowCheck {
     pub covers: bool,
     /// The ACL admits the accessor (meaningful only when `covers`).
     pub allowed: bool,
-    /// The ACL admits the accessor for loads only: not for a store.
-    pub read_only: bool,
     /// Number of range descriptors inspected.
     pub probes: u64,
 }
@@ -239,22 +220,6 @@ mod tests {
         let c = win.check(VAddr::new(0x9000), CubicleId(4));
         assert!(!c.covers && !c.allowed);
         assert_eq!(c.probes, 2);
-    }
-
-    #[test]
-    fn read_only_admission_is_per_peer_and_the_last_open_wins() {
-        let mut win = w();
-        win.add_range(VAddr::new(0x1000), 16);
-        win.open_read_only_for(CubicleId(2));
-        win.open_for(CubicleId(3));
-        let c = win.check(VAddr::new(0x1000), CubicleId(2));
-        assert!(c.allowed && c.read_only);
-        assert!(!win.check(VAddr::new(0x1000), CubicleId(3)).read_only);
-        win.open_for(CubicleId(2));
-        assert!(!win.is_read_only_for(CubicleId(2)));
-        win.open_read_only_for(CubicleId(2));
-        win.close_for(CubicleId(2));
-        assert!(!win.is_open_for(CubicleId(2)) && !win.is_read_only_for(CubicleId(2)));
     }
 
     #[test]

@@ -135,6 +135,47 @@ fn window_acl_is_per_cubicle() {
 }
 
 #[test]
+fn window_acls_admit_only_loaded_cubicles() {
+    // 64 + B would shift out of the u64 mask (aliasing B's bit where the
+    // shift wraps); an unloaded ID below 64 would leave a bit for the
+    // next load to inherit. Every ACL edit refuses both, unedited.
+    let mut sys = System::new(IsolationMode::Full);
+    let a = load_plain(&mut sys, "A").cid;
+    let b = load_plain(&mut sys, "B").cid;
+    let (alias, unloaded) = (CubicleId(64 + b.0), CubicleId(b.0 + 1));
+    let buf = sys.run_in_cubicle(a, |sys| {
+        let buf = sys.heap_alloc(64, 8).unwrap();
+        sys.write(buf, b"owner's bytes").unwrap();
+        let wid = sys.window_init();
+        sys.window_add(wid, buf, 64).unwrap();
+        for peer in [alias, unloaded, CubicleId(u16::MAX)] {
+            let refused = Err(CubicleError::NoSuchCubicle(peer));
+            assert_eq!(sys.window_open(wid, peer), refused);
+            assert_eq!(sys.window_share(wid, peer), refused);
+            assert_eq!(sys.reshare(wid, peer), refused);
+            assert_eq!(sys.window_close(wid, peer), refused);
+            assert_eq!(sys.share(&[(buf, 64)], &[peer]).map(|_| ()), refused);
+        }
+        assert_eq!(sys.cubicle(a).window(wid).unwrap().mask(), 0);
+        buf
+    });
+    assert_eq!(
+        sys.cubicle(a).window_count(),
+        1,
+        "the failed share's window is gone"
+    );
+    for reader in [b, load_plain(&mut sys, "C").cid] {
+        let denied = sys.run_in_cubicle(reader, |sys| sys.read_vec(buf, 8));
+        assert!(
+            matches!(denied, Err(CubicleError::WindowDenied { .. })),
+            "{}: {denied:?}",
+            sys.cubicle_name(reader)
+        );
+    }
+    sys.audit().assert_clean("refused ACL edits");
+}
+
+#[test]
 fn closed_window_is_lazy_causal_consistency() {
     // Closing does not eagerly revoke: B may still touch the page it was
     // granted, until A (the owner) reclaims it by accessing it.

@@ -2,7 +2,9 @@
 //! shares with exactly one peer carries a key both members' PKRU sets
 //! enable, so neither traps on it. Every third cubicle still goes
 //! through trap-and-map, revocation is eager, and without a key to lend
-//! the call is exactly `window_open`.
+//! the call is exactly `window_open`. A read-only share
+//! (`System::share_read_only`) exists only under its key: without one it
+//! is refused.
 
 use cubicle_core::{
     impl_component, ComponentImage, CubicleError, CubicleId, FaultDecision, IsolationMode, System,
@@ -265,6 +267,41 @@ fn without_a_key_to_lend_share_is_exactly_open() {
     // the exhausted case really exhausted the pool
     let (mut sys, _) = boot(paper);
     assert_eq!(loadable(&mut sys), 10);
+}
+
+#[test]
+fn without_a_key_a_read_only_share_is_refused_where_pages_are_keyed() {
+    for mode in [IsolationMode::Full, IsolationMode::Unikraft] {
+        let (mut sys, [a, b, ..]) = boot(SystemConfig {
+            cost: CostModel::free(),
+            ..mode.into()
+        });
+        loadable(&mut sys);
+        assert_eq!(sys.free_keys(), 0, "{mode:?}: the pool is exhausted");
+        let before = (sys.cubicle(a).window_count(), sys.stats().window_ops);
+        let (buf, shared) = sys.run_in_cubicle(a, |sys| {
+            let buf = sys.heap_alloc(4096, 4096).unwrap();
+            sys.write(buf, b"in transit").unwrap();
+            (buf, sys.share_read_only(&[(buf, 4096)], b))
+        });
+        assert_eq!(sys.free_keys(), 0, "{mode:?}: no key drawn");
+        if mode == IsolationMode::Full {
+            assert_eq!(shared, Err(CubicleError::OutOfKeys));
+            let after = (sys.cubicle(a).window_count(), sys.stats().window_ops);
+            assert_eq!(after, before, "refused before any window operation");
+            assert!(matches!(
+                read(&mut sys, b, buf),
+                Err(CubicleError::WindowDenied { .. })
+            ));
+        } else {
+            // No page key is ever checked: a plain window.
+            let wid = shared.unwrap();
+            assert!(sys.cubicle(a).window(wid).unwrap().is_open_for(b));
+            assert_eq!(read(&mut sys, b, buf).unwrap(), b"in transit");
+        }
+        assert_eq!(sys.read_only_key(a, b), None);
+        sys.audit().assert_clean(&format!("{mode:?}"));
+    }
 }
 
 #[test]

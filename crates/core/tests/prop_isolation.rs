@@ -6,8 +6,9 @@
 //! open window always admits the grantee. The window may also be shared
 //! with one peer under a pair key (`System::window_share`); the model
 //! then follows the pair key's eager revocation. A second model maps
-//! pages to a peer for loads only (`System::share_read_only`), keyed and
-//! plain, and follows growth, revocation and the peer's denied stores.
+//! pages to a peer for loads only (`System::share_read_only`) under a
+//! read-only pair key, or sees the map refused when no key can be bound,
+//! and follows growth, revocation and the peer's denied stores.
 //!
 //! Formerly proptest-based; rewritten over the in-tree deterministic
 //! [`Rng64`] so the suite builds fully offline.
@@ -230,28 +231,26 @@ fn rand_map_op(rng: &mut Rng64, pages: usize) -> MapOp {
 enum Holder {
     Owner,
     P,
-    /// `R` through the plain window: its own key, write-protected.
-    R,
     /// The read-only pair key of the live map.
     Map,
 }
 
-/// A load-only peer can load exactly the pages the owner maps to it (or,
-/// through a plain window, still holds after a revocation — lazy tag
-/// consistency), never store to any of them, and always loads the
-/// owner's current bytes; growth and revocation keep the page keys where
-/// the model puts them. Run keyed (pair keys on: the map is a read-only
-/// pair-keyed share) and plain (off: trap-and-map with write-protected
-/// grants).
+/// A load-only peer can load exactly the pages the owner maps to it,
+/// never store to any of them, and always loads the owner's current
+/// bytes; growth and revocation keep the page keys where the model puts
+/// them. Run keyed (the map is a read-only pair-keyed share) and refused
+/// (no key to bind, the pool exhausted or pair keys off: the map is
+/// `OutOfKeys` with no window operation and no key drawn, and the peer
+/// reaches nothing).
 #[test]
 fn read_only_holders_load_and_never_store() {
     const PAGES: usize = 4;
     for case in 0..64u64 {
-        let keyed = case % 2 == 0;
+        let (keyed, exhausted) = (case % 2 == 0, case % 4 == 1);
         let mut rng = Rng64::new(0x0F0_0000 + case);
         let mut sys = System::new(SystemConfig {
             cost: CostModel::free(),
-            pair_keys: keyed,
+            pair_keys: keyed || exhausted,
             ..IsolationMode::Full.into()
         });
         let mut load = |name: &str| {
@@ -263,6 +262,12 @@ fn read_only_holders_load_and_never_store() {
             .cid
         };
         let (owner, r, p) = (load("OWNER"), load("R"), load("P"));
+        let mut filler = 0;
+        while exhausted && sys.free_keys() > 0 {
+            let image = ComponentImage::new(format!("F{filler}"), CodeImage::plain(64));
+            sys.load(image, Box::new(Dummy)).unwrap();
+            filler += 1;
+        }
         let pages: Vec<VAddr> = sys.run_in_cubicle(owner, |sys| {
             let pages: Vec<VAddr> = (0..PAGES)
                 .map(|_| sys.heap_alloc(4096, 4096).unwrap())
@@ -285,7 +290,7 @@ fn read_only_holders_load_and_never_store() {
                     sys.run_in_cubicle(owner, |sys| sys.write(pages[i], &[b]))
                         .unwrap();
                     bytes[i] = b;
-                    holder[i] = if keyed && mapped(&map, i) {
+                    holder[i] = if mapped(&map, i) {
                         Holder::Map
                     } else {
                         Holder::Owner
@@ -293,17 +298,14 @@ fn read_only_holders_load_and_never_store() {
                 }
                 MapOp::RLoad(i) => {
                     let res = sys.run_in_cubicle(r, |sys| sys.read_vec(pages[i], 1));
-                    let allowed = mapped(&map, i) || holder[i] == Holder::R;
                     match res {
                         Ok(got) => {
-                            assert!(allowed, "{ctx}: R loaded an unmapped page");
+                            assert!(mapped(&map, i), "{ctx}: R loaded an unmapped page");
                             assert_eq!(got, [bytes[i]], "{ctx}: R loaded stale bytes");
-                            if mapped(&map, i) {
-                                holder[i] = if keyed { Holder::Map } else { Holder::R };
-                            }
+                            holder[i] = Holder::Map;
                         }
                         Err(CubicleError::WindowDenied { .. }) => {
-                            assert!(!allowed, "{ctx}: R denied a mapped page")
+                            assert!(!mapped(&map, i), "{ctx}: R denied a mapped page")
                         }
                         Err(e) => panic!("{ctx}: unexpected error: {e}"),
                     }
@@ -329,15 +331,31 @@ fn read_only_holders_load_and_never_store() {
                 MapOp::Grow => {
                     let n = map.map_or(0, |(_, n)| n);
                     if n < PAGES {
+                        let before = (
+                            sys.cubicle(owner).window_count(),
+                            sys.stats().window_ops,
+                            sys.free_keys(),
+                        );
                         let range = [(pages[n], 4096)];
                         let wid = sys.run_in_cubicle(owner, |sys| match map {
                             Some((wid, _)) => sys.window_add(wid, pages[n], 4096).map(|()| wid),
                             None => sys.share_read_only(&range, r),
                         });
-                        map = Some((wid.unwrap(), n + 1));
                         if keyed {
+                            map = Some((wid.unwrap(), n + 1));
                             // the new page joins the share at once
                             holder[n] = Holder::Map;
+                        } else {
+                            assert!(
+                                matches!(wid, Err(CubicleError::OutOfKeys)),
+                                "{ctx}: {wid:?}"
+                            );
+                            let after = (
+                                sys.cubicle(owner).window_count(),
+                                sys.stats().window_ops,
+                                sys.free_keys(),
+                            );
+                            assert_eq!(after, before, "{ctx}: the refusal left a trace");
                         }
                     }
                 }
@@ -345,7 +363,7 @@ fn read_only_holders_load_and_never_store() {
                     if let Some((wid, _)) = map.take() {
                         sys.run_in_cubicle(owner, |sys| sys.window_destroy(wid))
                             .unwrap();
-                        // keyed: eager, the pages go home; plain: lazy
+                        // eager: the pages go home
                         for h in &mut holder {
                             if *h == Holder::Map {
                                 *h = Holder::Owner;
@@ -359,15 +377,9 @@ fn read_only_holders_load_and_never_store() {
                 let expect = match holder[i] {
                     Holder::Owner => sys.cubicle(owner).key,
                     Holder::P => sys.cubicle(p).key,
-                    Holder::R => sys.cubicle(r).key,
                     Holder::Map => sys.read_only_key(owner, r).expect("a live map"),
                 };
                 assert_eq!(entry.key, expect, "{ctx}: page {i} held by {:?}", holder[i]);
-                assert_eq!(
-                    entry.flags.can_write(),
-                    holder[i] != Holder::R,
-                    "{ctx}: page {i} write protection"
-                );
             }
             sys.audit().assert_clean(&ctx);
         }

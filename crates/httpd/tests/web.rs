@@ -1,9 +1,10 @@
 //! End-to-end HTTP tests over the full 8-partition deployment.
 
-use cubicle_core::{IsolationMode, SystemConfig};
+use cubicle_core::{CubicleId, Errno, IsolationMode, SystemConfig};
 use cubicle_httpd::{boot_web, WebConfig, WebDeployment};
 use cubicle_mpk::VAddr;
 use cubicle_net::WireModel;
+use cubicle_vfs::{flags, VfsPort};
 
 fn fast_wire() -> WireModel {
     WireModel {
@@ -294,6 +295,26 @@ fn sendfile_map_is_revoked_when_the_file_changes() {
     let (_l, r) = dep.fetch("/data.bin", fast_wire()).unwrap();
     assert_eq!(r.body, v2, "fetch after rewrite serves the new bytes");
     dep.sys.audit().assert_clean("after sendfile revocation");
+}
+
+#[test]
+fn a_sendfile_map_for_a_cubicle_that_is_not_loaded_is_einval() {
+    let mut dep = boot_web(IsolationMode::Full).unwrap();
+    dep.put_file("/data.bin", &[0xAA; 10_000]).unwrap();
+    let (vfs, ramfs, nginx) = (dep.vfs, dep.ramfs_cid, dep.httpd.cid());
+    // 64 + LWIP would alias LWIP's bit in the window's u64 ACL
+    let alias = CubicleId(64 + dep.sys.find_cubicle("LWIP").unwrap().0);
+    let mapped = dep.sys.run_in_cubicle(nginx, |sys| {
+        let port = VfsPort::new(sys, vfs, &[ramfs]).unwrap();
+        let fd = port.open(sys, "/data.bin", flags::O_RDONLY).unwrap();
+        let mapped = port.sendfile_map(sys, fd, alias).unwrap();
+        assert_eq!(port.close(sys, fd).unwrap(), 0);
+        mapped
+    });
+    assert_eq!(mapped, Err(Errno::Einval.neg()));
+    let (_l, r) = dep.fetch("/data.bin", fast_wire()).unwrap();
+    assert_eq!(r.body, vec![0xAA; 10_000], "serving continues");
+    dep.sys.audit().assert_clean("after the refused map");
 }
 
 /// The journal is chosen when the deployment is built: after RAMFS is

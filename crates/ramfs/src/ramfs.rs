@@ -3,8 +3,8 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use cubicle_core::{
-    component_mut, impl_component, Builder, Component, ComponentImage, CubicleId, Errno,
-    LoadedComponent, RecoveryEvent, Result, System, Value, WindowId,
+    component_mut, impl_component, Builder, Component, ComponentImage, CubicleError, CubicleId,
+    Errno, LoadedComponent, RecoveryEvent, Result, System, Value, WindowId,
 };
 use cubicle_mpk::insn::CodeImage;
 use cubicle_mpk::{VAddr, PAGE_SIZE};
@@ -214,7 +214,8 @@ impl Ramfs {
     /// it) and grows it to `full`, the file's full pages: the new pages
     /// join the map's window, which retags only them, and the mapped ones
     /// stay as they are. Returns the generation word's address and value;
-    /// `Ok(Err(-ENOENT))` for `more` without a live map.
+    /// `Ok(Err(-ENOENT))` for `more` without a live map, and the
+    /// [`share_errno`] of a share the kernel refuses.
     fn page_map(
         &mut self,
         sys: &mut System,
@@ -234,7 +235,7 @@ impl Ramfs {
                 .and_then(|()| sys.share_read_only(&[(gen_page, PAGE_SIZE)], peer));
             let gen_wid = match shared {
                 Ok(wid) => wid,
-                Err(e) => return sys.heap_free(gen_page).and(Err(e)),
+                Err(e) => return sys.heap_free(gen_page).and(share_errno(e).map(Err)),
             };
             let map = PageMap {
                 gen_page,
@@ -305,11 +306,12 @@ impl Ramfs {
         sys.heap_free(map.gen_page)
     }
 
-    /// The store step behind `ramfs_write` and `ramfs_copy_range`: grows
-    /// `ino` to cover `[off, off + n)` (revoking any live sendfile
-    /// mapping first, since the extent set changes under it), copies the
-    /// `n` bytes of `src` into the extent pages and raises the size.
-    /// `Ok(Err(-errno))` is a domain error.
+    /// The store step behind `ramfs_write`, `ramfs_copy_range` and the
+    /// replay of a `Write` record: grows `ino` to cover `[off, off + n)`
+    /// (revoking any live sendfile mapping first, since the extent set
+    /// changes under it), zeroes the gap between the old end of file and
+    /// `off`, copies the `n` bytes of `src` into the extent pages and
+    /// raises the size. `Ok(Err(-errno))` is a domain error.
     fn store(
         &mut self,
         sys: &mut System,
@@ -319,17 +321,15 @@ impl Ramfs {
         src: Bytes<'_>,
     ) -> Result<std::result::Result<(), i64>> {
         let needed_pages = (off as usize + n).div_ceil(PAGE_SIZE);
-        let grows = match self.file_mut(ino) {
-            Ok((_, extents)) => extents.len() < needed_pages,
+        let (size, grows) = match self.file_mut(ino) {
+            Ok((size, extents)) => (*size, extents.len() < needed_pages),
             Err(e) => return Ok(Err(e)),
         };
         if grows {
             self.drop_sendfile_map(sys, ino)?;
         }
-        while self.file_mut(ino).expect("checked").1.len() < needed_pages {
-            let page = self.take_page(sys)?;
-            self.file_mut(ino).expect("checked").1.push(page);
-        }
+        self.grow_extents(sys, ino, needed_pages)?;
+        self.zero_tail(sys, ino, size, off)?;
         let extents = self.file_mut(ino).expect("checked").1.clone();
         let mut copied = 0usize;
         while copied < n {
@@ -353,6 +353,77 @@ impl Ramfs {
         let (size, _) = self.file_mut(ino).expect("checked");
         *size = (*size).max(off + n as u64);
         Ok(Ok(()))
+    }
+
+    /// The resize step behind `ramfs_truncate` and the replay of a
+    /// `Truncate` record: sets `ino`'s size to `len`, its surplus extent
+    /// pages back to the pool and the missing ones zeroed from it. A
+    /// grow zeroes the old last page past the old end of file, where a
+    /// shrink may have left bytes; a shrink zeroes nothing.
+    /// `Ok(Err(-errno))` for a non-file.
+    fn resize(
+        &mut self,
+        sys: &mut System,
+        ino: i64,
+        len: u64,
+    ) -> Result<std::result::Result<(), i64>> {
+        let size = match self.file_mut(ino) {
+            Ok((size, _)) => *size,
+            Err(e) => return Ok(Err(e)),
+        };
+        self.zero_tail(sys, ino, size, len)?;
+        let needed_pages = (len as usize).div_ceil(PAGE_SIZE);
+        let (_, extents) = self.file_mut(ino).expect("checked");
+        let surplus = extents.split_off(needed_pages.min(extents.len()));
+        self.pages_used -= surplus.len() as u64;
+        self.pool.extend(surplus);
+        self.grow_extents(sys, ino, needed_pages)?;
+        *self.file_mut(ino).expect("checked").0 = len;
+        Ok(Ok(()))
+    }
+
+    /// Appends zeroed pool pages to file `ino` until it has `pages`.
+    fn grow_extents(&mut self, sys: &mut System, ino: i64, pages: usize) -> Result<()> {
+        while self.file_mut(ino).expect("a file").1.len() < pages {
+            let page = self.take_page(sys)?;
+            self.file_mut(ino).expect("a file").1.push(page);
+        }
+        Ok(())
+    }
+
+    /// Zeroes `[end, to)` within the page holding byte `end`, the old end
+    /// of file `ino`, when the file grows past it: the pages after it
+    /// come zeroed from the pool, but a shrink may have left bytes here.
+    fn zero_tail(&mut self, sys: &mut System, ino: i64, end: u64, to: u64) -> Result<()> {
+        let (page, at) = (end as usize / PAGE_SIZE, end as usize % PAGE_SIZE);
+        if at == 0 || to <= end {
+            return Ok(());
+        }
+        let page = self.file_mut(ino).expect("a file").1[page];
+        let len = (to - end).min((PAGE_SIZE - at) as u64) as usize;
+        sys.fill(page + at, 0, len)
+    }
+
+    /// The drop step behind `ramfs_remove` and the replay of a `Remove`
+    /// record: revokes any map of inode `ino`, frees it (a file's extent
+    /// pages back to the pool) and unlinks `name` from `parent`.
+    fn drop_inode(
+        &mut self,
+        sys: &mut System,
+        ino: usize,
+        parent: usize,
+        name: &str,
+    ) -> Result<()> {
+        self.drop_sendfile_map(sys, ino as i64)?;
+        self.revoke_page_maps(sys, ino as i64)?;
+        if let Some(Inode::File { extents, .. }) = self.inodes.get_mut(ino).and_then(Option::take) {
+            self.pages_used -= extents.len() as u64;
+            self.pool.extend(extents);
+        }
+        if let Some(Inode::Dir { entries }) = self.inodes.get_mut(parent).and_then(Option::as_mut) {
+            entries.retain(|(n, _)| n != name);
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -453,9 +524,9 @@ impl Ramfs {
         Ok(recs)
     }
 
-    /// Redoes one journal record against the (freshly reset) tree.
-    /// Unlike the export wrappers this never journals — replay must not
-    /// feed the log it is reading.
+    /// Redoes one journal record against the (freshly reset) tree,
+    /// through the steps the exports use. Unlike the export wrappers
+    /// this never journals — replay must not feed the log it is reading.
     fn apply_record(&mut self, sys: &mut System, rec: &JournalRecord) -> Result<()> {
         match rec {
             JournalRecord::Create {
@@ -485,72 +556,17 @@ impl Ramfs {
                     entries.push((name.clone(), ino));
                 }
             }
+            // Redo through the exports' own steps; a record against a
+            // hole is skipped.
             JournalRecord::Remove { ino, parent, name } => {
-                let (ino, parent) = (*ino as usize, *parent as usize);
-                if let Some(slot) = self.inodes.get_mut(ino) {
-                    if let Some(Inode::File { extents, .. }) = slot.take() {
-                        self.pages_used -= extents.len() as u64;
-                        self.pool.extend(extents);
-                    }
-                }
-                if let Some(Inode::Dir { entries }) =
-                    self.inodes.get_mut(parent).and_then(Option::as_mut)
-                {
-                    entries.retain(|(n, _)| n != name);
-                }
+                self.drop_inode(sys, *ino as usize, *parent as usize, name)?;
             }
             JournalRecord::Write { ino, off, data } => {
-                let ino = i64::from(*ino);
-                let needed = (*off as usize + data.len()).div_ceil(PAGE_SIZE);
-                loop {
-                    let have = match self.file_mut(ino) {
-                        Ok((_, extents)) => extents.len(),
-                        Err(_) => return Ok(()), // redo against a hole: skip
-                    };
-                    if have >= needed {
-                        break;
-                    }
-                    let page = self.take_page(sys)?;
-                    let (_, extents) = self.file_mut(ino).expect("checked");
-                    extents.push(page);
-                }
-                let extents = {
-                    let (_, extents) = self.file_mut(ino).expect("checked");
-                    extents.clone()
-                };
-                let mut copied = 0usize;
-                while copied < data.len() {
-                    let pos = *off as usize + copied;
-                    let (pi, po) = (pos / PAGE_SIZE, pos % PAGE_SIZE);
-                    let chunk = (PAGE_SIZE - po).min(data.len() - copied);
-                    sys.write(extents[pi] + po, &data[copied..copied + chunk])?;
-                    copied += chunk;
-                }
-                let (size, _) = self.file_mut(ino).expect("checked");
-                *size = (*size).max(*off + data.len() as u64);
+                let src = Bytes::Local(data);
+                let _ = self.store(sys, i64::from(*ino), *off, data.len(), src)?;
             }
             JournalRecord::Truncate { ino, len } => {
-                let ino = i64::from(*ino);
-                let needed = (*len as usize).div_ceil(PAGE_SIZE);
-                let surplus = match self.file_mut(ino) {
-                    Ok((_, extents)) => {
-                        let keep = needed.min(extents.len());
-                        extents.split_off(keep)
-                    }
-                    Err(_) => return Ok(()),
-                };
-                self.pages_used -= surplus.len() as u64;
-                self.pool.extend(surplus);
-                loop {
-                    let have = self.file_mut(ino).expect("checked").1.len();
-                    if have >= needed {
-                        break;
-                    }
-                    let page = self.take_page(sys)?;
-                    self.file_mut(ino).expect("checked").1.push(page);
-                }
-                let (size, _) = self.file_mut(ino).expect("checked");
-                *size = *len;
+                let _ = self.resize(sys, i64::from(*ino), *len)?;
             }
         }
         Ok(())
@@ -883,17 +899,7 @@ fn e_remove(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Resul
         fs.journal_append(sys, &rec)?;
     }
     let fs = component_mut::<Ramfs>(this);
-    fs.drop_sendfile_map(sys, ino as i64)?;
-    fs.revoke_page_maps(sys, ino as i64)?;
-    if let Some(Inode::File { extents, .. }) = fs.inodes[ino].take() {
-        fs.pages_used -= extents.len() as u64;
-        fs.pool.extend(extents);
-    } else {
-        fs.inodes[ino] = None;
-    }
-    if let Some(Inode::Dir { entries }) = fs.inodes[parent].as_mut() {
-        entries.retain(|(n, _)| *n != name);
-    }
+    fs.drop_inode(sys, ino, parent, &name)?;
     Ok(Value::I64(0))
 }
 
@@ -1040,64 +1046,32 @@ fn e_truncate(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Res
     sys.charge(RAMFS_OP_COST);
     let ino = args[0].as_i64();
     let new_len = args[1].as_u64();
-    let needed_pages = (new_len as usize).div_ceil(PAGE_SIZE);
-    {
-        let fs = component_mut::<Ramfs>(this);
-        if fs.journal.is_some() {
-            if let Err(e) = fs.file_mut(ino) {
-                return Ok(Value::I64(e));
-            }
-            let rec = JournalRecord::Truncate {
-                ino: ino as u32,
-                len: new_len,
-            };
-            fs.journal_append(sys, &rec)?;
-        }
-    }
-    {
-        let fs = component_mut::<Ramfs>(this);
-        let size = match fs.file_mut(ino) {
-            Ok((size, _)) => *size,
-            Err(e) => return Ok(Value::I64(e)),
-        };
-        // A truncate to the current size changes nothing a map lists. A
-        // sendfile map's list goes stale on any other; a read-only map
-        // lists only pages wholly below the end of file, which only a
-        // shrink can break.
-        if new_len != size {
-            fs.drop_sendfile_map(sys, ino)?;
-        }
-        if new_len < size {
-            fs.revoke_page_maps(sys, ino)?;
-        }
-        // shrink: recycle surplus pages
-        let (_, extents) = fs.file_mut(ino).expect("checked");
-        let surplus = extents.split_off(needed_pages.min(extents.len()));
-        fs.pages_used -= surplus.len() as u64;
-        fs.pool.extend(surplus);
-    }
-    // grow: add zeroed pages
-    loop {
-        let need_more = {
-            let fs = component_mut::<Ramfs>(this);
-            let (_, extents) = fs.file_mut(ino).expect("checked");
-            extents.len() < needed_pages
-        };
-        if !need_more {
-            break;
-        }
-        let page = {
-            let fs = component_mut::<Ramfs>(this);
-            fs.take_page(sys)?
-        };
-        let fs = component_mut::<Ramfs>(this);
-        let (_, extents) = fs.file_mut(ino).expect("checked");
-        extents.push(page);
-    }
     let fs = component_mut::<Ramfs>(this);
-    let (size, _) = fs.file_mut(ino).expect("checked");
-    *size = new_len;
-    Ok(Value::I64(0))
+    let size = match fs.file_mut(ino) {
+        Ok((size, _)) => *size,
+        Err(e) => return Ok(Value::I64(e)),
+    };
+    if fs.journal.is_some() {
+        let rec = JournalRecord::Truncate {
+            ino: ino as u32,
+            len: new_len,
+        };
+        fs.journal_append(sys, &rec)?;
+    }
+    // A truncate to the current size changes nothing a map lists. A
+    // sendfile map's list goes stale on any other; a read-only map lists
+    // only pages wholly below the end of file, which only a shrink can
+    // break.
+    if new_len != size {
+        fs.drop_sendfile_map(sys, ino)?;
+    }
+    if new_len < size {
+        fs.revoke_page_maps(sys, ino)?;
+    }
+    match fs.resize(sys, ino, new_len)? {
+        Ok(()) => Ok(Value::I64(0)),
+        Err(e) => Ok(Value::I64(e)),
+    }
 }
 
 fn e_size(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<Value> {
@@ -1239,12 +1213,16 @@ fn e_map_extents(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> 
             .sendfile_maps
             .get(&ino)
             .map(|m| m.wid);
-        let wid = match existing {
-            Some(wid) => sys.reshare(wid, peer).map(|()| wid)?,
+        let shared = match existing {
+            Some(wid) => sys.reshare(wid, peer).map(|()| wid),
             None => {
                 let ranges: Vec<_> = extents.iter().map(|&page| (page, PAGE_SIZE)).collect();
-                sys.share(&ranges, &[peer])?
+                sys.share(&ranges, &[peer])
             }
+        };
+        let wid = match shared {
+            Ok(wid) => wid,
+            Err(e) => return share_errno(e).map(Value::I64),
         };
         let fs = component_mut::<Ramfs>(this);
         fs.sendfile_maps
@@ -1253,6 +1231,18 @@ fn e_map_extents(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> 
             .refs += 1;
     }
     Ok(Value::I64(listed.len() as i64))
+}
+
+/// The errno for a share over `peer` the kernel refuses: `-ENOSPC` when
+/// no key can carry a read-only map (the peer then reads through
+/// `ramfs_read`), `-EINVAL` for a peer that is not loaded. Any other
+/// error is the kernel's.
+fn share_errno(e: CubicleError) -> Result<i64> {
+    match e {
+        CubicleError::OutOfKeys => Ok(Errno::Enospc.neg()),
+        CubicleError::NoSuchCubicle(_) => Ok(Errno::Einval.neg()),
+        e => Err(e),
+    }
 }
 
 /// `unmap_extents(ino, peer, flags)`: drops one `map_extents` reference

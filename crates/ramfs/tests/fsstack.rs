@@ -210,6 +210,33 @@ fn truncate_shrinks_and_grows_zeroed() {
 }
 
 #[test]
+fn growing_past_a_shrunk_end_reads_zeros() {
+    let mut stack = boot(IsolationMode::Full);
+    with_port(&mut stack, |sys, port| {
+        let fd = port
+            .open(sys, "/g", flags::O_CREAT | flags::O_RDWR)
+            .unwrap();
+        let read_at = |sys: &mut System, off: i64, n: usize| {
+            port.lseek(sys, fd, off, whence::SEEK_SET).unwrap();
+            port.read_vec(sys, fd, n).unwrap()
+        };
+        port.write_all(sys, fd, &[b'a'; 100]).unwrap();
+        port.ftruncate(sys, fd, 50).unwrap();
+        port.ftruncate(sys, fd, 100).unwrap();
+        assert_eq!(read_at(sys, 50, 10), [0; 10], "a growing truncate");
+        // A write that starts past the end of file leaves a gap of zeros.
+        port.ftruncate(sys, fd, 50).unwrap();
+        port.lseek(sys, fd, 200, whence::SEEK_SET).unwrap();
+        port.write_all(sys, fd, &[b'b'; 10]).unwrap();
+        let bytes = read_at(sys, 0, 210);
+        assert_eq!(bytes[..50], [b'a'; 50]);
+        assert_eq!(bytes[50..200], [0; 150], "a write past the end");
+        assert_eq!(bytes[200..], [b'b'; 10]);
+        assert_eq!(port.close(sys, fd), Ok(0));
+    });
+}
+
+#[test]
 fn append_mode_appends() {
     let mut stack = boot(IsolationMode::Full);
     with_port(&mut stack, |sys, port| {

@@ -207,6 +207,30 @@ fn journal_compaction_survives_the_reboot() {
 }
 
 #[test]
+fn a_replayed_grow_past_a_shrunk_end_reads_zeros() {
+    let mut stack = boot(Some(16));
+    let tail = |stack: &mut Stack| {
+        with_port(stack, |sys, port| {
+            get(sys, port, "/g").unwrap()[50..60].to_vec()
+        })
+    };
+    with_port(&mut stack, |sys, port| {
+        put(sys, port, "/g", &[b'a'; 100]);
+        let fd = port.open(sys, "/g", flags::O_RDWR).unwrap();
+        port.ftruncate(sys, fd, 50).unwrap();
+        port.ftruncate(sys, fd, 100).unwrap();
+        port.close(sys, fd).unwrap();
+    });
+    assert_eq!(tail(&mut stack), [0; 10], "before the microreboot");
+    let ramfs = stack.fs.ramfs_cid;
+    stack.sys.quarantine(ramfs, "test: crash RAMFS").unwrap();
+    stack.sys.restart(ramfs).unwrap();
+    assert_eq!(stack.sys.stats().ramfs_journal_replays, 1);
+    assert_eq!(tail(&mut stack), [0; 10], "after the replay");
+    stack.sys.audit().assert_clean("after the replay");
+}
+
+#[test]
 fn without_a_journal_the_reboot_loses_the_tree() {
     // The pre-journal baseline this PR exists to fix: same crash, no
     // custodian region — the microrebooted RAMFS comes back empty.
