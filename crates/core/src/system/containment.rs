@@ -198,9 +198,10 @@ impl System {
         self.quarantine_inner(cid, reason);
     }
 
-    /// Quarantines `cid`: destroys its windows, ends its pair shares,
-    /// reclaims its pages (tombstoned so dangling references yield typed
-    /// errors), retags pages it held of other owners back to them, parks
+    /// Quarantines `cid`: destroys its windows, ends its pair shares
+    /// (closing an owner's read-only share for it, see
+    /// `System::share_read_only`), reclaims its pages (tombstoned so
+    /// dangling references yield typed errors), retags pages it held of other owners back to them, parks
     /// its MPK key and any pair key it held into the reuse pool and
     /// rejects future cross-calls with
     /// [`CubicleError::Quarantined`]. [`System::audit`] is clean

@@ -77,17 +77,22 @@ impl PairShare {
         }
     }
 
-    /// The pair a key is bound to: the unordered members of a read-write
-    /// share, (owner, peer) of a read-only one.
-    pub(crate) fn pair(&self) -> (CubicleId, CubicleId, KeyRights) {
-        match self.rights {
-            KeyRights::ReadWrite => (
-                self.owner.min(self.peer),
-                self.owner.max(self.peer),
-                self.rights,
-            ),
-            rights => (self.owner, self.peer, rights),
-        }
+    /// The pair its key is bound to ([`pair_of`]).
+    pub(crate) fn pair(&self) -> Pair {
+        pair_of(self.owner, self.peer, self.rights)
+    }
+}
+
+/// What a pair key is bound to: two cubicles and the peer's rights.
+pub(crate) type Pair = (CubicleId, CubicleId, KeyRights);
+
+/// The pair a share from `owner` to `peer` with `rights` binds its key
+/// to: the unordered members of a read-write share, (owner, peer) of a
+/// read-only one.
+pub(crate) fn pair_of(owner: CubicleId, peer: CubicleId, rights: KeyRights) -> Pair {
+    match rights {
+        KeyRights::ReadWrite => (owner.min(peer), owner.max(peer), rights),
+        rights => (owner, peer, rights),
     }
 }
 
@@ -134,26 +139,34 @@ impl KeyPool {
         }
     }
 
-    /// The live key of the pair `pair` names ([`PairShare::pair`]).
-    fn key_of(&self, pair: (CubicleId, CubicleId, KeyRights)) -> Option<ProtKey> {
+    /// The live key of `pair`.
+    fn key_of(&self, pair: Pair) -> Option<ProtKey> {
         self.shares.iter().find(|s| s.pair() == pair).map(|s| s.key)
     }
 
     /// The live read-write pair key of `a` and `b`, in either direction.
     pub(crate) fn pair_key(&self, a: CubicleId, b: CubicleId) -> Option<ProtKey> {
-        self.key_of((a.min(b), a.max(b), KeyRights::ReadWrite))
+        self.key_of(pair_of(a, b, KeyRights::ReadWrite))
     }
 
     /// The live read-only pair key `owner` shares pages with `peer`
     /// under.
     pub(crate) fn read_only_key(&self, owner: CubicleId, peer: CubicleId) -> Option<ProtKey> {
-        self.key_of((owner, peer, KeyRights::ReadOnly))
+        self.key_of(pair_of(owner, peer, KeyRights::ReadOnly))
+    }
+
+    /// Could a new share of `pair` get a key now: the pair's live one,
+    /// or a free one to pin? The one answer behind [`KeyPool::share`]
+    /// and `System::share_read_only`'s refusal.
+    pub(super) fn can_bind(&self, pair: Pair) -> bool {
+        self.key_of(pair).is_some() || self.can_pin(1)
     }
 
     /// Records that `owner` shares `wid` with `peer`, who gets `rights`
     /// on it, and returns the pair's key — the live one, or the lowest
-    /// free key, pinned. `None` when the share already exists or no key
-    /// is free: the window then stays merely open.
+    /// free key, pinned. `None` when the share already exists or the
+    /// pair cannot bind a key ([`KeyPool::can_bind`]): the window then
+    /// stays merely open.
     pub(super) fn share(
         &mut self,
         owner: CubicleId,
@@ -161,27 +174,26 @@ impl KeyPool {
         wid: WindowId,
         rights: KeyRights,
     ) -> Option<ProtKey> {
-        if self
+        let pair = pair_of(owner, peer, rights);
+        let exists = self
             .shares
             .iter()
-            .any(|s| s.owner == owner && s.peer == peer && s.wid == wid)
-        {
+            .any(|s| s.owner == owner && s.peer == peer && s.wid == wid);
+        if exists || !self.can_bind(pair) {
             return None;
         }
-        let mut share = PairShare {
+        let key = self.key_of(pair).unwrap_or_else(|| {
+            let slot = self.bindings.iter_mut().find(|(_, b)| b.is_none());
+            let slot = slot.expect("can_bind saw a free key");
+            slot.1 = Some(Binding::Pair);
+            slot.0
+        });
+        let share = PairShare {
             owner,
             peer,
             wid,
-            key: PARKED_KEY,
+            key,
             rights,
-        };
-        share.key = match self.key_of(share.pair()) {
-            Some(key) => key,
-            None => {
-                let slot = self.bindings.iter_mut().find(|(_, b)| b.is_none())?;
-                slot.1 = Some(Binding::Pair);
-                slot.0
-            }
         };
         self.shares.push(share);
         Some(share.key)

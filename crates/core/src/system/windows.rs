@@ -6,7 +6,7 @@
 //! [`System::share_read_only`], [`System::reshare`] and the scoped
 //! [`System::with_shared`].
 
-use super::keys::PairShare;
+use super::keys::{pair_of, PairShare};
 use super::locks::MonitorLock;
 use super::observe::PageOp;
 use super::System;
@@ -239,7 +239,10 @@ impl System {
 
     /// The one path behind [`System::window_open`],
     /// [`System::window_share`] and [`System::share_read_only`]'s open;
-    /// `share` asks for the pair key, `rights` are the peer's.
+    /// `share` asks for the pair key, `rights` are the peer's. Where
+    /// pages are keyed, a load-only peer is admitted only under its key:
+    /// without one the ACL is left as it was and the open fails with
+    /// [`CubicleError::OutOfKeys`].
     fn open_window(
         &mut self,
         wid: WindowId,
@@ -251,9 +254,8 @@ impl System {
         let cid = self.current_cubicle();
         self.race_note(RaceObject::Windows, true, "window_open:window_mut.open_for");
         let result = self.loaded(peer).and_then(|()| {
-            let w = self.cubicles[cid.index()].window_mut(wid);
-            w.map(|w| w.open_for(peer))
-                .ok_or(CubicleError::NoSuchWindow(wid))
+            let w = self.cubicles[cid.index()].window(wid);
+            w.map(|_| ()).ok_or(CubicleError::NoSuchWindow(wid))
         });
         let paired = match result {
             Ok(()) if share && self.pair_keys_between(cid, peer) => self
@@ -262,6 +264,14 @@ impl System {
                 .map(|key| (key, self.window_pages(cid, wid, None))),
             _ => None,
         };
+        let result = result.and_then(|()| {
+            if rights == KeyRights::ReadOnly && paired.is_none() && self.share_traps() {
+                return Err(CubicleError::OutOfKeys);
+            }
+            let w = self.cubicles[cid.index()].window_mut(wid);
+            w.expect("found above").open_for(peer);
+            Ok(())
+        });
         self.window_op_end(wstart);
         let op = match paired {
             Some((key, pages)) => {
@@ -354,9 +364,19 @@ impl System {
     /// Ends the pair shares `ends` selects, with the windows lock held
     /// and before their windows change. Returns the pages to hand back
     /// to their owners once the lock is released ([`System::unpair`]).
+    ///
+    /// A load-only admission exists only under its key, so the end of a
+    /// read-only share also closes its window for the peer: where the
+    /// window outlives the share (the peer was quarantined), a restarted
+    /// peer must not find a key-less, read-write admission left behind.
     pub(super) fn unshare_locked(&mut self, ends: impl Fn(&PairShare) -> bool) -> Vec<Unpair> {
-        self.keys
-            .unshare(ends)
+        let ended = self.keys.unshare(ends);
+        for s in ended.iter().filter(|s| s.rights == KeyRights::ReadOnly) {
+            if let Some(w) = self.cubicles[s.owner.index()].window_mut(s.wid) {
+                w.close_for(s.peer);
+            }
+        }
+        ended
             .into_iter()
             .map(|s| Unpair {
                 owner: s.owner,
@@ -555,7 +575,9 @@ impl System {
     /// and trap-and-map denies the peer's stores without a search. It is
     /// never the read-write key of the same two cubicles. Where no page
     /// key is ever checked ([`System::share_traps`] false) the window is
-    /// plainly open.
+    /// plainly open. The share's end closes the window for the peer,
+    /// also when the window outlives it (the peer's quarantine): no
+    /// key-less admission is left behind.
     ///
     /// # Errors
     ///
@@ -570,7 +592,9 @@ impl System {
         whole_pages(ranges)?;
         let owner = self.current_cubicle();
         let keyed = self.pair_keys_between(owner, peer)
-            && (self.keys.read_only_key(owner, peer).is_some() || self.keys.can_pin(1));
+            && self
+                .keys
+                .can_bind(pair_of(owner, peer, KeyRights::ReadOnly));
         if self.share_traps() && !keyed {
             return Err(CubicleError::OutOfKeys);
         }

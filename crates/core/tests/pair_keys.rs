@@ -305,6 +305,41 @@ fn without_a_key_a_read_only_share_is_refused_where_pages_are_keyed() {
 }
 
 #[test]
+fn a_reader_restarted_after_quarantine_keeps_no_admission_to_a_read_only_share() {
+    let (mut sys, [a, b, ..]) = boot(full());
+    let (buf, wid) = sys.run_in_cubicle(a, |sys| {
+        let buf = sys.heap_alloc(4096, 4096).unwrap();
+        sys.write(buf, b"in transit").unwrap();
+        (buf, sys.share_read_only(&[(buf, 4096)], b).unwrap())
+    });
+    assert_eq!(read(&mut sys, b, buf).unwrap(), b"in transit");
+    sys.quarantine(b, "test").unwrap();
+    sys.restart(b).unwrap();
+    assert_eq!(sys.read_only_key(a, b), None);
+    // the owner's window outlives the share, closed for the reader
+    assert!(!sys.cubicle(a).window(wid).unwrap().is_open_for(b));
+    for store in [false, true] {
+        let touched = sys.run_in_cubicle(b, |sys| {
+            if store {
+                sys.write(buf, b"overwrite!")
+            } else {
+                sys.read_vec(buf, 10).map(drop)
+            }
+        });
+        assert!(
+            matches!(touched, Err(CubicleError::WindowDenied { .. })),
+            "store {store}: {touched:?}"
+        );
+        if sys.cubicle(b).is_quarantined() {
+            sys.restart(b).unwrap();
+        }
+    }
+    assert_eq!(read(&mut sys, a, buf).unwrap(), b"in transit");
+    sys.audit()
+        .assert_clean("after the restarted reader's touches");
+}
+
+#[test]
 fn a_stale_pkru_on_a_second_core_resolves_without_a_retag() {
     let (mut sys, [a, b, ..]) = boot(SystemConfig { cores: 2, ..full() });
     sys.enable_tracing(1 << 12);

@@ -58,6 +58,26 @@ struct PageMap {
     refs: u64,
 }
 
+impl PageMap {
+    /// Does the kernel still admit `peer` to the map's generation word?
+    /// A read-only share ends when its peer is quarantined, and the end
+    /// closes the window: the map then has nothing for the peer's next
+    /// life, which holds none of its references.
+    fn live(&self, sys: &System, peer: CubicleId) -> bool {
+        let me = sys.cubicle(sys.current_cubicle());
+        me.window(self.gen_wid).is_some_and(|w| w.is_open_for(peer))
+    }
+
+    /// Ends the map: destroys its windows and frees its generation word.
+    fn end(self, sys: &mut System) -> Result<()> {
+        if let Some(wid) = self.pages_wid {
+            sys.window_destroy(wid)?;
+        }
+        sys.window_destroy(self.gen_wid)?;
+        sys.heap_free(self.gen_page)
+    }
+}
+
 /// Where the bytes of a store come from.
 #[derive(Clone, Copy)]
 enum Bytes<'a> {
@@ -215,7 +235,8 @@ impl Ramfs {
     /// join the map's window, which retags only them, and the mapped ones
     /// stay as they are. Returns the generation word's address and value;
     /// `Ok(Err(-ENOENT))` for `more` without a live map, and the
-    /// [`share_errno`] of a share the kernel refuses.
+    /// [`share_errno`] of a share the kernel refuses. A map that is not
+    /// [`PageMap::live`] any more is ended first.
     fn page_map(
         &mut self,
         sys: &mut System,
@@ -224,6 +245,14 @@ impl Ramfs {
         full: &[VAddr],
         more: bool,
     ) -> Result<std::result::Result<(VAddr, u64), i64>> {
+        if self
+            .page_maps
+            .get(&(ino, peer))
+            .is_some_and(|m| !m.live(sys, peer))
+        {
+            let map = self.page_maps.remove(&(ino, peer)).expect("found above");
+            map.end(sys)?;
+        }
         if !self.page_maps.contains_key(&(ino, peer)) {
             if more {
                 return Ok(Err(Errno::Enoent.neg()));
@@ -259,7 +288,19 @@ impl Ramfs {
                         sys.window_add(wid, page, len)?;
                     }
                 }
-                None => map.pages_wid = Some(sys.share_read_only(&fresh, peer)?),
+                None => match sys.share_read_only(&fresh, peer) {
+                    Ok(wid) => map.pages_wid = Some(wid),
+                    Err(e) => {
+                        // A map no holder joined yet goes with the refusal;
+                        // the peer reads through `ramfs_read`.
+                        let errno = share_errno(e)?;
+                        if map.refs == 0 {
+                            let map = self.page_maps.remove(&(ino, peer)).expect("found above");
+                            map.end(sys)?;
+                        }
+                        return Ok(Err(errno));
+                    }
+                },
             }
             map.mapped = full.len();
         }
@@ -299,11 +340,7 @@ impl Ramfs {
             return Ok(());
         }
         let map = self.page_maps.remove(&(ino, peer)).expect("found above");
-        if let Some(wid) = map.pages_wid {
-            sys.window_destroy(wid)?;
-        }
-        sys.window_destroy(map.gen_wid)?;
-        sys.heap_free(map.gen_page)
+        map.end(sys)
     }
 
     /// The store step behind `ramfs_write`, `ramfs_copy_range` and the

@@ -276,6 +276,55 @@ fn a_store_into_a_mapped_page_is_denied() {
     });
 }
 
+#[test]
+fn a_reader_restarted_after_quarantine_maps_afresh_under_its_key() {
+    let mut st = boot(full(), None);
+    let (ramfs, app) = (st.fs.ramfs_cid, st.app);
+    st.in_app(|sys, env| {
+        let mut f = env.open(sys, "/r.db").unwrap();
+        put_pages(sys, f.as_mut(), &[5, 6]);
+        f.map_reads(sys);
+        assert_eq!(read_page(sys, f.as_mut(), 1), (page(6), 0));
+        // the handle dies with the reader, never closed
+    });
+    st.sys.quarantine(app, "test: crash the reader").unwrap();
+    st.sys.restart(app).unwrap();
+    assert_eq!(st.sys.read_only_key(ramfs, app), None);
+    let fs = &st.fs;
+    let port = st.sys.run_in_cubicle(app, |sys| fs.port(sys).unwrap());
+    let (fd, target) = st.sys.run_in_cubicle(app, |sys| {
+        let fd = port.open(sys, "/r.db", flags::O_RDWR).unwrap();
+        let buf = sys.heap_alloc(2 * PAGE_SIZE, PAGE_SIZE).unwrap();
+        let list = port
+            .map_pages(sys, fd, (buf, 2 * PAGE_SIZE), 0, false)
+            .unwrap()
+            .unwrap();
+        assert_eq!(list.pages.len(), 2);
+        (fd, list.pages[1])
+    });
+    // RAMFS ended the map of the reader's last life and built a new one
+    let key = st.sys.read_only_key(ramfs, app).expect("a keyed map");
+    assert_eq!(st.sys.machine().page_entry(target).unwrap().key, key);
+    let denied = st.sys.run_in_cubicle(app, |sys| {
+        assert_eq!(sys.read_vec(target, 4).unwrap(), vec![6; 4], "loads pass");
+        sys.write(target, b"evil")
+    });
+    assert!(
+        matches!(denied, Err(CubicleError::WindowDenied { .. })),
+        "{denied:?}"
+    );
+    let bytes = st
+        .sys
+        .run_in_cubicle(ramfs, |sys| sys.read_vec(target, PAGE_SIZE));
+    assert_eq!(bytes.unwrap(), page(6), "RAMFS's bytes");
+    st.sys.audit().assert_clean("a restarted reader's map");
+    st.sys.run_in_cubicle(app, |sys| {
+        assert_eq!(port.unmap_pages(sys, fd).unwrap(), 0);
+        assert_eq!(port.close(sys, fd).unwrap(), 0);
+    });
+    assert_eq!(st.sys.read_only_key(ramfs, app), None);
+}
+
 /// RAMFS pages carrying the app's key: a page handed over to it.
 fn ramfs_pages_under(sys: &System, app: CubicleId, ramfs: CubicleId) -> usize {
     let key = sys.cubicle(app).key;
