@@ -54,24 +54,6 @@ pub enum IsolationMode {
 }
 
 impl IsolationMode {
-    /// Does this mode switch PKRU across cubicles (and therefore fault)?
-    pub(crate) const fn mpk_active(self) -> bool {
-        matches!(self, IsolationMode::NoAcl | IsolationMode::Full)
-    }
-
-    /// Does this mode run cross-cubicle call trampolines?
-    pub(crate) const fn trampolines_active(self) -> bool {
-        matches!(
-            self,
-            IsolationMode::NoMpk | IsolationMode::NoAcl | IsolationMode::Full
-        )
-    }
-
-    /// Does this mode consult (and charge for) window ACLs?
-    pub(crate) const fn acls_active(self) -> bool {
-        matches!(self, IsolationMode::Full)
-    }
-
     /// Short label used by the benchmark harnesses.
     pub const fn label(self) -> &'static str {
         match self {
@@ -87,30 +69,6 @@ impl IsolationMode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ablation_ladder_is_monotone() {
-        // Each Fig. 6 configuration enables a superset of mechanisms.
-        assert!(!IsolationMode::Unikraft.trampolines_active());
-        assert!(IsolationMode::NoMpk.trampolines_active());
-        assert!(!IsolationMode::NoMpk.mpk_active());
-        assert!(IsolationMode::NoAcl.mpk_active());
-        assert!(!IsolationMode::NoAcl.acls_active());
-        assert!(IsolationMode::Full.mpk_active());
-        assert!(IsolationMode::Full.acls_active());
-    }
-
-    #[test]
-    fn ipc_mode_has_no_mpk() {
-        let ipc = IsolationMode::Ipc(IpcCostModel {
-            kernel: "seL4",
-            fixed: 1,
-            per_byte: 1,
-        });
-        assert!(!ipc.mpk_active());
-        assert!(!ipc.acls_active());
-        assert_eq!(ipc.label(), "seL4");
-    }
 
     #[test]
     fn labels_match_figure_6() {

@@ -46,13 +46,13 @@ use crate::ids::{CubicleId, EntryId, WindowId};
 use crate::mode::IsolationMode;
 use crate::race::RaceDetector;
 use crate::stats::SysStats;
-use crate::trace::Incident;
 use cubicle_mpk::{CostModel, Machine, MachineStats, PageNum, Pkru, ProtKey, VAddr};
 use dispatch::EntryDesc;
+use isolation::Isolation;
 use keys::KeyPool;
 use loader::ReloadInfo;
 use locks::MonitorLocks;
-use observe::Tracer;
+use observe::{EventLog, Tracer};
 use std::collections::HashMap;
 use trap::GrantEntry;
 
@@ -105,7 +105,7 @@ pub struct Snapshot {
 /// The CubicleOS kernel. See the module documentation.
 pub struct System {
     pub(crate) machine: Machine,
-    pub(crate) mode: IsolationMode,
+    mode: Isolation,
     pub(crate) cubicles: Vec<Cubicle>,
     components: Vec<Option<Box<dyn Component>>>,
     component_names: Vec<String>,
@@ -114,7 +114,7 @@ pub struct System {
     pub(crate) page_meta: HashMap<PageNum, PageMeta>,
     call_stack: Vec<Frame>,
     next_page: u64,
-    stats: SysStats,
+    events: EventLog,
     verifier: Builder,
     boot: Option<Snapshot>,
     boundary_tax: u64,
@@ -123,11 +123,6 @@ pub struct System {
     /// [`System::switch_to_core`]; boot runs on core 0 alone.
     cores: usize,
     tracer: Option<Tracer>,
-    /// The bounded incident log ([`System::incidents`]), kept outside
-    /// the tracer so incidents are never lost when tracing is off.
-    incidents: Vec<Incident>,
-    /// Incidents each audit block discarded once full.
-    incidents_dropped: [u64; 3],
     /// Recycled read buffers for [`System::with_read`]: value marshalling
     /// and component handlers borrow one instead of allocating a fresh
     /// `Vec` per cross-cubicle argument. Host-side only — never affects
@@ -296,7 +291,7 @@ impl System {
         let monitor = Cubicle::new(CubicleId::MONITOR, "MONITOR", ProtKey::MONITOR, false);
         System {
             machine,
-            mode: config.mode,
+            mode: Isolation::new(config.mode),
             cubicles: vec![monitor],
             components: Vec::new(),
             component_names: Vec::new(),
@@ -305,15 +300,13 @@ impl System {
             page_meta: HashMap::new(),
             call_stack: Vec::new(),
             next_page: 16, // leave low memory (incl. page 0) unmapped
-            stats: SysStats::default(),
+            events: EventLog::default(),
             verifier: Builder::new(),
             boot: None,
             boundary_tax: config.boundary_tax,
             keys: KeyPool::new(),
             cores: config.cores,
             tracer: None,
-            incidents: Vec::new(),
-            incidents_dropped: [0; 3],
             scratch_pool: Vec::new(),
             fault_containment: config.fault_containment,
             reclaimed: HashMap::new(),
@@ -370,11 +363,6 @@ impl System {
     /// touch simulated memory).
     pub fn charge(&mut self, cycles: u64) {
         self.machine.charge(cycles);
-    }
-
-    /// Kernel counters.
-    pub fn stats(&self) -> &SysStats {
-        &self.stats
     }
 
     /// Machine counters.
@@ -436,7 +424,7 @@ impl System {
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             cycles: self.machine.now(),
-            stats: self.stats.clone(),
+            stats: self.stats().clone(),
             machine: self.machine.stats(),
         }
     }
@@ -453,9 +441,9 @@ impl System {
         match &self.boot {
             Some(snap) => (
                 self.machine.now() - snap.cycles,
-                self.stats.since(&snap.stats),
+                self.stats().since(&snap.stats),
             ),
-            None => (self.machine.now(), self.stats.clone()),
+            None => (self.machine.now(), self.stats().clone()),
         }
     }
 }

@@ -163,7 +163,8 @@ impl System {
         self.record(Incident::Recovery(event));
     }
 
-    /// Is the fault containment policy ([`SystemConfig::fault_containment`])
+    /// Is the fault containment policy
+    /// ([`SystemConfig::fault_containment`](crate::SystemConfig::fault_containment))
     /// on?
     pub fn fault_containment(&self) -> bool {
         self.fault_containment
@@ -336,10 +337,11 @@ impl System {
     /// install path for every component slot in the cubicle (fresh code,
     /// data, heap and stack pages under a fresh key — forbidden-
     /// instruction scan included), invokes each component's
-    /// [`Component::on_restart`] hook so host-side state referring to the
-    /// reclaimed memory is dropped, and marks the cubicle active with a
-    /// bumped generation. Entry IDs and trampolines are stable across
-    /// the reboot, so peers' cached proxies stay valid.
+    /// [`Component::on_restart`](crate::Component::on_restart) hook so
+    /// host-side state referring to the reclaimed memory is dropped, and
+    /// marks the cubicle active with a bumped generation. Entry IDs and
+    /// trampolines are stable across the reboot, so peers' cached
+    /// proxies stay valid.
     ///
     /// # Errors
     ///

@@ -83,9 +83,10 @@ impl System {
     /// itself) has been quarantined — also when the callee was
     /// quarantined mid-call and returned `Ok` anyway — plus anything the
     /// callee itself returns. With fault containment enabled
-    /// ([`SystemConfig::fault_containment`]), containable callee faults do
-    /// *not* surface as `Err`: the monitor unwinds them and the call
-    /// returns `Ok(Value::I64(-errno))` at the first healthy boundary.
+    /// ([`SystemConfig::fault_containment`](crate::SystemConfig::fault_containment)),
+    /// containable callee faults do *not* surface as `Err`: the monitor
+    /// unwinds them and the call returns `Ok(Value::I64(-errno))` at the
+    /// first healthy boundary.
     pub fn cross_call(&mut self, entry: EntryId, args: &[Value]) -> Result<Value> {
         let mut ret = None;
         self.dispatch(entry, &[args], false, &mut |v| ret = Some(v))?;
@@ -118,7 +119,7 @@ impl System {
     /// `Value::I64(-errno)`, so callers see a short count plus the errno,
     /// writev-style.
     ///
-    /// The batch appears as one edge crossing in [`SysStats`]
+    /// The batch appears as one edge crossing in [`SysStats`](crate::SysStats)
     /// (`cross_calls`, the per-edge histogram, one span when tracing);
     /// `batch_dispatches` / `batched_calls` count the amortisation.
     ///

@@ -455,7 +455,7 @@ impl System {
         let (sanitizer, kernel): (Vec<_>, Vec<_>) = SysStats::SERIES
             .iter()
             .partition(|s| s.name.starts_with("cubicle_san_"));
-        prom_series(kernel, &[(String::new(), &self.stats)], &mut out);
+        prom_series(kernel, &[(String::new(), self.stats())], &mut out);
         prom_series(&MACHINE_SERIES, &[(String::new(), &self.machine)], &mut out);
 
         // Per-core counters (one series per simulated core).
@@ -478,7 +478,7 @@ impl System {
         // feature-off exports are byte-identical to the pre-sanitizer
         // kernel.
         if self.race.is_some() {
-            prom_series(sanitizer, &[(String::new(), &self.stats)], &mut out);
+            prom_series(sanitizer, &[(String::new(), self.stats())], &mut out);
             prom_series(&[LOCKORDER_CYCLIC], &[(String::new(), self)], &mut out);
         }
 
@@ -491,7 +491,7 @@ impl System {
                 label("callee", name(to))
             )
         };
-        let mut edges: Vec<_> = self.stats.call_edges.iter().collect();
+        let mut edges: Vec<_> = self.stats().call_edges.iter().collect();
         edges.sort();
         let samples: Vec<_> = edges.into_iter().map(|(&e, n)| (edge(e), n)).collect();
         prom_series(&[CALL_EDGES], &samples, &mut out);
@@ -541,8 +541,8 @@ impl System {
     /// tracing is enabled; incidents are always kept.
     pub fn export_fault_audit(&self) -> String {
         let mut out = String::new();
-        for (block, &dropped) in self.incidents_dropped.iter().enumerate() {
-            for incident in self.incidents.iter().filter(|i| i.block() == block) {
+        for (block, dropped) in self.incidents_dropped().into_iter().enumerate() {
+            for incident in self.incidents().iter().filter(|i| i.block() == block) {
                 out.push_str(&format!("{incident}\n"));
             }
             if dropped > 0 {
@@ -588,14 +588,14 @@ impl System {
             for v in race.violations() {
                 out.push_str(&format!("sanitizer: {v}\n"));
             }
-            out.push_str(&format!("races: {}\n", self.stats.race_reports));
+            out.push_str(&format!("races: {}\n", self.stats().race_reports));
             match race.lockorder_cycle() {
                 None => out.push_str("lockorder: acyclic\n"),
                 Some(cycle) => out.push_str(&format!("lockorder: cycle {cycle}\n")),
             }
             out.push_str(&format!(
                 "lockset-violations: {}\n",
-                self.stats.lockset_violations
+                self.stats().lockset_violations
             ));
         }
         out

@@ -4,8 +4,10 @@
 //! w/o ACLs and full CubicleOS, and Figure 10's message-passing
 //! baselines) is a choice of crossing, page-key and authorisation
 //! mechanism. The methods below say what the current mode does at each
-//! point where the monitor and its components must know; nothing else
-//! in the kernel looks at the mode (DESIGN §6r).
+//! point where the monitor and its components must know. The kernel
+//! holds the mode as an [`Isolation`], whose field and predicates are
+//! private to this module, so nothing else in the kernel can look at
+//! the mode: the compiler keeps the seam (DESIGN §6r).
 
 use super::observe::PageOp;
 use super::System;
@@ -15,6 +17,35 @@ use crate::mode::{IsolationMode, IPC_PACKET_BYTES};
 use crate::trace::TraceEvent;
 use crate::value::Value;
 use cubicle_mpk::{CostModel, Fault, Pkru, ProtKey, VAddr};
+
+/// The isolation mode as [`System`] holds it. Only this module can see
+/// the mode inside.
+#[derive(Clone, Copy)]
+pub(super) struct Isolation(IsolationMode);
+
+impl Isolation {
+    pub(super) fn new(mode: IsolationMode) -> Isolation {
+        Isolation(mode)
+    }
+
+    /// Does this mode switch PKRU across cubicles (and therefore fault)?
+    fn mpk_active(self) -> bool {
+        matches!(self.0, IsolationMode::NoAcl | IsolationMode::Full)
+    }
+
+    /// Does this mode run cross-cubicle call trampolines?
+    fn trampolines_active(self) -> bool {
+        matches!(
+            self.0,
+            IsolationMode::NoMpk | IsolationMode::NoAcl | IsolationMode::Full
+        )
+    }
+
+    /// Does this mode consult (and charge for) window ACLs?
+    fn acls_active(self) -> bool {
+        matches!(self.0, IsolationMode::Full)
+    }
+}
 
 /// What the fault handler does with a protection-key fault.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -47,7 +78,7 @@ impl System {
         cost: &CostModel,
     ) -> Result<(u64, usize)> {
         self.machine.charge(self.boundary_tax);
-        match self.mode {
+        match self.mode.0 {
             IsolationMode::Unikraft => Ok((cost.call, 0)),
             IsolationMode::Ipc(m) => {
                 // One message each way carrying every element; the call
@@ -135,7 +166,7 @@ impl System {
 
     /// What the fault handler does with a protection-key fault.
     pub(super) fn fault_policy(&self) -> FaultPolicy {
-        match self.mode {
+        match self.mode.0 {
             IsolationMode::NoAcl => FaultPolicy::AclsOff,
             IsolationMode::Full => FaultPolicy::WindowAcl,
             IsolationMode::Unikraft | IsolationMode::NoMpk | IsolationMode::Ipc(_) => {
@@ -174,7 +205,7 @@ impl System {
     /// window that costs nothing. The ablations and the message-passing
     /// baselines keep `pread`, so they stay the paper's configurations.
     pub fn maps_reads(&self) -> bool {
-        self.keyed_port && matches!(self.mode, IsolationMode::Unikraft | IsolationMode::Full)
+        self.keyed_port && matches!(self.mode.0, IsolationMode::Unikraft | IsolationMode::Full)
     }
 
     /// The largest buffer one call to a file-system server may carry.
@@ -183,7 +214,7 @@ impl System {
     /// round trip; CubicleOS and Unikraft pass the whole buffer in one
     /// zero-copy call.
     pub fn max_transfer(&self) -> usize {
-        match self.mode {
+        match self.mode.0 {
             IsolationMode::Ipc(_) => IPC_PACKET_BYTES,
             _ => usize::MAX,
         }
@@ -193,10 +224,40 @@ impl System {
 impl std::fmt::Debug for System {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("System")
-            .field("mode", &self.mode)
+            .field("mode", &self.mode.0)
             .field("cubicles", &self.cubicles.len())
             .field("entries", &self.entries.len())
             .field("cycles", &self.machine.now())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mode::IpcCostModel;
+
+    #[test]
+    fn ablation_ladder_is_monotone() {
+        // Each Fig. 6 configuration enables a superset of mechanisms.
+        assert!(!Isolation(IsolationMode::Unikraft).trampolines_active());
+        assert!(Isolation(IsolationMode::NoMpk).trampolines_active());
+        assert!(!Isolation(IsolationMode::NoMpk).mpk_active());
+        assert!(Isolation(IsolationMode::NoAcl).mpk_active());
+        assert!(!Isolation(IsolationMode::NoAcl).acls_active());
+        assert!(Isolation(IsolationMode::Full).mpk_active());
+        assert!(Isolation(IsolationMode::Full).acls_active());
+    }
+
+    #[test]
+    fn ipc_mode_has_no_mpk() {
+        let ipc = IsolationMode::Ipc(IpcCostModel {
+            kernel: "seL4",
+            fixed: 1,
+            per_byte: 1,
+        });
+        assert!(!Isolation(ipc).mpk_active());
+        assert!(!Isolation(ipc).acls_active());
+        assert_eq!(ipc.label(), "seL4");
     }
 }

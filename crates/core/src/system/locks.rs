@@ -123,7 +123,7 @@ impl System {
         );
     }
 
-    /// Number of simulated cores ([`SystemConfig::cores`]).
+    /// Number of simulated cores ([`SystemConfig::cores`](crate::SystemConfig::cores)).
     pub fn num_cores(&self) -> usize {
         self.cores
     }
@@ -230,7 +230,7 @@ impl System {
         }
         if let Some(race) = &mut self.race {
             let delta = race.on_acquire(self.machine.current_core(), lock);
-            self.stats.apply_race_delta(delta);
+            self.record_race(delta);
         }
         self.machine.now()
     }
@@ -258,7 +258,7 @@ impl System {
     pub(super) fn race_note(&mut self, object: RaceObject, write: bool, site: &'static str) {
         if let Some(race) = &mut self.race {
             let delta = race.on_access(self.machine.current_core(), object, write, site);
-            self.stats.apply_race_delta(delta);
+            self.record_race(delta);
         }
     }
 

@@ -3,13 +3,21 @@
 //! the two helpers through which the monitor issues retags, reclaims and
 //! PKRU writes so each is recorded as it happens. Strictly an observer —
 //! recording never charges simulated cycles.
+//!
+//! The counters and the incident log live in an [`EventLog`] whose
+//! fields are private to this module. Everywhere else in the kernel
+//! reads them through [`System::stats`] and [`System::incidents`], so
+//! the compiler keeps the door: `record` and CubicleSan's
+//! [`System::record_race`] are the only writers (DESIGN §6o).
 
 use super::keys::PARKED_KEY;
 use super::System;
 use crate::ids::{CubicleId, EntryId};
 use crate::ledger::LedgerRow;
 use crate::metrics::Metrics;
+use crate::race::RaceDelta;
 use crate::span::{CycleAttribution, SpanFrame, SpanProfiler, SpanRecord};
+use crate::stats::SysStats;
 use crate::trace::{FaultAudit, Incident, TraceBuffer, TraceEvent, TraceRecord};
 use cubicle_mpk::{Fault, Pkru, ProtKey, VAddr};
 use std::collections::HashMap;
@@ -18,6 +26,18 @@ use std::collections::HashMap;
 /// recovery): a kernel must not grow unbounded state when fed a stream
 /// of hostile images or faults.
 const INCIDENT_CAP: usize = 64;
+
+/// The monitor's counters and its bounded incident log, written only by
+/// the methods of this module.
+#[derive(Default)]
+pub(super) struct EventLog {
+    stats: SysStats,
+    /// The incident log ([`System::incidents`]), kept outside the tracer
+    /// so incidents are never lost when tracing is off.
+    incidents: Vec<Incident>,
+    /// Incidents each audit block discarded once full.
+    incidents_dropped: [u64; 3],
+}
 
 /// What [`System::record`] takes: a trace event, or an incident for the
 /// incident log, which brings the trace event of its counters along.
@@ -257,7 +277,7 @@ impl System {
         let mut calls_in = vec![0u64; n];
         let mut calls_out = vec![0u64; n];
         // verify: order-ok — commutative counting into per-cubicle slots
-        for (&(from, to), &count) in &self.stats.call_edges {
+        for (&(from, to), &count) in &self.events.stats.call_edges {
             if from.index() < n {
                 calls_out[from.index()] += count;
             }
@@ -289,6 +309,7 @@ impl System {
                     calls_in: calls_in[c.id.index()],
                     calls_out: calls_out[c.id.index()],
                     grant_hits: self
+                        .events
                         .stats
                         .grant_hits_by_accessor
                         .get(&c.id)
@@ -350,11 +371,11 @@ impl System {
     }
 
     /// The monitor's one event door. Folds the event into the counters
-    /// ([`SysStats::apply`](crate::SysStats::apply), their only writer
-    /// but CubicleSan's) and, while tracing, hands it to the tracer
+    /// ([`SysStats::apply`], their only writer but
+    /// [`System::record_race`]) and, while tracing, hands it to the tracer
     /// stamped with the current cycle count and core; an incident also
     /// lands in the bounded incident log. Always inlined, like
-    /// [`SysStats::apply`](crate::SysStats::apply): the dispatch path
+    /// [`SysStats::apply`]: the dispatch path
     /// records six or more events per crossing.
     #[inline(always)]
     pub(super) fn record(&mut self, event: impl Into<Event>) {
@@ -362,21 +383,34 @@ impl System {
             Event::Trace(e) => (Some(e), None),
             Event::Incident(i) => (i.trace(), Some(i)),
         };
+        let log = &mut self.events;
         if let Some(e) = trace {
-            self.stats.apply(&e);
+            log.stats.apply(&e);
             if let Some(tracer) = &mut self.tracer {
                 tracer.record(self.machine.now(), self.machine.current_core(), e);
             }
         }
         if let Some(i) = incident {
             let block = i.block();
-            let kept = self.incidents.iter().filter(|k| k.block() == block);
+            let kept = log.incidents.iter().filter(|k| k.block() == block);
             if kept.count() < INCIDENT_CAP {
-                self.incidents.push(i);
+                log.incidents.push(i);
             } else {
-                self.incidents_dropped[block] += 1;
+                log.incidents_dropped[block] += 1;
             }
         }
+    }
+
+    /// Folds what CubicleSan found at one lock or access hook into its
+    /// counters.
+    #[inline]
+    pub(super) fn record_race(&mut self, delta: RaceDelta) {
+        self.events.stats.apply_race_delta(delta);
+    }
+
+    /// Kernel counters.
+    pub fn stats(&self) -> &SysStats {
+        &self.events.stats
     }
 
     /// The incident log, oldest first: rejected images, quarantines,
@@ -384,7 +418,13 @@ impl System {
     /// `Display`. Kept with tracing off, up to 64 per audit block; the
     /// fault audit counts the rest.
     pub fn incidents(&self) -> &[Incident] {
-        &self.incidents
+        &self.events.incidents
+    }
+
+    /// Incidents each audit block (loader, containment, recovery)
+    /// discarded once it held 64.
+    pub(super) fn incidents_dropped(&self) -> [u64; 3] {
+        self.events.incidents_dropped
     }
 
     /// A fresh span id and the innermost open span on the current core,

@@ -83,6 +83,10 @@ pub struct Lwip {
     netdev: Option<NetdevProxy>,
     alloc: Option<AllocProxy>,
     sockets: Vec<Option<Socket>>,
+    /// Who owns each socket slot: the calling cubicle of `lwip_socket`,
+    /// or of the `lwip_accept` that returned a connection (`None` until
+    /// then). Every other cubicle gets `-EBADF` for the descriptor.
+    owners: Vec<Option<CubicleId>>,
     /// Staging page for frames exchanged with `NETDEV`.
     frame_buf: VAddr,
     /// Current TX pbuf page (rotated through `ALLOC` refills).
@@ -127,11 +131,17 @@ impl Lwip {
         self.alloc = Some(alloc);
     }
 
-    fn conn_mut(&mut self, fd: i64) -> Option<&mut Tcb> {
-        match usize::try_from(fd)
-            .ok()
-            .and_then(|i| self.sockets.get_mut(i)?.as_mut())
-        {
+    /// The socket open as `fd`, when `caller` owns it.
+    fn socket_mut(&mut self, fd: i64, caller: CubicleId) -> Option<&mut Socket> {
+        let i = usize::try_from(fd).ok()?;
+        if *self.owners.get(i)? != Some(caller) {
+            return None;
+        }
+        self.sockets.get_mut(i)?.as_mut()
+    }
+
+    fn conn_mut(&mut self, fd: i64, caller: CubicleId) -> Option<&mut Tcb> {
+        match self.socket_mut(fd, caller) {
             Some(Socket::Conn(tcb)) => Some(tcb),
             _ => None,
         }
@@ -150,12 +160,14 @@ impl Lwip {
             .position(|s| matches!(s, Some(Socket::Listener { port: p, .. }) if *p == port))
     }
 
-    fn alloc_fd(&mut self, s: Socket) -> i64 {
+    fn alloc_fd(&mut self, s: Socket, owner: Option<CubicleId>) -> i64 {
         if let Some(i) = self.sockets.iter().position(Option::is_none) {
             self.sockets[i] = Some(s);
+            self.owners[i] = owner;
             i as i64
         } else {
             self.sockets.push(Some(s));
+            self.owners.push(owner);
             self.sockets.len() as i64 - 1
         }
     }
@@ -209,10 +221,13 @@ fn e_socket(sys: &mut System, this: &mut dyn Component, _args: &[Value]) -> Resu
     sys.charge(80);
     let st = component_mut::<Lwip>(this);
     // a socket starts life as an unbound listener shell
-    let fd = st.alloc_fd(Socket::Listener {
-        port: 0,
-        backlog: VecDeque::new(),
-    });
+    let fd = st.alloc_fd(
+        Socket::Listener {
+            port: 0,
+            backlog: VecDeque::new(),
+        },
+        Some(sys.caller_cubicle()),
+    );
     Ok(Value::I64(fd))
 }
 
@@ -227,10 +242,7 @@ fn e_bind(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<
     if st.find_listener(port).is_some() && port != 0 {
         return Ok(Value::I64(Errno::Eaddrinuse.neg()));
     }
-    match usize::try_from(fd)
-        .ok()
-        .and_then(|i| st.sockets.get_mut(i)?.as_mut())
-    {
+    match st.socket_mut(fd, sys.caller_cubicle()) {
         Some(Socket::Listener { port: p, .. }) => {
             *p = port;
             Ok(Value::I64(0))
@@ -243,10 +255,7 @@ fn e_listen(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Resul
     sys.charge(80);
     let fd = args[0].as_i64();
     let st = component_mut::<Lwip>(this);
-    match usize::try_from(fd)
-        .ok()
-        .and_then(|i| st.sockets.get(i)?.as_ref())
-    {
+    match st.socket_mut(fd, sys.caller_cubicle()) {
         Some(Socket::Listener { .. }) => Ok(Value::I64(0)),
         _ => Ok(Value::I64(Errno::Ebadf.neg())),
     }
@@ -256,12 +265,12 @@ fn e_accept(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Resul
     sys.charge(120);
     let fd = args[0].as_i64();
     let st = component_mut::<Lwip>(this);
-    match usize::try_from(fd)
-        .ok()
-        .and_then(|i| st.sockets.get_mut(i)?.as_mut())
-    {
+    match st.socket_mut(fd, sys.caller_cubicle()) {
         Some(Socket::Listener { backlog, .. }) => match backlog.pop_front() {
-            Some(conn_idx) => Ok(Value::I64(conn_idx as i64)),
+            Some(conn_idx) => {
+                st.owners[conn_idx] = Some(sys.caller_cubicle());
+                Ok(Value::I64(conn_idx as i64))
+            }
             None => Ok(Value::I64(Errno::Ewouldblock.neg())),
         },
         _ => Ok(Value::I64(Errno::Ebadf.neg())),
@@ -270,11 +279,12 @@ fn e_accept(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Resul
 
 fn e_recv(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<Value> {
     let fd = args[0].as_i64();
+    let caller = sys.caller_cubicle();
     let (buf, n) = args[1].as_buf();
     sys.charge(200);
     let (bytes, _closed) = {
         let st = component_mut::<Lwip>(this);
-        let Some(tcb) = st.conn_mut(fd) else {
+        let Some(tcb) = st.conn_mut(fd, caller) else {
             return Ok(Value::I64(Errno::Ebadf.neg()));
         };
         if tcb.recv_queue.is_empty() {
@@ -293,7 +303,7 @@ fn e_recv(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<
         Err(cubicle_core::CubicleError::WindowDenied { .. }) => {
             // put the bytes back so the app can retry with a window
             let st = component_mut::<Lwip>(this);
-            if let Some(tcb) = st.conn_mut(fd) {
+            if let Some(tcb) = st.conn_mut(fd, caller) {
                 for b in bytes.into_iter().rev() {
                     tcb.recv_queue.push_front(b);
                 }
@@ -306,11 +316,12 @@ fn e_recv(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<
 
 fn e_send(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<Value> {
     let fd = args[0].as_i64();
+    let caller = sys.caller_cubicle();
     let (buf, n) = args[1].as_buf();
     sys.charge(200);
     let space = {
         let st = component_mut::<Lwip>(this);
-        let Some(tcb) = st.conn_mut(fd) else {
+        let Some(tcb) = st.conn_mut(fd, caller) else {
             return Ok(Value::I64(Errno::Ebadf.neg()));
         };
         if tcb.state != TcpState::Established && tcb.state != TcpState::CloseWait {
@@ -326,7 +337,7 @@ fn e_send(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<
     // queue via a pooled scratch buffer — no allocation per segment
     let queued = sys.with_read(buf, take, |_sys, bytes| {
         let st = component_mut::<Lwip>(this);
-        let tcb = st.conn_mut(fd).expect("checked above");
+        let tcb = st.conn_mut(fd, caller).expect("checked above");
         tcb.send_queue.extend(bytes.iter().copied());
         Ok(())
     });
@@ -341,10 +352,7 @@ fn e_close(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result
     sys.charge(120);
     let fd = args[0].as_i64();
     let st = component_mut::<Lwip>(this);
-    match usize::try_from(fd)
-        .ok()
-        .and_then(|i| st.sockets.get_mut(i)?.as_mut())
-    {
+    match st.socket_mut(fd, sys.caller_cubicle()) {
         Some(Socket::Conn(tcb)) => {
             tcb.fin_pending = true;
             Ok(Value::I64(0))
@@ -483,7 +491,7 @@ fn handle_segment(
                 payload: Vec::new(),
             };
             let st = component_mut::<Lwip>(this);
-            st.alloc_fd(Socket::Conn(tcb));
+            st.alloc_fd(Socket::Conn(tcb), None);
             send_segment(sys, this, dev, frame_buf, &reply)?;
         }
         return Ok(());

@@ -416,3 +416,51 @@ fn interleaved_connections_keep_streams_apart() {
         assert_eq!(got, vec![b"from-one".to_vec(), b"from-two".to_vec()]);
     });
 }
+
+#[test]
+fn a_socket_belongs_to_the_cubicle_that_opened_or_accepted_it() {
+    let mut net = boot(IsolationMode::Full);
+    let (stack, app) = (net.stack, net.app);
+    let evil = net
+        .sys
+        .load(
+            ComponentImage::new("EVIL", CodeImage::plain(4096)).heap_pages(8),
+            Box::new(App),
+        )
+        .unwrap()
+        .cid;
+    let (mut cl, conn) = establish(&mut net, 80);
+    let listener = net.sys.run_in_cubicle(app, |sys| {
+        let fd = stack.lwip.socket(sys).unwrap();
+        assert_eq!(stack.lwip.bind(sys, fd, 81).unwrap(), 0);
+        fd
+    });
+    cl.send(b"secret");
+    cl.pump(&mut net.sys);
+    net.sys
+        .run_in_cubicle(app, |sys| stack.lwip.poll(sys).unwrap());
+
+    let ebadf = cubicle_core::Errno::Ebadf.neg();
+    net.sys.run_in_cubicle(evil, |sys| {
+        let (buf, _w) = app_buffer(sys, stack.lwip.cid(), 64);
+        sys.write(buf, b"forged").unwrap();
+        assert_eq!(stack.lwip.recv(sys, conn, buf, 64).unwrap(), ebadf);
+        assert_eq!(stack.lwip.send(sys, conn, buf, 6).unwrap(), ebadf);
+        assert_eq!(stack.lwip.close(sys, conn).unwrap(), ebadf);
+        assert_eq!(stack.lwip.bind(sys, listener, 82).unwrap(), ebadf);
+        assert_eq!(stack.lwip.listen(sys, listener).unwrap(), ebadf);
+        assert_eq!(stack.lwip.close(sys, listener).unwrap(), ebadf);
+    });
+
+    // The owner still gets every byte, and nothing was sent on its behalf.
+    net.sys.run_in_cubicle(app, |sys| {
+        let (buf, _w) = app_buffer(sys, stack.lwip.cid(), 64);
+        assert_eq!(stack.lwip.recv(sys, conn, buf, 64).unwrap(), 6);
+        assert_eq!(sys.read_vec(buf, 6).unwrap(), b"secret");
+        assert_eq!(stack.lwip.listen(sys, listener).unwrap(), 0);
+        stack.lwip.poll(sys).unwrap();
+    });
+    cl.pump(&mut net.sys);
+    assert!(cl.received.is_empty(), "{:?}", cl.received);
+    assert!(net.sys.audit().is_clean(), "{}", net.sys.audit());
+}

@@ -493,3 +493,49 @@ fn pwrite_vec_flags_refuse_a_bad_fd_and_unknown_bits() {
         assert_eq!(cycles(sys, dsync) - plain, 60 + 40);
     });
 }
+
+#[test]
+fn a_descriptor_belongs_to_the_cubicle_that_opened_it() {
+    let mut stack = boot(IsolationMode::Full);
+    let evil = stack
+        .sys
+        .load(
+            ComponentImage::new("EVIL", CodeImage::plain(4096)).heap_pages(8),
+            Box::new(App),
+        )
+        .unwrap()
+        .cid;
+    let fd = with_port(&mut stack, |sys, port| {
+        let fd = port
+            .open(sys, "/owner.txt", flags::O_CREAT | flags::O_RDWR)
+            .unwrap();
+        port.write_all(sys, fd, b"owner bytes").unwrap();
+        fd
+    });
+    let fs = stack.fs;
+    let ebadf = Errno::Ebadf.neg();
+    stack.sys.run_in_cubicle(evil, |sys| {
+        let port = fs.port(sys).unwrap();
+        let buf = sys.heap_alloc(16, 8).unwrap();
+        sys.write(buf, b"evil bytes!").unwrap();
+        assert_eq!(port.lseek(sys, fd, 0, whence::SEEK_SET).unwrap(), ebadf);
+        assert_eq!(port.read(sys, fd, buf, 16).unwrap(), ebadf);
+        assert_eq!(port.write(sys, fd, buf, 11).unwrap(), ebadf);
+        assert_eq!(port.pwrite(sys, fd, buf, 11, 0).unwrap(), ebadf);
+        // A copy between the owner's file and one of its own needs both.
+        let own = port
+            .open(sys, "/evil.txt", flags::O_CREAT | flags::O_RDWR)
+            .unwrap();
+        assert_eq!(port.copy_range(sys, fd, own, &[(0, 11, 0)]).unwrap(), ebadf);
+        assert_eq!(port.copy_range(sys, own, fd, &[(0, 11, 0)]).unwrap(), ebadf);
+        assert_eq!(port.close(sys, fd).unwrap(), ebadf);
+        assert_eq!(port.close(sys, own).unwrap(), 0);
+    });
+    let back = with_port(&mut stack, |sys, port| {
+        assert_eq!(port.lseek(sys, fd, 0, whence::SEEK_CUR).unwrap(), 11);
+        port.lseek(sys, fd, 0, whence::SEEK_SET).unwrap();
+        port.read_vec(sys, fd, 64).unwrap()
+    });
+    assert_eq!(back, b"owner bytes");
+    assert!(stack.sys.audit().is_clean(), "{}", stack.sys.audit());
+}

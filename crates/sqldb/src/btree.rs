@@ -92,31 +92,27 @@ impl Node {
         out
     }
 
+    /// Decodes a node image. Every field is read through [`bytes`], so a
+    /// torn or stale page (read back after a crash) is `Corrupt`, never a
+    /// panic.
     fn decode(data: &[u8]) -> Result<Node> {
-        let kind = data[0];
-        let count = u16::from_le_bytes(data[1..3].try_into().expect("2")) as usize;
+        let kind = bytes(data, 0, 1, "node kind")?[0];
+        let count = le_u16(data, 1, "node count")? as usize;
+        // Each cell or key takes at least two bytes of the image.
+        let capacity = count.min(data.len() / 2);
         match kind {
             LEAF => {
-                let next = u32::from_le_bytes(data[3..7].try_into().expect("4"));
-                let mut cells = Vec::with_capacity(count);
+                let next = le_u32(data, 3, "leaf sibling")?;
+                let mut cells = Vec::with_capacity(capacity);
                 let mut pos = 7;
                 for _ in 0..count {
-                    let klen =
-                        u16::from_le_bytes(data[pos..pos + 2].try_into().expect("2")) as usize;
-                    let vlen =
-                        u16::from_le_bytes(data[pos + 2..pos + 4].try_into().expect("2")) as usize;
-                    let overflow =
-                        u32::from_le_bytes(data[pos + 4..pos + 8].try_into().expect("4"));
+                    let klen = le_u16(data, pos, "leaf cell header")? as usize;
+                    let vlen = le_u16(data, pos + 2, "leaf cell header")? as usize;
+                    let overflow = le_u32(data, pos + 4, "leaf cell header")?;
                     pos += 8;
-                    let key = data
-                        .get(pos..pos + klen)
-                        .ok_or_else(|| SqlError::Corrupt("leaf cell key".into()))?
-                        .to_vec();
+                    let key = bytes(data, pos, klen, "leaf cell key")?.to_vec();
                     pos += klen;
-                    let local = data
-                        .get(pos..pos + vlen)
-                        .ok_or_else(|| SqlError::Corrupt("leaf cell value".into()))?
-                        .to_vec();
+                    let local = bytes(data, pos, vlen, "leaf cell value")?.to_vec();
                     pos += vlen;
                     cells.push(LeafCell {
                         key,
@@ -128,26 +124,16 @@ impl Node {
             }
             INTERIOR => {
                 let mut pos = 3;
-                let mut children = Vec::with_capacity(count + 1);
+                let mut children = Vec::with_capacity(capacity + 1);
                 for _ in 0..=count {
-                    children.push(u32::from_le_bytes(
-                        data.get(pos..pos + 4)
-                            .ok_or_else(|| SqlError::Corrupt("interior child".into()))?
-                            .try_into()
-                            .expect("4"),
-                    ));
+                    children.push(le_u32(data, pos, "interior child")?);
                     pos += 4;
                 }
-                let mut keys = Vec::with_capacity(count);
+                let mut keys = Vec::with_capacity(capacity);
                 for _ in 0..count {
-                    let klen =
-                        u16::from_le_bytes(data[pos..pos + 2].try_into().expect("2")) as usize;
+                    let klen = le_u16(data, pos, "interior key length")? as usize;
                     pos += 2;
-                    keys.push(
-                        data.get(pos..pos + klen)
-                            .ok_or_else(|| SqlError::Corrupt("interior key".into()))?
-                            .to_vec(),
-                    );
+                    keys.push(bytes(data, pos, klen, "interior key")?.to_vec());
                     pos += klen;
                 }
                 Ok(Node::Interior { keys, children })
@@ -157,6 +143,27 @@ impl Node {
             ))),
         }
     }
+}
+
+/// The `len` bytes of a node image at `pos`, or `Corrupt(what)` when the
+/// image ends first.
+fn bytes<'a>(data: &'a [u8], pos: usize, len: usize, what: &str) -> Result<&'a [u8]> {
+    data.get(pos..pos + len)
+        .ok_or_else(|| SqlError::Corrupt(what.into()))
+}
+
+/// The little-endian `u16` of a node image at `pos` ([`bytes`]).
+fn le_u16(data: &[u8], pos: usize, what: &str) -> Result<u16> {
+    Ok(u16::from_le_bytes(
+        bytes(data, pos, 2, what)?.try_into().expect("2 bytes"),
+    ))
+}
+
+/// The little-endian `u32` of a node image at `pos` ([`bytes`]).
+fn le_u32(data: &[u8], pos: usize, what: &str) -> Result<u32> {
+    Ok(u32::from_le_bytes(
+        bytes(data, pos, 4, what)?.try_into().expect("4 bytes"),
+    ))
 }
 
 fn read_node(sys: &mut System, pager: &mut Pager, pno: u32) -> Result<Node> {
@@ -682,6 +689,61 @@ mod tests {
 
     fn k(i: u64) -> Vec<u8> {
         i.to_be_bytes().to_vec()
+    }
+
+    #[test]
+    fn a_damaged_node_image_decodes_to_an_error_never_a_panic() {
+        use cubicle_mpk::rng::Rng64;
+        let leaf = Node::Leaf {
+            next: 7,
+            cells: (0..20u64)
+                .map(|i| LeafCell {
+                    key: k(i),
+                    local: vec![i as u8; 30],
+                    overflow: 0,
+                })
+                .collect(),
+        };
+        let interior = Node::Interior {
+            keys: (1..20u64).map(k).collect(),
+            children: (0..20).collect(),
+        };
+        // Where cell `i`'s length fields sit: a leaf cell is an 8-byte
+        // header (key and value lengths first) plus 8 + 30 bytes; an
+        // interior key a 2-byte length plus 8 bytes, after 20 children.
+        let length_field = |node: &Node, i: usize| match node {
+            Node::Leaf { .. } => 7 + i * 46 + 2 * (i % 2),
+            Node::Interior { .. } => 3 + 20 * 4 + i * 10,
+        };
+        let mut rng = Rng64::new(0xB7EE);
+        for node in [leaf, interior] {
+            let image = node.encode();
+            assert!(Node::decode(&image).is_ok());
+            for round in 0..300 {
+                let mut bad = image.clone();
+                let end = match round % 3 {
+                    // A count of cells no page can hold.
+                    0 => {
+                        let count = rng.range_usize(DB_PAGE / 6 + 1, 1 << 16) as u16;
+                        bad[1..3].copy_from_slice(&count.to_le_bytes());
+                        DB_PAGE
+                    }
+                    // A key or value length past the page end.
+                    1 => {
+                        let at = length_field(&node, rng.range_usize(0, 19));
+                        let len = rng.range_usize(DB_PAGE, 1 << 16) as u16;
+                        bad[at..at + 2].copy_from_slice(&len.to_le_bytes());
+                        DB_PAGE
+                    }
+                    // A torn image, ending before its last byte.
+                    _ => rng.range_usize(0, node.serialized_size()),
+                };
+                assert!(
+                    matches!(Node::decode(&bad[..end]), Err(SqlError::Corrupt(_))),
+                    "round {round}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -374,6 +374,10 @@ struct CubicleFile {
     /// This handle wrote past the mapped length since the map was last
     /// listed: the next [`StorageFile::map_reads`] lists the new pages.
     grown: bool,
+    /// The backend refused this handle a map (`-ENOSPC`: no key to bind
+    /// it under). The handle reads through `pread` for the rest of its
+    /// life instead of asking again after every checkpoint.
+    map_refused: bool,
 }
 
 fn io_err<T>(code: i64) -> Result<T> {
@@ -496,14 +500,17 @@ impl CubicleFile {
             let listed =
                 self.port
                     .map_pages(sys, self.fd, (self.staging, STAGING), first as u64, more)?;
-            let Ok(PageList {
+            let PageList {
                 gen_addr,
                 gen,
                 pages,
-            }) = listed
-            else {
-                self.unmap(sys);
-                return Ok(());
+            } = match listed {
+                Ok(list) => list,
+                Err(e) => {
+                    self.map_refused |= e == Errno::Enospc.neg();
+                    self.unmap(sys);
+                    return Ok(());
+                }
             };
             let chunk = pages.len();
             match &mut self.map {
@@ -798,10 +805,11 @@ impl StorageFile for CubicleFile {
     }
 
     /// Joins the page map when the system offers one and this handle
-    /// holds none, and lists the pages it gained when this handle grew
-    /// the file since: at most one listing per growth.
+    /// holds none (and was never refused one), and lists the pages it
+    /// gained when this handle grew the file since: at most one listing
+    /// per growth.
     fn map_reads(&mut self, sys: &mut System) {
-        if !sys.maps_reads() || (self.map.is_some() && !self.grown) {
+        if self.map_refused || !sys.maps_reads() || (self.map.is_some() && !self.grown) {
             return;
         }
         self.grown = false;
@@ -846,6 +854,7 @@ impl StorageEnv for CubicleEnv {
             shares: Vec::new(),
             map: None,
             grown: false,
+            map_refused: false,
         };
         if let Err(e) = file.pair(sys) {
             // The pairing's error wins over the cleanup's.

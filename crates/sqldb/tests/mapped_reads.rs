@@ -346,6 +346,7 @@ fn with_no_free_key_the_file_reads_through_pread() {
         i += 1;
     }
     let app = st.app;
+    let vfs = st.sys.find_cubicle("VFSCORE").unwrap();
     st.in_app(|sys, env| {
         let mut f = env.open(sys, "/plain.db").unwrap();
         put_pages(sys, f.as_mut(), &[1, 2, 3]);
@@ -358,8 +359,14 @@ fn with_no_free_key_the_file_reads_through_pread() {
                 assert!(crossings > 0, "round {round}, page {i} was mapped");
                 assert_eq!(ramfs_pages_under(sys, app, ramfs), 0, "page {i}");
             }
-            // A later listing (after a checkpoint) is refused alike.
+            // A later listing (after a checkpoint) is not asked for again.
+            let calls = sys.stats().edge(app, vfs);
             f.map_reads(sys);
+            assert_eq!(
+                sys.stats().edge(app, vfs),
+                calls,
+                "round {round}: map retried"
+            );
         }
         f.pwrite(sys, PAGE_SIZE as u64, &page(9)).unwrap();
         assert_eq!(read_page(sys, f.as_mut(), 1).0, page(9));

@@ -91,10 +91,25 @@ fn entry_pfree(
     // The pages come back to ALLOC's ownership. The *caller* transferred
     // them implicitly by calling pfree; from ALLOC's context we adopt
     // them by recording the run. (Ownership metadata was flipped by the
-    // caller-side proxy before the call — see `AllocProxy::pfree`.)
+    // caller-side proxy before the call — see `AllocProxy::pfree`.) A run
+    // ALLOC does not own page by page, or one already free, is refused:
+    // recorded, the next `uk_palloc` it fits would fail to grant it. The
+    // check reads page metadata only, free of charge.
+    let me = sys.current_cubicle();
     let state = cubicle_core::component_mut::<Alloc>(this);
+    let owned = pages > 0
+        && addr.page_offset() == 0
+        && (0..pages).all(|i| sys.page_owner(addr + i * PAGE_SIZE) == Some(me));
+    let end = |base: VAddr, n: usize| base + n * PAGE_SIZE;
+    if !owned
+        || state
+            .free_runs
+            .iter()
+            .any(|&(a, n)| a < end(addr, pages) && addr < end(a, n))
+    {
+        return Ok(Value::I64(cubicle_core::Errno::Einval.neg()));
+    }
     state.free_runs.push((addr, pages));
-    let _ = sys; // no memory touched: bookkeeping only
     Ok(Value::Unit)
 }
 
@@ -152,11 +167,16 @@ impl AllocProxy {
     /// # Errors
     ///
     /// [`cubicle_core::CubicleError::NotOwner`] when the caller does not
-    /// own the pages.
+    /// own the pages; [`cubicle_core::CubicleError::Component`] when
+    /// `ALLOC` refuses the run.
     pub fn pfree(&self, sys: &mut System, addr: VAddr, pages: usize) -> Result<()> {
         sys.grant_pages_to(addr, pages * PAGE_SIZE, self.cid)?;
-        sys.cross_call(self.pfree, &[Value::Ptr(addr), Value::U64(pages as u64)])?;
-        Ok(())
+        match sys.cross_call(self.pfree, &[Value::Ptr(addr), Value::U64(pages as u64)])? {
+            Value::I64(e) => Err(cubicle_core::CubicleError::Component(format!(
+                "uk_pfree failed: {e}"
+            ))),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -231,6 +251,40 @@ mod tests {
         let theirs = sys.run_in_cubicle(other.cid, |sys| proxy.palloc(sys, 1).unwrap());
         let err = sys.run_in_cubicle(app, |sys| proxy.pfree(sys, theirs, 1));
         assert!(matches!(err, Err(CubicleError::NotOwner { .. })));
+    }
+
+    #[test]
+    fn a_direct_pfree_of_pages_alloc_does_not_hold_is_refused() {
+        let (mut sys, proxy, victim) = setup();
+        let mut load = |name| {
+            let image = ComponentImage::new(name, CodeImage::plain(64));
+            sys.load(image, Box::new(Dummy)).unwrap().cid
+        };
+        let (evil, third) = (load("EVIL"), load("THIRD"));
+        let (page, free_run) = sys.run_in_cubicle(victim, |sys| {
+            let page = proxy.palloc(sys, 1).unwrap();
+            let free_run = proxy.palloc(sys, 1).unwrap();
+            proxy.pfree(sys, free_run, 1).unwrap();
+            (page, free_run)
+        });
+        // EVIL skips the proxy's ownership transfer: VICTIM's page is
+        // refused, and so is a run already on the free list.
+        let refused = sys.run_in_cubicle(evil, |sys| {
+            [page, free_run].map(|addr| {
+                let args = [Value::Ptr(addr), Value::U64(1)];
+                sys.cross_call(proxy.pfree, &args).unwrap()
+            })
+        });
+        let einval = Value::I64(cubicle_core::Errno::Einval.neg());
+        assert_eq!(refused, [einval, einval]);
+        // THIRD gets the free run once, then a fresh page.
+        let got = sys.run_in_cubicle(third, |sys| [proxy.palloc(sys, 1), proxy.palloc(sys, 1)]);
+        assert_eq!(got[0], Ok(free_run));
+        assert!(
+            got[1].as_ref().is_ok_and(|&p| p != page && p != free_run),
+            "{got:?}"
+        );
+        assert_eq!(sys.page_owner(page), Some(victim));
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Dependency-DAG reconstruction and allow-list check.
+//! The manifest pass: dependency-DAG reconstruction and allow-list
+//! check, and the workspace lint that forbids `unsafe` code.
 //!
 //! Reads each crate's `Cargo.toml` with a tiny hand-rolled TOML-subset
 //! parser (section headers + `key = value` / `key.workspace = true`
 //! lines — exactly the shapes this workspace uses) and checks the
 //! `cubicle-*` edges in `[dependencies]` against the allow-listed
 //! component graph. `[dev-dependencies]` are exempt: test harnesses run
-//! on the host, outside any cubicle.
+//! on the host, outside any cubicle. [`check_lints`] checks that the
+//! workspace forbids `unsafe` code and that every member inherits it.
 
 use crate::report::{Finding, Rule};
 use std::path::Path;
@@ -52,27 +54,32 @@ const ALLOWED: &[(&str, &[&str])] = &[
     ),
 ];
 
+/// Every `key = value` line of a `Cargo.toml` with the section it sits
+/// in, both trimmed: `("dependencies", "cubicle-mpk.workspace", "true")`.
+fn entries(text: &str) -> impl Iterator<Item = (&str, &str, &str)> {
+    let mut section = "";
+    text.lines().filter_map(move |raw| {
+        let line = raw.trim();
+        if line.is_empty() || line.starts_with('#') {
+            return None;
+        }
+        if let Some(rest) = line.strip_prefix('[') {
+            section = rest.trim_end_matches(']').trim();
+            return None;
+        }
+        let (key, value) = line.split_once('=')?;
+        Some((section, key.trim(), value.trim()))
+    })
+}
+
 /// Parses the `[dependencies]` section of a `Cargo.toml`, returning
 /// `(package_name, runtime_dep_names)`.
 pub fn parse_manifest(text: &str) -> (Option<String>, Vec<String>) {
-    let mut section = String::new();
     let mut name = None;
     let mut deps = Vec::new();
-    for raw in text.lines() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('[') {
-            section = rest.trim_end_matches(']').trim().to_string();
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            continue;
-        };
-        let key = key.trim();
+    for (section, key, value) in entries(text) {
         if section == "package" && key == "name" {
-            name = Some(value.trim().trim_matches('"').to_string());
+            name = Some(value.trim_matches('"').to_string());
         }
         if section == "dependencies" {
             // `cubicle-mpk.workspace = true` or `cubicle-mpk = { .. }`
@@ -81,6 +88,32 @@ pub fn parse_manifest(text: &str) -> (Option<String>, Vec<String>) {
         }
     }
     (name, deps)
+}
+
+/// Checks that a manifest keeps `unsafe` code out of the workspace. A
+/// `[workspace]` must set `unsafe_code = "forbid"` in
+/// `[workspace.lints.rust]`, and a `[package]` must inherit it with
+/// `[lints] workspace = true`. rustc then rejects `unsafe` in every
+/// member, and with it every `transmute` and `static mut` access.
+pub fn check_lints(manifest_path: &Path, text: &str) -> Vec<Finding> {
+    let has_section = |s: &str| entries(text).any(|(section, _, _)| section == s);
+    let has = |entry| entries(text).any(|e| e == entry);
+    let mut missing = Vec::new();
+    if has_section("workspace") && !has(("workspace.lints.rust", "unsafe_code", "\"forbid\"")) {
+        missing.push("the workspace does not set `unsafe_code = \"forbid\"`");
+    }
+    if has_section("package") && !has(("lints", "workspace", "true")) {
+        missing.push("the package does not inherit the workspace lints");
+    }
+    missing
+        .into_iter()
+        .map(|what| Finding {
+            rule: Rule::TcbConfinement,
+            file: manifest_path.to_path_buf(),
+            line: 0,
+            message: format!("{what}, so `unsafe` code would compile"),
+        })
+        .collect()
 }
 
 /// Checks one crate's manifest against the allow-listed graph.

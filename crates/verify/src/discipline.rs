@@ -22,11 +22,6 @@
 //! * a `// verify: lock-held(<structure>)` marker within two lines of
 //!   the mutation.
 //!
-//! The same walk holds the monitor to its one event door: no
-//! `stats.<field> +=` / `-=` anywhere in the module (`SysStats::apply`,
-//! in `stats.rs`, is the only writer of a counter) and no push to the
-//! incident log outside `fn record`.
-//!
 //! `#[cfg(test)] mod tests` blocks are skipped: unit tests poke kernels
 //! from the host side, outside the monitor's concurrency model.
 //!
@@ -191,29 +186,6 @@ pub fn check_source(file: &Path, src: &str) -> Vec<Finding> {
         let prev_dot = i >= 1 && other(i - 1, '.');
         let prev_sep = prev_dot || (i >= 1 && toks[i - 1].tok == Tok::PathSep);
         let recv = if i >= 2 { ident(i - 2) } else { None };
-        // ── the event door ───────────────────────────────────────────
-        let fname = cur_fn.as_ref().map_or("", |(f, _)| f.as_str());
-        let counter_write = prev_dot
-            && recv == Some("stats")
-            && (other(i + 1, '+') || other(i + 1, '-'))
-            && other(i + 2, '=');
-        let incident_push =
-            prev_dot && name == "push" && recv == Some("incidents") && fname != "record";
-        if counter_write || incident_push {
-            let what = if counter_write {
-                format!("counter `stats.{name}` written outside `SysStats::apply`")
-            } else {
-                "incident pushed outside `System::record`".to_string()
-            };
-            findings.push(Finding {
-                rule: Rule::EventDoor,
-                file: file.to_path_buf(),
-                line: toks[i].line,
-                message: format!("{what} (in fn `{fname}`)"),
-            });
-            continue;
-        }
-
         // ── mutation sites ───────────────────────────────────────────
         let call = other(i + 1, '(');
         let mut hit: Option<usize> = None;
@@ -449,35 +421,6 @@ mod tests {
             }
         "#;
         assert!(run(src).is_empty());
-    }
-
-    #[test]
-    fn counters_and_incidents_go_through_the_event_door() {
-        let src = r#"
-            fn record(&mut self, event: TraceEvent) {
-                self.incidents.push(incident);
-            }
-            fn sloppy(&mut self) {
-                self.stats.window_ops += 1;
-                self.stats.acl_probes -= probes;
-                self.incidents.push(incident);
-            }
-            fn fine(&mut self) {
-                self.record(TraceEvent::WindowOp { op, wid, peer, ok, grants_dropped });
-                let n = self.stats.window_ops + 1;
-                if self.stats.window_ops == n { return; }
-            }
-        "#;
-        let f = run(src);
-        assert_eq!(f.len(), 3, "{f:?}");
-        assert!(f.iter().all(|f| f.rule == Rule::EventDoor));
-        assert!(f.iter().all(|f| f.message.contains("sloppy")));
-        assert!(
-            f[0].message.contains("stats.window_ops"),
-            "{}",
-            f[0].message
-        );
-        assert!(f[2].message.contains("incident"), "{}", f[2].message);
     }
 
     #[test]

@@ -8,13 +8,15 @@
 //!
 //! * **Pass 1 — source-level isolation lint** ([`lint`], [`deps`]): a
 //!   hand-rolled, comment/string-aware Rust lexer walks every component
-//!   crate and enforces TCB confinement (`unsafe`/`transmute`/`static
-//!   mut` only inside `crates/mpk` + `crates/core`), an
-//!   ambient-authority ban (`std::fs`, `std::net`, `std::process`,
-//!   `std::thread`) and a privileged-API ban (`Machine`, `Pkru`,
-//!   `set_page_key`, …). It also reconstructs the `Cargo.toml`
-//!   dependency DAG and rejects edges outside the allow-listed component
-//!   graph.
+//!   crate and enforces an ambient-authority ban (`std::fs`, `std::net`,
+//!   `std::process`), an ambient-concurrency ban (`std::thread`,
+//!   `std::sync`, atomics) and a privileged-API ban (`Machine`, `Pkru`,
+//!   `set_page_key`, …). The manifest pass reconstructs the
+//!   `Cargo.toml` dependency DAG and rejects edges outside the
+//!   allow-listed component graph, and checks that the workspace forbids
+//!   `unsafe` code in every member ([`deps::check_lints`]): rustc's
+//!   `unsafe_code` lint, not this crate, then keeps `unsafe`,
+//!   `transmute` and `static mut` out of the build.
 //! * **Pass 2 — kernel invariant audit**: [`cubicle_core::System::audit`]
 //!   walks machine + kernel state and checks W^X, causal tag
 //!   consistency, window-range ownership, stack guards and key
@@ -27,14 +29,15 @@
 //!   `crates/core/src/system/`) must sit lexically inside a matching
 //!   lock-acquire scope — the static complement of the CubicleSan
 //!   dynamic race detector ([`cubicle_core::SystemConfig::race_detection`]).
-//! * **Pass 4 — the isolation seam** ([`seam`]): outside
-//!   `crates/core/src/system/isolation.rs` (and `mode.rs`) no kernel file
-//!   reads `self.mode` or calls a mode predicate, and no component asks
-//!   `System` for its mode.
-//! * **Pass 5 — replay determinism** ([`determinism`]): no unsorted
+//! * **Pass 4 — replay determinism** ([`determinism`]): no unsorted
 //!   `HashMap`/`HashSet` iteration in the TCB crates (`crates/core`,
 //!   `crates/mpk`) without a commutative terminal, a sort, or an
 //!   explicit `// verify: order-ok` marker.
+//!
+//! Two kernel properties need no pass, because the compiler keeps them:
+//! the isolation mode is private to the kernel's isolation seam, and its
+//! counters and incident log are private to its one event door (DESIGN
+//! §6r, §6o).
 //!
 //! Zero external dependencies, by the same policy it enforces.
 
@@ -44,7 +47,6 @@ pub mod discipline;
 pub mod lexer;
 pub mod lint;
 pub mod report;
-pub mod seam;
 
 pub use report::{Finding, Report, Rule};
 
@@ -52,7 +54,7 @@ use std::path::{Path, PathBuf};
 
 /// Runs the full source-level pass over a workspace: lints every
 /// component crate's `src/` tree and checks every crate manifest against
-/// the dependency allow-list.
+/// the dependency allow-list and the workspace lints.
 ///
 /// # Errors
 ///
@@ -73,25 +75,18 @@ pub fn run_all(workspace_root: &Path) -> std::io::Result<Report> {
     report.findings.extend(findings);
     report.files_scanned += scanned;
 
-    // Pass 4: the isolation seam, in the kernel and in every component.
-    let (findings, scanned) = seam::check_core(&crates.join("core").join("src"))?;
-    report.findings.extend(findings);
-    report.files_scanned += scanned;
-    for name in lint::COMPONENT_CRATES {
-        for (path, text) in rust_sources(&crates.join(name).join("src"))? {
-            report
-                .findings
-                .extend(seam::check_source(&path, &text, false));
-        }
-    }
-
-    // Pass 5: replay determinism over the TCB crates.
+    // Pass 4: replay determinism over the TCB crates.
     for name in ["core", "mpk"] {
         let (findings, scanned) = determinism::check_crate_sources(&crates.join(name))?;
         report.findings.extend(findings);
         report.files_scanned += scanned;
     }
 
+    // The manifest pass: the workspace's `unsafe_code` lint, then each
+    // crate's dependency edges and lint inheritance.
+    let root = workspace_root.join("Cargo.toml");
+    let text = std::fs::read_to_string(&root)?;
+    report.findings.extend(deps::check_lints(&root, &text));
     let mut dirs: Vec<_> = std::fs::read_dir(&crates)?
         .collect::<std::io::Result<Vec<_>>>()?
         .into_iter()
@@ -112,6 +107,7 @@ pub fn run_all(workspace_root: &Path) -> std::io::Result<Report> {
         report
             .findings
             .extend(deps::check_manifest(&manifest, &text));
+        report.findings.extend(deps::check_lints(&manifest, &text));
     }
     Ok(report)
 }

@@ -6,8 +6,9 @@ use std::path::PathBuf;
 /// The lint rule a finding belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Rule {
-    /// `unsafe`, `transmute` or `static mut` outside the TCB
-    /// (`crates/mpk`, `crates/core`).
+    /// A workspace manifest that would let `unsafe` code back in: the
+    /// workspace without `unsafe_code = "forbid"`, or a member that does
+    /// not inherit the workspace lints.
     TcbConfinement,
     /// Ambient authority: `std::fs` / `std::net` / `std::process` /
     /// `std::thread` in a component — all I/O must route through the
@@ -28,15 +29,6 @@ pub enum Rule {
     /// (page metadata, windows, grant cache, ledger) outside a lexical
     /// lock-acquire scope in `crates/core/src/system.rs`.
     LockDiscipline,
-    /// A monitor counter written (`stats.<field> +=` / `-=`) or an
-    /// incident pushed outside the monitor's one event door, so the
-    /// counters, trace ring and incident log could disagree.
-    EventDoor,
-    /// The isolation mode read outside the kernel's one isolation seam
-    /// (`crates/core/src/system/isolation.rs`): a `self.mode` read or a
-    /// mode predicate elsewhere in the kernel, or a component asking
-    /// `System` for its mode.
-    ModeSeam,
     /// Unsorted iteration over a `HashMap`/`HashSet` in the TCB — replay
     /// determinism requires every observable order to be defined.
     Nondeterminism,
@@ -51,8 +43,6 @@ impl fmt::Display for Rule {
             Rule::DependencyGraph => "dependency-graph",
             Rule::AmbientConcurrency => "ambient-concurrency",
             Rule::LockDiscipline => "lock-discipline",
-            Rule::EventDoor => "event-door",
-            Rule::ModeSeam => "mode-seam",
             Rule::Nondeterminism => "nondeterminism",
         })
     }
@@ -139,8 +129,6 @@ mod tests {
         assert_eq!(Rule::DependencyGraph.to_string(), "dependency-graph");
         assert_eq!(Rule::AmbientConcurrency.to_string(), "ambient-concurrency");
         assert_eq!(Rule::LockDiscipline.to_string(), "lock-discipline");
-        assert_eq!(Rule::EventDoor.to_string(), "event-door");
-        assert_eq!(Rule::ModeSeam.to_string(), "mode-seam");
         assert_eq!(Rule::Nondeterminism.to_string(), "nondeterminism");
     }
 

@@ -3,7 +3,7 @@
 //! must not.
 
 use cubicle_verify::lint::lint_source;
-use cubicle_verify::{deps, determinism, discipline, seam, Rule};
+use cubicle_verify::{deps, determinism, discipline, Rule};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -14,25 +14,6 @@ fn fixture(name: &str) -> (PathBuf, String) {
         .join(name);
     let text = std::fs::read_to_string(&path).expect("fixture readable");
     (path, text)
-}
-
-fn rules_in(name: &str) -> Vec<Rule> {
-    let (path, text) = fixture(name);
-    lint_source(&path, &text)
-        .into_iter()
-        .map(|f| f.rule)
-        .collect()
-}
-
-#[test]
-fn unsafe_fixture_fires_tcb_confinement() {
-    let rules = rules_in("bad_unsafe.rs");
-    assert_eq!(rules, vec![Rule::TcbConfinement, Rule::TcbConfinement]);
-}
-
-#[test]
-fn static_mut_fixture_fires_tcb_confinement() {
-    assert_eq!(rules_in("bad_static_mut.rs"), vec![Rule::TcbConfinement]);
 }
 
 #[test]
@@ -88,12 +69,12 @@ fn clean_fixture_is_clean() {
 
 #[test]
 fn findings_carry_real_line_numbers() {
-    let (path, text) = fixture("bad_static_mut.rs");
+    let (path, text) = fixture("bad_ambient.rs");
     let findings = lint_source(&path, &text);
     let wanted = text
         .lines()
-        .position(|l| l.starts_with("static mut"))
-        .expect("fixture declares one")
+        .position(|l| l.starts_with("use std::net"))
+        .expect("fixture imports it")
         + 1;
     assert_eq!(findings[0].line, wanted);
 }
@@ -200,30 +181,11 @@ fn dep_fixture_fires_for_lateral_and_external_edges() {
 }
 
 #[test]
-fn mode_seam_fires_outside_the_seam_only() {
-    let src = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("fixtures")
-        .join("core_src");
-    let (findings, scanned) = seam::check_core(&src).expect("fixture readable");
-    assert_eq!(scanned, 1, "mode.rs and system/isolation.rs are the seam");
-    assert_eq!(findings.len(), 1, "{findings:#?}");
-    let f = &findings[0];
-    assert_eq!(f.rule, Rule::ModeSeam);
-    assert!(f.file.ends_with("system/trap.rs"), "{f}");
-    assert!(f.message.contains("`self.mode.mpk_active`"), "{f}");
-}
-
-#[test]
-fn mode_seam_fires_on_a_component_reading_the_mode() {
-    let (path, text) = fixture("bad_mode_read.rs");
-    let findings = seam::check_source(&path, &text, false);
+fn lints_fixture_fires_for_a_weak_workspace_lint_and_an_uninherited_one() {
+    let (path, text) = fixture("bad_lints.toml");
+    let findings = deps::check_lints(&path, &text);
     assert_eq!(findings.len(), 2, "{findings:#?}");
-    assert!(findings.iter().all(|f| f.rule == Rule::ModeSeam));
-    assert!(findings[0].message.contains("`sys.mode()`"));
-    assert!(findings[1].message.contains("`mpk_active`"));
-
-    let (path, text) = fixture("ok_mode_seam.rs");
-    let findings = seam::check_source(&path, &text, false);
-    assert!(findings.is_empty(), "false positives: {findings:#?}");
+    assert!(findings.iter().all(|f| f.rule == Rule::TcbConfinement));
+    assert!(findings[0].message.contains("`unsafe_code = \"forbid\"`"));
+    assert!(findings[1].message.contains("does not inherit"));
 }

@@ -45,6 +45,10 @@ pub(crate) fn encode_triples(triples: impl ExactSizeIterator<Item = [u64; 3]>) -
 
 #[derive(Clone, Copy, Debug)]
 struct OpenFile {
+    /// The cubicle that opened the file: the calling cubicle of
+    /// `vfs_open` ([`System::caller_cubicle`]). Every other cubicle gets
+    /// `-EBADF` for the descriptor, as if it were not open.
+    owner: CubicleId,
     mount: usize,
     ino: i64,
     offset: u64,
@@ -108,12 +112,15 @@ impl Vfs {
         self.fds.iter().flatten().count()
     }
 
-    fn file(&self, fd: i64) -> Option<&OpenFile> {
-        self.fds.get(usize::try_from(fd).ok()?)?.as_ref()
+    /// The file open as `fd`, when `caller` opened it.
+    fn file(&self, fd: i64, caller: CubicleId) -> Option<&OpenFile> {
+        let file = self.fds.get(usize::try_from(fd).ok()?)?.as_ref()?;
+        (file.owner == caller).then_some(file)
     }
 
-    fn file_mut(&mut self, fd: i64) -> Option<&mut OpenFile> {
-        self.fds.get_mut(usize::try_from(fd).ok()?)?.as_mut()
+    fn file_mut(&mut self, fd: i64, caller: CubicleId) -> Option<&mut OpenFile> {
+        let file = self.fds.get_mut(usize::try_from(fd).ok()?)?.as_mut()?;
+        (file.owner == caller).then_some(file)
     }
 
     fn install_fd(&mut self, file: OpenFile) -> Option<i64> {
@@ -279,6 +286,7 @@ fn e_open(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<
     }
     let vfs = component_mut::<Vfs>(this);
     match vfs.install_fd(OpenFile {
+        owner: sys.caller_cubicle(),
         mount,
         ino,
         offset: 0,
@@ -293,13 +301,11 @@ fn e_close(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result
     sys.charge(VFS_OP_COST / 2);
     let fd = args[0].as_i64();
     let vfs = component_mut::<Vfs>(this);
-    match usize::try_from(fd).ok().and_then(|i| vfs.fds.get_mut(i)) {
-        Some(slot @ Some(_)) => {
-            *slot = None;
-            Ok(Value::I64(0))
-        }
-        _ => Ok(Value::I64(Errno::Ebadf.neg())),
+    if vfs.file(fd, sys.caller_cubicle()).is_none() {
+        return Ok(Value::I64(Errno::Ebadf.neg()));
     }
+    vfs.fds[fd as usize] = None;
+    Ok(Value::I64(0))
 }
 
 fn rw_common(
@@ -313,7 +319,7 @@ fn rw_common(
     let fd = args[0].as_i64();
     let (buf, len) = args[1].as_buf();
     let vfs = component_mut::<Vfs>(this);
-    let Some(file) = vfs.file(fd).copied() else {
+    let Some(file) = vfs.file(fd, sys.caller_cubicle()).copied() else {
         return Ok(Value::I64(Errno::Ebadf.neg()));
     };
     let ops = vfs.mounts[file.mount].ops;
@@ -331,7 +337,7 @@ fn rw_common(
     let entry = if write { ops.write } else { ops.read };
     let n = backend_rw(sys, entry, file.ino, buf, len, off, write)?;
     if n > 0 && !positioned {
-        if let Some(f) = component_mut::<Vfs>(this).file_mut(fd) {
+        if let Some(f) = component_mut::<Vfs>(this).file_mut(fd, sys.caller_cubicle()) {
             f.offset = off + n as u64;
         }
     }
@@ -456,7 +462,7 @@ fn rw_vec(
         Err(e) => return Ok(Value::I64(e)),
     };
     let vfs = component_mut::<Vfs>(this);
-    let Some(file) = vfs.file(fd).copied() else {
+    let Some(file) = vfs.file(fd, sys.caller_cubicle()).copied() else {
         return Ok(Value::I64(Errno::Ebadf.neg()));
     };
     let ops = vfs.mounts[file.mount].ops;
@@ -495,7 +501,7 @@ fn rw_vec(
 
 /// `vfs_copy_range(fd_in, fd_out, iov, len)`: `copy_file_range` over
 /// `(off_in, len, off_out)` triples ([`read_iov`]). Both descriptors must
-/// be open on one mount; the whole vector reaches the backend in one
+/// be the caller's and open on one mount; the whole vector reaches the backend in one
 /// batched dispatch. No caller bytes move, so there is no IPC packet
 /// split as in [`backend_rw`]. Returns the bytes copied ([`vec_total`]).
 fn e_copy_range(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<Value> {
@@ -506,8 +512,8 @@ fn e_copy_range(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> R
     };
     let vfs = component_mut::<Vfs>(this);
     let (Some(src), Some(dst)) = (
-        vfs.file(args[0].as_i64()).copied(),
-        vfs.file(args[1].as_i64()).copied(),
+        vfs.file(args[0].as_i64(), sys.caller_cubicle()).copied(),
+        vfs.file(args[1].as_i64(), sys.caller_cubicle()).copied(),
     ) else {
         return Ok(Value::I64(Errno::Ebadf.neg()));
     };
@@ -562,7 +568,7 @@ fn e_lseek(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result
     let off = args[1].as_i64();
     let wh = args[2].as_i64();
     let vfs = component_mut::<Vfs>(this);
-    let Some(file) = vfs.file(fd).copied() else {
+    let Some(file) = vfs.file(fd, sys.caller_cubicle()).copied() else {
         return Ok(Value::I64(Errno::Ebadf.neg()));
     };
     let base: i64 = match wh {
@@ -582,7 +588,7 @@ fn e_lseek(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result
     if new < 0 {
         return Ok(Value::I64(Errno::Einval.neg()));
     }
-    if let Some(f) = component_mut::<Vfs>(this).file_mut(fd) {
+    if let Some(f) = component_mut::<Vfs>(this).file_mut(fd, sys.caller_cubicle()) {
         f.offset = new as u64;
     }
     Ok(Value::I64(new))
@@ -592,7 +598,7 @@ fn e_fsync(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result
     sys.charge(VFS_OP_COST / 2);
     let fd = args[0].as_i64();
     let vfs = component_mut::<Vfs>(this);
-    let Some(file) = vfs.file(fd).copied() else {
+    let Some(file) = vfs.file(fd, sys.caller_cubicle()).copied() else {
         return Ok(Value::I64(Errno::Ebadf.neg()));
     };
     let ops = vfs.mounts[file.mount].ops;
@@ -690,7 +696,7 @@ fn e_fstat(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result
     let fd = args[0].as_i64();
     let (out, _outlen) = args[1].as_buf();
     let vfs = component_mut::<Vfs>(this);
-    let Some(file) = vfs.file(fd).copied() else {
+    let Some(file) = vfs.file(fd, sys.caller_cubicle()).copied() else {
         return Ok(Value::I64(Errno::Ebadf.neg()));
     };
     let ops = vfs.mounts[file.mount].ops;
@@ -705,7 +711,7 @@ fn e_ftruncate(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Re
     let fd = args[0].as_i64();
     let len = args[1].as_u64();
     let vfs = component_mut::<Vfs>(this);
-    let Some(file) = vfs.file(fd).copied() else {
+    let Some(file) = vfs.file(fd, sys.caller_cubicle()).copied() else {
         return Ok(Value::I64(Errno::Ebadf.neg()));
     };
     let ops = vfs.mounts[file.mount].ops;
@@ -718,7 +724,7 @@ fn e_readdir(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Resu
     let (buf, len) = args[1].as_buf();
     let index = args[2].as_i64();
     let vfs = component_mut::<Vfs>(this);
-    let Some(file) = vfs.file(fd).copied() else {
+    let Some(file) = vfs.file(fd, sys.caller_cubicle()).copied() else {
         return Ok(Value::I64(Errno::Ebadf.neg()));
     };
     let ops = vfs.mounts[file.mount].ops;
@@ -744,7 +750,7 @@ fn e_sendfile_map(sys: &mut System, this: &mut dyn Component, args: &[Value]) ->
     let peer = args[1].as_i64();
     let (out, n) = args[2].as_buf();
     let vfs = component_mut::<Vfs>(this);
-    let Some(file) = vfs.file(fd).copied() else {
+    let Some(file) = vfs.file(fd, sys.caller_cubicle()).copied() else {
         return Ok(Value::I64(Errno::Ebadf.neg()));
     };
     let ops = vfs.mounts[file.mount].ops;
@@ -766,7 +772,7 @@ fn e_sendfile_unmap(sys: &mut System, this: &mut dyn Component, args: &[Value]) 
     sys.charge(VFS_OP_COST / 2);
     let fd = args[0].as_i64();
     let vfs = component_mut::<Vfs>(this);
-    let Some(file) = vfs.file(fd).copied() else {
+    let Some(file) = vfs.file(fd, sys.caller_cubicle()).copied() else {
         return Ok(Value::I64(Errno::Ebadf.neg()));
     };
     let ops = vfs.mounts[file.mount].ops;
